@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, parse_schedule, parse_weights
+from .config import ConfigError, parse_model, parse_schedule, parse_weights
 from .density import DensityConfig, trace_csv
 from .detectors import DetectorConfig, st_dndc, st_dnm, st_dnp
 from .korovkin import (
@@ -225,10 +225,11 @@ def cmd_mean(args: argparse.Namespace) -> int:
 def _detector_runs(args: argparse.Namespace):
     if args.model is None:
         raise ConfigError("a model spec is required (--model or config file)")
-    bundle = model_preset(args.model)
-    model = bundle.model
-    schedule = parse_schedule(args.schedule) if args.schedule else bundle.schedule
-    weights = parse_weights(args.weights) if args.weights else bundle.weights
+    model = parse_model(args.model)
+    # Presets keep their worked example's windows; tabulated models get example/ones.
+    preset = model_preset(args.model) if isinstance(args.model, str) else None
+    schedule = parse_schedule(args.schedule or (preset.schedule if preset else "example"))
+    weights = parse_weights(args.weights or (preset.weights if preset else "ones"))
     grid = None
     if args.grid:
         try:
@@ -236,6 +237,7 @@ def _detector_runs(args: argparse.Namespace):
         except ValueError:
             raise ConfigError(f"bad grid spec '{args.grid}'") from None
     density = DensityConfig(horizon=args.horizon, mode=NormalizerMode(args.normalizer))
+    schedule.validate(args.horizon)
     cfg = DetectorConfig(eps=args.eps, delta=args.delta, r=args.r, grid=grid, density=density)
     runs = {}
     wanted = ("dnp", "dnm", "dndc") if args.mode == "all" else (args.mode,)
@@ -300,6 +302,7 @@ def cmd_korovkin(args: argparse.Namespace) -> int:
         tail_tol=args.tail_tol,
         tolerance=args.tolerance,
     )
+    schedule.validate(cfg.horizon)
     ops = lifted_operator(Perturbation(args.perturb), args.tail_tol)
     report = korovkin_check(ops, args.tag, f_list, schedule, weights, cfg)
     echo = {

@@ -9,6 +9,8 @@ tolerance.  A finite horizon cannot certify a limit, so the verdict can
 also be Inconclusive when the tail oscillates; the full trace is always
 returned so callers can tighten the run.
 
+Traced runs read m, x_m, y_m, R_m and floor(R_m) from one memoized
+``WindowPlan``; its R_m is exactly rounded, equal to ``convolution``.
 Predicates of the separable form  w(m, n) * level(n) >= threshold  are
 evaluated through a vectorized path; arbitrary callables fall back to a
 per-index loop.
@@ -17,11 +19,12 @@ per-index loop.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -29,7 +32,9 @@ from .schedules import (
     DeferredSchedule,
     DegenerateNormalizerError,
     NormalizerMode,
+    WeightError,
     WeightScheme,
+    WeightSeq,
     convolution,
     window_weight,
 )
@@ -39,6 +44,8 @@ __all__ = [
     "Verdict",
     "TracePoint",
     "ConvergenceVerdict",
+    "WindowPlan",
+    "window_plan",
     "counting_bound",
     "weighted_density",
     "density_limit",
@@ -53,6 +60,10 @@ _COUNT_CAP = 2_000_000
 
 # Traces longer than this are subsampled outside the tail window.
 _TRACE_CAP = 1000
+
+# Window plans kept per process: a detector run needs one, and a few more
+# cover callers that alternate between schedules or weights.
+_PLAN_CACHE_SIZE = 4
 
 
 class Verdict(Enum):
@@ -138,51 +149,88 @@ class ConvergenceVerdict:
 def _trace_indices(cfg: DensityConfig) -> list[int]:
     """Window indices to evaluate: dense tail plus a subsampled head."""
     tail_start = cfg.tail_start()
-    tail = list(range(tail_start, cfg.horizon + 1))
-    head_span = tail_start - 1
-    if head_span <= 0:
-        return tail
-    if head_span <= _TRACE_CAP:
-        return list(range(1, tail_start)) + tail
-    picks = np.unique(np.linspace(1, head_span, _TRACE_CAP).astype(np.int64))
-    return [int(m) for m in picks] + tail
+    head = list(range(1, tail_start))
+    if len(head) > _TRACE_CAP:
+        head = np.unique(np.linspace(1, tail_start - 1, _TRACE_CAP).astype(np.int64)).tolist()
+    return head + list(range(tail_start, cfg.horizon + 1))
 
 
-def _normalizer_for(
-    schedule: DeferredSchedule,
-    weights: WeightScheme,
-    m: int,
-    mode: NormalizerMode,
-    e_vals: np.ndarray | None,
-    g_vals: np.ndarray | None,
-) -> float:
-    """R_m via array slices when possible, else the scalar fsum path."""
-    if weights.override is not None or e_vals is None or g_vals is None:
-        return convolution(schedule, weights, m, mode)
-    xv, yv = schedule.bounds(m)
-    if mode is NormalizerMode.LITERAL:
-        ev = e_vals[xv + 1 : yv + 1]
-        gv = g_vals[0 : yv - xv][::-1]
+@dataclass(frozen=True, eq=False)
+class WindowPlan:
+    """The window rows a run evaluates: m, x_m, y_m, R_m and k_m = floor(R_m).
+
+    ``e`` and ``g`` hold the weight values from index 0 up to the largest
+    index the run reads, as far as a tabulated sequence reaches; they are
+    empty under a weight override, which is evaluated per index.  Plans
+    are shared between callers, so every array is read-only.
+    """
+
+    ms: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    R: np.ndarray
+    k: np.ndarray
+    e: np.ndarray
+    g: np.ndarray
+
+    @property
+    def k_max(self) -> int:
+        return int(self.k.max())
+
+
+def _table(seq: WeightSeq, need: int, reach: int) -> np.ndarray:
+    """Values of seq at 0..top with top >= need (what R_m reads), extended
+    towards reach (what counting reads) as far as a table goes."""
+    if seq.table is not None:
+        reach = min(reach, len(seq.table) - 1)
+    return seq.array(max(need, reach))
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def window_plan(
+    schedule: DeferredSchedule, weights: WeightScheme, cfg: DensityConfig
+) -> WindowPlan:
+    """Window plan of a traced run, built once per (schedule, weights, cfg).
+
+    R_m is the exactly rounded sum of the window products, equal to
+    ``convolution`` bit for bit: per-m ``convolution`` under a weight
+    override, ``width * (e0 * g0)`` when both weight sequences are
+    constant (what fsum returns for ``width`` equal terms), and
+    ``math.fsum`` over each window's products otherwise.  Raises
+    DegenerateNormalizerError at the first m with R_m <= 0, and
+    ValueError where floor(R_m) exceeds the counting cap.
+    """
+    ms = _trace_indices(cfg)
+    x, y = np.array([schedule.bounds(m) for m in ms], dtype=np.int64).T
+    e = g = np.empty(0)
+    if weights.override is not None:
+        r = np.array([convolution(schedule, weights, m, cfg.mode) for m in ms])
     else:
-        ev = e_vals[0 : yv - xv][::-1]
-        gv = g_vals[xv + 1 : yv + 1]
-    return float(np.sum(ev * gv))
-
-
-def _count_point(
-    schedule: DeferredSchedule,
-    weights: WeightScheme,
-    m: int,
-    r: float,
-    pred: Callable[[int, int], bool],
-) -> int:
-    """Count of n in 1..floor(R_m) satisfying a generic predicate."""
-    k = int(math.floor(r))
-    count = 0
-    for n in range(1, k + 1):
-        if pred(m, n):
-            count += 1
-    return count
+        literal = cfg.mode is NormalizerMode.LITERAL
+        w_top = int((y - x).max()) - 1
+        y_top = int(y.max())
+        # Counting reads e(y_m - n) * g(n) for 1 <= n <= min(k_m, y_m).
+        e = _table(weights.e, y_top if literal else w_top, y_top - 1)
+        g = _table(weights.g, w_top if literal else y_top, y_top)
+        if weights.e.constant is not None and weights.g.constant is not None:
+            r = (y - x).astype(np.float64) * (weights.e.constant * weights.g.constant)
+        else:
+            # LITERAL pairs e(v) with g(y_m - v), REGULAR g(n) with e(y_m - n).
+            head, tail = (e, g) if literal else (g, e)
+            r = np.array([
+                math.fsum((head[xv + 1 : yv + 1] * tail[: yv - xv][::-1]).tolist())
+                for xv, yv in zip(x.tolist(), y.tolist())
+            ])
+    bad = np.flatnonzero(~(r > 0.0) | (r >= _COUNT_CAP + 1))
+    if bad.size:
+        m, rm = ms[bad[0]], float(r[bad[0]])
+        if not rm > 0.0:
+            raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={rm}")
+        raise ValueError(f"floor(R_m)={math.floor(rm)} at m={m} exceeds counting cap {_COUNT_CAP}")
+    plan = WindowPlan(np.array(ms, dtype=np.int64), x, y, r, np.floor(r).astype(np.int64), e, g)
+    for arr in (plan.ms, plan.x, plan.y, plan.R, plan.k, plan.e, plan.g):
+        arr.flags.writeable = False
+    return plan
 
 
 def weighted_density(
@@ -198,7 +246,7 @@ def weighted_density(
         raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={r}")
     if math.floor(r) > _COUNT_CAP:
         raise ValueError(f"floor(R_m)={math.floor(r)} at m={m} exceeds counting cap {_COUNT_CAP}")
-    return _count_point(schedule, weights, m, r, pred) / r
+    return sum(1 for n in range(1, math.floor(r) + 1) if pred(m, n)) / r
 
 
 def _assemble(
@@ -231,20 +279,14 @@ def density_limit(
 
     The predicate may accept a numpy array as its second argument and
     return a boolean array; that path is probed once and used when it
-    works, otherwise evaluation falls back to one call per index.
+    works, otherwise evaluation falls back to one call per index.  A
+    predicate failure is raised as RuntimeError naming the index.
     """
-    ms = _trace_indices(cfg)
-    e_vals, g_vals = _weight_tables(schedule, weights, ms)
+    plan = window_plan(schedule, weights, cfg)
     vector_ok: bool | None = None
     points: list[TracePoint] = []
-    for m in ms:
+    for m, r, k in zip(plan.ms.tolist(), plan.R.tolist(), plan.k.tolist()):
         try:
-            r = _normalizer_for(schedule, weights, m, cfg.mode, e_vals, g_vals)
-            if r <= 0.0:
-                raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={r}")
-            k = int(math.floor(r))
-            if k > _COUNT_CAP:
-                raise ValueError(f"floor(R_m)={k} exceeds counting cap {_COUNT_CAP}")
             if vector_ok is None:
                 vector_ok = _probe_vector_pred(pred, m)
             if vector_ok and k > 0:
@@ -254,10 +296,10 @@ def density_limit(
                     raise ValueError("vectorized predicate returned a wrong shape")
                 count = int(np.count_nonzero(mask))
             else:
-                count = _count_point(schedule, weights, m, r, pred)
-            points.append(TracePoint(m, r, count, count / r))
+                count = sum(1 for n in range(1, k + 1) if pred(m, n))
         except Exception as exc:
-            raise type(exc)(f"density evaluation failed at m={m}: {exc}") from exc
+            raise RuntimeError(f"density evaluation failed at m={m}: {exc}") from exc
+        points.append(TracePoint(m, r, count, count / r))
     return _assemble(points, cfg, None)
 
 
@@ -270,21 +312,6 @@ def _probe_vector_pred(pred: Callable, m: int) -> bool:
     return arr.dtype == bool and arr.shape == (2,)
 
 
-def _weight_tables(
-    schedule: DeferredSchedule,
-    weights: WeightScheme,
-    ms: Sequence[int],
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Dense e/g value tables up to the largest window bound, if possible."""
-    if weights.override is not None:
-        return None, None
-    y_max = max(schedule.bounds(m)[1] for m in ms)
-    try:
-        return weights.e.array(y_max), weights.g.array(y_max)
-    except Exception:
-        return None, None
-
-
 def counting_bound(
     schedule: DeferredSchedule,
     weights: WeightScheme,
@@ -295,18 +322,7 @@ def counting_bound(
     Level sequences fed to the detectors must be defined at least this
     far; the bound is also the engine's per-index work ceiling.
     """
-    ms = _trace_indices(cfg)
-    e_vals, g_vals = _weight_tables(schedule, weights, ms)
-    k_max = 0
-    for m in ms:
-        r = _normalizer_for(schedule, weights, m, cfg.mode, e_vals, g_vals)
-        if r <= 0.0:
-            raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={r}")
-        k = int(math.floor(r))
-        if k > _COUNT_CAP:
-            raise ValueError(f"floor(R_m)={k} at m={m} exceeds counting cap {_COUNT_CAP}")
-        k_max = max(k_max, k)
-    return k_max
+    return window_plan(schedule, weights, cfg).k_max
 
 
 def level_density_limit(
@@ -326,22 +342,8 @@ def level_density_limit(
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    ms = _trace_indices(cfg)
-    e_vals, g_vals = _weight_tables(schedule, weights, ms)
-
-    # First pass: normalizers, which bound the level indices needed.
-    normalizers: list[float] = []
-    k_max = 0
-    for m in ms:
-        r = _normalizer_for(schedule, weights, m, cfg.mode, e_vals, g_vals)
-        if r <= 0.0:
-            raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={r}")
-        k = int(math.floor(r))
-        if k > _COUNT_CAP:
-            raise ValueError(f"floor(R_m)={k} at m={m} exceeds counting cap {_COUNT_CAP}")
-        k_max = max(k_max, k)
-        normalizers.append(r)
-
+    plan = window_plan(schedule, weights, cfg)
+    k_max = plan.k_max
     if isinstance(levels, np.ndarray):
         if len(levels) < k_max:
             raise ValueError(f"levels array too short: need {k_max}, got {len(levels)}")
@@ -350,8 +352,7 @@ def level_density_limit(
         level_arr = np.fromiter((float(levels(n)) for n in range(1, k_max + 1)), np.float64, k_max)
 
     points: list[TracePoint] = []
-    for m, r in zip(ms, normalizers):
-        k = int(math.floor(r))
+    for m, yv, r, k in zip(plan.ms.tolist(), plan.y.tolist(), plan.R.tolist(), plan.k.tolist()):
         if k == 0:
             points.append(TracePoint(m, r, 0, 0.0))
             continue
@@ -359,16 +360,14 @@ def level_density_limit(
             w = np.fromiter(
                 (window_weight(schedule, weights, m, n) for n in range(1, k + 1)), np.float64, k
             )
-        elif e_vals is not None and g_vals is not None:
-            _, yv = schedule.bounds(m)
-            keff = min(k, yv)
-            w = np.zeros(k, dtype=np.float64)
-            if keff > 0:
-                w[:keff] = e_vals[yv - keff : yv][::-1] * g_vals[1 : keff + 1]
         else:
-            w = np.fromiter(
-                (window_weight(schedule, weights, m, n) for n in range(1, k + 1)), np.float64, k
-            )
+            keff = min(k, yv)
+            if yv > len(plan.e) or keff >= len(plan.g):
+                raise WeightError(
+                    f"weights '{weights.label}' end before the counting range at m={m}"
+                )
+            w = np.zeros(k, dtype=np.float64)
+            w[:keff] = plan.e[yv - keff : yv][::-1] * plan.g[1 : keff + 1]
         count = int(np.count_nonzero(w * level_arr[:k] >= threshold))
         points.append(TracePoint(m, r, count, count / r))
 
@@ -412,6 +411,3 @@ def trace_csv(verdict: ConvergenceVerdict) -> str:
         writer.writerow([p.m, repr(p.normalizer), p.count, repr(p.density)])
     return buf.getvalue()
 
-
-def with_horizon(cfg: DensityConfig, horizon: int) -> DensityConfig:
-    return replace(cfg, horizon=horizon)

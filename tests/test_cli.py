@@ -88,6 +88,30 @@ class TestDetect:
         assert lines[0] == "m,R_m,count,d_m"
         assert len(lines) > 400
 
+    def test_tabulated_model_from_config_file(self, tmp_path):
+        cfg = tmp_path / "model.json"
+        support = {"1": [[1.0, 0.0, 0.5], [0.0, 0.0, 0.5]], "2": [[0.0, 0.0, 1.0]]}
+        cfg.write_text(json.dumps({"model": {"per_m": support, "description": "tab"}}))
+        proc = run_cli("detect", "--config", str(cfg), "--mode", "dnp", "--horizon", "200")
+        assert proc.returncode == 0, proc.stderr
+        assert "model=tab schedule=example weights=ones" in proc.stdout.splitlines()[1]
+        assert "dnp: Converges" in proc.stdout
+
+    def test_model_spec_of_wrong_type_exits_2(self, tmp_path):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"model": 5}))
+        proc = run_cli("detect", "--config", str(cfg), "--horizon", "200")
+        assert proc.returncode == 2
+        assert "model must be" in proc.stderr
+
+    def test_bounded_schedule_exits_2(self, tmp_path):
+        cfg = tmp_path / "flat.json"
+        cfg.write_text(json.dumps({"schedule": {"x": 0, "y": {"a": 0, "b": 5}}}))
+        proc = run_cli("detect", "--config", str(cfg), "--model", "example1",
+                       "--horizon", "200")
+        assert proc.returncode == 2
+        assert "shows no growth" in proc.stderr
+
     def test_byte_identical_json_runs(self):
         args = ("detect", "--model", "example2", "--mode", "dnp", "--horizon", "1000",
                 "--format", "json")
@@ -118,6 +142,11 @@ class TestKorovkin:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("n,1,z,z^2")
         assert len(lines) == 1 + 90  # stretch schedule: floor(R_30) = 90 indices
+
+    def test_bounded_schedule_exits_2(self):
+        proc = run_cli("korovkin", "--schedule", "0,0m+5", "--horizon", "30")
+        assert proc.returncode == 2
+        assert "shows no growth" in proc.stderr
 
     def test_bad_grid_size_exits_2(self):
         proc = run_cli("korovkin", "--grid-size", "1")

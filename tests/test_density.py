@@ -6,32 +6,39 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dnstat.density import (
     ConvergenceVerdict,
     DensityConfig,
     Verdict,
+    counting_bound,
     density_limit,
     dn_stat_limit,
     level_density_limit,
     trace_csv,
     weighted_density,
+    window_plan,
 )
+from dnstat.detectors import DetectorConfig, st_dndc
+from dnstat.rvmodel import model_preset
 from dnstat.schedules import (
     DegenerateNormalizerError,
     DeferredSchedule,
     Affine,
     NormalizerMode,
+    WeightError,
     WeightScheme,
+    WeightSeq,
     constant_seq,
+    convolution,
     schedule_preset,
     tabulated,
     weight_preset,
 )
 
-from conftest import brute_density_count, is_square
+from conftest import brute_density_count, brute_normalizer, brute_weight, is_square
 
 
 def squares_pred(m, n):
@@ -142,6 +149,25 @@ class TestDensityLimit:
         with pytest.raises(RuntimeError, match="m=37"):
             density_limit(pred, cesaro, ones, DensityConfig(horizon=100))
 
+    def test_predicate_error_with_a_two_argument_constructor(self, cesaro, ones):
+        class CodedError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(f"{code}: {detail}")
+
+        def pred(m, n):
+            if m == 12:
+                raise CodedError(7, "bad index")
+            return False
+
+        with pytest.raises(RuntimeError, match="m=12: 7: bad index") as info:
+            density_limit(pred, cesaro, ones, DensityConfig(horizon=100))
+        assert isinstance(info.value.__cause__, CodedError)
+
+    def test_plan_errors_keep_their_type(self, cesaro):
+        zeros = WeightScheme(tabulated([0.0] * 200), tabulated([0.0] * 200), label="z")
+        with pytest.raises(DegenerateNormalizerError, match="^degenerate normalizer at m=1:"):
+            density_limit(lambda m, n: False, cesaro, zeros, DensityConfig(horizon=100))
+
     def test_underpowered_horizon_rejected(self):
         with pytest.raises(ValueError, match="underpowered"):
             DensityConfig(horizon=5)
@@ -179,6 +205,88 @@ class TestLevelEngine:
     def test_short_level_array_rejected(self, cesaro, ones):
         with pytest.raises(ValueError, match="too short"):
             level_density_limit(np.zeros(3), 0.5, cesaro, ones, DensityConfig(horizon=100))
+
+
+@st.composite
+def plan_inputs(draw):
+    """A growing schedule, a weight scheme, a normalizer mode and a horizon."""
+    if draw(st.booleans()):
+        schedule = schedule_preset(draw(st.sampled_from(["cesaro", "example", "stretch"])))
+    else:
+        ax = draw(st.integers(0, 3))
+        bx = draw(st.integers(0, 5))
+        ay = ax + draw(st.integers(1, 3))
+        by = bx + draw(st.integers(1 - (ay - ax), 5))
+        schedule = DeferredSchedule(Affine(ax, bx), Affine(ay, by), "random")
+    horizon = draw(st.integers(10, 24))
+    top = schedule.y(horizon)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ones", "identity", "table", "constant"]))
+    if kind == "table":
+        e = tabulated(rng.uniform(0.1, 5.0, top + 1), "rand-e")
+        weights = WeightScheme(e, tabulated(rng.uniform(0.1, 5.0, top + 1), "rand-g"), label="t")
+    elif kind == "constant":
+        c = float(rng.uniform(0.1, 5.0))
+        weights = WeightScheme(WeightSeq(lambda n: c, "c", constant=c), weight_preset("ones").g)
+    else:
+        weights = weight_preset(kind)
+    mode = draw(st.sampled_from(list(NormalizerMode)))
+    # Regular identity weights sum to zero over a window of width 1.
+    width = schedule.y(1) - schedule.x(1)
+    assume(not (kind == "identity" and mode is NormalizerMode.REGULAR and width == 1))
+    cfg = DensityConfig(horizon=horizon, tail_fraction=0.5, tolerance=0.1, mode=mode)
+    return schedule, weights, cfg, rng
+
+
+class TestWindowPlan:
+    @given(inputs=plan_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_plan_matches_convolution_and_brute_counts(self, inputs):
+        schedule, weights, cfg, rng = inputs
+        plan = window_plan(schedule, weights, cfg)
+        assert np.array_equal(plan.k, np.floor(plan.R))
+        for m, r in zip(plan.ms.tolist(), plan.R.tolist()):
+            assert r == convolution(schedule, weights, m, cfg.mode)
+            assert r == pytest.approx(brute_normalizer(schedule, weights, m, cfg.mode), rel=1e-13)
+        levels = rng.uniform(0.0, 2.0, plan.k_max)
+        v = level_density_limit(levels, 1.0, schedule, weights, cfg)
+        for point in v.trace:
+            brute = sum(
+                1
+                for n in range(1, math.floor(point.normalizer) + 1)
+                if brute_weight(schedule, weights, point.m, n) * levels[n - 1] >= 1.0
+            )
+            assert point.count == brute
+
+    def test_regular_e_table_covering_only_the_widths(self, deferred, cesaro, ones):
+        cfg = DensityConfig(horizon=50, tail_fraction=0.5, tolerance=0.1)
+        # The widest windows are 100 (example) and 50 (cesaro) indices
+        # wide; regular sums read e below the width, counting below y_m.
+        short = WeightScheme(tabulated([1.5] * 100, "short-e"), ones.g, label="short")
+        assert counting_bound(deferred, short, cfg) == 150
+        v = density_limit(squares_pred, deferred, short, cfg)
+        assert v.trace[-1].normalizer == convolution(deferred, short, 50)
+        with pytest.raises(WeightError, match="counting range at m="):
+            level_density_limit(np.ones(150), 1.0, deferred, short, cfg)
+        cesaro_short = WeightScheme(tabulated([1.5] * 50, "short-e"), ones.g, label="short")
+        v = level_density_limit(np.ones(75), 1.0, cesaro, cesaro_short, cfg)
+        # floor(R_50) = 75, but only n <= y_50 = 50 carry a weight.
+        assert v.trace[-1].count == 50
+
+    def test_one_plan_per_detector_run(self):
+        bundle = model_preset("example2")
+        cfg = DetectorConfig(density=DensityConfig(horizon=200))
+        window_plan.cache_clear()
+        v = st_dndc(bundle.model, bundle.schedule, bundle.weights, cfg)
+        info = window_plan.cache_info()
+        assert info.misses == 1
+        assert info.hits == 2 * len(v.extras["grid"]) - 1
+
+    def test_arrays_are_read_only(self, deferred):
+        plan = window_plan(deferred, weight_preset("identity"), DensityConfig(horizon=20))
+        for arr in (plan.ms, plan.x, plan.y, plan.R, plan.k, plan.e, plan.g):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 class TestDnStatLimit:
