@@ -95,7 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument(
         "--normalizer", choices=("regular", "literal"), default="regular"
     )
-    p_detect.add_argument("--trace-out", type=Path, default=None, help="write trace CSV here")
+    p_detect.add_argument(
+        "--trace-out",
+        type=Path,
+        default=None,
+        help="write trace CSV here; with several detectors, one file per "
+        "detector at <stem>.<kind><suffix> (trace.csv -> trace.dnp.csv)",
+    )
     _add_common(p_detect)
 
     p_kor = subs.add_parser(
@@ -262,8 +268,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     if args.trace_out is not None:
-        first = next(iter(runs.values()))
-        Path(args.trace_out).write_text(trace_csv(first))
+        out = Path(args.trace_out)
+        for kind, verdict in runs.items():
+            path = out if len(runs) == 1 else out.with_name(f"{out.stem}.{kind}{out.suffix}")
+            path.write_text(trace_csv(verdict))
 
     if args.format == "json":
         payload = {

@@ -11,9 +11,20 @@ returned so callers can tighten the run.
 
 Traced runs read m, x_m, y_m, R_m and floor(R_m) from one memoized
 ``WindowPlan``; its R_m is exactly rounded, equal to ``convolution``.
-Predicates of the separable form  w(m, n) * level(n) >= threshold  are
-evaluated through a vectorized path; arbitrary callables fall back to a
-per-index loop.
+Predicates of the separable form  w(m, n) * level(n) >= threshold  go
+through ``level_density_limit``, which has two counting paths, picked
+from the weights:
+
+- constant e without an override (every weight preset): w(m, n) =
+  e0 * g(n) for n <= y_m does not depend on m, so the hits are computed
+  once up to the largest min(k_m, y_m) and each window reads its count
+  off their cumulative sum, in O(k_max + trace length);
+- tabulated or computed e, or a weight override: each window builds its
+  own weights and counts them, in O(sum of k_m).
+
+Both give the same counts bit for bit.  Arbitrary callables go through
+``density_limit``, vectorized when the predicate accepts arrays and per
+index otherwise.
 """
 
 from __future__ import annotations
@@ -339,6 +350,8 @@ def level_density_limit(
     levels[n-1]).  This is the workhorse behind the sequence and
     random-variable detectors; weights enter as a per-index multiplier,
     indices with no defined weight (beyond y_m) count as weight 0.
+    Constant e without an override counts through one cumulative hit
+    count (``_prefix_counts``); other weights count window by window.
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
@@ -351,29 +364,58 @@ def level_density_limit(
     else:
         level_arr = np.fromiter((float(levels(n)) for n in range(1, k_max + 1)), np.float64, k_max)
 
-    points: list[TracePoint] = []
-    for m, yv, r, k in zip(plan.ms.tolist(), plan.y.tolist(), plan.R.tolist(), plan.k.tolist()):
-        if k == 0:
-            points.append(TracePoint(m, r, 0, 0.0))
-            continue
-        if weights.override is not None:
-            w = np.fromiter(
-                (window_weight(schedule, weights, m, n) for n in range(1, k + 1)), np.float64, k
-            )
-        else:
-            keff = min(k, yv)
-            if yv > len(plan.e) or keff >= len(plan.g):
-                raise WeightError(
-                    f"weights '{weights.label}' end before the counting range at m={m}"
+    if weights.override is None and weights.e.constant is not None:
+        counts = _prefix_counts(plan, level_arr, threshold, weights.label)
+    else:
+        counts = []
+        for m, yv, k in zip(plan.ms.tolist(), plan.y.tolist(), plan.k.tolist()):
+            if k == 0:
+                counts.append(0)
+                continue
+            if weights.override is not None:
+                w = np.fromiter(
+                    (window_weight(schedule, weights, m, n) for n in range(1, k + 1)),
+                    np.float64,
+                    k,
                 )
-            w = np.zeros(k, dtype=np.float64)
-            w[:keff] = plan.e[yv - keff : yv][::-1] * plan.g[1 : keff + 1]
-        count = int(np.count_nonzero(w * level_arr[:k] >= threshold))
-        points.append(TracePoint(m, r, count, count / r))
+            else:
+                keff = min(k, yv)
+                if yv > len(plan.e) or keff >= len(plan.g):
+                    raise WeightError(
+                        f"weights '{weights.label}' end before the counting range at m={m}"
+                    )
+                w = np.zeros(k, dtype=np.float64)
+                w[:keff] = plan.e[yv - keff : yv][::-1] * plan.g[1 : keff + 1]
+            counts.append(int(np.count_nonzero(w * level_arr[:k] >= threshold)))
+    points = [
+        TracePoint(m, r, c, c / r) for m, r, c in zip(plan.ms.tolist(), plan.R.tolist(), counts)
+    ]
 
     merged = dict(extras or {})
     merged.setdefault("threshold", threshold)
     return _assemble(points, cfg, merged)
+
+
+def _prefix_counts(
+    plan: WindowPlan, level_arr: np.ndarray, threshold: float, label: str
+) -> list[int]:
+    """Counts of every traced window when e is constant.
+
+    w(m, n) = e0 * g(n) for n <= y_m does not depend on m, so window m
+    counts the hits among n <= min(k_m, y_m) of one fixed sequence, read
+    off their cumulative count.  Indices past y_m weigh 0 and never reach
+    a positive threshold.
+    """
+    keff = np.minimum(plan.k, plan.y)
+    short = np.flatnonzero(keff >= len(plan.g))
+    if short.size:
+        m = int(plan.ms[short[0]])
+        raise WeightError(f"weights '{label}' end before the counting range at m={m}")
+    top = int(keff.max())
+    hits = (plan.e[0] * plan.g[1 : top + 1]) * level_arr[:top] >= threshold
+    cum = np.zeros(top + 1, dtype=np.int64)
+    np.cumsum(hits, out=cum[1:])
+    return cum[keff].tolist()
 
 
 def dn_stat_limit(

@@ -158,8 +158,9 @@ def st_dndc(
 
     per_point: dict[float, ConvergenceVerdict] = {}
     for t in grid:
+        # The limit law does not depend on n: one limit CDF per grid point.
         levels = _level_array(
-            lambda n, _t=t: abs(cdf(model, n, _t) - cdf(model, LIMIT, _t)),
+            lambda n, _t=t, _f=cdf(model, LIMIT, t): abs(cdf(model, n, _t) - _f),
             schedule,
             weights,
             cfg,

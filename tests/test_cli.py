@@ -88,6 +88,20 @@ class TestDetect:
         assert lines[0] == "m,R_m,count,d_m"
         assert len(lines) > 400
 
+    def test_trace_out_with_mode_all_writes_one_file_per_detector(self, tmp_path):
+        proc = run_cli("detect", "--model", "example2", "--mode", "all",
+                       "--horizon", "300", "--trace-out", str(tmp_path / "trace.csv"))
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["trace.dndc.csv", "trace.dnm.csv", "trace.dnp.csv"]
+        for kind in ("dnp", "dnm", "dndc"):
+            single = tmp_path / "single" / f"{kind}.csv"
+            single.parent.mkdir(exist_ok=True)
+            proc = run_cli("detect", "--model", "example2", "--mode", kind,
+                           "--horizon", "300", "--trace-out", str(single))
+            assert proc.returncode == 0, proc.stderr
+            assert (tmp_path / f"trace.{kind}.csv").read_text() == single.read_text()
+
     def test_tabulated_model_from_config_file(self, tmp_path):
         cfg = tmp_path / "model.json"
         support = {"1": [[1.0, 0.0, 0.5], [0.0, 0.0, 0.5]], "2": [[0.0, 0.0, 1.0]]}

@@ -289,6 +289,78 @@ class TestWindowPlan:
                 arr[0] = 0
 
 
+@st.composite
+def counting_path_inputs(draw):
+    """Constant e0 given as a constant sequence and as a table of the same value."""
+    if draw(st.booleans()):
+        schedule = schedule_preset(draw(st.sampled_from(["cesaro", "example", "stretch"])))
+    else:
+        ax = draw(st.integers(0, 3))
+        bx = draw(st.integers(0, 5))
+        ay = ax + draw(st.integers(1, 3))
+        by = bx + draw(st.integers(1 - (ay - ax), 5))
+        schedule = DeferredSchedule(Affine(ax, bx), Affine(ay, by), "random")
+    horizon = draw(st.integers(10, 24))
+    top = schedule.y(horizon)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # e0 = 3 lifts floor(R_m) past y_m on `example`, where counting clips.
+    e0 = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    g_kind = draw(st.sampled_from(["constant", "identity", "table"]))
+    if g_kind == "constant":
+        c = float(rng.uniform(0.1, 5.0))
+        g = WeightSeq(lambda n: c, "c", constant=c)
+    elif g_kind == "identity":
+        g = weight_preset("identity").g
+    else:
+        g = tabulated(rng.uniform(0.1, 5.0, top + 1), "rand-g")
+    mode = draw(st.sampled_from(list(NormalizerMode)))
+    width = schedule.y(1) - schedule.x(1)
+    assume(not (g_kind == "identity" and mode is NormalizerMode.REGULAR and width == 1))
+    const_e = WeightScheme(WeightSeq(lambda n: e0, "e0", constant=e0), g, label="const")
+    table_e = WeightScheme(tabulated([e0] * (top + 1), "e0-table"), g, label="table")
+    cfg = DensityConfig(horizon=horizon, tail_fraction=0.5, tolerance=0.1, mode=mode)
+    return schedule, const_e, table_e, cfg, rng
+
+
+class TestCountingPaths:
+    """Constant e counts through one cumulative hit count, tabulated e per window."""
+
+    @given(inputs=counting_path_inputs(), threshold=st.sampled_from([0.5, 1.0, 2.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_both_paths_give_the_brute_counts(self, inputs, threshold):
+        schedule, const_e, table_e, cfg, rng = inputs
+        k_max = counting_bound(schedule, const_e, cfg)
+        # Levels on a coarse dyadic grid make exact ties with the threshold.
+        levels = np.where(
+            rng.random(k_max) < 0.5,
+            rng.choice([0.0, 0.25, 0.5, 1.0, 2.0, 4.0], k_max),
+            rng.uniform(0.0, 4.0, k_max),
+        )
+        fast = level_density_limit(levels, threshold, schedule, const_e, cfg)
+        slow = level_density_limit(levels, threshold, schedule, table_e, cfg)
+        assert fast.trace == slow.trace
+        assert fast.tail_max == slow.tail_max
+        for point in fast.trace:
+            brute = sum(
+                1
+                for n in range(1, math.floor(point.normalizer) + 1)
+                if brute_weight(schedule, const_e, point.m, n) * levels[n - 1] >= threshold
+            )
+            assert point.count == brute
+
+    def test_short_g_table_fails_at_the_same_m(self, deferred):
+        # Literal R_m reads g below the window width 2m, counting up to
+        # min(floor(R_m), y_m) = min(6m, 4m - 1): a g table of 80 values
+        # covers every R_m at horizon 40 and ends at m = 21 for counting.
+        cfg = DensityConfig(horizon=40, mode=NormalizerMode.LITERAL)
+        g = tabulated([1.0] * 80, "short-g")
+        const_e = WeightScheme(WeightSeq(lambda n: 3.0, "e0", constant=3.0), g, label="const")
+        table_e = WeightScheme(tabulated([3.0] * 160, "e0-table"), g, label="table")
+        for weights in (const_e, table_e):
+            with pytest.raises(WeightError, match=r"counting range at m=21$"):
+                level_density_limit(np.ones(240), 1.0, deferred, weights, cfg)
+
+
 class TestDnStatLimit:
     def test_constant_sequence_converges(self, cesaro, ones):
         v = dn_stat_limit(constant_seq(3.0), 3.0, 0.5, cesaro, ones, DensityConfig(horizon=500))
