@@ -41,10 +41,8 @@ from .korovkin import (
     SampledFunction,
     audit_quadratic_moment,
     korovkin_check,
-    lifted_apply,
     lifted_operator,
     mkz_apply,
-    mkz_operator,
     sup_distance,
 )
 from .rvmodel import (

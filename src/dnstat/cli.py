@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -231,20 +232,25 @@ def cmd_mean(args: argparse.Namespace) -> int:
 def _detector_runs(args: argparse.Namespace):
     if args.model is None:
         raise ConfigError("a model spec is required (--model or config file)")
-    model = parse_model(args.model)
     # Presets keep their worked example's windows; tabulated models get example/ones.
-    preset = model_preset(args.model) if isinstance(args.model, str) else None
-    schedule = parse_schedule(args.schedule or (preset.schedule if preset else "example"))
-    weights = parse_weights(args.weights or (preset.weights if preset else "ones"))
+    bundle = model_preset(args.model) if isinstance(args.model, str) else None
+    model = bundle.model if bundle else parse_model(args.model)
+    schedule = parse_schedule(args.schedule or (bundle.schedule if bundle else "example"))
+    weights = parse_weights(args.weights or (bundle.weights if bundle else "ones"))
     grid = None
     if args.grid:
         try:
             grid = tuple(float(t) for t in str(args.grid).split(","))
         except ValueError:
             raise ConfigError(f"bad grid spec '{args.grid}'") from None
-    density = DensityConfig(horizon=args.horizon, mode=NormalizerMode(args.normalizer))
+        if not all(math.isfinite(t) for t in grid):
+            raise ConfigError(f"grid points must be finite, got '{args.grid}'")
+    try:
+        density = DensityConfig(horizon=args.horizon, mode=NormalizerMode(args.normalizer))
+        cfg = DetectorConfig(eps=args.eps, delta=args.delta, r=args.r, grid=grid, density=density)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     schedule.validate(args.horizon)
-    cfg = DetectorConfig(eps=args.eps, delta=args.delta, r=args.r, grid=grid, density=density)
     runs = {}
     wanted = ("dnp", "dnm", "dndc") if args.mode == "all" else (args.mode,)
     for kind in wanted:
@@ -299,19 +305,17 @@ def cmd_korovkin(args: argparse.Namespace) -> int:
     f_specs = args.f if args.f else ["y^3"]
     try:
         f_list = [function_preset(s) for s in f_specs]
+        cfg = KorovkinConfig(
+            horizon=args.horizon,
+            eps=args.eps,
+            grid_points=args.grid_size,
+            tail_tol=args.tail_tol,
+            tolerance=args.tolerance,
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if args.grid_size < 2:
-        raise ConfigError("grid size must be at least 2")
-    cfg = KorovkinConfig(
-        horizon=args.horizon,
-        eps=args.eps,
-        grid_points=args.grid_size,
-        tail_tol=args.tail_tol,
-        tolerance=args.tolerance,
-    )
     schedule.validate(cfg.horizon)
-    ops = lifted_operator(Perturbation(args.perturb), args.tail_tol)
+    ops = lifted_operator(Perturbation(args.perturb), cfg.tail_tol)
     report = korovkin_check(ops, args.tag, f_list, schedule, weights, cfg)
     echo = {
         "command": "korovkin",

@@ -140,7 +140,7 @@ def parse_model(spec: Any) -> RVSequenceModel:
     if isinstance(spec, str):
         try:
             return model_preset(spec).model
-        except (ModelError, ValueError) as exc:
+        except ModelError as exc:
             raise ConfigError(str(exc)) from None
     if isinstance(spec, Mapping):
         require_keys(spec, {"per_m", "description"}, "model")

@@ -102,7 +102,7 @@ class DensityConfig:
             raise ValueError(f"horizon {self.horizon} rejected as underpowered (need >= 10)")
         if not (0.0 < self.tail_fraction <= 1.0):
             raise ValueError(f"tail_fraction must be in (0, 1], got {self.tail_fraction}")
-        if self.tolerance <= 0.0:
+        if not self.tolerance > 0.0:  # NaN fails too
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.tail_length() < 2:
             raise ValueError("tail window must contain at least 2 points")

@@ -79,11 +79,12 @@ class DetectorConfig:
     density: DensityConfig = field(default_factory=DensityConfig)
 
     def __post_init__(self) -> None:
-        if self.eps <= 0.0:
+        # Written so that NaN fails each check.
+        if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.r < 1.0:
+        if not self.r >= 1.0:
             raise ValueError(f"moment order must be >= 1, got {self.r}")
 
 
@@ -107,7 +108,8 @@ def st_dnp(
     cfg: DetectorConfig,
 ) -> ConvergenceVerdict:
     """Statistical convergence in probability over the weighted windows."""
-    levels = _level_array(lambda n: exceedance_prob(model, n, cfg.eps), schedule, weights, cfg)
+    k_max = _checked_k_max(model, schedule, weights, cfg)
+    levels = _level_array(lambda n: exceedance_prob(model, n, cfg.eps), k_max)
     return level_density_limit(
         levels,
         cfg.delta,
@@ -125,7 +127,8 @@ def st_dnm(
     cfg: DetectorConfig,
 ) -> ConvergenceVerdict:
     """Statistical convergence in r-th mean; the raw moment sequence rides along."""
-    levels = _level_array(lambda n: abs_moment(model, n, cfg.r), schedule, weights, cfg)
+    k_max = _checked_k_max(model, schedule, weights, cfg)
+    levels = _level_array(lambda n: abs_moment(model, n, cfg.r), k_max)
     return level_density_limit(
         levels,
         cfg.eps,
@@ -156,14 +159,12 @@ def st_dndc(
         if t in limit_values:
             raise ValueError(f"grid point {t!r} sits on a limit-law atom (discontinuity)")
 
+    k_max = _checked_k_max(model, schedule, weights, cfg)
     per_point: dict[float, ConvergenceVerdict] = {}
     for t in grid:
         # The limit law does not depend on n: one limit CDF per grid point.
         levels = _level_array(
-            lambda n, _t=t, _f=cdf(model, LIMIT, t): abs(cdf(model, n, _t) - _f),
-            schedule,
-            weights,
-            cfg,
+            lambda n, _t=t, _f=cdf(model, LIMIT, t): abs(cdf(model, n, _t) - _f), k_max
         )
         per_point[t] = level_density_limit(
             levels,
@@ -190,14 +191,20 @@ def st_dndc(
     )
 
 
-def _level_array(
-    level_fn: Callable[[int], float],
+def _checked_k_max(
+    model: RVSequenceModel,
     schedule: DeferredSchedule,
     weights: WeightScheme,
     cfg: DetectorConfig,
-) -> np.ndarray:
-    """Precompute level(n) up to the largest counting bound of the run."""
+) -> int:
+    """k_max of the run, after checking the model's limit law at k_max against m = 1."""
     k_max = counting_bound(schedule, weights, cfg.density)
+    model.check_limit_law(k_max)
+    return k_max
+
+
+def _level_array(level_fn: Callable[[int], float], k_max: int) -> np.ndarray:
+    """Precompute level(n) for n = 1..k_max."""
     return np.fromiter((level_fn(n) for n in range(1, k_max + 1)), np.float64, k_max)
 
 

@@ -19,7 +19,8 @@ Lifted variants multiply M_n by a positive factor: the two-coordinate
 counterexample's distribution function (which never vanishes, so its
 deviation from 1 persists at every index) or an indicator of the
 perfect squares (a window-density-zero index set, giving a sequence
-that converges statistically although not ordinarily).
+that converges statistically although not ordinarily).  Each sequence is
+tabulated by ``lifted_operator(...).batch``; ``mkz_apply`` is M_m at one point.
 
 The condition checker forms the sup-norm deviation sequence of the
 operator on the test triple {1, z, z^2} and on caller functions, and
@@ -39,7 +40,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .density import ConvergenceVerdict, DensityConfig, counting_bound, level_density_limit
-from .rvmodel import LIMIT, cdf, model_preset
+from .rvmodel import model_preset
 from .schedules import DeferredSchedule, NormalizerMode, WeightScheme
 
 __all__ = [
@@ -47,9 +48,7 @@ __all__ = [
     "OperatorSequence",
     "Perturbation",
     "mkz_apply",
-    "lifted_apply",
     "sup_distance",
-    "mkz_operator",
     "lifted_operator",
     "KorovkinConfig",
     "KorovkinReport",
@@ -192,10 +191,8 @@ def mkz_apply(f, m: int, y: float, tail_tol: float = 1e-10) -> float:
         raise ValueError(f"tail_tol must be positive, got {tail_tol}")
     if not (0.0 <= y <= 1.0):
         raise ValueError(f"evaluation point must lie in [0, 1], got {y}")
-    if y == 1.0:
-        return float(fn(1.0))
-    if y == 0.0:
-        return float(fn(0.0))
+    if y == 0.0 or y == 1.0:
+        return float(fn(float(y)))
     sup = max(_sup_abs(fn), 1e-300)
     t_end = _required_length(m, y, math.log(tail_tol) - math.log(sup))
     c = _coefficients(m, y, t_end)
@@ -224,12 +221,8 @@ def _mkz_table(
 
     out = np.empty((len(fns), len(ys)))
     for i, y in enumerate(np.asarray(ys, dtype=np.float64)):
-        if y == 0.0:
-            for j, fn in enumerate(fns):
-                out[j, i] = float(fn(0.0))
-        elif y == 1.0:
-            for j, fn in enumerate(fns):
-                out[j, i] = float(fn(1.0))
+        if y == 0.0 or y == 1.0:
+            out[:, i] = [float(fn(float(y))) for fn in fns]
         else:
             t_end = lengths[i]
             lc = (m + 1) * math.log1p(-y) + ts_full[: t_end + 1] * math.log(y)
@@ -252,64 +245,41 @@ class Perturbation(Enum):
     CDF_FACTOR = "cdffactor"
 
 
-def _is_square(n: int) -> bool:
-    return math.isqrt(n) ** 2 == n
-
-
 @lru_cache(maxsize=1)
-def _cdf_factor_fn() -> Callable[[float], float]:
-    model = model_preset("example2").model
-    return lambda y: 1.0 + cdf(model, LIMIT, y)
-
-
-def _lift_factor(perturbation: Perturbation, n: int, y: float) -> float:
-    if perturbation is Perturbation.NONE:
-        return 1.0
-    if perturbation is Perturbation.NULL_SET:
-        return 2.0 if _is_square(n) else 1.0
-    return _cdf_factor_fn()(y)
-
-
-def lifted_apply(
-    f, n: int, y: float, perturbation: Perturbation, tail_tol: float = 1e-10
-) -> float:
-    """Base operator value times the perturbation factor at (n, y)."""
-    return _lift_factor(perturbation, n, y) * mkz_apply(f, n, y, tail_tol)
+def _example2_limit_law() -> tuple[tuple[float, float], ...]:
+    return tuple(model_preset("example2").model.limit_atoms())
 
 
 @dataclass(frozen=True)
 class OperatorSequence:
     """Indexed family of positive linear operators on sampled functions.
 
-    ``batch`` evaluates many functions on a grid at once and is what the
-    condition checker uses; ``apply`` is the one-point surface.
+    ``batch(n, fns, ys)`` tabulates the n-th operator (rows: functions,
+    columns: grid points); one point of the base operator is ``mkz_apply``.
     """
 
-    apply: Callable[[int, SampledFunction, float], float]
-    positive: bool
     label: str
-    batch: Callable[[int, Sequence[SampledFunction], np.ndarray], np.ndarray] | None = None
-
-
-def mkz_operator(tail_tol: float = 1e-10) -> OperatorSequence:
-    return lifted_operator(Perturbation.NONE, tail_tol)
+    batch: Callable[[int, Sequence[SampledFunction], np.ndarray], np.ndarray]
 
 
 def lifted_operator(perturbation: Perturbation, tail_tol: float = 1e-10) -> OperatorSequence:
-    def apply(n: int, f, y: float) -> float:
-        return lifted_apply(f, n, y, perturbation, tail_tol)
+    """The MKZ operator sequence times the perturbation's factor at (n, y)."""
+    if not tail_tol > 0.0:  # NaN fails too
+        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
 
     def batch(n: int, fns: Sequence[SampledFunction], ys: np.ndarray) -> np.ndarray:
         table = _mkz_table(fns, n, ys, tail_tol)
         if perturbation is Perturbation.NONE:
             return table
         if perturbation is Perturbation.NULL_SET:
-            return table * (2.0 if _is_square(n) else 1.0)
-        factor = np.fromiter((_cdf_factor_fn()(float(y)) for y in ys), np.float64, len(ys))
-        return table * factor
+            return table * (2.0 if math.isqrt(n) ** 2 == n else 1.0)
+        # 1 + F(y) for the limit law F, summed as rvmodel.cdf sums it.
+        law = _example2_limit_law()
+        factor = [1.0 + math.fsum(p for v, p in law if v <= y) for y in map(float, ys)]
+        return table * np.array(factor)
 
     label = "mkz" if perturbation is Perturbation.NONE else f"mkz+{perturbation.value}"
-    return OperatorSequence(apply, True, label, batch)
+    return OperatorSequence(label, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +311,14 @@ class KorovkinConfig:
     tolerance: float = 0.05
     tail_fraction: float = 0.2
     mode: NormalizerMode = NormalizerMode.REGULAR
+
+    def __post_init__(self) -> None:
+        for name in ("eps", "tail_tol"):
+            if not getattr(self, name) > 0.0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.grid_points < 2:
+            raise ValueError(f"grid size must be at least 2, got {self.grid_points}")
+        self.density()
 
     def density(self) -> DensityConfig:
         return DensityConfig(
@@ -408,7 +386,7 @@ def korovkin_check(
 ) -> KorovkinReport:
     """Run the three-condition check and the conclusion check for each f.
 
-    Forms s_n = sup over the grid of |ops(n, f, y) - f(y)| for the test
+    Forms s_n = sup over the grid of |ops.batch(n, f, y) - f(y)| for the test
     triple and for each caller function, then applies the statistical
     limit detector to every s sequence.  All stochastic modes agree on
     deterministic sequences, so mode_tag is provenance only.
@@ -426,10 +404,7 @@ def korovkin_check(
     sup_dev = np.empty((len(fns), n_max))
     for n in range(1, n_max + 1):
         try:
-            if ops.batch is not None:
-                table = ops.batch(n, fns, grid)
-            else:
-                table = np.array([[ops.apply(n, fn, float(y)) for y in grid] for fn in fns])
+            table = ops.batch(n, fns, grid)
         except Exception as exc:
             raise RuntimeError(f"operator evaluation failed at n={n}: {exc}") from exc
         sup_dev[:, n - 1] = np.max(np.abs(table - targets), axis=1)

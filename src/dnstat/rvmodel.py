@@ -76,16 +76,29 @@ class RVSequenceModel:
                 raise ModelError(f"model '{self.description}' non-finite value at m={m}")
         return triples
 
-    def limit_atoms(self) -> list[tuple[float, float]]:
-        """Marginal law of the limit coordinate Y, merged and sorted.
+    def limit_atoms(self, m: int = 1) -> list[tuple[float, float]]:
+        """Marginal law of the limit coordinate Y at index m, merged and sorted.
 
         The limit marginal must not depend on m for a well-formed model;
-        it is read off at m = 1.
+        it is read off at m = 1, and ``check_limit_law`` tests that.
         """
         merged: dict[float, float] = {}
-        for _, b, p in self.atoms(1):
+        for _, b, p in self.atoms(m):
             merged[b] = merged.get(b, 0.0) + p
         return sorted((v, p) for v, p in merged.items() if p > 0.0)
+
+    def check_limit_law(self, m: int) -> None:
+        """Raise ModelError unless the limit marginal at m is the one at m = 1.
+
+        Values must be equal and probabilities within PROB_TOL.
+        """
+        first, here = self.limit_atoms(1), self.limit_atoms(m)
+        same_values = [v for v, _ in first] == [v for v, _ in here]
+        if not same_values or any(abs(p - q) > PROB_TOL for (_, p), (_, q) in zip(first, here)):
+            raise ModelError(
+                f"model '{self.description}' has a limit marginal at m={m} that differs "
+                f"from the one at m=1: {here!r} vs {first!r}; the limit law must not depend on m"
+            )
 
 
 def exceedance_prob(model: RVSequenceModel, m: int, eps: float) -> float:
@@ -304,19 +317,15 @@ def model_preset(spec: str) -> ModelBundle:
         return ModelBundle(RVSequenceModel(_example2_support, "example2"), deferred, ones)
     if spec == "bernoulli_shift":
         return ModelBundle(bernoulli_shift_model(), cesaro, ones)
-    if spec.startswith("degenerate:"):
-        return ModelBundle(degenerate_model(float(spec.partition(":")[2])), cesaro, ones)
-    if spec == "degenerate":
-        return ModelBundle(degenerate_model(0.0), cesaro, ones)
-    if spec.startswith("deterministic:"):
-        form = spec.partition(":")[2]
-        if form in _DETERMINISTIC_FORMS:
-            fn, limit = _DETERMINISTIC_FORMS[form]
-            return ModelBundle(deterministic_model(fn, limit, form), cesaro, ones)
+    kind, colon, form = spec.partition(":")
+    if kind == "deterministic" and form in _DETERMINISTIC_FORMS:
+        fn, limit = _DETERMINISTIC_FORMS[form]
+        return ModelBundle(deterministic_model(fn, limit, form), cesaro, ones)
+    if spec == "degenerate" or (colon and kind in ("degenerate", "deterministic")):
         try:
-            value = float(form)
+            value = float(form) if colon else 0.0
         except ValueError:
-            raise ModelError(f"unknown deterministic form '{form}'") from None
+            raise ModelError(f"bad constant in model spec '{spec}'") from None
         return ModelBundle(degenerate_model(value), cesaro, ones)
     raise ModelError(f"unknown model spec '{spec}'")
 

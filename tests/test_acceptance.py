@@ -34,7 +34,6 @@ from dnstat.korovkin import (
     audit_quadratic_moment,
     korovkin_check,
     lifted_operator,
-    mkz_operator,
 )
 from dnstat.rvmodel import (
     LIMIT,
@@ -117,7 +116,7 @@ def test_criterion_2_example2_reproduction():
 def test_criterion_3_mkz_operator():
     t0 = time.perf_counter()
     grid = np.linspace(0.0, 1.0, 257)
-    ops = mkz_operator(1e-10)
+    ops = lifted_operator(Perturbation.NONE, 1e-10)
     dev2 = {}
     for m in (10, 50, 100, 200):
         table = ops.batch(m, [ONE, IDENTITY, SQUARE], grid)

@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args: str, timeout: int = 240) -> subprocess.CompletedProcess:
     return subprocess.run(
@@ -126,6 +128,21 @@ class TestDetect:
         assert proc.returncode == 2
         assert "shows no growth" in proc.stderr
 
+    def test_bad_constant_in_model_spec_names_the_spec(self):
+        proc = run_cli("detect", "--model", "degenerate:abc", "--horizon", "100")
+        assert proc.returncode == 2
+        assert "'degenerate:abc'" in proc.stderr
+
+    def test_limit_law_that_depends_on_m_exits_2(self, tmp_path):
+        cfg = tmp_path / "ym.json"
+        support = {"1": [[1.0, 1.0, 1.0]], "2": [[2.0, 2.0, 1.0]]}
+        cfg.write_text(json.dumps({"model": {"per_m": support, "description": "ym"}}))
+        proc = run_cli("detect", "--config", str(cfg), "--mode", "dnp", "--horizon", "200")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        # example schedule: k_max = floor(R_200) = 400
+        assert "m=400" in proc.stderr and "m=1" in proc.stderr
+
     def test_byte_identical_json_runs(self):
         args = ("detect", "--model", "example2", "--mode", "dnp", "--horizon", "1000",
                 "--format", "json")
@@ -165,6 +182,39 @@ class TestKorovkin:
     def test_bad_grid_size_exits_2(self):
         proc = run_cli("korovkin", "--grid-size", "1")
         assert proc.returncode == 2
+
+    def test_nullset_report(self):
+        proc = run_cli("korovkin", "--perturb", "nullset", "--horizon", "100",
+                       "--grid-size", "9", "--tolerance", "0.07", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["config"]["operator"] == "mkz+nullset"
+        assert payload["report"]["all_conditions_converge"] is True
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("korovkin", "--tail-tol", "0"),
+        ("korovkin", "--tail-tol", "-1"),
+        ("korovkin", "--horizon", "5"),
+        ("korovkin", "--eps", "0"),
+        ("korovkin", "--tolerance", "0"),
+        ("detect", "--model", "example1", "--horizon", "5"),
+        ("detect", "--model", "example1", "--eps", "0"),
+        ("korovkin", "--tail-tol", "nan"),
+        ("korovkin", "--eps", "nan"),
+        ("korovkin", "--tolerance", "nan"),
+        ("detect", "--model", "example1", "--eps", "nan"),
+        ("detect", "--model", "example1", "--delta", "nan"),
+        ("detect", "--model", "example1", "--r", "nan"),
+        ("detect", "--model", "example2", "--mode", "dndc", "--grid", "0.5,nan"),
+    ],
+)
+def test_bad_numeric_flag_exits_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
 
 
 class TestConfigFile:

@@ -280,7 +280,8 @@ class TestWindowPlan:
         v = st_dndc(bundle.model, bundle.schedule, bundle.weights, cfg)
         info = window_plan.cache_info()
         assert info.misses == 1
-        assert info.hits == 2 * len(v.extras["grid"]) - 1
+        # One lookup for the run's k_max, then one per grid point's count.
+        assert info.hits == len(v.extras["grid"])
 
     def test_arrays_are_read_only(self, deferred):
         plan = window_plan(deferred, weight_preset("identity"), DensityConfig(horizon=20))

@@ -19,7 +19,8 @@ from dnstat.detectors import (
     st_dnm,
     st_dnp,
 )
-from dnstat.rvmodel import MODEL_ZOO, model_preset
+from dnstat.rvmodel import MODEL_ZOO, ModelError, RVSequenceModel, model_preset
+from dnstat.schedules import schedule_preset, weight_preset
 
 
 def cfg_at(horizon: int, **kw) -> DetectorConfig:
@@ -93,6 +94,16 @@ class TestDistributionDetector:
         assert default_grid(model_preset("example2").model) == (-0.5, 0.5, 1.5)
         assert default_grid(model_preset("example1").model) == (-0.5, 0.5)
         assert default_grid(model_preset("degenerate:2").model) == (1.5, 2.5)
+
+
+class TestLimitLawCheck:
+    @pytest.mark.parametrize("detector", [st_dnp, st_dnm, st_dndc])
+    def test_limit_marginal_that_depends_on_m_is_rejected(self, detector):
+        # Y = m: the limit law at k_max = 200 is not the one at m = 1.
+        model = RVSequenceModel(lambda m: [(m, m, 1.0)], "y=m")
+        cesaro, ones = schedule_preset("cesaro"), weight_preset("ones")
+        with pytest.raises(ModelError, match=r"m=200 .*m=1"):
+            detector(model, cesaro, ones, cfg_at(200))
 
 
 class TestMarkovBound:

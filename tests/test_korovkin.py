@@ -22,12 +22,11 @@ from dnstat.korovkin import (
     audit_quadratic_moment,
     function_preset,
     korovkin_check,
-    lifted_apply,
     lifted_operator,
     mkz_apply,
-    mkz_operator,
     sup_distance,
 )
+from dnstat.rvmodel import LIMIT, cdf, model_preset
 from dnstat.schedules import schedule_preset, weight_preset
 
 
@@ -93,7 +92,7 @@ class TestOperatorPointValues:
 class TestOperatorInvariants:
     def test_normalization_and_first_moment_on_the_default_grid(self):
         grid = np.linspace(0.0, 1.0, 257)
-        ops = mkz_operator(1e-10)
+        ops = lifted_operator(Perturbation.NONE, 1e-10)
         target_one = np.ones_like(grid)
         for m in range(1, 201):
             table = ops.batch(m, [ONE, IDENTITY], grid)
@@ -102,7 +101,7 @@ class TestOperatorInvariants:
 
     def test_second_moment_decay(self):
         grid = np.linspace(0.0, 1.0, 257)
-        ops = mkz_operator(1e-10)
+        ops = lifted_operator(Perturbation.NONE, 1e-10)
         dev = {}
         for m in (25, 50, 100, 200):
             table = ops.batch(m, [SQUARE], grid)
@@ -134,21 +133,38 @@ class TestOperatorInvariants:
             assert mkz_apply(f, m, y, 1e-11) >= -1e-9
 
 
+def lifted_value(perturbation: Perturbation, n: int, y: float) -> float:
+    """One point of a lifted operator applied to the constant 1."""
+    return lifted_operator(perturbation).batch(n, [ONE], np.array([y]))[0, 0]
+
+
 class TestLiftedOperators:
     def test_cdf_factor_at_one_half(self):
-        assert lifted_apply(ONE, 9, 0.5, Perturbation.CDF_FACTOR) == pytest.approx(
-            1.5, abs=1e-9
-        )
+        assert lifted_value(Perturbation.CDF_FACTOR, 9, 0.5) == pytest.approx(1.5, abs=1e-9)
 
     def test_bare_is_the_identity_lift(self):
-        assert lifted_apply(ONE, 9, 0.5, Perturbation.NONE) == pytest.approx(1.0, abs=1e-9)
+        assert lifted_value(Perturbation.NONE, 9, 0.5) == pytest.approx(1.0, abs=1e-9)
 
     def test_null_set_factor_depends_on_squareness(self):
-        assert lifted_apply(ONE, 8, 0.5, Perturbation.NULL_SET) == pytest.approx(1.0, abs=1e-9)
-        assert lifted_apply(ONE, 9, 0.5, Perturbation.NULL_SET) == pytest.approx(2.0, abs=1e-9)
+        assert lifted_value(Perturbation.NULL_SET, 8, 0.5) == pytest.approx(1.0, abs=1e-9)
+        assert lifted_value(Perturbation.NULL_SET, 9, 0.5) == pytest.approx(2.0, abs=1e-9)
 
     def test_cdf_factor_jumps_at_the_right_edge(self):
-        assert lifted_apply(ONE, 4, 1.0, Perturbation.CDF_FACTOR) == pytest.approx(2.0, abs=1e-9)
+        assert lifted_value(Perturbation.CDF_FACTOR, 4, 1.0) == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 4, 17, 60])
+    def test_cdf_factor_is_one_plus_the_limit_cdf_bit_for_bit(self, n):
+        grid = np.linspace(0.0, 1.0, 65)
+        model = model_preset("example2").model
+        factor = np.array([1.0 + cdf(model, LIMIT, float(y)) for y in grid])
+        base = lifted_operator(Perturbation.NONE).batch(n, [ONE, CUBE], grid)
+        lifted = lifted_operator(Perturbation.CDF_FACTOR).batch(n, [ONE, CUBE], grid)
+        assert np.array_equal(lifted, base * factor)
+
+    @pytest.mark.parametrize("tail_tol", [0.0, -1.0, float("nan")])
+    def test_bad_tail_tol_rejected(self, tail_tol):
+        with pytest.raises(ValueError, match="tail_tol"):
+            lifted_operator(Perturbation.NONE, tail_tol)
 
 
 class TestSupDistance:
@@ -170,7 +186,7 @@ class TestConditionChecker:
     def test_bare_operator_all_conditions_converge(self):
         cfg = KorovkinConfig(horizon=60, grid_points=33, tail_tol=1e-8, tolerance=0.05)
         report = korovkin_check(
-            mkz_operator(cfg.tail_tol),
+            lifted_operator(Perturbation.NONE, cfg.tail_tol),
             "dnp",
             [CUBE],
             schedule_preset("stretch"),
@@ -217,7 +233,7 @@ class TestConditionChecker:
     def test_report_echoes_its_configuration(self):
         cfg = KorovkinConfig(horizon=30, grid_points=9, tail_tol=1e-6)
         report = korovkin_check(
-            mkz_operator(cfg.tail_tol),
+            lifted_operator(Perturbation.NONE, cfg.tail_tol),
             "dndc",
             [EXP],
             schedule_preset("cesaro"),
@@ -234,7 +250,7 @@ class TestConditionChecker:
         cfg = KorovkinConfig(horizon=30, grid_points=9)
         with pytest.raises(ValueError, match="mode tag"):
             korovkin_check(
-                mkz_operator(), "dnq", [CUBE], schedule_preset("cesaro"),
+                lifted_operator(Perturbation.NONE), "dnq", [CUBE], schedule_preset("cesaro"),
                 weight_preset("ones"), cfg,
             )
 
@@ -242,7 +258,7 @@ class TestConditionChecker:
         cfg = KorovkinConfig(horizon=30, grid_points=9)
         with pytest.raises(ValueError, match="conclusion"):
             korovkin_check(
-                mkz_operator(), "dnp", [], schedule_preset("cesaro"),
+                lifted_operator(Perturbation.NONE), "dnp", [], schedule_preset("cesaro"),
                 weight_preset("ones"), cfg,
             )
 
