@@ -15,6 +15,7 @@ from .density import (
     density_limit,
     dn_stat_limit,
     level_density_limit,
+    level_density_limits,
     trace_csv,
     weighted_density,
 )

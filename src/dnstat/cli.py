@@ -35,6 +35,7 @@ from .korovkin import (
 )
 from .rvmodel import LIMIT, ModelError, abs_moment, cdf, exceedance_prob, model_preset, sample
 from .schedules import (
+    DegenerateNormalizerError,
     NormalizerMode,
     ScheduleError,
     WeightError,
@@ -179,9 +180,12 @@ def _parse_seq(spec: str):
         return identity_seq
     if spec.startswith("const:"):
         try:
-            return constant_seq(float(spec.partition(":")[2]))
+            value = float(spec.partition(":")[2])
         except ValueError:
             raise ConfigError(f"bad constant in sequence spec '{spec}'") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"sequence constant must be finite, got '{spec}'")
+        return constant_seq(value)
     raise ConfigError(f"unknown sequence spec '{spec}'")
 
 
@@ -476,8 +480,9 @@ _COMMANDS = {
 # Errors that mean the request itself was malformed (exit 2), as opposed
 # to a computation that failed underway (exit 1).  Schedule, weight and
 # model violations trace back to the supplied specs, so they count as
-# configuration problems wherever they surface.
-_CONFIG_ERRORS = (ConfigError, ScheduleError, WeightError, ModelError)
+# configuration problems wherever they surface; so does a normalizer
+# that the supplied schedule and weights make zero.
+_CONFIG_ERRORS = (ConfigError, ScheduleError, WeightError, ModelError, DegenerateNormalizerError)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,8 +5,9 @@ Schedules come as preset names or affine specs: the string form
 {"x": {"a": 2, "b": -1}, "y": {"a": 4, "b": -1}} is equivalent.  Weight
 schemes are preset names or {"e": ..., "g": ...} with each side a preset
 name or a tabulated array.  Models are preset spec strings or tabulated
-per-index supports; a tabulated model repeats its largest tabulated
-index's law beyond the table so it is defined for every m.
+per-index supports; a tabulated model uses its largest tabulated
+index's law at every untabulated index so it is defined for every m, and
+every row's limit marginal must be the one at m = 1.
 
 Unknown keys are rejected everywhere: a typo must fail loudly, not
 silently fall back to a default.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import Any, Mapping
 
-from .rvmodel import ModelError, RVSequenceModel, model_preset
+from .rvmodel import ModelError, RVSequenceModel, model_preset, tabulated_model
 from .schedules import (
     Affine,
     DeferredSchedule,
@@ -159,13 +160,10 @@ def parse_model(spec: Any) -> RVSequenceModel:
                     raise ConfigError("model atoms must be [y_m value, y value, prob] triples")
                 rows.append((float(atom[0]), float(atom[1]), float(atom[2])))
             parsed[idx] = rows
-        top = max(parsed)
-
-        def support(m: int) -> list[tuple[float, float, float]]:
-            # Beyond the table the law of the largest tabulated index repeats.
-            return parsed.get(m, parsed[top])
-
-        return RVSequenceModel(support, str(spec.get("description", "tabulated")))
+        try:
+            return tabulated_model(parsed, str(spec.get("description", "tabulated")))
+        except ModelError as exc:
+            raise ConfigError(str(exc)) from None
     raise ConfigError("model must be a preset spec string or a {per_m, ...} object")
 
 

@@ -12,15 +12,17 @@ returned so callers can tighten the run.
 Traced runs read m, x_m, y_m, R_m and floor(R_m) from one memoized
 ``WindowPlan``; its R_m is exactly rounded, equal to ``convolution``.
 Predicates of the separable form  w(m, n) * level(n) >= threshold  go
-through ``level_density_limit``, which has two counting paths, picked
-from the weights:
+through ``level_density_limits``, which counts a matrix of level rows
+(one row: ``level_density_limit``) in one pass, on one of two counting
+paths picked from the weights:
 
 - constant e without an override (every weight preset): w(m, n) =
-  e0 * g(n) for n <= y_m does not depend on m, so the hits are computed
-  once up to the largest min(k_m, y_m) and each window reads its count
-  off their cumulative sum, in O(k_max + trace length);
+  e0 * g(n) for n <= y_m does not depend on m, so each row's hits are
+  computed once up to the largest min(k_m, y_m) and each window reads
+  its count off their cumulative sum, in O(k_max + trace length) per row;
 - tabulated or computed e, or a weight override: each window builds its
-  own weights and counts them, in O(sum of k_m).
+  weights once and counts every row against them, in O(sum of k_m) per
+  row.
 
 Both give the same counts bit for bit.  Arbitrary callables go through
 ``density_limit``, vectorized when the predicate accepts arrays and per
@@ -35,7 +37,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,6 +63,7 @@ __all__ = [
     "weighted_density",
     "density_limit",
     "level_density_limit",
+    "level_density_limits",
     "dn_stat_limit",
     "trace_csv",
 ]
@@ -349,62 +352,99 @@ def level_density_limit(
     ``levels`` is indexed by n starting at 1 (an array is read as
     levels[n-1]).  This is the workhorse behind the sequence and
     random-variable detectors; weights enter as a per-index multiplier,
-    indices with no defined weight (beyond y_m) count as weight 0.
-    Constant e without an override counts through one cumulative hit
-    count (``_prefix_counts``); other weights count window by window.
+    indices with no defined weight (beyond y_m) count as weight 0.  It
+    is the one-row case of ``level_density_limits``.
+    """
+    if not isinstance(levels, np.ndarray):
+        k_max = counting_bound(schedule, weights, cfg)
+        levels = np.fromiter((float(levels(n)) for n in range(1, k_max + 1)), np.float64, k_max)
+    rows = np.asarray(levels, dtype=np.float64)[np.newaxis]
+    return level_density_limits(rows, threshold, schedule, weights, cfg, [extras or {}])[0]
+
+
+def level_density_limits(
+    level_rows: np.ndarray,
+    threshold: float,
+    schedule: DeferredSchedule,
+    weights: WeightScheme,
+    cfg: DensityConfig,
+    extras: Sequence[Mapping[str, object]] | None = None,
+) -> list[ConvergenceVerdict]:
+    """``level_density_limit`` of every row of a (rows x k_max) level matrix.
+
+    One pass over the windows counts every row, so the same verdicts come
+    out as from one call per row.  Constant e without an override counts
+    each row through one cumulative hit count (``_prefix_counts``); other
+    weights build each window's weights e(y_m - n) * g(n) once for all
+    rows.  ``extras`` holds one mapping per row.
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     plan = window_plan(schedule, weights, cfg)
     k_max = plan.k_max
-    if isinstance(levels, np.ndarray):
-        if len(levels) < k_max:
-            raise ValueError(f"levels array too short: need {k_max}, got {len(levels)}")
-        level_arr = np.asarray(levels, dtype=np.float64)
-    else:
-        level_arr = np.fromiter((float(levels(n)) for n in range(1, k_max + 1)), np.float64, k_max)
+    rows = np.asarray(level_rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValueError(f"level rows must form a matrix, got shape {rows.shape}")
+    if rows.shape[1] < k_max:
+        raise ValueError(f"levels array too short: need {k_max}, got {rows.shape[1]}")
 
     if weights.override is None and weights.e.constant is not None:
-        counts = _prefix_counts(plan, level_arr, threshold, weights.label)
+        counts = _prefix_counts(plan, rows, threshold, weights.label)
     else:
-        counts = []
-        for m, yv, k in zip(plan.ms.tolist(), plan.y.tolist(), plan.k.tolist()):
-            if k == 0:
-                counts.append(0)
-                continue
-            if weights.override is not None:
-                w = np.fromiter(
-                    (window_weight(schedule, weights, m, n) for n in range(1, k + 1)),
-                    np.float64,
-                    k,
-                )
-            else:
-                keff = min(k, yv)
-                if yv > len(plan.e) or keff >= len(plan.g):
-                    raise WeightError(
-                        f"weights '{weights.label}' end before the counting range at m={m}"
-                    )
-                w = np.zeros(k, dtype=np.float64)
-                w[:keff] = plan.e[yv - keff : yv][::-1] * plan.g[1 : keff + 1]
-            counts.append(int(np.count_nonzero(w * level_arr[:k] >= threshold)))
-    points = [
-        TracePoint(m, r, c, c / r) for m, r, c in zip(plan.ms.tolist(), plan.R.tolist(), counts)
-    ]
+        counts = _window_counts(plan, rows, threshold, schedule, weights)
+    verdicts = []
+    for i, row_counts in enumerate(counts.tolist()):
+        points = [
+            TracePoint(m, r, c, c / r)
+            for m, r, c in zip(plan.ms.tolist(), plan.R.tolist(), row_counts)
+        ]
+        merged = dict(extras[i] if extras else {})
+        merged.setdefault("threshold", threshold)
+        verdicts.append(_assemble(points, cfg, merged))
+    return verdicts
 
-    merged = dict(extras or {})
-    merged.setdefault("threshold", threshold)
-    return _assemble(points, cfg, merged)
+
+def _window_counts(
+    plan: WindowPlan,
+    rows: np.ndarray,
+    threshold: float,
+    schedule: DeferredSchedule,
+    weights: WeightScheme,
+) -> np.ndarray:
+    """Counts of every row at every traced window, window by window.
+
+    Each window's weights are built once for all rows.  Indices past
+    y_m weigh 0 and never reach a positive threshold, so only n <=
+    min(k_m, y_m) are compared.
+    """
+    counts = np.zeros((len(rows), len(plan.ms)), dtype=np.int64)
+    for i, (m, yv, k) in enumerate(zip(plan.ms.tolist(), plan.y.tolist(), plan.k.tolist())):
+        if k == 0:
+            continue
+        if weights.override is not None:
+            w = np.fromiter(
+                (window_weight(schedule, weights, m, n) for n in range(1, k + 1)), np.float64, k
+            )
+        else:
+            keff = min(k, yv)
+            if yv > len(plan.e) or keff >= len(plan.g):
+                raise WeightError(
+                    f"weights '{weights.label}' end before the counting range at m={m}"
+                )
+            w = plan.e[yv - keff : yv][::-1] * plan.g[1 : keff + 1]
+        counts[:, i] = (w * rows[:, : len(w)] >= threshold).sum(axis=1)
+    return counts
 
 
 def _prefix_counts(
-    plan: WindowPlan, level_arr: np.ndarray, threshold: float, label: str
-) -> list[int]:
-    """Counts of every traced window when e is constant.
+    plan: WindowPlan, rows: np.ndarray, threshold: float, label: str
+) -> np.ndarray:
+    """Counts of every row at every traced window when e is constant.
 
     w(m, n) = e0 * g(n) for n <= y_m does not depend on m, so window m
-    counts the hits among n <= min(k_m, y_m) of one fixed sequence, read
-    off their cumulative count.  Indices past y_m weigh 0 and never reach
-    a positive threshold.
+    counts the hits among n <= min(k_m, y_m) of one fixed sequence per
+    row, read off their cumulative count.  Indices past y_m weigh 0 and
+    never reach a positive threshold.
     """
     keff = np.minimum(plan.k, plan.y)
     short = np.flatnonzero(keff >= len(plan.g))
@@ -412,10 +452,13 @@ def _prefix_counts(
         m = int(plan.ms[short[0]])
         raise WeightError(f"weights '{label}' end before the counting range at m={m}")
     top = int(keff.max())
-    hits = (plan.e[0] * plan.g[1 : top + 1]) * level_arr[:top] >= threshold
+    w = plan.e[0] * plan.g[1 : top + 1]
     cum = np.zeros(top + 1, dtype=np.int64)
-    np.cumsum(hits, out=cum[1:])
-    return cum[keff].tolist()
+    counts = np.empty((len(rows), len(keff)), dtype=np.int64)
+    for row, out in zip(rows, counts):
+        np.cumsum(w * row[:top] >= threshold, out=cum[1:])
+        out[:] = cum[keff]
+    return counts
 
 
 def dn_stat_limit(

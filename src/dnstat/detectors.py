@@ -6,7 +6,14 @@ sequence evaluated at the counting index n:
   probability mode   level(n) = P(|Y_n - Y| >= eps),   threshold delta
   mean mode          level(n) = E|Y_n - Y|^r,          threshold eps
   distribution mode  level(n) = |F_{Y_n}(t) - F_Y(t)|, threshold eps,
-                     one run per evaluation point t
+                     one level row per evaluation point t
+
+Levels come from the model's array view (``RVSequenceModel.laws``):
+each is computed once per distinct law of the model, as an exactly
+rounded sum equal to ``math.fsum`` over the law's atoms (|Y_n - Y|^r by
+Python's float pow unless r = 1), and gathered per n.  The distribution
+detector counts every grid point's row in one window pass
+(``level_density_limits``).
 
 The distribution detector requires evaluation points where the limit
 distribution function is continuous; the default grid takes midpoints
@@ -22,7 +29,7 @@ theorems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from .density import (
     Verdict,
     counting_bound,
     level_density_limit,
+    level_density_limits,
 )
 from .rvmodel import (
     LIMIT,
@@ -108,8 +116,7 @@ def st_dnp(
     cfg: DetectorConfig,
 ) -> ConvergenceVerdict:
     """Statistical convergence in probability over the weighted windows."""
-    k_max = _checked_k_max(model, schedule, weights, cfg)
-    levels = _level_array(lambda n: exceedance_prob(model, n, cfg.eps), k_max)
+    levels = model.laws(_checked_k_max(model, schedule, weights, cfg)).exceedance(cfg.eps)
     return level_density_limit(
         levels,
         cfg.delta,
@@ -127,8 +134,7 @@ def st_dnm(
     cfg: DetectorConfig,
 ) -> ConvergenceVerdict:
     """Statistical convergence in r-th mean; the raw moment sequence rides along."""
-    k_max = _checked_k_max(model, schedule, weights, cfg)
-    levels = _level_array(lambda n: abs_moment(model, n, cfg.r), k_max)
+    levels = model.laws(_checked_k_max(model, schedule, weights, cfg)).moment(cfg.r)
     return level_density_limit(
         levels,
         cfg.eps,
@@ -160,20 +166,16 @@ def st_dndc(
             raise ValueError(f"grid point {t!r} sits on a limit-law atom (discontinuity)")
 
     k_max = _checked_k_max(model, schedule, weights, cfg)
-    per_point: dict[float, ConvergenceVerdict] = {}
-    for t in grid:
-        # The limit law does not depend on n: one limit CDF per grid point.
-        levels = _level_array(
-            lambda n, _t=t, _f=cdf(model, LIMIT, t): abs(cdf(model, n, _t) - _f), k_max
-        )
-        per_point[t] = level_density_limit(
-            levels,
-            cfg.eps,
-            schedule,
-            weights,
-            cfg.density,
-            extras={"detector": "dndc", "eps": cfg.eps, "point": t},
-        )
+    rows = _cdf_gaps(model, k_max, grid)
+    verdicts = level_density_limits(
+        rows,
+        cfg.eps,
+        schedule,
+        weights,
+        cfg.density,
+        extras=[{"detector": "dndc", "eps": cfg.eps, "point": t} for t in grid],
+    )
+    per_point = dict(zip(grid, verdicts))
 
     worst = max(per_point.values(), key=lambda v: v.tail_max)
     if any(v.verdict is Verdict.DIVERGES for v in per_point.values()):
@@ -203,9 +205,16 @@ def _checked_k_max(
     return k_max
 
 
-def _level_array(level_fn: Callable[[int], float], k_max: int) -> np.ndarray:
-    """Precompute level(n) for n = 1..k_max."""
-    return np.fromiter((level_fn(n) for n in range(1, k_max + 1)), np.float64, k_max)
+def _cdf_gaps(model: RVSequenceModel, k_max: int, grid: Sequence[float]) -> np.ndarray:
+    """|F_{Y_n}(t) - F_Y(t)| for n = 1..k_max, one row per grid point t."""
+    laws = model.laws(k_max)
+    rows = np.empty((len(grid), k_max))
+    for row, t in zip(rows, grid):
+        # The limit law does not depend on n: one limit CDF per grid point.
+        gap = laws.cdf(t)
+        gap -= cdf(model, LIMIT, t)
+        np.abs(gap, out=row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -75,5 +75,20 @@ def brute_density_count(pred, schedule, weights, m, mode=NormalizerMode.REGULAR)
     return count, r
 
 
+def brute_exceedance(model, n: int, eps: float) -> float:
+    """P(|Y_n - Y| >= eps) as a plain fsum over the raw support."""
+    return math.fsum(float(p) for a, b, p in model.support(n) if abs(float(a) - float(b)) >= eps)
+
+
+def brute_moment(model, n: int, r: float) -> float:
+    """E|Y_n - Y|^r as a plain fsum over the raw support, Python's float pow."""
+    return math.fsum(float(p) * abs(float(a) - float(b)) ** r for a, b, p in model.support(n))
+
+
+def brute_cdf(model, n: int, t: float) -> float:
+    """P(Y_n <= t) as a plain fsum over the raw support."""
+    return math.fsum(float(p) for a, _, p in model.support(n) if float(a) <= t)
+
+
 def is_square(n: int) -> bool:
     return math.isqrt(n) ** 2 == n

@@ -140,8 +140,15 @@ class TestDetect:
         proc = run_cli("detect", "--config", str(cfg), "--mode", "dnp", "--horizon", "200")
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error:")
-        # example schedule: k_max = floor(R_200) = 400
-        assert "m=400" in proc.stderr and "m=1" in proc.stderr
+        # Every tabulated row is checked when the model is parsed: row 2 is named.
+        assert "m=2" in proc.stderr and "m=1" in proc.stderr
+
+    def test_degenerate_normalizer_exits_2(self):
+        # identity e has e(0) = 0, so the one-index windows of 0,1 weigh nothing.
+        proc = run_cli("detect", "--model", "example1", "--schedule", "0,1",
+                       "--weights", "identity", "--horizon", "100")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: degenerate normalizer at m=1")
 
     def test_byte_identical_json_runs(self):
         args = ("detect", "--model", "example2", "--mode", "dnp", "--horizon", "1000",
@@ -209,6 +216,9 @@ class TestKorovkin:
         ("detect", "--model", "example1", "--delta", "nan"),
         ("detect", "--model", "example1", "--r", "nan"),
         ("detect", "--model", "example2", "--mode", "dndc", "--grid", "0.5,nan"),
+        ("mean", "--seq", "const:nan"),
+        ("mean", "--seq", "const:inf"),
+        ("mean", "--seq", "const:-inf"),
     ],
 )
 def test_bad_numeric_flag_exits_2(args):

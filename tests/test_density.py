@@ -17,6 +17,7 @@ from dnstat.density import (
     density_limit,
     dn_stat_limit,
     level_density_limit,
+    level_density_limits,
     trace_csv,
     weighted_density,
     window_plan,
@@ -280,8 +281,9 @@ class TestWindowPlan:
         v = st_dndc(bundle.model, bundle.schedule, bundle.weights, cfg)
         info = window_plan.cache_info()
         assert info.misses == 1
-        # One lookup for the run's k_max, then one per grid point's count.
-        assert info.hits == len(v.extras["grid"])
+        # One lookup for the run's k_max, then one for counting the whole grid.
+        assert len(v.extras["grid"]) == 3
+        assert info.hits == 1
 
     def test_arrays_are_read_only(self, deferred):
         plan = window_plan(deferred, weight_preset("identity"), DensityConfig(horizon=20))
@@ -348,6 +350,39 @@ class TestCountingPaths:
                 if brute_weight(schedule, const_e, point.m, n) * levels[n - 1] >= threshold
             )
             assert point.count == brute
+
+    @given(
+        inputs=counting_path_inputs(),
+        threshold=st.sampled_from([0.5, 1.0, 2.0]),
+        n_rows=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_over_many_rows_matches_one_call_per_row(self, inputs, threshold, n_rows):
+        schedule, const_e, table_e, cfg, rng = inputs
+        k_max = counting_bound(schedule, const_e, cfg)
+        # Levels on a coarse dyadic grid make exact ties with the threshold.
+        rows = np.where(
+            rng.random((n_rows, k_max)) < 0.5,
+            rng.choice([0.0, 0.25, 0.5, 1.0, 2.0, 4.0], (n_rows, k_max)),
+            rng.uniform(0.0, 4.0, (n_rows, k_max)),
+        )
+        for weights in (const_e, table_e):
+            extras = [{"row": i} for i in range(n_rows)]
+            together = level_density_limits(rows, threshold, schedule, weights, cfg, extras)
+            assert len(together) == n_rows
+            for i, verdict in enumerate(together):
+                alone = level_density_limit(rows[i], threshold, schedule, weights, cfg)
+                assert verdict.trace == alone.trace
+                assert verdict.tail_max == alone.tail_max
+                assert verdict.verdict is alone.verdict
+                assert verdict.extras == {"row": i, "threshold": threshold}
+
+    def test_level_rows_are_checked(self, cesaro, ones):
+        cfg = DensityConfig(horizon=100)
+        with pytest.raises(ValueError, match="too short"):
+            level_density_limits(np.zeros((2, 3)), 0.5, cesaro, ones, cfg)
+        with pytest.raises(ValueError, match="matrix"):
+            level_density_limits(np.zeros(100), 0.5, cesaro, ones, cfg)
 
     def test_short_g_table_fails_at_the_same_m(self, deferred):
         # Literal R_m reads g below the window width 2m, counting up to

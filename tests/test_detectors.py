@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
-from dnstat.density import DensityConfig, Verdict
+from dnstat.config import parse_weights
+from dnstat.density import DensityConfig, Verdict, counting_bound, level_density_limit
 from dnstat.detectors import (
     DetectorConfig,
     algebra_suite,
@@ -19,8 +21,18 @@ from dnstat.detectors import (
     st_dnm,
     st_dnp,
 )
-from dnstat.rvmodel import MODEL_ZOO, ModelError, RVSequenceModel, model_preset
-from dnstat.schedules import schedule_preset, weight_preset
+from dnstat.rvmodel import (
+    LIMIT,
+    MODEL_ZOO,
+    ModelError,
+    RVSequenceModel,
+    cdf,
+    model_preset,
+    tabulated_model,
+)
+from dnstat.schedules import NormalizerMode, schedule_preset, weight_preset
+
+from conftest import brute_cdf
 
 
 def cfg_at(horizon: int, **kw) -> DetectorConfig:
@@ -94,6 +106,42 @@ class TestDistributionDetector:
         assert default_grid(model_preset("example2").model) == (-0.5, 0.5, 1.5)
         assert default_grid(model_preset("example1").model) == (-0.5, 0.5)
         assert default_grid(model_preset("degenerate:2").model) == (1.5, 2.5)
+
+
+def assert_points_count_brute_gap_rows(model, schedule, weights, cfg):
+    """Each dndc point's verdict equals a one-row count of its plain-loop gap row."""
+    v = st_dndc(model, schedule, weights, cfg)
+    k_max = counting_bound(schedule, weights, cfg.density)
+    for t, point in v.extras["points"].items():
+        limit = cdf(model, LIMIT, t)
+        row = np.array([abs(brute_cdf(model, n, t) - limit) for n in range(1, k_max + 1)])
+        alone = level_density_limit(row, cfg.eps, schedule, weights, cfg.density)
+        assert point.trace == alone.trace
+        assert point.tail_max == alone.tail_max
+
+
+class TestDistributionGrid:
+    @pytest.mark.parametrize("spec", MODEL_ZOO)
+    def test_presets_count_every_point_in_one_pass(self, spec):
+        bundle = model_preset(spec)
+        # No preset has a limit atom on the grid; 1 + 1e-9 sits next to one.
+        cfg = cfg_at(300, eps=0.25, grid=(-0.5, 0.25, 0.5, 1.0 + 1e-9, 2.25))
+        assert_points_count_brute_gap_rows(bundle.model, bundle.schedule, bundle.weights, cfg)
+
+    def test_tabulated_model_and_weights_count_window_by_window(self):
+        rng = random.Random(3)
+        rows = {
+            m: [(b + rng.choice([0.0, 0.5, 1.0 / m]), b, 0.125) for b in (0.0, 1.0) for _ in range(4)]
+            for m in (1, 2, 3, 7)
+        }
+        model = tabulated_model(rows, "tab")
+        weights = parse_weights({
+            "e": [rng.choice([0.5, 1.0, 1.5]) for _ in range(700)],
+            "g": [rng.choice([0.5, 1.0, 1.5]) for _ in range(700)],
+        })
+        density = DensityConfig(horizon=150, mode=NormalizerMode.LITERAL)
+        cfg = DetectorConfig(eps=0.125, density=density)
+        assert_points_count_brute_gap_rows(model, schedule_preset("example"), weights, cfg)
 
 
 class TestLimitLawCheck:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnstat.config import parse_model
+from dnstat.config import ConfigError, parse_model
 from dnstat.rvmodel import (
     LIMIT,
     MODEL_ZOO,
@@ -23,8 +23,11 @@ from dnstat.rvmodel import (
     model_preset,
     prob_limits_equal,
     sample,
+    tabulated_model,
     with_alt_limit,
 )
+
+from conftest import brute_cdf, brute_exceedance, brute_moment
 
 
 @pytest.fixture
@@ -217,3 +220,120 @@ class TestConfigModels:
 
         with pytest.raises(ConfigError):
             parse_model("nonsense")
+
+
+@st.composite
+def tabulated_models(draw):
+    """Random tables: gaps between keys, differing atom counts, one limit law."""
+    keys = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True))
+    limit_values = draw(
+        st.lists(st.integers(-8, 8).map(lambda k: k / 4.0), min_size=1, max_size=3, unique=True)
+    )
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(limit_values),
+                            max_size=len(limit_values)))
+    limit_probs = [w / math.fsum(weights) for w in weights]
+    rows = {}
+    for key in keys:
+        row = []
+        for b, q in zip(limit_values, limit_probs):
+            parts = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
+            offsets = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, -1.0, 0.3]),
+                                    min_size=len(parts), max_size=len(parts)))
+            row += [(b + d, b, q * w / math.fsum(parts)) for w, d in zip(parts, offsets)]
+        rows[key] = row
+    return tabulated_model(rows, "random-table")
+
+
+def zoo_model(spec: str) -> RVSequenceModel:
+    return model_preset(spec).model
+
+
+law_models = st.one_of(
+    st.sampled_from(MODEL_ZOO).map(zoo_model),
+    tabulated_models(),
+    st.tuples(st.sampled_from(MODEL_ZOO), st.sampled_from(MODEL_ZOO)).map(
+        lambda pair: combine_independent(zoo_model(pair[0]), zoo_model(pair[1]), lambda u, v: u * v)
+    ),
+    st.sampled_from(MODEL_ZOO).map(lambda spec: map_values(zoo_model(spec), math.cos)),
+    st.sampled_from(MODEL_ZOO).map(
+        lambda spec: with_alt_limit(zoo_model(spec), lambda v: v / 3.0 + 0.1)
+    ),
+)
+
+
+def same_bits(got: np.ndarray, want: list[float]) -> bool:
+    want_arr = np.array(want, dtype=np.float64)
+    return got.dtype == np.float64 and got.tobytes() == want_arr.tobytes()
+
+
+class TestLawTables:
+    """Array levels against plain fsum loops over the support, bit for bit."""
+
+    @given(
+        model=law_models,
+        k_max=st.integers(1, 60),
+        eps=st.sampled_from([0.25, 0.5, 1.0, 1.75]),
+        r=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        at=st.integers(1, 60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_levels_equal_the_fsum_oracles(self, model, k_max, eps, r, at):
+        laws = model.laws(k_max)
+        ns = range(1, k_max + 1)
+        assert same_bits(laws.exceedance(eps), [brute_exceedance(model, n, eps) for n in ns])
+        assert same_bits(laws.moment(r), [brute_moment(model, n, r) for n in ns])
+        # Evaluation points on, just below and just above the atoms of some law.
+        values = {float(a) for a, _, _ in model.support(min(at, k_max))}
+        points = {t for v in values for t in (v, math.nextafter(v, -math.inf),
+                                               math.nextafter(v, math.inf))}
+        for t in sorted(points) + [-1e9, 1e9]:
+            assert same_bits(laws.cdf(t), [brute_cdf(model, n, t) for n in ns])
+        # The one-index views agree with the same oracles.
+        assert exceedance_prob(model, at, eps) == brute_exceedance(model, at, eps)
+        assert abs_moment(model, at, r) == brute_moment(model, at, r)
+
+    def test_tabulated_law_index_follows_the_table(self):
+        rows = {2: [(0.0, 0.0, 1.0)], 5: [(1.0, 0.0, 0.5), (0.0, 0.0, 0.5)]}
+        laws = tabulated_model(rows).laws(7)
+        # m = 2 has its row; 1, 3, 4 and past the table use the top row, 5.
+        assert laws.index.tolist() == [1, 0, 1, 1, 1, 1, 1]
+        assert laws.exceedance(0.5).tolist() == [0.5, 0.0, 0.5, 0.5, 0.5, 0.5, 0.5]
+
+    def test_each_distinct_law_is_checked_once(self):
+        calls = []
+
+        def support(m):
+            calls.append(m)
+            return [(1.0, 0.0, 0.5), (0.0, 0.0, 0.5)] if m % 2 else [(0.0, 0.0, 1.0)]
+
+        laws = RVSequenceModel(support, "alternating").laws(9)
+        assert calls == list(range(1, 10))
+        assert laws.index.tolist() == [0, 1] * 4 + [0]
+        assert laws.a.shape == (2, 2)
+
+    def test_bad_law_is_named_at_its_first_index(self):
+        model = RVSequenceModel(lambda m: [(0.0, 0.0, 1.0 if m < 4 else 0.7)], "bad-from-4")
+        with pytest.raises(ModelError, match="sum to 0.7 at m=4"):
+            model.laws(10)
+
+
+class TestTabulatedLimitLaw:
+    def test_row_with_another_limit_law_is_rejected(self):
+        # Rows 1 and 3 agree, row 2 has limit 1: the m = 1 and k_max check alone passes it.
+        spec = {"per_m": {"1": [[0, 0, 1]], "2": [[1, 1, 1]], "3": [[0, 0, 1]]}}
+        with pytest.raises(ConfigError, match=r"limit marginal at m=2 .*m=1"):
+            parse_model(spec)
+
+    def test_without_a_row_for_one_the_top_row_is_the_reference(self):
+        rows = {2: [(0.0, 0.0, 1.0)], 5: [(0.0, 1.0, 1.0)]}
+        with pytest.raises(ModelError, match="at m=2 "):
+            tabulated_model(rows)
+
+    def test_probabilities_within_tolerance_pass(self):
+        rows = {1: [(0.0, 0.0, 0.5), (1.0, 1.0, 0.5)],
+                2: [(0.0, 0.0, 0.5 + 1e-13), (1.0, 1.0, 0.5 - 1e-13)]}
+        assert tabulated_model(rows).laws(3).index.tolist() == [0, 1, 1]
+
+    def test_index_below_one_is_rejected(self):
+        with pytest.raises(ConfigError, match="indices start at 1"):
+            parse_model({"per_m": {"0": [[0, 0, 1]], "1": [[0, 0, 1]]}})
