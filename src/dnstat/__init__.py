@@ -40,6 +40,7 @@ from .korovkin import (
     OperatorSequence,
     Perturbation,
     SampledFunction,
+    SeriesCapError,
     audit_quadratic_moment,
     korovkin_check,
     lifted_operator,

@@ -27,6 +27,7 @@ from .detectors import DetectorConfig, st_dndc, st_dnm, st_dnp
 from .korovkin import (
     KorovkinConfig,
     Perturbation,
+    SeriesCapError,
     audit_quadratic_moment,
     function_preset,
     korovkin_check,
@@ -320,7 +321,11 @@ def cmd_korovkin(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from None
     schedule.validate(cfg.horizon)
     ops = lifted_operator(Perturbation(args.perturb), cfg.tail_tol)
-    report = korovkin_check(ops, args.tag, f_list, schedule, weights, cfg)
+    try:
+        report = korovkin_check(ops, args.tag, f_list, schedule, weights, cfg)
+    except SeriesCapError as exc:
+        # Only grid points very close to 1 need windows that wide.
+        raise ConfigError(f"{exc}; use a smaller --grid-size") from None
     echo = {
         "command": "korovkin",
         "operator": report.operator,

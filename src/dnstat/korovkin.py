@@ -8,12 +8,21 @@ whose coefficient sequence is exactly the negative binomial mass
 function with m+1 successes and failure probability y.  The node
 convention t/(t+m) makes the operator reproduce constants and the
 identity exactly (C(m+t, t) t/(t+m) telescopes to C(m+t-1, t-1)); the
-second moment has no elementary closed form.  The series is
-truncated once the running term ratio y (m+t+1)/(t+1) has entered the
-geometric regime and the bounded remainder (tail mass times the sup of
-|f|) drops below the requested tolerance.  Coefficients are accumulated
-in log space, so large m and y near 1 neither overflow nor underflow
-through the intermediate products.
+second moment has no elementary closed form.  Coefficients are
+accumulated in log space, so large m and y near 1 neither overflow nor
+underflow through the intermediate products.
+
+``mkz_apply`` sums the series from t = 0 and truncates it once the
+running term ratio y (m+t+1)/(t+1) has entered the geometric regime and
+the bounded remainder (tail mass times the sup of |f|) drops below the
+requested tolerance.  The tables behind ``lifted_operator(...).batch``
+sum each grid point over a certified two-sided window [t0, t1] around
+the mode instead.  Half of the budget tail_tol / max sup|f| goes to
+each side: t1 is the smallest index whose right tail bound
+c_t1 rho/(1-rho), rho = y (m+t1+1)/(t1+1), fits its half, and t0 the
+largest whose left tail bound c_t0 rho/(1-rho), rho = t0/(y (m+t0)),
+fits its half (t0 = 0 if none does).  A window of more than
+``_SERIES_CAP`` terms t1 - t0 + 1 raises ``SeriesCapError``.
 
 Lifted variants multiply M_n by a positive factor: the two-coordinate
 counterexample's distribution function (which never vanishes, so its
@@ -47,6 +56,7 @@ __all__ = [
     "SampledFunction",
     "OperatorSequence",
     "Perturbation",
+    "SeriesCapError",
     "mkz_apply",
     "sup_distance",
     "lifted_operator",
@@ -177,6 +187,12 @@ def _coefficients(m: int, y: float, t_end: int) -> np.ndarray:
     return np.exp(log_c)
 
 
+def _check_tail_tol(tail_tol: float) -> None:
+    # The coefficients sum to 1, so a budget of 1 or more lets a window drop them all.
+    if not 0.0 < tail_tol < 1.0:  # NaN fails too
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+
+
 def mkz_apply(f, m: int, y: float, tail_tol: float = 1e-10) -> float:
     """Evaluate the base operator at one point by certified truncation.
 
@@ -187,8 +203,7 @@ def mkz_apply(f, m: int, y: float, tail_tol: float = 1e-10) -> float:
     fn = as_sampled(f)
     if m < 1:
         raise ValueError(f"operator index must be >= 1, got {m}")
-    if tail_tol <= 0.0:
-        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
+    _check_tail_tol(tail_tol)
     if not (0.0 <= y <= 1.0):
         raise ValueError(f"evaluation point must lie in [0, 1], got {y}")
     if y == 0.0 or y == 1.0:
@@ -200,36 +215,250 @@ def mkz_apply(f, m: int, y: float, tail_tol: float = 1e-10) -> float:
     return float(np.dot(fn.values(ts / (ts + m)), c))
 
 
+class SeriesCapError(RuntimeError):
+    """A grid point's certified window holds more than ``_SERIES_CAP`` terms."""
+
+
+# Stirling's remainder lgamma(n+1) - (n+1/2) log n + n - log sqrt(2 pi) for
+# n < 16, where its asymptotic series is not yet accurate to a few ulps.
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_STIRLERR_SMALL = np.array(
+    [0.0] + [math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - _HALF_LOG_2PI for n in range(1, 16)]
+)
+# Window search: candidate offsets from the mode in standard deviations,
+# a quarter apart where edges usually fall (heavy right tails at small m
+# reach past 10); the bracket found is then searched node by node.
+_SCAN = np.concatenate([np.arange(4.0), np.arange(4.0, 9.0, 0.25), np.arange(9.0, 12.5, 0.5)])
+# Rows of candidates scanned at once, to bound the scan's memory on fine grids.
+_SCAN_ROWS = 4096
+# Series indices per block of the node table; each block starts from an
+# exact Stirling value, so rounding never accumulates past one block.
+_BLOCK = 512
+_BLOCK_OFFSETS = np.arange(_BLOCK, dtype=np.float64)
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """lgamma(n+1) - (n+1/2) log n + n - log sqrt(2 pi), integer-valued n >= 1."""
+    r = 1.0 / (n * n)
+    out = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / n
+    small = n < 16
+    if small.any():
+        out[small] = _STIRLERR_SMALL[n[small].astype(np.intp)]
+    return out
+
+
+def _log_binom(m: int, t: np.ndarray) -> np.ndarray:
+    """log C(m+t, t) for integer-valued float t >= 0, to a few ulps of its size.
+
+    Written as (t+1/2) log(1+m/t) + (m+1/2) log(1+t/m) - log sqrt(2 pi (m+t))
+    plus Stirling remainders, so no term is much larger than the result.
+    """
+    const = _HALF_LOG_2PI + float(_stirlerr(np.array([float(m)]))[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = m + t
+        remainders = _stirlerr(np.concatenate([n, t]))
+        out = (t + 0.5) * np.log1p(m / t)
+        out += (m + 0.5) * np.log1p(t / m)
+        out -= 0.5 * np.log(n) + const
+        out += remainders[: t.size].reshape(t.shape) - remainders[t.size :].reshape(t.shape)
+    out[t == 0.0] = 0.0
+    return out
+
+
+def _certified(m, t, y, log_c, side, log_budget):
+    """Whether the series tail beyond t on ``side`` is within the budget.
+
+    Right (side +1): sum_{s>t} c_s <= c_t rho/(1-rho), rho = y(m+t+1)/(t+1),
+    valid once rho < 1.  Left (side -1): sum_{s<t} c_s <= c_t rho/(1-rho),
+    rho = t/(y(m+t)), valid while rho < 1; at t = 0 that tail is empty.
+    Each ratio is monotone on its side of the mode, so the geometric bound
+    holds.  With u = t + [right] and v = y(m+u), rho/(1-rho) is v/(u-v) on
+    the right and u/(v-u) on the left; where rho >= 1 it is negative or
+    infinite, and the comparison fails.
+    """
+    right = side > 0
+    u = t + right
+    v = y * (m + u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(right, v, u) / (side * (u - v))
+        return log_c + np.log(x) <= log_budget
+
+
+def _cap_error(m: int, y: float, terms: str) -> SeriesCapError:
+    return SeriesCapError(
+        f"the certified series window [t0, t1] at m={m}, y={y!r} needs {terms} terms, "
+        f"past the cap of {_SERIES_CAP} terms t1 - t0 + 1 summed per point"
+    )
+
+
+class _Scratch:
+    """Float64 buffers that one operator sequence reuses from index to index.
+
+    The node table, the function values and the coefficients take a few
+    hundred kilobytes to megabytes per index; fresh arrays of that size
+    cost page faults on every call, a large share of the kernel's time.
+    Buffers only grow, by half again when they must.  Not for concurrent
+    use.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            grown = 0 if buffer is None else buffer.size + buffer.size // 2
+            buffer = self._buffers[name] = np.empty(max(size, grown))
+        return buffer[:size].reshape(shape)
+
+
+def _blocks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sorted ids of the blocks of _BLOCK indices that cover every [lo_i, hi_i]."""
+    first, last = lo // _BLOCK, hi // _BLOCK
+    spans = last - first + 1
+    ids = np.sort(np.arange(int(spans.sum())) - np.repeat(np.cumsum(spans) - spans - first, spans))
+    return ids[np.concatenate([[True], ids[1:] != ids[:-1]])]
+
+
+class _Nodes:
+    """Blocks of consecutive series indices t, with log C(m+t, t) at each.
+
+    ``lin`` holds the rows t, 1 and log C(m+t, t), so that its product with
+    (log y, (m+1) log(1-y), 1) is log c_t at every node.  Each block is a
+    cumulative sum of log(1 + m/t) from an exact Stirling first value.
+    """
+
+    def __init__(self, m: int, lo: np.ndarray, hi: np.ndarray, scratch: _Scratch) -> None:
+        self.blocks = _blocks(lo, hi)
+        self.lin = scratch.take("nodes", 3, len(self.blocks) * _BLOCK)
+        t = self.lin[0].reshape(-1, _BLOCK)
+        np.add.outer(self.blocks * float(_BLOCK), _BLOCK_OFFSETS, out=t)
+        self.lin[1] = 1.0
+        log_binom = self.lin[2].reshape(-1, _BLOCK)
+        with np.errstate(divide="ignore"):
+            np.divide(m, t, out=log_binom)
+        np.log1p(log_binom, out=log_binom)
+        log_binom[:, 0] = _log_binom(m, t[:, 0])
+        np.cumsum(log_binom, axis=1, out=log_binom)
+
+    def index(self, t: np.ndarray) -> np.ndarray:
+        """Position in ``lin`` of each index t, which must lie in a covered block."""
+        ti = t.astype(np.int64)
+        b = ti // _BLOCK
+        return np.searchsorted(self.blocks, b) * _BLOCK + (ti - b * _BLOCK)
+
+    def log_binom(self, t: np.ndarray) -> np.ndarray:
+        return self.lin[2][self.index(t)]
+
+
+def _windows(
+    m: int, y: np.ndarray, log_budget: float, scratch: _Scratch
+) -> tuple[np.ndarray, np.ndarray, _Nodes]:
+    """Certified windows [t0, t1] of the interior points y, and their nodes.
+
+    t1 is the smallest index whose right tail bound is within log_budget,
+    t0 the largest whose left tail bound is.  Both are searched as offsets
+    d from the mode: rows 0..P-1 hold t1 = mode + d, rows P..2P-1 hold
+    t0 = mode - d.  On each row the certified offsets form a ray [d*, inf)
+    (a left offset reaching t = 0 is always certified), so the last
+    rejected candidate ``lo`` and the first certified one ``hi`` bracket
+    d*, which the nodes in (lo, hi] then pin down.  The node table covers
+    every candidate; offsets past the cap are not searched, since such a
+    window is too wide to sum.
+    """
+    n_pts = len(y)
+    mode = np.floor(y * m / (1.0 - y))
+    side = np.repeat([1.0, -1.0], n_pts)
+    pivot, yy = np.concatenate([mode, mode]), np.concatenate([y, y])
+    log_y, base = np.log(yy), (m + 1) * np.log1p(-yy)
+    step = np.maximum(np.sqrt((m + 1) * yy) / (1.0 - yy), 1.0)
+    reach = np.where(side > 0, _SERIES_CAP + 1.0, np.minimum(pivot, _SERIES_CAP + 1.0))
+
+    def scan(rows, nodes):
+        """Bracket each row's edge between candidates; return the rows left unbracketed."""
+        d = np.minimum(np.ceil(step[rows, None] * _SCAN), reach[rows, None])
+        t = pivot[rows, None] + side[rows, None] * d
+        log_c = base[rows, None] + t * log_y[rows, None] + nodes.log_binom(t)
+        ok = _certified(m, t, yy[rows, None], log_c, side[rows, None], log_budget)
+        k = ok.argmax(axis=1)
+        at = np.arange(len(rows))
+        found = ok[at, k]
+        lo[rows] = np.maximum(lo[rows], np.where(found, np.where(k > 0, d[at, k - 1], -1.0), d[:, -1]))
+        hi[rows[found]] = d[at, k][found]
+        return rows[~found]
+
+    lo = np.full(2 * n_pts, -1.0)
+    hi = np.empty(2 * n_pts)
+    rows = np.arange(2 * n_pts)
+    while True:
+        far = np.minimum(np.ceil(step * _SCAN[-1]), reach)
+        lo_t, hi_t = mode - far[n_pts:], mode + far[:n_pts]
+        nodes = _Nodes(m, lo_t.astype(np.int64), hi_t.astype(np.int64), scratch)
+        rows = np.concatenate(
+            [scan(rows[i : i + _SCAN_ROWS], nodes) for i in range(0, len(rows), _SCAN_ROWS)]
+        )
+        if not len(rows):
+            break
+        if lo[rows].max() > _SERIES_CAP:
+            raise _cap_error(m, float(yy[rows[np.argmax(lo[rows])]]), f"more than {_SERIES_CAP}")
+        step[rows] *= 4.0  # heavy tails: search four times as far
+
+    width = (hi - lo).astype(np.int64)
+    starts = np.cumsum(width) - width
+    row = np.repeat(np.arange(2 * n_pts), width)
+    t = pivot[row] + side[row] * (np.arange(len(row)) - np.repeat(starts - lo - 1.0, width))
+    log_c = base[row] + t * log_y[row] + nodes.log_binom(t)
+    ok = _certified(m, t, yy[row], log_c, side[row], log_budget)
+    edge = hi - np.add.reduceat(ok.astype(np.int64), starts) + 1
+    return (mode - edge[n_pts:]).astype(np.int64), (mode + edge[:n_pts]).astype(np.int64), nodes
+
+
 def _mkz_table(
-    fns: Sequence[SampledFunction], m: int, ys: np.ndarray, tail_tol: float
+    fns: Sequence[SampledFunction], m: int, ys: np.ndarray, tail_tol: float, scratch: _Scratch
 ) -> np.ndarray:
-    """M_m(f_j, y_i) for all functions and grid points, sharing the series work."""
-    sups = [max(_sup_abs(fn), 1e-300) for fn in fns]
-    log_budgets = [math.log(tail_tol) - math.log(s) for s in sups]
-    log_budget = min(log_budgets)
-    interior = [(i, float(y)) for i, y in enumerate(ys) if 0.0 < y < 1.0]
-    lengths = {i: _required_length(m, y, log_budget) for i, y in interior}
-    t_max = max(lengths.values(), default=0)
+    """M_m(f_j, y_i) for all functions and grid points.
 
-    ts = np.arange(1, t_max + 1, dtype=np.float64)
-    log_fac = np.empty(t_max + 1)
-    log_fac[0] = 0.0
-    np.cumsum(np.log((m + ts) / ts), out=log_fac[1:])
-    ts_full = np.arange(t_max + 1, dtype=np.float64)
-    u = ts_full / (ts_full + m)
-    f_vals = [fn.values(u) for fn in fns]
-
+    Each interior point sums only its certified window [t0, t1]; half of
+    the budget tail_tol / max sup|f| goes to each side.  All windows share
+    one table of log C(m+t, t) and one (functions x nodes) array of
+    f(t/(t+m)), laid out in blocks of consecutive t, so each window is a
+    contiguous slice: one matrix-vector product per point.
+    """
+    ys = np.asarray(ys, dtype=np.float64)
     out = np.empty((len(fns), len(ys)))
-    for i, y in enumerate(np.asarray(ys, dtype=np.float64)):
-        if y == 0.0 or y == 1.0:
-            out[:, i] = [float(fn(float(y))) for fn in fns]
-        else:
-            t_end = lengths[i]
-            lc = (m + 1) * math.log1p(-y) + ts_full[: t_end + 1] * math.log(y)
-            lc += log_fac[: t_end + 1]
-            c = np.exp(lc)
-            for j in range(len(fns)):
-                out[j, i] = float(np.dot(f_vals[j][: t_end + 1], c))
+    inner = (ys > 0.0) & (ys < 1.0)
+    for i in np.flatnonzero(~inner):
+        out[:, i] = [float(fn(float(ys[i]))) for fn in fns]
+    cols = np.flatnonzero(inner)
+    if len(cols) == 0:
+        return out
+    y = ys[cols]
+    sup = max(max(_sup_abs(fn), 1e-300) for fn in fns)
+    t0, t1, nodes = _windows(m, y, math.log(tail_tol) - math.log(sup) - math.log(2.0), scratch)
+    terms = t1 - t0 + 1
+    if terms.max() > _SERIES_CAP:
+        worst = int(np.argmax(terms))
+        raise _cap_error(m, float(y[worst]), str(terms[worst]))
+
+    starts = nodes.index(t0)
+    lo, hi = int(starts.min()), int((starts + terms).max())
+    lin = nodes.lin[:, lo:hi]
+    u = scratch.take("nodes_u", hi - lo)
+    np.add(lin[0], m, out=u)
+    np.divide(lin[0], u, out=u)
+    f_vals = scratch.take("values", len(fns), hi - lo)
+    for j, fn in enumerate(fns):
+        f_vals[j] = fn.values(u)
+    coef = np.stack([np.log(y), (m + 1) * np.log1p(-y), np.ones(len(y))], axis=1)
+    starts -= lo
+    offsets = np.cumsum(terms) - terms
+    c = scratch.take("coefficients", int(terms.sum()))
+    for a, n, k, row in zip(starts.tolist(), terms.tolist(), offsets.tolist(), coef):
+        np.matmul(row, lin[:, a : a + n], out=c[k : k + n])
+    np.exp(c, out=c)
+    for i, a, n, k in zip(cols.tolist(), starts.tolist(), terms.tolist(), offsets.tolist()):
+        out[:, i] = f_vals[:, a : a + n] @ c[k : k + n]
     return out
 
 
@@ -246,8 +475,17 @@ class Perturbation(Enum):
 
 
 @lru_cache(maxsize=1)
-def _example2_limit_law() -> tuple[tuple[float, float], ...]:
-    return tuple(model_preset("example2").model.limit_atoms())
+def _example2_cdf_factor() -> tuple[np.ndarray, np.ndarray]:
+    """The sorted values v_k of the example2 limit law and 1 + F at each prefix.
+
+    Entry k of the second array is 1 + fsum of the first k probabilities,
+    the sum rvmodel.cdf forms for a point with exactly k values at or
+    below it; fsum is exactly rounded, so the prefix is bit-identical.
+    """
+    law = model_preset("example2").model.limit_atoms()
+    values = np.array([v for v, _ in law])
+    factor = np.array([1.0 + math.fsum(p for _, p in law[:k]) for k in range(len(law) + 1)])
+    return values, factor
 
 
 @dataclass(frozen=True)
@@ -263,20 +501,23 @@ class OperatorSequence:
 
 
 def lifted_operator(perturbation: Perturbation, tail_tol: float = 1e-10) -> OperatorSequence:
-    """The MKZ operator sequence times the perturbation's factor at (n, y)."""
-    if not tail_tol > 0.0:  # NaN fails too
-        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
+    """The MKZ operator sequence times the perturbation's factor at (n, y).
+
+    ``batch`` reuses its scratch buffers from one call to the next, so a
+    sequence must not be evaluated from several threads at once.
+    """
+    _check_tail_tol(tail_tol)
+    scratch = _Scratch()
 
     def batch(n: int, fns: Sequence[SampledFunction], ys: np.ndarray) -> np.ndarray:
-        table = _mkz_table(fns, n, ys, tail_tol)
+        table = _mkz_table(fns, n, ys, tail_tol, scratch)
         if perturbation is Perturbation.NONE:
             return table
         if perturbation is Perturbation.NULL_SET:
             return table * (2.0 if math.isqrt(n) ** 2 == n else 1.0)
         # 1 + F(y) for the limit law F, summed as rvmodel.cdf sums it.
-        law = _example2_limit_law()
-        factor = [1.0 + math.fsum(p for v, p in law if v <= y) for y in map(float, ys)]
-        return table * np.array(factor)
+        values, factor = _example2_cdf_factor()
+        return table * factor[np.searchsorted(values, ys, side="right")]
 
     label = "mkz" if perturbation is Perturbation.NONE else f"mkz+{perturbation.value}"
     return OperatorSequence(label, batch)
@@ -313,9 +554,9 @@ class KorovkinConfig:
     mode: NormalizerMode = NormalizerMode.REGULAR
 
     def __post_init__(self) -> None:
-        for name in ("eps", "tail_tol"):
-            if not getattr(self, name) > 0.0:  # NaN fails too
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.eps > 0.0:  # NaN fails too
+            raise ValueError(f"eps must be positive, got {self.eps}")
+        _check_tail_tol(self.tail_tol)
         if self.grid_points < 2:
             raise ValueError(f"grid size must be at least 2, got {self.grid_points}")
         self.density()
@@ -406,7 +647,8 @@ def korovkin_check(
         try:
             table = ops.batch(n, fns, grid)
         except Exception as exc:
-            raise RuntimeError(f"operator evaluation failed at n={n}: {exc}") from exc
+            wrapper = SeriesCapError if isinstance(exc, SeriesCapError) else RuntimeError
+            raise wrapper(f"operator evaluation failed at n={n}: {exc}") from exc
         sup_dev[:, n - 1] = np.max(np.abs(table - targets), axis=1)
 
     def run(j: int) -> ConvergenceVerdict:

@@ -190,6 +190,14 @@ class TestKorovkin:
         proc = run_cli("korovkin", "--grid-size", "1")
         assert proc.returncode == 2
 
+    def test_grid_too_close_to_one_exits_2(self):
+        # the grid point 1 - 1e-5 needs about 2.3 million terms at n = 1
+        proc = run_cli("korovkin", "--grid-size", "100000", "--horizon", "20")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: operator evaluation failed at n=1:")
+        assert "y=0.99998" in proc.stderr and "cap of 1000000 terms" in proc.stderr
+        assert "--grid-size" in proc.stderr
+
     def test_nullset_report(self):
         proc = run_cli("korovkin", "--perturb", "nullset", "--horizon", "100",
                        "--grid-size", "9", "--tolerance", "0.07", "--format", "json")
@@ -204,6 +212,7 @@ class TestKorovkin:
     [
         ("korovkin", "--tail-tol", "0"),
         ("korovkin", "--tail-tol", "-1"),
+        ("korovkin", "--tail-tol", "2"),
         ("korovkin", "--horizon", "5"),
         ("korovkin", "--eps", "0"),
         ("korovkin", "--tolerance", "0"),

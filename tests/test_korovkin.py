@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+try:
+    import mpmath
+except ImportError:  # only the oracle tests need it
+    mpmath = None
+
 from dnstat.density import Verdict
+from dnstat import korovkin
 from dnstat.korovkin import (
     CUBE,
     DIST_HALF,
@@ -19,6 +26,7 @@ from dnstat.korovkin import (
     Perturbation,
     SQUARE,
     SampledFunction,
+    SeriesCapError,
     audit_quadratic_moment,
     function_preset,
     korovkin_check,
@@ -82,6 +90,12 @@ class TestOperatorPointValues:
     def test_bad_tail_tol_rejected(self):
         with pytest.raises(ValueError):
             mkz_apply(ONE, 5, 0.5, 0.0)
+
+    @pytest.mark.parametrize("tail_tol", [1.0, 2.0, float("nan")])
+    def test_tail_tol_must_lie_below_one(self, tail_tol):
+        # NaN must fail the check itself, not run on into the series cap
+        with pytest.raises(ValueError, match=r"tail_tol must lie in \(0, 1\)"):
+            mkz_apply(ONE, 5, 0.5, tail_tol)
 
     def test_series_cap_is_enforced(self):
         # So close to 1 that certifying the tail would need ~5e12 terms.
@@ -161,10 +175,102 @@ class TestLiftedOperators:
         lifted = lifted_operator(Perturbation.CDF_FACTOR).batch(n, [ONE, CUBE], grid)
         assert np.array_equal(lifted, base * factor)
 
-    @pytest.mark.parametrize("tail_tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tail_tol", [0.0, -1.0, 1.0, 2.0, float("nan")])
     def test_bad_tail_tol_rejected(self, tail_tol):
         with pytest.raises(ValueError, match="tail_tol"):
             lifted_operator(Perturbation.NONE, tail_tol)
+        with pytest.raises(ValueError, match="tail_tol"):
+            KorovkinConfig(tail_tol=tail_tol)
+
+
+def nb_log_coef(m: int, y, t: int):
+    """log c_t = log C(m+t, t) + (m+1) log(1-y) + t log y, in mpmath."""
+    return (mpmath.loggamma(m + t + 1) - mpmath.loggamma(t + 1) - mpmath.loggamma(m + 1)
+            + (m + 1) * mpmath.log1p(-y) + t * mpmath.log(y))
+
+
+def nb_tail_mass(m: int, y, t: int, side: int):
+    """Mass of the coefficients beyond index t on one side, t included, in mpmath.
+
+    Right: P(T >= t) = I_y(t, m+1); left: P(T <= t) = I_{1-y}(m+1, t+1).
+    mpmath's betainc does not converge for m in the thousands near y = 1,
+    so there the terms are summed from t outward until the geometric bound
+    on the rest is below 1e-6 of the sum.
+    """
+    if m <= 200:
+        if side > 0:
+            return mpmath.betainc(t, m + 1, 0, y, regularized=True)
+        return mpmath.betainc(m + 1, t + 1, 0, 1 - y, regularized=True)
+    total, s, c = mpmath.mpf(0), t, mpmath.exp(nb_log_coef(m, y, t))
+    while s >= 0:
+        total += c
+        rho = y * (m + s + 1) / (s + 1) if side > 0 else s / (y * (m + s))
+        c *= rho
+        s += side
+        if rho < 1 and c * rho / (1 - rho) < total * mpmath.mpf("1e-6"):
+            break
+    return total
+
+
+def tail_bound_ok(m: int, y, t: int, side: int, log_budget: float) -> bool:
+    """The window certificate at edge t, evaluated in mpmath."""
+    rho = y * (m + t + 1) / (t + 1) if side > 0 else t / (y * (m + t))
+    if side < 0 and t == 0:
+        return True
+    return rho < 1 and nb_log_coef(m, y, t) + mpmath.log(rho / (1 - rho)) <= log_budget
+
+
+@pytest.mark.skipif(mpmath is None, reason="the kernel oracle needs mpmath")
+class TestKernelAgainstMpmath:
+    """The two-sided certified windows and the table they give, against mpmath."""
+
+    TOL = 1e-12
+    POINTS = [1e-9, 1 / 64, 0.5, 63 / 64, 1 - 1e-4]
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 200, 3000])
+    def test_windows_rows_and_masses(self, m):
+        mpmath.mp.dps = 30
+        log_budget = math.log(self.TOL) - math.log(2.0)  # sup|f| = 1, half per side
+        ys = np.array(self.POINTS)
+        if m >= 200:  # y = 1 - 1e-4 needs more than the cap there
+            with pytest.raises(SeriesCapError, match="1000000"):
+                korovkin._windows(m, ys, log_budget, korovkin._Scratch())
+            ys = ys[:-1]
+        t0, t1, _ = korovkin._windows(m, ys, log_budget, korovkin._Scratch())
+        table = lifted_operator(Perturbation.NONE, self.TOL).batch(m, [ONE, IDENTITY, SQUARE], ys)
+        slack = self.TOL + 1e-12 + 1e-13 * m
+        for y, a, b, col in zip(ys.tolist(), t0.tolist(), t1.tolist(), table.T):
+            yv = mpmath.mpf(y)
+            # edges are certified, and one step inward is not
+            assert tail_bound_ok(m, yv, b, +1, log_budget)
+            assert not tail_bound_ok(m, yv, b - 1, +1, log_budget)
+            assert tail_bound_ok(m, yv, a, -1, log_budget)
+            assert not tail_bound_ok(m, yv, a + 1, -1, log_budget)
+            left = nb_tail_mass(m, yv, a - 1, -1) if a > 0 else mpmath.mpf(0)
+            right = nb_tail_mass(m, yv, b + 1, +1)
+            assert left <= math.exp(log_budget) and right <= math.exp(log_budget)
+            assert abs(col[0] - 1.0) <= slack
+            assert abs(col[1] - y) <= slack
+            if m <= 50:
+                # M(z^2) = 1 - 2(1-y) + (1-y)^(m+1) 2F1(m, m; m+1; y), since
+                # C(m+t, t)/(t+m) = C(m+t-1, t)/m
+                exact = 1 - 2 * (1 - yv) + (1 - yv) ** (m + 1) * mpmath.hyp2f1(m, m, m + 1, yv)
+                assert abs(col[2] - float(exact)) <= slack
+
+    def test_second_moment_identity_matches_the_rational_series(self):
+        exact = 1 - 2 * mpmath.mpf(0.5) + mpmath.mpf(0.5) ** 6 * mpmath.hyp2f1(5, 5, 6, 0.5)
+        assert float(exact) == pytest.approx(rational_series(lambda u: u * u, 5, Fraction(1, 2), 700), abs=1e-15)
+
+    def test_a_window_past_the_cap_is_a_named_error(self):
+        ops = lifted_operator(Perturbation.NONE, 1e-8)
+        with pytest.raises(SeriesCapError, match=r"m=1, y=0\.99999.*cap of 1000000 terms t1 - t0 \+ 1"):
+            ops.batch(1, [ONE], np.array([0.5, 1 - 1e-5]))
+
+    def test_checker_names_the_index_of_a_cap_error(self):
+        cfg = KorovkinConfig(horizon=30, grid_points=200_001)
+        with pytest.raises(SeriesCapError, match="operator evaluation failed at n=1"):
+            korovkin_check(lifted_operator(Perturbation.NONE, cfg.tail_tol), "dnp", [CUBE],
+                           schedule_preset("stretch"), weight_preset("ones"), cfg)
 
 
 class TestSupDistance:
