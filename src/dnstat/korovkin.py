@@ -400,8 +400,9 @@ def _windows(
         )
         if not len(rows):
             break
-        if lo[rows].max() > _SERIES_CAP:
-            raise _cap_error(m, float(yy[rows[np.argmax(lo[rows])]]), f"more than {_SERIES_CAP}")
+        stuck = rows[lo[rows] >= reach[rows]]  # rejected all the way to the cap
+        if len(stuck):
+            raise _cap_error(m, float(yy[stuck[0]]), f"more than {_SERIES_CAP}")
         step[rows] *= 4.0  # heavy tails: search four times as far
 
     width = (hi - lo).astype(np.int64)

@@ -257,6 +257,21 @@ class TestKernelAgainstMpmath:
                 exact = 1 - 2 * (1 - yv) + (1 - yv) ** (m + 1) * mpmath.hyp2f1(m, m, m + 1, yv)
                 assert abs(col[2] - float(exact)) <= slack
 
+    @pytest.mark.parametrize("m", [1, 10, 200])
+    def test_the_table_sums_exactly_the_half_budget_windows(self, m):
+        # At tail_tol 1e-6 the dropped mass dwarfs rounding, so 1 - M(1, y)
+        # must equal the mass outside windows certified for half the budget.
+        mpmath.mp.dps = 30
+        tol, ys = 1e-6, np.array([1 / 64, 0.5, 63 / 64])
+        t0, t1, _ = korovkin._windows(m, ys, math.log(tol) - math.log(2.0), korovkin._Scratch())
+        table = lifted_operator(Perturbation.NONE, tol).batch(m, [ONE], ys)
+        for y, a, b, value in zip(ys.tolist(), t0.tolist(), t1.tolist(), table[0]):
+            yv = mpmath.mpf(y)
+            outside = nb_tail_mass(m, yv, b + 1, +1)
+            if a > 0:
+                outside += nb_tail_mass(m, yv, a - 1, -1)
+            assert abs((1.0 - value) - float(outside)) <= 1e-12 + 1e-13 * m
+
     def test_second_moment_identity_matches_the_rational_series(self):
         exact = 1 - 2 * mpmath.mpf(0.5) + mpmath.mpf(0.5) ** 6 * mpmath.hyp2f1(5, 5, 6, 0.5)
         assert float(exact) == pytest.approx(rational_series(lambda u: u * u, 5, Fraction(1, 2), 700), abs=1e-15)
