@@ -63,6 +63,7 @@ from .rvmodel import (
     model_preset,
     prob_limits_equal,
     sample,
+    support_model,
     with_alt_limit,
 )
 from .schedules import (

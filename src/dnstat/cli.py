@@ -49,12 +49,11 @@ __all__ = ["main"]
 DEFAULT_SEED = 20260808
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, *formats: str) -> None:
+    """--config, and --format with the formats the subcommand writes."""
     sub.add_argument("--config", type=Path, default=None, help="JSON file with flag defaults")
-    sub.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table", help="output format"
-    )
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled checks")
+    if formats:
+        sub.add_argument("--format", choices=formats, default="table", help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument(
         "--mode", choices=("regular", "literal"), default="regular", help="normalizer convention"
     )
-    _add_common(p_mean)
+    _add_common(p_mean, "table", "json", "csv")
 
     p_detect = subs.add_parser(
         "detect",
@@ -105,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write trace CSV here; with several detectors, one file per "
         "detector at <stem>.<kind><suffix> (trace.csv -> trace.dnp.csv)",
     )
-    _add_common(p_detect)
+    # No detector samples; the seed is kept because the config echo prints it.
+    p_detect.add_argument("--seed", type=int, default=DEFAULT_SEED, help="echoed seed")
+    _add_common(p_detect, "table", "json", "csv")
 
     p_kor = subs.add_parser(
         "korovkin",
@@ -130,13 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--f", action="append", default=None, help="conclusion function (repeatable)"
     )
     p_kor.add_argument("--trace-out", type=Path, default=None)
-    _add_common(p_kor)
+    _add_common(p_kor, "table", "json")
 
     p_repro = subs.add_parser(
         "repro", help="run the bundled worked-example reproduction and diff the snapshot"
     )
     p_repro.add_argument("--out", type=Path, default=None, help="also write the report here")
     p_repro.add_argument("--skip-diff", action="store_true", help="do not compare the snapshot")
+    p_repro.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling check seed")
     _add_common(p_repro)
     return parser
 

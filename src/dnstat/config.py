@@ -100,10 +100,8 @@ def parse_schedule(spec: Any) -> DeferredSchedule:
 
 def _parse_weight_side(obj: Any, side: str) -> WeightSeq:
     if isinstance(obj, str):
-        if obj == "ones":
-            return WeightSeq(lambda n: 1.0, "ones", constant=1.0)
-        if obj == "identity":
-            return WeightSeq(float, "identity")
+        if obj in ("ones", "identity"):
+            return weight_preset(obj).e
         raise ConfigError(f"unknown weight sequence preset '{obj}' for {side}")
     if isinstance(obj, (list, tuple)):
         try:

@@ -10,19 +10,20 @@ also be Inconclusive when the tail oscillates; the full trace is always
 returned so callers can tighten the run.
 
 Traced runs read m, x_m, y_m, R_m and floor(R_m) from one memoized
-``WindowPlan``; its R_m is exactly rounded, equal to ``convolution``.
+``WindowPlan``, built from one ``bounds_array`` call over the traced
+window indices; its R_m is exactly rounded, equal to ``convolution``.
 Predicates of the separable form  w(m, n) * level(n) >= threshold  go
 through ``level_density_limits``, which counts a matrix of level rows
 (one row: ``level_density_limit``) in one pass, on one of two counting
 paths picked from the weights:
 
-- constant e without an override (every weight preset): w(m, n) =
-  e0 * g(n) for n <= y_m does not depend on m, so each row's hits are
-  computed once up to the largest min(k_m, y_m) and each window reads
-  its count off their cumulative sum, in O(k_max + trace length) per row;
-- tabulated or computed e, or a weight override: each window builds its
-  weights once and counts every row against them, in O(sum of k_m) per
-  row.
+- constant e (every weight preset): w(m, n) = e0 * g(n) for n <= y_m
+  does not depend on m, so each row's hits are computed once up to the
+  largest min(k_m, y_m) and each window reads its count off their
+  cumulative sum, in O(k_max + trace length) per row;
+- tabulated or computed e: each window builds its weights from the
+  plan's e and g tables once and counts every row against them, in
+  O(sum of k_m) per row.
 
 Both give the same counts bit for bit.  Arbitrary callables go through
 ``density_limit``, vectorized when the predicate accepts arrays and per
@@ -49,7 +50,6 @@ from .schedules import (
     WeightScheme,
     WeightSeq,
     convolution,
-    window_weight,
 )
 
 __all__ = [
@@ -174,9 +174,9 @@ class WindowPlan:
     """The window rows a run evaluates: m, x_m, y_m, R_m and k_m = floor(R_m).
 
     ``e`` and ``g`` hold the weight values from index 0 up to the largest
-    index the run reads, as far as a tabulated sequence reaches; they are
-    empty under a weight override, which is evaluated per index.  Plans
-    are shared between callers, so every array is read-only.
+    index the run reads, as far as a tabulated sequence reaches; both
+    cover at least every index R_m reads.  Plans are shared between
+    callers, so every array is read-only.
     """
 
     ms: np.ndarray
@@ -207,41 +207,36 @@ def window_plan(
     """Window plan of a traced run, built once per (schedule, weights, cfg).
 
     R_m is the exactly rounded sum of the window products, equal to
-    ``convolution`` bit for bit: per-m ``convolution`` under a weight
-    override, ``width * (e0 * g0)`` when both weight sequences are
-    constant (what fsum returns for ``width`` equal terms), and
-    ``math.fsum`` over each window's products otherwise.  Raises
+    ``convolution`` bit for bit: ``width * (e0 * g0)`` when both weight
+    sequences are constant (what fsum returns for ``width`` equal terms),
+    and ``math.fsum`` over each window's products otherwise.  Raises
     DegenerateNormalizerError at the first m with R_m <= 0, and
     ValueError where floor(R_m) exceeds the counting cap.
     """
-    ms = _trace_indices(cfg)
-    x, y = np.array([schedule.bounds(m) for m in ms], dtype=np.int64).T
-    e = g = np.empty(0)
-    if weights.override is not None:
-        r = np.array([convolution(schedule, weights, m, cfg.mode) for m in ms])
+    ms = np.array(_trace_indices(cfg), dtype=np.int64)
+    x, y = schedule.bounds_array(ms)
+    literal = cfg.mode is NormalizerMode.LITERAL
+    w_top = int((y - x).max()) - 1
+    y_top = int(y.max())
+    # Counting reads e(y_m - n) * g(n) for 1 <= n <= min(k_m, y_m).
+    e = _table(weights.e, y_top if literal else w_top, y_top - 1)
+    g = _table(weights.g, w_top if literal else y_top, y_top)
+    if weights.e.constant is not None and weights.g.constant is not None:
+        r = (y - x).astype(np.float64) * (weights.e.constant * weights.g.constant)
     else:
-        literal = cfg.mode is NormalizerMode.LITERAL
-        w_top = int((y - x).max()) - 1
-        y_top = int(y.max())
-        # Counting reads e(y_m - n) * g(n) for 1 <= n <= min(k_m, y_m).
-        e = _table(weights.e, y_top if literal else w_top, y_top - 1)
-        g = _table(weights.g, w_top if literal else y_top, y_top)
-        if weights.e.constant is not None and weights.g.constant is not None:
-            r = (y - x).astype(np.float64) * (weights.e.constant * weights.g.constant)
-        else:
-            # LITERAL pairs e(v) with g(y_m - v), REGULAR g(n) with e(y_m - n).
-            head, tail = (e, g) if literal else (g, e)
-            r = np.array([
-                math.fsum((head[xv + 1 : yv + 1] * tail[: yv - xv][::-1]).tolist())
-                for xv, yv in zip(x.tolist(), y.tolist())
-            ])
+        # LITERAL pairs e(v) with g(y_m - v), REGULAR g(n) with e(y_m - n).
+        head, tail = (e, g) if literal else (g, e)
+        r = np.array([
+            math.fsum((head[xv + 1 : yv + 1] * tail[: yv - xv][::-1]).tolist())
+            for xv, yv in zip(x.tolist(), y.tolist())
+        ])
     bad = np.flatnonzero(~(r > 0.0) | (r >= _COUNT_CAP + 1))
     if bad.size:
-        m, rm = ms[bad[0]], float(r[bad[0]])
+        m, rm = int(ms[bad[0]]), float(r[bad[0]])
         if not rm > 0.0:
             raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={rm}")
         raise ValueError(f"floor(R_m)={math.floor(rm)} at m={m} exceeds counting cap {_COUNT_CAP}")
-    plan = WindowPlan(np.array(ms, dtype=np.int64), x, y, r, np.floor(r).astype(np.int64), e, g)
+    plan = WindowPlan(ms, x, y, r, np.floor(r).astype(np.int64), e, g)
     for arr in (plan.ms, plan.x, plan.y, plan.R, plan.k, plan.e, plan.g):
         arr.flags.writeable = False
     return plan
@@ -373,10 +368,10 @@ def level_density_limits(
     """``level_density_limit`` of every row of a (rows x k_max) level matrix.
 
     One pass over the windows counts every row, so the same verdicts come
-    out as from one call per row.  Constant e without an override counts
-    each row through one cumulative hit count (``_prefix_counts``); other
-    weights build each window's weights e(y_m - n) * g(n) once for all
-    rows.  ``extras`` holds one mapping per row.
+    out as from one call per row.  Constant e counts each row through one
+    cumulative hit count (``_prefix_counts``); other weights build each
+    window's weights e(y_m - n) * g(n) once for all rows
+    (``_window_counts``).  ``extras`` holds one mapping per row.
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
@@ -388,10 +383,8 @@ def level_density_limits(
     if rows.shape[1] < k_max:
         raise ValueError(f"levels array too short: need {k_max}, got {rows.shape[1]}")
 
-    if weights.override is None and weights.e.constant is not None:
-        counts = _prefix_counts(plan, rows, threshold, weights.label)
-    else:
-        counts = _window_counts(plan, rows, threshold, schedule, weights)
+    count = _prefix_counts if weights.e.constant is not None else _window_counts
+    counts = count(plan, rows, threshold, weights.label)
     verdicts = []
     for i, row_counts in enumerate(counts.tolist()):
         points = [
@@ -405,11 +398,7 @@ def level_density_limits(
 
 
 def _window_counts(
-    plan: WindowPlan,
-    rows: np.ndarray,
-    threshold: float,
-    schedule: DeferredSchedule,
-    weights: WeightScheme,
+    plan: WindowPlan, rows: np.ndarray, threshold: float, label: str
 ) -> np.ndarray:
     """Counts of every row at every traced window, window by window.
 
@@ -421,17 +410,10 @@ def _window_counts(
     for i, (m, yv, k) in enumerate(zip(plan.ms.tolist(), plan.y.tolist(), plan.k.tolist())):
         if k == 0:
             continue
-        if weights.override is not None:
-            w = np.fromiter(
-                (window_weight(schedule, weights, m, n) for n in range(1, k + 1)), np.float64, k
-            )
-        else:
-            keff = min(k, yv)
-            if yv > len(plan.e) or keff >= len(plan.g):
-                raise WeightError(
-                    f"weights '{weights.label}' end before the counting range at m={m}"
-                )
-            w = plan.e[yv - keff : yv][::-1] * plan.g[1 : keff + 1]
+        keff = min(k, yv)
+        if yv > len(plan.e) or keff >= len(plan.g):
+            raise WeightError(f"weights '{label}' end before the counting range at m={m}")
+        w = plan.e[yv - keff : yv][::-1] * plan.g[1 : keff + 1]
         counts[:, i] = (w * rows[:, : len(w)] >= threshold).sum(axis=1)
     return counts
 

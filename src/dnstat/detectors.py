@@ -50,6 +50,7 @@ from .rvmodel import (
     exceedance_prob,
     map_values,
     prob_limits_equal,
+    support_model,
     with_alt_limit,
 )
 from .schedules import DeferredSchedule, WeightScheme
@@ -465,7 +466,7 @@ def cauchy_index_search(
                         out.append((am, aa, p))
             return out
 
-        pair = RVSequenceModel(support, f"tailpair({model.description},a={a})")
+        pair = support_model(support, f"tailpair({model.description},a={a})")
         if st_dnp(pair, schedule, weights, cfg).verdict is Verdict.CONVERGES:
             return a
     return None

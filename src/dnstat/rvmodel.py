@@ -6,32 +6,33 @@ form is the primitive on purpose: the two-coordinate counterexample in
 the distribution-convergence study has marginals that converge while the
 joint does not, and all three detectors need exact joint quantities.
 
-Every probabilistic operation here is an exact finite sum.  The
-detectors read a model through its array view, ``RVSequenceModel.laws``:
-the index of the law used at each n = 1..k_max plus each distinct law's
-atoms, validated once per law.  A tabulated model validates its rows
-when it is built and reads the index off its table; example1,
-bernoulli_shift and the deterministic forms have closed forms in numpy
-(valid by construction); any other support callable is called once per
-n and its distinct laws collected.  Exceedance, moment and
-distribution-function levels are computed once per distinct law and
-gathered per n.  Each level equals the plain ``math.fsum`` over the
-atoms bit for bit, since a last-bit change can flip a threshold tie: a
-single IEEE add is exactly rounded, so laws of at most two atoms are
-summed by numpy and wider ones by ``math.fsum`` per law, and
-|Y_n - Y|^r is Python's float pow (numpy's ``**`` differs in the last
-bit for some r), except at r = 1.
+Every probabilistic operation here is an exact finite sum.  A model has
+one law source, ``RVSequenceModel.law_table``, which maps an int64 array
+of indices to the ``LawTable`` of the laws there: each distinct law's
+atoms once, plus the law used at each index.  example1, bernoulli_shift
+and the deterministic forms are closed forms in numpy; a tabulated model
+validates its rows when built and binary-searches its keys;
+``support_model`` calls a per-index support callable once per index and
+validates each distinct law once.  The detectors read ``laws(k_max)``,
+the table at n = 1..k_max.  Exceedance, moment and distribution-function
+levels are computed once per distinct law and gathered per n.  Each
+level equals the plain ``math.fsum`` over the atoms bit for bit, since a
+last-bit change can flip a threshold tie: a single IEEE add is exactly
+rounded, so laws of at most two atoms are summed by numpy and wider ones
+by ``math.fsum`` per law, and |Y_n - Y|^r is Python's float pow (numpy's
+``**`` differs in the last bit for some r), except at r = 1.
 
-``atoms(m)``, ``exceedance_prob``, ``abs_moment`` and ``cdf`` are
-one-index views.  A seeded Monte Carlo sampler (counter-based, keyed by
-(seed, m)) provides the independent empirical oracle the test suite
-compares against.
+``atoms(m)`` (the atoms of positive probability), ``exceedance_prob``,
+``abs_moment`` and ``cdf`` are one-index views of the same table.  A
+seeded Monte Carlo sampler (counter-based, keyed by (seed, m)) provides
+the independent empirical oracle the test suite compares against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ from .schedules import DeferredSchedule, WeightScheme, schedule_preset, weight_p
 __all__ = [
     "ModelError",
     "RVSequenceModel",
+    "support_model",
     "LawTable",
     "EmpiricalEstimate",
     "SampleBatch",
@@ -122,14 +124,14 @@ def _power(x: np.ndarray, r: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LawTable:
-    """The laws of a model at n = 1..k, each distinct law stored once.
+    """The laws of a model at an array of indices, each distinct law stored once.
 
     ``a``, ``b`` and ``p`` hold one array per atom slot j (a 2-D array's
     rows, or separate arrays): atom j's y_n value, y value and
     probability in every distinct law, one entry per law.  A law with
     fewer atoms is padded with (0, 0, 0), which adds an exact 0 to every
-    level.  Law ``index[n - 1]`` is the one used at n; ``index`` is None
-    when every n has a law of its own, law n - 1.
+    level.  Law ``index[i]`` is the one used at the i-th index asked
+    for; ``index`` is None when every index has a law of its own, law i.
     """
 
     index: np.ndarray | None
@@ -138,13 +140,13 @@ class LawTable:
     p: Sequence[np.ndarray]
 
     def exceedance(self, eps: float) -> np.ndarray:
-        """P(|Y_n - Y| >= eps) for n = 1..k."""
+        """P(|Y_n - Y| >= eps) at each index."""
         if eps <= 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
         return self._levels(lambda a, b, p: np.where(_gap(a, b) >= eps, p, 0.0))
 
     def moment(self, r: float) -> np.ndarray:
-        """E|Y_n - Y|^r for n = 1..k."""
+        """E|Y_n - Y|^r at each index."""
         if r < 1.0:
             raise ValueError(f"moment order must be >= 1, got {r}")
 
@@ -156,11 +158,11 @@ class LawTable:
         return self._levels(term)
 
     def cdf(self, t: float) -> np.ndarray:
-        """P(Y_n <= t) for n = 1..k; atoms at t are included."""
+        """P(Y_n <= t) at each index; atoms at t are included."""
         return self._levels(lambda a, b, p: np.where(a <= t, p, 0.0))
 
     def _levels(self, term: Callable[..., np.ndarray]) -> np.ndarray:
-        """Exactly rounded sum of term(atom) over each law, gathered per n.
+        """Exactly rounded sum of term(atom) over each law, gathered per index.
 
         Works one atom (row) at a time, so no (laws x atoms) temporary
         is formed for laws of at most two atoms.
@@ -186,17 +188,19 @@ def _pack(laws: Sequence[Sequence[Triple]], index: np.ndarray | None) -> LawTabl
     return LawTable(index, cube[..., 0], cube[..., 1], cube[..., 2])
 
 
-def _collected_laws(model: RVSequenceModel, k_max: int) -> LawTable:
-    """LawTable of any support callable: one call per n, one check per distinct law."""
+def _collected_laws(
+    support: Callable[[int], Sequence[Sequence[float]]], description: str, ns: np.ndarray
+) -> LawTable:
+    """LawTable of a support callable: one call per index, one check per distinct law."""
     position: dict[tuple, int] = {}
     laws: list[list[Triple]] = []
     index = []
-    for n in range(1, k_max + 1):
-        key = tuple(map(tuple, model.support(n)))
+    for n in ns.tolist():
+        key = tuple(map(tuple, support(n)))
         i = position.get(key)
         if i is None:
             i = position[key] = len(laws)
-            laws.append(_checked(key, model.description, n))
+            laws.append(_checked(key, description, n))
         index.append(i)
     return _pack(laws, np.array(index, dtype=np.intp))
 
@@ -205,26 +209,26 @@ def _collected_laws(model: RVSequenceModel, k_max: int) -> LawTable:
 class RVSequenceModel:
     """Finite-support joint law of (Y_m, Y) per index m.
 
-    ``law_table``, when set, builds the array view ``laws(k_max)``
-    directly (closed forms, tables); otherwise ``support`` is called once
-    per index.
+    ``law_table`` maps an int64 array of indices (each >= 1) to the
+    ``LawTable`` of the laws at those indices, every law validated.
     """
 
-    support: Callable[[int], Sequence[tuple[float, float, float]]]
+    law_table: Callable[[np.ndarray], LawTable]
     description: str = ""
-    law_table: Callable[[int], LawTable] | None = field(default=None, repr=False, compare=False)
 
     def atoms(self, m: int) -> list[tuple[float, float, float]]:
-        """Validated support triples at index m."""
-        if m < 1:
-            raise ModelError(f"model index must be >= 1, got {m}")
-        return _checked(self.support(m), self.description, m)
+        """The (y_m value, y value, probability) atoms of positive probability at index m."""
+        table = _one_law(self, m)
+        j = 0 if table.index is None else int(table.index[0])
+        return [
+            (float(a[j]), float(b[j]), float(p[j]))
+            for a, b, p in zip(table.a, table.b, table.p)
+            if p[j] > 0.0
+        ]
 
     def laws(self, k_max: int) -> LawTable:
-        """Array view of the laws at n = 1..k_max, each distinct law validated once."""
-        if self.law_table is not None:
-            return self.law_table(k_max)
-        return _collected_laws(self, k_max)
+        """The laws at n = 1..k_max, each distinct law stored once."""
+        return self.law_table(np.arange(1, k_max + 1, dtype=np.int64))
 
     def limit_atoms(self, m: int = 1) -> list[tuple[float, float]]:
         """Marginal law of the limit coordinate Y at index m, merged and sorted.
@@ -244,7 +248,19 @@ class RVSequenceModel:
 
 
 def _one_law(model: RVSequenceModel, m: int) -> LawTable:
-    return _pack([model.atoms(m)], None)
+    if m < 1:
+        raise ModelError(f"model index must be >= 1, got {m}")
+    return model.law_table(np.array([m], dtype=np.int64))
+
+
+def support_model(
+    support: Callable[[int], Sequence[Sequence[float]]], description: str = ""
+) -> RVSequenceModel:
+    """Model of support(m), the (y_m value, y value, probability) atoms at index m.
+
+    ModelError names the first index of a bad law.
+    """
+    return RVSequenceModel(partial(_collected_laws, support, description), description)
 
 
 def exceedance_prob(model: RVSequenceModel, m: int, eps: float) -> float:
@@ -343,7 +359,7 @@ def map_values(
     def support(m: int) -> list[tuple[float, float, float]]:
         return [(float(f(a)), float(f(b)), p) for a, b, p in model.atoms(m)]
 
-    return RVSequenceModel(support, description or f"mapped({model.description})")
+    return support_model(support, description or f"mapped({model.description})")
 
 
 def with_alt_limit(
@@ -356,7 +372,7 @@ def with_alt_limit(
     def support(m: int) -> list[tuple[float, float, float]]:
         return [(a, float(h(b)), p) for a, b, p in model.atoms(m)]
 
-    return RVSequenceModel(support, description or f"altlimit({model.description})")
+    return support_model(support, description or f"altlimit({model.description})")
 
 
 def prob_limits_equal(model: RVSequenceModel, h: Callable[[float], float]) -> float:
@@ -387,68 +403,43 @@ def combine_independent(
         return out
 
     name = description or f"combined({model_a.description},{model_b.description})"
-    return RVSequenceModel(support, name)
+    return support_model(support, name)
 
 
 # ---------------------------------------------------------------------------
 # Built-in models
 
 
-def _example1_support(m: int) -> list[tuple[float, float, float]]:
-    p = 1.0 / math.sqrt(m)
-    return [(float(m), 0.0, p), (0.0, 0.0, 1.0 - p)]
-
-
-def _example1_laws(k_max: int) -> LawTable:
-    n = np.arange(1.0, k_max + 1.0)
+def _example1_laws(ns: np.ndarray) -> LawTable:
+    n = ns.astype(np.float64)
     p = 1.0 / np.sqrt(n)
     zero = np.broadcast_to(0.0, n.shape)
     return LawTable(None, (n, zero), (zero, zero), (p, 1.0 - p))
 
 
-def _single_law_model(law: list[Triple], description: str) -> RVSequenceModel:
-    """The same law at every index."""
-
-    def law_table(k_max: int) -> LawTable:
-        return _pack([_checked(law, description, 1)], np.zeros(k_max, dtype=np.intp))
-
-    return RVSequenceModel(lambda m: law, description, law_table)
-
-
-def degenerate_model(c: float) -> RVSequenceModel:
-    value = float(c)
-    return _single_law_model([(value, value, 1.0)], f"degenerate({value!r})")
-
-
 def deterministic_model(
-    f: Callable[[int], float], limit: float, label: str
+    f: Callable[[np.ndarray], np.ndarray], limit: float, label: str
 ) -> RVSequenceModel:
-    """Point mass at f(m) with constant limit; f also takes an array of indices."""
+    """Point mass at f(m) with constant limit; f maps a float array of indices."""
     lim = float(limit)
 
-    def law_table(k_max: int) -> LawTable:
-        a = np.asarray(f(np.arange(1.0, k_max + 1.0)), dtype=np.float64)
+    def law_table(ns: np.ndarray) -> LawTable:
+        a = np.asarray(f(ns.astype(np.float64)), dtype=np.float64)
         b, p = (np.broadcast_to(v, a.shape) for v in (lim, 1.0))
         return LawTable(None, (a,), (b,), (p,))
 
-    return RVSequenceModel(
-        lambda m: [(float(f(m)), lim, 1.0)], f"deterministic({label})", law_table
-    )
+    return RVSequenceModel(law_table, f"deterministic({label})")
 
 
 def bernoulli_shift_model() -> RVSequenceModel:
     """Y uniform on {0, 1}; Y_m = Y + 1/m.  A converging random-limit model."""
 
-    def support(m: int) -> list[tuple[float, float, float]]:
-        shift = 1.0 / m
-        return [(0.0 + shift, 0.0, 0.5), (1.0 + shift, 1.0, 0.5)]
-
-    def law_table(k_max: int) -> LawTable:
-        shift = 1.0 / np.arange(1, k_max + 1)
+    def law_table(ns: np.ndarray) -> LawTable:
+        shift = 1.0 / ns
         zero, one, half = (np.broadcast_to(v, shift.shape) for v in (0.0, 1.0, 0.5))
         return LawTable(None, (shift, 1.0 + shift), (zero, one), (half, half))
 
-    return RVSequenceModel(support, "bernoulli_shift", law_table)
+    return RVSequenceModel(law_table, "bernoulli_shift")
 
 
 def tabulated_model(
@@ -458,8 +449,7 @@ def tabulated_model(
 
     Every row is validated once, here, and its limit marginal must be the
     one at m = 1 (values equal, probabilities within PROB_TOL); otherwise
-    ModelError names the row.  The array view reads each n's law off the
-    table.
+    ModelError names the row.  Indices are looked up by binary search.
     """
     keys = sorted(rows)
     if keys[0] < 1:
@@ -470,18 +460,18 @@ def tabulated_model(
     for m, law in laws.items():
         _check_limit_law(description, m, _limit_law(law), first)
     table = _pack(list(laws.values()), None)
+    # A key past the int64 range matches no index; clipping keeps the lookup int64.
+    lookup = np.array([min(m, 2**63 - 1) for m in keys], dtype=np.int64)
+    top_row = len(keys) - 1
 
-    def law_table(k_max: int) -> LawTable:
-        index = np.full(k_max, len(keys) - 1, dtype=np.intp)
-        for i, m in enumerate(keys):
-            if m <= k_max:
-                index[m - 1] = i
-        return replace(table, index=index)
+    def law_table(ns: np.ndarray) -> LawTable:
+        pos = np.minimum(np.searchsorted(lookup, ns), top_row)
+        return replace(table, index=np.where(lookup[pos] == ns, pos, top_row))
 
-    return RVSequenceModel(lambda m: laws.get(m, top), description, law_table)
+    return RVSequenceModel(law_table, description)
 
 
-_DETERMINISTIC_FORMS: dict[str, tuple[Callable[[int], float], float]] = {
+_DETERMINISTIC_FORMS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float]] = {
     "1/m": (lambda m: 1.0 / m, 0.0),
     "1/m^2": (lambda m: 1.0 / (m * m), 0.0),
     "1+1/m": (lambda m: 1.0 + 1.0 / m, 1.0),
@@ -509,10 +499,10 @@ def model_preset(spec: str) -> ModelBundle:
     cesaro = schedule_preset("cesaro")
     ones = weight_preset("ones")
     if spec == "example1":
-        model = RVSequenceModel(_example1_support, "example1", _example1_laws)
+        model = RVSequenceModel(_example1_laws, "example1")
         return ModelBundle(model, deferred, ones)
     if spec == "example2":
-        model = _single_law_model([(1.0, 0.0, 0.5), (0.0, 1.0, 0.5)], "example2")
+        model = tabulated_model({1: [(1.0, 0.0, 0.5), (0.0, 1.0, 0.5)]}, "example2")
         return ModelBundle(model, deferred, ones)
     if spec == "bernoulli_shift":
         return ModelBundle(bernoulli_shift_model(), cesaro, ones)
@@ -525,7 +515,8 @@ def model_preset(spec: str) -> ModelBundle:
             value = float(form) if colon else 0.0
         except ValueError:
             raise ModelError(f"bad constant in model spec '{spec}'") from None
-        return ModelBundle(degenerate_model(value), cesaro, ones)
+        model = tabulated_model({1: [(value, value, 1.0)]}, f"degenerate({value!r})")
+        return ModelBundle(model, cesaro, ones)
     raise ModelError(f"unknown model spec '{spec}'")
 
 

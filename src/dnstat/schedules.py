@@ -2,12 +2,12 @@
 
 A deferred schedule is a pair of integer sequences (x_m, y_m) with
 x_m < y_m and y_m unbounded; the window at index m is the integer range
-x_m+1 .. y_m.  A weight scheme carries two non-negative sequences
-(e_n) and (g_n); the weight of slot n inside window m is
+x_m+1 .. y_m.  x and y are evaluated on int64 arrays of window indices
+(``bounds_array``; ``bounds`` is its one-index view).  A weight scheme
+carries two non-negative sequences (e_n) and (g_n); the weight of slot n
+inside window m is
 
-    w(m, n) = e(y_m - n) * g(n)
-
-unless an explicit per-window override w(m, n) is installed.
+    w(m, n) = e(y_m - n) * g(n).
 
 Two normalizer conventions exist for the window weight sum R_m.
 REGULAR sums the same w(m, n) that the mean's numerator uses, so the
@@ -71,12 +71,16 @@ class NormalizerMode(Enum):
 
 @dataclass(frozen=True)
 class Affine:
-    """Integer affine map m -> a*m + b."""
+    """Integer affine map m -> a*m + b, on an int or an int64 index array."""
 
     a: int
     b: int
 
-    def __call__(self, m: int) -> int:
+    def __call__(self, m: int | np.ndarray) -> int | np.ndarray:
+        # Bounded in Python ints first: int64 arithmetic would wrap silently.
+        top = int(np.abs(m).max(initial=0))
+        if abs(self.a) * top + abs(self.b) >= 2**63:
+            raise ScheduleError(f"affine map {self.spec()} overflows int64 for m up to {top}")
         return self.a * m + self.b
 
     def spec(self) -> str:
@@ -90,23 +94,34 @@ class Affine:
 
 @dataclass(frozen=True)
 class DeferredSchedule:
-    """The index-window pair (x_m, y_m); window m is x_m+1 .. y_m."""
+    """The index-window pair (x_m, y_m); window m is x_m+1 .. y_m; x, y map int64 arrays."""
 
-    x: Callable[[int], int]
-    y: Callable[[int], int]
+    x: Callable[[np.ndarray], np.ndarray]
+    y: Callable[[np.ndarray], np.ndarray]
     label: str = ""
+
+    def bounds_array(self, ms: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Validated int64 (x_m, y_m) at every index of ms; errors name the first bad m."""
+        ms = np.asarray(ms, dtype=np.int64)
+        try:
+            x = np.asarray(self.x(ms), dtype=np.int64)
+            y = np.asarray(self.y(ms), dtype=np.int64)
+        except ScheduleError as exc:
+            raise ScheduleError(f"schedule '{self.label}': {exc}") from None
+        bad = np.flatnonzero((ms < 1) | (x < 0) | (x >= y))
+        if bad.size:
+            m, xv, yv = (int(v[bad[0]]) for v in (ms, x, y))
+            if m < 1:
+                raise ScheduleError(f"window index must be >= 1, got m={m}")
+            if xv < 0:
+                raise ScheduleError(f"schedule violation at m={m}: x(m)={xv} is negative")
+            raise ScheduleError(f"schedule violation at m={m}: x(m)={xv} >= y(m)={yv}")
+        return x, y
 
     def bounds(self, m: int) -> tuple[int, int]:
         """Validated (x_m, y_m) for one index."""
-        if m < 1:
-            raise ScheduleError(f"window index must be >= 1, got m={m}")
-        xv = int(self.x(m))
-        yv = int(self.y(m))
-        if xv < 0:
-            raise ScheduleError(f"schedule violation at m={m}: x(m)={xv} is negative")
-        if xv >= yv:
-            raise ScheduleError(f"schedule violation at m={m}: x(m)={xv} >= y(m)={yv}")
-        return xv, yv
+        x, y = self.bounds_array([m])
+        return int(x[0]), int(y[0])
 
     def validate(self, horizon: int) -> None:
         """Check x < y on 1..horizon and that y keeps growing over it.
@@ -115,22 +130,12 @@ class DeferredSchedule:
         growth check (the second half of the horizon attains a larger
         maximum than the first half) is the practical witness used here.
         """
-        top_first = 0
-        top_second = 0
-        for m in range(1, horizon + 1):
-            _, yv = self.bounds(m)
-            if m <= horizon // 2:
-                top_first = max(top_first, yv)
-            else:
-                top_second = max(top_second, yv)
-        if horizon >= 4 and top_second <= top_first:
+        _, y = self.bounds_array(np.arange(1, horizon + 1))
+        half = horizon // 2
+        if horizon >= 4 and y[half:].max() <= y[:half].max():
             raise ScheduleError(
                 f"schedule '{self.label}' shows no growth of y over horizon {horizon}"
             )
-
-    def attains(self, horizon: int, threshold: int) -> bool:
-        """True if some m <= horizon has y(m) > threshold."""
-        return any(self.y(m) > threshold for m in range(1, horizon + 1))
 
 
 def window(schedule: DeferredSchedule, m: int) -> range:
@@ -206,28 +211,18 @@ def tabulated(values: Sequence[float], label: str = "tabulated") -> WeightSeq:
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """Weight pair (e, g) plus an optional per-window override w(m, n).
+    """Weight pair (e, g): w(m, n) = e(y_m - n) * g(n).
 
-    Without an override, w(m, n) = e(y_m - n) * g(n); arguments with
-    y_m - n < 0 fall outside e's domain and get weight 0.  The override,
-    when present, replaces w entirely for REGULAR sums and for the mean's
-    numerator; the LITERAL normalizer is defined directly through (e, g)
-    and ignores it.
+    Arguments with y_m - n < 0 fall outside e's domain and get weight 0.
     """
 
     e: WeightSeq
     g: WeightSeq
-    override: Callable[[int, int], float] | None = None
     label: str = ""
 
 
 def window_weight(schedule: DeferredSchedule, weights: WeightScheme, m: int, n: int) -> float:
     """w(m, n) for any n >= 1, zero when e's argument would be negative."""
-    if weights.override is not None:
-        value = float(weights.override(m, n))
-        if value < 0:
-            raise WeightError(f"weight override negative at (m={m}, n={n}): {value}")
-        return value
     _, yv = schedule.bounds(m)
     if yv - n < 0:
         return 0.0
@@ -250,8 +245,6 @@ def convolution(
     xv, yv = schedule.bounds(m)
     if mode is NormalizerMode.LITERAL:
         return math.fsum(weights.e(v) * weights.g(yv - v) for v in range(xv + 1, yv + 1))
-    if weights.override is not None:
-        return math.fsum(window_weight(schedule, weights, m, n) for n in range(xv + 1, yv + 1))
     return math.fsum(weights.e(yv - n) * weights.g(n) for n in range(xv + 1, yv + 1))
 
 
@@ -272,8 +265,9 @@ def dn_mean(
     if r <= 0.0:
         raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={r}")
     xv, yv = schedule.bounds(m)
+    # n <= y_m throughout the window, so every slot has its weight e(y_m - n) * g(n).
     num = math.fsum(
-        window_weight(schedule, weights, m, n) * float(seq(n)) for n in range(xv + 1, yv + 1)
+        weights.e(yv - n) * weights.g(n) * float(seq(n)) for n in range(xv + 1, yv + 1)
     )
     return num / r
 

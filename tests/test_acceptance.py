@@ -113,7 +113,7 @@ def test_criterion_2_example2_reproduction():
     )
 
 
-def test_criterion_3_mkz_operator():
+def test_criterion_3_mkz_operator(tmp_path):
     t0 = time.perf_counter()
     grid = np.linspace(0.0, 1.0, 257)
     ops = lifted_operator(Perturbation.NONE, 1e-10)
@@ -132,7 +132,7 @@ def test_criterion_3_mkz_operator():
     erratum_note = audit.note()
     if erratum_note is not None:
         # Disagreement is documented, never a failure.
-        with open("erratum.log", "w") as fh:
+        with open(tmp_path / "erratum.log", "w") as fh:
             fh.write(erratum_note + "\n")
 
     dt = _elapsed_ok(t0, 30.0)

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from dnstat.cli import main
+
 
 def run_cli(*args: str, timeout: int = 240) -> subprocess.CompletedProcess:
     return subprocess.run(
@@ -150,6 +152,15 @@ class TestDetect:
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: degenerate normalizer at m=1")
 
+    def test_schedule_past_int64_exits_2(self, capsys):
+        # 2^62 * 100 leaves int64: the bounds are checked in Python ints, not wrapped.
+        status = main(["detect", "--model", "example1", "--schedule",
+                       "4611686018427387904m,4611686018427387905m", "--horizon", "100"])
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert err.startswith("config error: schedule '4611686018427387904m,")
+        assert "overflows int64" in err
+
     def test_byte_identical_json_runs(self):
         args = ("detect", "--model", "example2", "--mode", "dnp", "--horizon", "1000",
                 "--format", "json")
@@ -234,6 +245,23 @@ def test_bad_numeric_flag_exits_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("korovkin", "--horizon", "30", "--grid-size", "9", "--format", "csv"),
+        ("repro", "--skip-diff", "--format", "json"),
+        ("mean", "--seq", "identity", "--seed", "1"),
+        ("korovkin", "--horizon", "30", "--grid-size", "9", "--seed", "1"),
+    ],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(args, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(list(args))
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert "error: " in err and out == ""
 
 
 class TestConfigFile:

@@ -192,17 +192,6 @@ class TestLevelEngine:
         assert [p.count for p in va.trace] == [p.count for p in vb.trace]
         assert va.verdict is vb.verdict is Verdict.CONVERGES
 
-    def test_weight_override_reaches_the_predicate(self, cesaro, ones):
-        # Override weight n with unit levels puts w * level = n >= 1
-        # exactly, so every counted index qualifies and the density
-        # sticks at floor(R)/R = 1 with R = m(m+1)/2.
-        scheme = WeightScheme(ones.e, ones.g, override=lambda m, n: float(n), label="ov")
-        cfg = DensityConfig(horizon=80, tail_fraction=0.5, tolerance=0.5)
-        v = level_density_limit(lambda n: 1.0, 1.0, cesaro, scheme, cfg)
-        assert v.verdict is Verdict.DIVERGES
-        assert v.tail_max == 1.0
-        assert v.trace[-1].normalizer == 80 * 81 / 2
-
     def test_short_level_array_rejected(self, cesaro, ones):
         with pytest.raises(ValueError, match="too short"):
             level_density_limit(np.zeros(3), 0.5, cesaro, ones, DensityConfig(horizon=100))

@@ -25,9 +25,9 @@ from dnstat.rvmodel import (
     LIMIT,
     MODEL_ZOO,
     ModelError,
-    RVSequenceModel,
     cdf,
     model_preset,
+    support_model,
     tabulated_model,
 )
 from dnstat.schedules import NormalizerMode, schedule_preset, weight_preset
@@ -112,9 +112,10 @@ def assert_points_count_brute_gap_rows(model, schedule, weights, cfg):
     """Each dndc point's verdict equals a one-row count of its plain-loop gap row."""
     v = st_dndc(model, schedule, weights, cfg)
     k_max = counting_bound(schedule, weights, cfg.density)
+    atoms = [model.atoms(n) for n in range(1, k_max + 1)]
     for t, point in v.extras["points"].items():
         limit = cdf(model, LIMIT, t)
-        row = np.array([abs(brute_cdf(model, n, t) - limit) for n in range(1, k_max + 1)])
+        row = np.array([abs(brute_cdf(law, t) - limit) for law in atoms])
         alone = level_density_limit(row, cfg.eps, schedule, weights, cfg.density)
         assert point.trace == alone.trace
         assert point.tail_max == alone.tail_max
@@ -148,7 +149,7 @@ class TestLimitLawCheck:
     @pytest.mark.parametrize("detector", [st_dnp, st_dnm, st_dndc])
     def test_limit_marginal_that_depends_on_m_is_rejected(self, detector):
         # Y = m: the limit law at k_max = 200 is not the one at m = 1.
-        model = RVSequenceModel(lambda m: [(m, m, 1.0)], "y=m")
+        model = support_model(lambda m: [(m, m, 1.0)], "y=m")
         cesaro, ones = schedule_preset("cesaro"), weight_preset("ones")
         with pytest.raises(ModelError, match=r"m=200 .*m=1"):
             detector(model, cesaro, ones, cfg_at(200))

@@ -23,11 +23,12 @@ from dnstat.rvmodel import (
     model_preset,
     prob_limits_equal,
     sample,
+    support_model,
     tabulated_model,
     with_alt_limit,
 )
 
-from conftest import brute_cdf, brute_exceedance, brute_moment
+from conftest import REFERENCE_SUPPORTS, brute_cdf, brute_exceedance, brute_moment
 
 
 @pytest.fixture
@@ -95,21 +96,21 @@ class TestExactOperations:
 
 class TestValidation:
     def test_probability_sum_off_rejected(self):
-        bad = RVSequenceModel(lambda m: [(0.0, 0.0, 0.7)], "bad-sum")
+        bad = support_model(lambda m: [(0.0, 0.0, 0.7)], "bad-sum")
         with pytest.raises(ModelError, match="sum"):
             exceedance_prob(bad, 1, 0.5)
 
     def test_negative_probability_rejected(self):
-        bad = RVSequenceModel(lambda m: [(0.0, 0.0, 1.5), (1.0, 0.0, -0.5)], "neg")
+        bad = support_model(lambda m: [(0.0, 0.0, 1.5), (1.0, 0.0, -0.5)], "neg")
         with pytest.raises(ModelError):
             abs_moment(bad, 1, 1.0)
 
     def test_empty_support_rejected(self):
         with pytest.raises(ModelError, match="empty"):
-            RVSequenceModel(lambda m: [], "empty").atoms(1)
+            support_model(lambda m: [], "empty").atoms(1)
 
     def test_non_finite_value_rejected(self):
-        bad = RVSequenceModel(lambda m: [(math.inf, 0.0, 1.0)], "inf")
+        bad = support_model(lambda m: [(math.inf, 0.0, 1.0)], "inf")
         with pytest.raises(ModelError):
             bad.atoms(2)
 
@@ -185,7 +186,7 @@ class TestSampler:
         assert np.all(batch.values_m == 1.25)
 
     def test_zero_probability_atoms_never_drawn(self):
-        spiked = RVSequenceModel(
+        spiked = support_model(
             lambda m: [(0.0, 0.0, 0.5), (99.0, 0.0, 0.0), (1.0, 0.0, 0.5)], "spiked"
         )
         batch = sample(spiked, 2, 100_000, 11)
@@ -266,8 +267,20 @@ def same_bits(got: np.ndarray, want: list[float]) -> bool:
     return got.dtype == np.float64 and got.tobytes() == want_arr.tobytes()
 
 
+def float_bits(atoms) -> list[tuple[str, ...]]:
+    return [tuple(float(v).hex() for v in atom) for atom in atoms]
+
+
 class TestLawTables:
-    """Array levels against plain fsum loops over the support, bit for bit."""
+    """Array levels against plain fsum loops over the atoms, bit for bit."""
+
+    @pytest.mark.parametrize("spec", MODEL_ZOO)
+    def test_preset_atoms_equal_the_reference_supports(self, spec):
+        model = model_preset(spec).model
+        reference = REFERENCE_SUPPORTS[spec]
+        for n in [*range(1, 61), 10**4, 10**6]:
+            want = [atom for atom in reference(n) if atom[2] > 0.0]
+            assert float_bits(model.atoms(n)) == float_bits(want), (spec, n)
 
     @given(
         model=law_models,
@@ -279,18 +292,18 @@ class TestLawTables:
     @settings(max_examples=150, deadline=None)
     def test_levels_equal_the_fsum_oracles(self, model, k_max, eps, r, at):
         laws = model.laws(k_max)
-        ns = range(1, k_max + 1)
-        assert same_bits(laws.exceedance(eps), [brute_exceedance(model, n, eps) for n in ns])
-        assert same_bits(laws.moment(r), [brute_moment(model, n, r) for n in ns])
+        atoms = [model.atoms(n) for n in range(1, k_max + 1)]
+        assert same_bits(laws.exceedance(eps), [brute_exceedance(law, eps) for law in atoms])
+        assert same_bits(laws.moment(r), [brute_moment(law, r) for law in atoms])
         # Evaluation points on, just below and just above the atoms of some law.
-        values = {float(a) for a, _, _ in model.support(min(at, k_max))}
+        values = {a for a, _, _ in model.atoms(min(at, k_max))}
         points = {t for v in values for t in (v, math.nextafter(v, -math.inf),
                                                math.nextafter(v, math.inf))}
         for t in sorted(points) + [-1e9, 1e9]:
-            assert same_bits(laws.cdf(t), [brute_cdf(model, n, t) for n in ns])
+            assert same_bits(laws.cdf(t), [brute_cdf(law, t) for law in atoms])
         # The one-index views agree with the same oracles.
-        assert exceedance_prob(model, at, eps) == brute_exceedance(model, at, eps)
-        assert abs_moment(model, at, r) == brute_moment(model, at, r)
+        assert exceedance_prob(model, at, eps) == brute_exceedance(model.atoms(at), eps)
+        assert abs_moment(model, at, r) == brute_moment(model.atoms(at), r)
 
     def test_tabulated_law_index_follows_the_table(self):
         rows = {2: [(0.0, 0.0, 1.0)], 5: [(1.0, 0.0, 0.5), (0.0, 0.0, 0.5)]}
@@ -299,6 +312,11 @@ class TestLawTables:
         assert laws.index.tolist() == [1, 0, 1, 1, 1, 1, 1]
         assert laws.exceedance(0.5).tolist() == [0.5, 0.0, 0.5, 0.5, 0.5, 0.5, 0.5]
 
+    def test_keys_past_int64_are_looked_up(self):
+        # Indices are int64; a key beyond that range is the top row but matches no index.
+        rows = {1: [(0.0, 0.0, 1.0)], 10**20: [(1.0, 0.0, 0.5), (0.0, 0.0, 0.5)]}
+        assert tabulated_model(rows).laws(3).index.tolist() == [0, 1, 1]
+
     def test_each_distinct_law_is_checked_once(self):
         calls = []
 
@@ -306,13 +324,13 @@ class TestLawTables:
             calls.append(m)
             return [(1.0, 0.0, 0.5), (0.0, 0.0, 0.5)] if m % 2 else [(0.0, 0.0, 1.0)]
 
-        laws = RVSequenceModel(support, "alternating").laws(9)
+        laws = support_model(support, "alternating").laws(9)
         assert calls == list(range(1, 10))
         assert laws.index.tolist() == [0, 1] * 4 + [0]
         assert laws.a.shape == (2, 2)
 
     def test_bad_law_is_named_at_its_first_index(self):
-        model = RVSequenceModel(lambda m: [(0.0, 0.0, 1.0 if m < 4 else 0.7)], "bad-from-4")
+        model = support_model(lambda m: [(0.0, 0.0, 1.0 if m < 4 else 0.7)], "bad-from-4")
         with pytest.raises(ModelError, match="sum to 0.7 at m=4"):
             model.laws(10)
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnstat.schedules import (
@@ -25,7 +26,7 @@ from dnstat.schedules import (
     window_weight,
 )
 
-from conftest import brute_normalizer
+from conftest import brute_normalizer, reference_bounds
 
 
 class TestWindow:
@@ -60,7 +61,7 @@ class TestScheduleInvariants:
 
     @pytest.mark.parametrize("threshold", [10, 100, 1000])
     def test_window_top_is_unbounded(self, deferred, threshold):
-        assert deferred.attains(horizon=1000, threshold=threshold)
+        assert deferred.bounds_array(np.arange(1, 1001))[1].max() > threshold
 
     def test_stalled_schedule_rejected(self):
         flat = DeferredSchedule(Affine(0, 0), Affine(0, 7), "flat")
@@ -79,12 +80,6 @@ class TestConvolution:
         idw = weight_preset("identity")
         assert convolution(sched, idw, 3, NormalizerMode.LITERAL) == 6.0
         assert convolution(sched, idw, 3, NormalizerMode.REGULAR) == 3.0
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 5])
-    def test_override_sums_over_the_window(self, deferred, ones, m):
-        # Constant override 2m over a window of width 2m sums to 4m^2.
-        scheme = WeightScheme(ones.e, ones.g, override=lambda mm, n: 2.0 * mm, label="ov")
-        assert convolution(deferred, scheme, m) == 4.0 * m * m
 
     def test_zero_weights_yield_degenerate_normalizer(self, cesaro):
         zeros = WeightScheme(tabulated([0.0] * 50), tabulated([0.0] * 50), label="zeros")
@@ -124,12 +119,6 @@ class TestWindowWeight:
         idw = weight_preset("identity")
         # y(3) = 3, so n = 5 has no defined weight pairing.
         assert window_weight(cesaro, idw, 3, 5) == 0.0
-
-    def test_negative_weight_rejected(self, cesaro):
-        ones = weight_preset("ones")
-        bad = WeightScheme(ones.e, ones.g, override=lambda m, n: -1.0, label="neg")
-        with pytest.raises(WeightError):
-            window_weight(cesaro, bad, 2, 1)
 
     def test_tabulated_range_is_enforced(self):
         short = tabulated([1.0, 2.0], "short")
@@ -184,3 +173,53 @@ class TestAffineSpec:
         assert Affine(2, -1).spec() == "2m-1"
         assert Affine(1, 0).spec() == "m"
         assert Affine(0, 0).spec() == "0"
+
+
+
+def _bounds_or_error(fn):
+    """fn()'s (x, y) pairs as Python ints, or the message of the ScheduleError it raised."""
+    try:
+        return [tuple(map(int, pair)) for pair in fn()]
+    except ScheduleError as exc:
+        return str(exc)
+
+
+class TestBoundsArray:
+    @given(
+        ax=st.integers(-4, 4),
+        bx=st.integers(-20, 20),
+        ay=st.integers(-4, 4),
+        by=st.integers(-20, 20),
+        start=st.integers(-2, 3),
+        count=st.integers(0, 40),
+    )
+    @example(ax=3, bx=0, ay=2, by=5, start=1, count=40)  # x >= y from m = 5 on
+    @example(ax=-1, bx=3, ay=1, by=1, start=1, count=40)  # x < 0 from m = 4 on
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_index_loop(self, ax, bx, ay, by, start, count):
+        schedule = DeferredSchedule(Affine(ax, bx), Affine(ay, by), "random")
+        ms = list(range(start, start + count))
+        want = _bounds_or_error(lambda: reference_bounds(schedule, ms))
+        got = _bounds_or_error(lambda: zip(*schedule.bounds_array(np.array(ms, dtype=np.int64))))
+        assert got == want
+        if ms and isinstance(want, list):
+            assert schedule.bounds(ms[-1]) == want[-1]
+
+    def test_arrays_are_int64(self, deferred):
+        x, y = deferred.bounds_array(np.arange(1, 4))
+        assert x.dtype == y.dtype == np.int64
+        assert x.tolist() == [1, 3, 5] and y.tolist() == [3, 7, 11]
+
+    @pytest.mark.parametrize(
+        "a, top, ok",
+        [(2**62, 1, True), (2**62, 2, False), (2**62, 4, False), (2**70, 1, False)],
+    )
+    def test_affine_overflow_names_the_schedule(self, a, top, ok):
+        # |a| * max(m) + |b| must stay below 2^63; int64 arithmetic would wrap.
+        schedule = DeferredSchedule(Affine(0, 0), Affine(a, 0), "huge")
+        ms = np.arange(1, top + 1)
+        if ok:
+            assert schedule.bounds_array(ms)[1].tolist() == [a * m for m in range(1, top + 1)]
+        else:
+            with pytest.raises(ScheduleError, match=r"^schedule 'huge': affine .*overflows int64"):
+                schedule.bounds_array(ms)
