@@ -80,6 +80,7 @@ from .schedules import (
     schedule_preset,
     weight_preset,
     window,
+    window_mean,
     window_weight,
 )
 

@@ -211,12 +211,9 @@ def cmd_mean(args: argparse.Namespace) -> int:
         "normalizer_mode": mode.value,
     }
 
-    from .schedules import convolution, dn_mean  # noqa: PLC0415
+    from .schedules import window_mean  # noqa: PLC0415
 
-    rows = []
-    for m in range(1, args.horizon + 1):
-        r = convolution(schedule, weights, m, mode)
-        rows.append((m, r, dn_mean(seq, schedule, weights, m, mode)))
+    rows = [(m, *window_mean(seq, schedule, weights, m, mode)) for m in range(1, args.horizon + 1)]
 
     if args.format == "json":
         payload = {

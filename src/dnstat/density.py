@@ -12,6 +12,17 @@ returned so callers can tighten the run.
 Traced runs read m, x_m, y_m, R_m and floor(R_m) from one memoized
 ``WindowPlan``, built from one ``bounds_array`` call over the traced
 window indices; its R_m is exactly rounded, equal to ``convolution``.
+Non-constant weights sum their window products in chunks of consecutive
+windows on one of two branches, picked per chunk from the products:
+
+- int64 limbs, when every nonzero product is normal, the exponents
+  (frexp) of the products span at most 9 and no window sum can pass
+  2^1023: the products are scaled to exact integers, summed per window
+  in two 32-bit limbs and rounded once;
+- ``math.fsum`` over each window's products otherwise.
+
+Both return the correctly rounded sum, so R_m does not depend on the
+branch.
 Predicates of the separable form  w(m, n) * level(n) >= threshold  go
 through ``level_density_limits``, which counts a matrix of level rows
 (one row: ``level_density_limit``) in one pass, on one of two counting
@@ -74,6 +85,9 @@ _COUNT_CAP = 2_000_000
 
 # Traces longer than this are subsampled outside the tail window.
 _TRACE_CAP = 1000
+
+# Products per chunk of the exact window sums (``_window_sums``).
+_SUM_CHUNK = 2**14
 
 # Window plans kept per process: a detector run needs one, and a few more
 # cover callers that alternate between schedules or weights.
@@ -209,8 +223,12 @@ def window_plan(
     R_m is the exactly rounded sum of the window products, equal to
     ``convolution`` bit for bit: ``width * (e0 * g0)`` when both weight
     sequences are constant (what fsum returns for ``width`` equal terms),
-    and ``math.fsum`` over each window's products otherwise.  Raises
-    DegenerateNormalizerError at the first m with R_m <= 0, and
+    and ``_window_sums`` otherwise.  That sums chunks of about 2^14
+    products: in int64 limbs when the chunk's nonzero products are normal,
+    their frexp exponents span at most 9 and the sums stay below 2^1023,
+    and with ``math.fsum`` per window otherwise.  At the first bad m it
+    raises WeightError for an R_m that is not finite (a product or the
+    sum overflowed), DegenerateNormalizerError for R_m <= 0, and
     ValueError where floor(R_m) exceeds the counting cap.
     """
     ms = np.array(_trace_indices(cfg), dtype=np.int64)
@@ -225,21 +243,83 @@ def window_plan(
         r = (y - x).astype(np.float64) * (weights.e.constant * weights.g.constant)
     else:
         # LITERAL pairs e(v) with g(y_m - v), REGULAR g(n) with e(y_m - n).
-        head, tail = (e, g) if literal else (g, e)
-        r = np.array([
-            math.fsum((head[xv + 1 : yv + 1] * tail[: yv - xv][::-1]).tolist())
-            for xv, yv in zip(x.tolist(), y.tolist())
-        ])
+        r = _window_sums(*((e, g) if literal else (g, e)), x, y)
     bad = np.flatnonzero(~(r > 0.0) | (r >= _COUNT_CAP + 1))
     if bad.size:
-        m, rm = int(ms[bad[0]]), float(r[bad[0]])
-        if not rm > 0.0:
-            raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={rm}")
-        raise ValueError(f"floor(R_m)={math.floor(rm)} at m={m} exceeds counting cap {_COUNT_CAP}")
+        _check_normalizer(float(r[bad[0]]), int(ms[bad[0]]), weights.label)
     plan = WindowPlan(ms, x, y, r, np.floor(r).astype(np.int64), e, g)
     for arr in (plan.ms, plan.x, plan.y, plan.R, plan.k, plan.e, plan.g):
         arr.flags.writeable = False
     return plan
+
+
+def _window_sums(head: np.ndarray, tail: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exactly rounded sum of head[n] * tail[y_m - n] over x_m < n <= y_m, per window.
+
+    Consecutive windows are summed in chunks of about ``_SUM_CHUNK``
+    products (a wider window is a chunk of its own), so the temporaries
+    stay small.
+    """
+    ends = np.cumsum(y - x)
+    sums = np.empty(len(x))
+    start = 0
+    while start < len(x):
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _SUM_CHUNK, side="right")))
+        sums[start:stop] = _chunk_sums(head, tail, x[start:stop].tolist(), y[start:stop].tolist())
+        start = stop
+    return sums
+
+
+def _chunk_sums(head: np.ndarray, tail: np.ndarray, xs: list[int], ys: list[int]) -> list[float]:
+    """Window sums of one chunk: int64 limbs when exact, ``math.fsum`` otherwise.
+
+    The products are the same doubles either way.  When every nonzero
+    product is normal with its frexp exponent in [e_min, e_min + 9], each
+    is an integer multiple of 2^(e_min - 53), and ldexp by 53 - e_min
+    makes it an exact integer below 2^62.  Its low and high 32-bit limbs
+    are summed per window in int64 without overflow (a window under 2^31
+    terms), joined as a Python int and rounded once by ``float``.  The
+    ldexp back is exact because the result is normal: at least the
+    largest product, and below 2^1023 when e_max plus the bit length of
+    the widest window is at most 1023.  Any other chunk goes through fsum.
+    """
+    widths = [yv - xv for xv, yv in zip(xs, ys)]
+    starts = np.cumsum([0] + widths[:-1])
+    terms = np.empty(sum(widths))
+    with np.errstate(over="ignore"):  # an inf product makes R_m inf, which is reported
+        for xv, yv, at in zip(xs, ys, starts.tolist()):
+            np.multiply(head[xv + 1 : yv + 1], tail[: yv - xv][::-1], out=terms[at : at + yv - xv])
+    top = float(terms.max())
+    low = float(terms.min(where=terms > 0.0, initial=math.inf))
+    widest = max(widths)
+    if math.isfinite(top) and low < math.inf and widest < 2**31:
+        e_min, e_max = math.frexp(low)[1], math.frexp(top)[1]
+        if e_min >= -1021 and e_max - e_min <= 9 and e_max + widest.bit_length() <= 1023:
+            shift = 53 - e_min
+            ints = np.ldexp(terms, shift, out=terms).astype(np.int64)
+            lo = np.add.reduceat(ints & 0xFFFFFFFF, starts).tolist()
+            hi = np.add.reduceat(ints >> 32, starts).tolist()
+            return [math.ldexp(float((h << 32) + l), -shift) for h, l in zip(hi, lo)]
+    return [_fsum(terms[at : at + w].tolist()) for at, w in zip(starts.tolist(), widths)]
+
+
+def _fsum(terms: list[float]) -> float:
+    """``math.fsum``, with inf where finite terms sum past the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+def _check_normalizer(r: float, m: int, label: str) -> None:
+    """Raise for an R_m that is not finite, not positive or past the counting cap."""
+    if not math.isfinite(r):
+        raise WeightError(f"weights '{label}' give no finite window sum at m={m}: R_m={r}")
+    if not r > 0.0:
+        raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={r}")
+    if r >= _COUNT_CAP + 1:
+        raise ValueError(f"floor(R_m)={math.floor(r)} at m={m} exceeds counting cap {_COUNT_CAP}")
 
 
 def weighted_density(
@@ -250,11 +330,11 @@ def weighted_density(
     mode: NormalizerMode = NormalizerMode.REGULAR,
 ) -> float:
     """Density (1/R_m) * |{n : n <= floor(R_m), pred(m, n)}| in [0, 1]."""
-    r = convolution(schedule, weights, m, mode)
-    if r <= 0.0:
-        raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={r}")
-    if math.floor(r) > _COUNT_CAP:
-        raise ValueError(f"floor(R_m)={math.floor(r)} at m={m} exceeds counting cap {_COUNT_CAP}")
+    try:
+        r = convolution(schedule, weights, m, mode)
+    except OverflowError:  # fsum of finite terms past the float range
+        r = math.inf
+    _check_normalizer(r, m, weights.label)
     return sum(1 for n in range(1, math.floor(r) + 1) if pred(m, n)) / r
 
 

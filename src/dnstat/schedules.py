@@ -41,6 +41,7 @@ __all__ = [
     "window_weight",
     "convolution",
     "dn_mean",
+    "window_mean",
     "constant_seq",
     "identity_seq",
     "SCHEDULE_PRESETS",
@@ -177,8 +178,10 @@ class WeightSeq:
         return value
 
     def array(self, n_max: int) -> np.ndarray:
-        """Values at indices 0..n_max as a float64 array."""
+        """Values at indices 0..n_max as a float64 array; each must be finite and >= 0."""
         if self.constant is not None:
+            if not 0.0 <= self.constant < math.inf:
+                raise _weight_fault(self.label, 0, self.constant)
             return np.full(n_max + 1, self.constant, dtype=np.float64)
         if self.table is not None:
             if n_max >= len(self.table):
@@ -186,11 +189,12 @@ class WeightSeq:
                     f"tabulated weights '{self.label}' end at index "
                     f"{len(self.table) - 1}, requested up to {n_max}"
                 )
-            return np.asarray(self.table[: n_max + 1], dtype=np.float64)
-        out = np.fromiter((float(self.fn(i)) for i in range(n_max + 1)), np.float64, n_max + 1)
-        if np.any(out < 0):
-            bad = int(np.argmax(out < 0))
-            raise WeightError(f"weight sequence '{self.label}' negative at n={bad}")
+            out = np.asarray(self.table[: n_max + 1], dtype=np.float64)
+        else:
+            out = np.fromiter((float(self.fn(i)) for i in range(n_max + 1)), np.float64, n_max + 1)
+        bad = np.flatnonzero(~((out >= 0.0) & (out < np.inf)))
+        if bad.size:
+            raise _weight_fault(self.label, int(bad[0]), float(out[bad[0]]))
         return out
 
 
@@ -202,10 +206,16 @@ def _identity() -> WeightSeq:
     return WeightSeq(float, "identity")
 
 
+def _weight_fault(label: str, n: int, value: float) -> WeightError:
+    fault = "negative" if value < 0 else "not finite"
+    return WeightError(f"weight sequence '{label}' {fault} at n={n}: {value}")
+
+
 def tabulated(values: Sequence[float], label: str = "tabulated") -> WeightSeq:
     vals = tuple(float(v) for v in values)
-    if any(v < 0 for v in vals):
-        raise WeightError(f"tabulated weights '{label}' contain a negative value")
+    for n, v in enumerate(vals):
+        if not 0.0 <= v < math.inf:
+            raise _weight_fault(label, n, v)
     return WeightSeq(lambda n: vals[n], label, table=vals)
 
 
@@ -261,6 +271,17 @@ def dn_mean(
     normalizer convention.  REGULAR therefore reproduces constants
     exactly (up to summation rounding), LITERAL generally does not.
     """
+    return window_mean(seq, schedule, weights, m, mode)[1]
+
+
+def window_mean(
+    seq: Callable[[int], float],
+    schedule: DeferredSchedule,
+    weights: WeightScheme,
+    m: int,
+    mode: NormalizerMode = NormalizerMode.REGULAR,
+) -> tuple[float, float]:
+    """(R_m, t_m) of one window, summing R_m once for both; t_m is ``dn_mean``."""
     r = convolution(schedule, weights, m, mode)
     if r <= 0.0:
         raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={r}")
@@ -269,7 +290,7 @@ def dn_mean(
     num = math.fsum(
         weights.e(yv - n) * weights.g(n) * float(seq(n)) for n in range(xv + 1, yv + 1)
     )
-    return num / r
+    return r, num / r
 
 
 def constant_seq(c: float) -> Callable[[int], float]:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from dnstat import schedules
 from dnstat.cli import main
 
 
@@ -33,6 +35,14 @@ class TestMean:
         assert proc.returncode == 0
         rows = [l for l in proc.stdout.splitlines() if not l.startswith(("#", " " * 5 + "m"))]
         assert all(line.split()[-1] == "7.0" for line in rows if line.strip())
+
+    def test_one_normalizer_sum_per_row(self, monkeypatch, capsys):
+        calls = []
+        real = schedules.convolution
+        monkeypatch.setattr(schedules, "convolution", lambda *a: calls.append(a) or real(*a))
+        assert main(["mean", "--seq", "identity", "--schedule", "example", "--weights",
+                     "identity", "--horizon", "30"]) == 0
+        assert len(calls) == 30
 
     def test_malformed_schedule_exits_2(self):
         proc = run_cli("mean", "--seq", "identity", "--schedule", "5m,2m")
@@ -151,6 +161,23 @@ class TestDetect:
                        "--weights", "identity", "--horizon", "100")
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: degenerate normalizer at m=1")
+
+    @pytest.mark.parametrize(
+        "e, g, match",
+        [
+            ([1.0] * 5 + [math.inf] + [1.0] * 194, [1.0] * 200, "'e-table' not finite at n=5"),
+            ([1.0] * 200, [1.0] * 7 + [math.nan] + [1.0] * 192, "'g-table' not finite at n=7"),
+            # Finite entries whose products overflow.
+            ([1e200] * 200, [1e200] * 200, "no finite window sum at m=1"),
+        ],
+    )
+    def test_weights_that_are_not_finite_exit_2(self, tmp_path, e, g, match):
+        cfg = tmp_path / "weights.json"
+        cfg.write_text(json.dumps({"model": "example1", "weights": {"e": e, "g": g}}))
+        proc = run_cli("detect", "--config", str(cfg), "--horizon", "40")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error:") and match in proc.stderr
+        assert "Warning" not in proc.stderr
 
     def test_schedule_past_int64_exits_2(self, capsys):
         # 2^62 * 100 leaves int64: the bounds are checked in Python ints, not wrapped.

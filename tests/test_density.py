@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dnstat import density
 from dnstat.density import (
     ConvergenceVerdict,
     DensityConfig,
@@ -20,6 +21,7 @@ from dnstat.density import (
     level_density_limits,
     trace_csv,
     weighted_density,
+    _window_sums,
     window_plan,
 )
 from dnstat.detectors import DetectorConfig, st_dndc
@@ -197,6 +199,25 @@ class TestLevelEngine:
             level_density_limit(np.zeros(3), 0.5, cesaro, ones, DensityConfig(horizon=100))
 
 
+def weight_table(kind: str, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Table values that steer the window sums onto one branch or the other.
+
+    zeros and spread<s> with s <= 9 sum in int64 limbs; subnormal (some
+    subnormal products), wide (values from 1e-300 to 1e300) and larger
+    spreads go through fsum.  spread<s> alternates values with frexp
+    exponents 0 and -s, so its products with 1 span exactly s.
+    """
+    if kind == "zeros":
+        return np.where(rng.random(size) < 0.2, 0.0, rng.uniform(0.1, 5.0, size))
+    if kind == "subnormal":
+        tiny = rng.integers(1, 2**40, size) * 5e-324
+        return np.where(rng.random(size) < 0.3, tiny, rng.uniform(0.1, 5.0, size))
+    if kind == "wide":
+        return 10.0 ** rng.uniform(-300.0, 300.0, size)
+    spread = int(kind.removeprefix("spread"))
+    return rng.uniform(0.5, 1.0, size) * 2.0 ** (-spread * (np.arange(size) % 2))
+
+
 @st.composite
 def plan_inputs(draw):
     """A growing schedule, a weight scheme, a normalizer mode and a horizon."""
@@ -211,10 +232,19 @@ def plan_inputs(draw):
     horizon = draw(st.integers(10, 24))
     top = schedule.y(horizon)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["ones", "identity", "table", "constant"]))
+    kind = draw(st.sampled_from(
+        ["ones", "identity", "table", "constant", "zeros", "subnormal", "spread9", "spread10"]
+    ))
     if kind == "table":
         e = tabulated(rng.uniform(0.1, 5.0, top + 1), "rand-e")
         weights = WeightScheme(e, tabulated(rng.uniform(0.1, 5.0, top + 1), "rand-g"), label="t")
+    elif kind in ("zeros", "subnormal"):
+        e, g = (tabulated(weight_table(kind, rng, top + 1), side) for side in "eg")
+        weights = WeightScheme(e, g, label=kind)
+    elif kind.startswith("spread"):
+        # g = 1 makes the products the e values, so the spread is exact.
+        e = tabulated(weight_table(kind, rng, top + 1), kind)
+        weights = WeightScheme(e, tabulated([1.0] * (top + 1), "one-g"), label=kind)
     elif kind == "constant":
         c = float(rng.uniform(0.1, 5.0))
         weights = WeightScheme(WeightSeq(lambda n: c, "c", constant=c), weight_preset("ones").g)
@@ -233,10 +263,14 @@ class TestWindowPlan:
     @settings(max_examples=60, deadline=None)
     def test_plan_matches_convolution_and_brute_counts(self, inputs):
         schedule, weights, cfg, rng = inputs
+        expected = [convolution(schedule, weights, m, cfg.mode) for m in range(1, cfg.horizon + 1)]
+        # A window of zero weights is degenerate, which other tests cover.
+        assume(min(expected) > 0.0)
         plan = window_plan(schedule, weights, cfg)
+        assert plan.ms.tolist() == list(range(1, cfg.horizon + 1))
+        assert [r.hex() for r in plan.R.tolist()] == [r.hex() for r in expected]
         assert np.array_equal(plan.k, np.floor(plan.R))
         for m, r in zip(plan.ms.tolist(), plan.R.tolist()):
-            assert r == convolution(schedule, weights, m, cfg.mode)
             assert r == pytest.approx(brute_normalizer(schedule, weights, m, cfg.mode), rel=1e-13)
         levels = rng.uniform(0.0, 2.0, plan.k_max)
         v = level_density_limit(levels, 1.0, schedule, weights, cfg)
@@ -247,6 +281,63 @@ class TestWindowPlan:
                 if brute_weight(schedule, weights, point.m, n) * levels[n - 1] >= 1.0
             )
             assert point.count == brute
+
+    @given(
+        kind=st.sampled_from(["zeros", "subnormal", "wide", "spread9", "spread10", "spread11"]),
+        preset=st.sampled_from(["cesaro", "example", "stretch"]),
+        mode=st.sampled_from(list(NormalizerMode)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_window_sums_equal_convolution_on_both_branches(self, kind, preset, mode, seed):
+        # R_m past the counting cap never reaches a plan, so the sums are
+        # checked directly, over a range of weights no plan would accept.
+        schedule = schedule_preset(preset)
+        x, y = schedule.bounds_array(np.arange(1, 41))
+        rng = np.random.default_rng(seed)
+        e = weight_table(kind, rng, int(y.max()) + 1)
+        if kind in ("zeros", "subnormal"):
+            g = weight_table(kind, rng, len(e))
+        else:
+            g = rng.uniform(0.5, 1.5, len(e)) if kind == "wide" else np.ones(len(e))
+        literal = mode is NormalizerMode.LITERAL
+        sums = _window_sums(*((e, g) if literal else (g, e)), x, y)
+        weights = WeightScheme(tabulated(e), tabulated(g))
+        for m, r in enumerate(sums.tolist(), 1):
+            try:
+                expected = convolution(schedule, weights, m, mode)
+            except OverflowError:  # fsum of finite terms past the float range
+                expected = math.inf
+            assert r.hex() == expected.hex(), m
+
+    @pytest.mark.parametrize("spread, limbs", [(9, True), (10, False), (11, False)])
+    def test_wide_windows_at_the_spread_limit(self, spread, limbs, monkeypatch):
+        # Windows of 7,000m terms, 70,000 at m = 10, each its own chunk.  Half
+        # the terms sit at the top of the spread, so one int64 accumulator
+        # would overflow; spreads past 9 must go through fsum.
+        rng = np.random.default_rng(spread)
+        size = 70_001
+        g = weight_table(f"spread{spread}", rng, size)
+        rng.shuffle(g[1:])
+        schedule = DeferredSchedule(Affine(0, 0), Affine(7000, 0), "wide")
+        weights = WeightScheme(tabulated([1.0] * size), tabulated(g), label="wide")
+        fsum_calls = []
+        real_fsum = density._fsum
+        monkeypatch.setattr(density, "_fsum", lambda t: fsum_calls.append(1) or real_fsum(t))
+        window_plan.cache_clear()
+        plan = window_plan(schedule, weights, DensityConfig(horizon=10))
+        assert int((plan.y - plan.x).max()) > 2**16
+        for yv, r in zip(plan.y.tolist(), plan.R.tolist()):
+            assert r.hex() == math.fsum(g[1 : yv + 1].tolist()).hex()
+        assert len(fsum_calls) == (0 if limbs else 10)
+
+    def test_window_sum_past_the_float_range_is_a_weight_error(self, deferred):
+        # Every window holds at least two terms of 1e308, so R_1 overflows.
+        big = WeightScheme(tabulated([1e308] * 41), weight_preset("ones").g, label="big")
+        with pytest.raises(WeightError, match="'big' give no finite window sum at m=1"):
+            window_plan(deferred, big, DensityConfig(horizon=10))
+        with pytest.raises(WeightError, match="'big' give no finite window sum at m=1"):
+            weighted_density(lambda m, n: True, deferred, big, 1)
 
     def test_regular_e_table_covering_only_the_widths(self, deferred, cesaro, ones):
         cfg = DensityConfig(horizon=50, tail_fraction=0.5, tolerance=0.1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from dnstat.schedules import (
     ScheduleError,
     WeightError,
     WeightScheme,
+    WeightSeq,
     constant_seq,
     convolution,
     dn_mean,
@@ -23,6 +26,7 @@ from dnstat.schedules import (
     tabulated,
     weight_preset,
     window,
+    window_mean,
     window_weight,
 )
 
@@ -120,6 +124,19 @@ class TestWindowWeight:
         # y(3) = 3, so n = 5 has no defined weight pairing.
         assert window_weight(cesaro, idw, 3, 5) == 0.0
 
+    @pytest.mark.parametrize("bad, fault", [
+        (math.inf, "not finite"), (math.nan, "not finite"), (-math.inf, "negative"),
+    ])
+    def test_weights_that_are_not_finite_name_the_index(self, bad, fault):
+        with pytest.raises(WeightError, match=f"'t' {fault} at n=2"):
+            tabulated([1.0, 1.0, bad, 1.0], "t")
+        computed = WeightSeq(lambda n: bad if n == 2 else 1.0, "f")
+        with pytest.raises(WeightError, match=f"'f' {fault} at n=2"):
+            computed.array(4)
+        constant = WeightSeq(lambda n: bad, "c", constant=bad)
+        with pytest.raises(WeightError, match=f"'c' {fault} at n=0"):
+            constant.array(4)
+
     def test_tabulated_range_is_enforced(self):
         short = tabulated([1.0, 2.0], "short")
         with pytest.raises(WeightError, match="end at index 1"):
@@ -163,9 +180,9 @@ class TestDnMean:
         )
         for mode in NormalizerMode:
             r = convolution(deferred, idw, m, mode)
-            assert dn_mean(identity_seq, deferred, idw, m, mode) == pytest.approx(
-                num / r, rel=1e-13
-            )
+            t = dn_mean(identity_seq, deferred, idw, m, mode)
+            assert t == pytest.approx(num / r, rel=1e-13)
+            assert window_mean(identity_seq, deferred, idw, m, mode) == (r, t)
 
 
 class TestAffineSpec:
