@@ -42,6 +42,7 @@ from .schedules import (
     WeightError,
     constant_seq,
     identity_seq,
+    window_mean,
 )
 
 __all__ = ["main"]
@@ -210,8 +211,6 @@ def cmd_mean(args: argparse.Namespace) -> int:
         "horizon": args.horizon,
         "normalizer_mode": mode.value,
     }
-
-    from .schedules import window_mean  # noqa: PLC0415
 
     rows = [(m, *window_mean(seq, schedule, weights, m, mode)) for m in range(1, args.horizon + 1)]
 
@@ -419,14 +418,9 @@ def _repro_report(seed: int) -> list[str]:
         weights,
         kcfg,
     )
-    for label, verdict in report.conditions.items():
-        lines.append(
-            f"nullset condition {label}: {verdict.verdict.value} tail_max={verdict.tail_max!r}"
-        )
-    for label, verdict in report.conclusions.items():
-        lines.append(
-            f"nullset conclusion {label}: {verdict.verdict.value} tail_max={verdict.tail_max!r}"
-        )
+    for role, verdicts in (("condition", report.conditions), ("conclusion", report.conclusions)):
+        for label, v in verdicts.items():
+            lines.append(f"nullset {role} {label}: {v.verdict.value} tail_max={v.tail_max!r}")
     report_cdf = korovkin_check(
         lifted_operator(Perturbation.CDF_FACTOR, kcfg.tail_tol),
         "dndc",

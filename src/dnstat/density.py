@@ -6,8 +6,8 @@ divides by R_m, where R_m is the window weight sum of the active
 normalizer convention.  ``density_limit`` evaluates that density along a
 horizon of window indices and reports whether the tail stays below a
 tolerance.  A finite horizon cannot certify a limit, so the verdict can
-also be Inconclusive when the tail oscillates; the full trace is always
-returned so callers can tighten the run.
+also be Inconclusive when the tail oscillates; the trace is always
+returned, as read-only columns, so callers can tighten the run.
 
 Traced runs read m, x_m, y_m, R_m and floor(R_m) from one memoized
 ``WindowPlan``, built from one ``bounds_array`` call over the traced
@@ -55,12 +55,13 @@ import numpy as np
 
 from .schedules import (
     DeferredSchedule,
-    DegenerateNormalizerError,
     NormalizerMode,
     WeightError,
     WeightScheme,
     WeightSeq,
+    check_normalizer,
     convolution,
+    fsum_or_inf,
 )
 
 __all__ = [
@@ -133,7 +134,7 @@ class DensityConfig:
 
 @dataclass(frozen=True)
 class TracePoint:
-    """One density evaluation: (m, R_m, count, d_m)."""
+    """One row of a verdict's trace: (m, R_m, count, d_m)."""
 
     m: int
     normalizer: float
@@ -141,26 +142,33 @@ class TracePoint:
     density: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceVerdict:
     """Outcome of a density limit run.
 
-    ``tail_max`` is the maximum density over the tail window.  The
-    verdict is Converges exactly when tail_max < tolerance; above the
-    tolerance it is Diverges unless the tail moves by more than the
-    tolerance in both directions, which is reported as Inconclusive.
-    Sub-tolerance oscillation never blocks a Converges verdict.
+    The trace is four read-only columns, one entry per traced window: ``ms``,
+    ``R`` (both the window plan's), ``count`` and ``density`` = count / R;
+    ``trace`` is their row view.  ``tail_max`` is the maximum density over
+    the tail window.  The verdict is Converges exactly when tail_max <
+    tolerance; above the tolerance it is Diverges unless the tail moves by
+    more than the tolerance in both directions, which is reported as
+    Inconclusive.  Sub-tolerance oscillation never blocks a Converges verdict.
     """
 
     verdict: Verdict
-    trace: tuple[TracePoint, ...]
+    ms: np.ndarray
+    R: np.ndarray
+    count: np.ndarray
+    density: np.ndarray
     tail_max: float
     config: DensityConfig
     extras: Mapping[str, object] = field(default_factory=dict)
 
-    def tail_points(self) -> tuple[TracePoint, ...]:
-        start = self.config.tail_start()
-        return tuple(p for p in self.trace if p.m >= start)
+    @property
+    def trace(self) -> tuple[TracePoint, ...]:
+        """The columns as rows, built on access; only ``perfbench/tracing.py`` reads it."""
+        rows = zip(self.ms.tolist(), self.R.tolist(), self.count.tolist(), self.density.tolist())
+        return tuple(TracePoint(*row) for row in rows)
 
     def summary(self) -> dict[str, object]:
         return {
@@ -170,17 +178,18 @@ class ConvergenceVerdict:
             "tail_fraction": self.config.tail_fraction,
             "tolerance": self.config.tolerance,
             "normalizer_mode": self.config.mode.value,
-            "trace_points": len(self.trace),
+            "trace_points": len(self.ms),
         }
 
 
-def _trace_indices(cfg: DensityConfig) -> list[int]:
+def _trace_indices(cfg: DensityConfig) -> np.ndarray:
     """Window indices to evaluate: dense tail plus a subsampled head."""
     tail_start = cfg.tail_start()
-    head = list(range(1, tail_start))
-    if len(head) > _TRACE_CAP:
-        head = np.unique(np.linspace(1, tail_start - 1, _TRACE_CAP).astype(np.int64)).tolist()
-    return head + list(range(tail_start, cfg.horizon + 1))
+    # Every head index when there are at most _TRACE_CAP, else that many spread
+    # evenly; adjacent repeats are dropped (np.unique imports numpy.ma).
+    head = np.linspace(1, tail_start - 1, min(tail_start - 1, _TRACE_CAP)).astype(np.int64)
+    head = head[np.diff(head, prepend=0) > 0]
+    return np.concatenate((head, np.arange(tail_start, cfg.horizon + 1, dtype=np.int64)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +240,7 @@ def window_plan(
     sum overflowed), DegenerateNormalizerError for R_m <= 0, and
     ValueError where floor(R_m) exceeds the counting cap.
     """
-    ms = np.array(_trace_indices(cfg), dtype=np.int64)
+    ms = _trace_indices(cfg)
     x, y = schedule.bounds_array(ms)
     literal = cfg.mode is NormalizerMode.LITERAL
     w_top = int((y - x).max()) - 1
@@ -301,23 +310,12 @@ def _chunk_sums(head: np.ndarray, tail: np.ndarray, xs: list[int], ys: list[int]
             lo = np.add.reduceat(ints & 0xFFFFFFFF, starts).tolist()
             hi = np.add.reduceat(ints >> 32, starts).tolist()
             return [math.ldexp(float((h << 32) + l), -shift) for h, l in zip(hi, lo)]
-    return [_fsum(terms[at : at + w].tolist()) for at, w in zip(starts.tolist(), widths)]
-
-
-def _fsum(terms: list[float]) -> float:
-    """``math.fsum``, with inf where finite terms sum past the float range."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return math.inf
+    return [fsum_or_inf(terms[at : at + w].tolist()) for at, w in zip(starts.tolist(), widths)]
 
 
 def _check_normalizer(r: float, m: int, label: str) -> None:
-    """Raise for an R_m that is not finite, not positive or past the counting cap."""
-    if not math.isfinite(r):
-        raise WeightError(f"weights '{label}' give no finite window sum at m={m}: R_m={r}")
-    if not r > 0.0:
-        raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={r}")
+    """``check_normalizer``, then ValueError where floor(R_m) exceeds the counting cap."""
+    check_normalizer(r, m, label)
     if r >= _COUNT_CAP + 1:
         raise ValueError(f"floor(R_m)={math.floor(r)} at m={m} exceeds counting cap {_COUNT_CAP}")
 
@@ -330,32 +328,32 @@ def weighted_density(
     mode: NormalizerMode = NormalizerMode.REGULAR,
 ) -> float:
     """Density (1/R_m) * |{n : n <= floor(R_m), pred(m, n)}| in [0, 1]."""
-    try:
-        r = convolution(schedule, weights, m, mode)
-    except OverflowError:  # fsum of finite terms past the float range
-        r = math.inf
+    r = convolution(schedule, weights, m, mode)
     _check_normalizer(r, m, weights.label)
     return sum(1 for n in range(1, math.floor(r) + 1) if pred(m, n)) / r
 
 
 def _assemble(
-    points: list[TracePoint],
+    plan: WindowPlan,
+    count: np.ndarray,
+    density: np.ndarray,
     cfg: DensityConfig,
-    extras: Mapping[str, object] | None,
+    extras: Mapping[str, object],
 ) -> ConvergenceVerdict:
-    tail_start = cfg.tail_start()
-    tail = [p.density for p in points if p.m >= tail_start]
-    tail_max = max(tail)
+    """Tail rule on one row of densities; count and density become read-only."""
+    tail = density[np.searchsorted(plan.ms, cfg.tail_start()) :]
+    tail_max = float(tail.max())
     if tail_max < cfg.tolerance:
         verdict = Verdict.CONVERGES
     else:
-        diffs = np.diff(np.asarray(tail))
+        diffs = np.diff(tail)
         up = float(diffs.max(initial=0.0))
         down = float(-diffs.min(initial=0.0))
         # Oscillation guard: moving more than the tolerance in both
         # directions means the tail has not settled.
         verdict = Verdict.INCONCLUSIVE if min(up, down) > cfg.tolerance else Verdict.DIVERGES
-    return ConvergenceVerdict(verdict, tuple(points), tail_max, cfg, dict(extras or {}))
+    count.flags.writeable = density.flags.writeable = False
+    return ConvergenceVerdict(verdict, plan.ms, plan.R, count, density, tail_max, cfg, extras)
 
 
 def density_limit(
@@ -373,8 +371,8 @@ def density_limit(
     """
     plan = window_plan(schedule, weights, cfg)
     vector_ok: bool | None = None
-    points: list[TracePoint] = []
-    for m, r, k in zip(plan.ms.tolist(), plan.R.tolist(), plan.k.tolist()):
+    counts: list[int] = []
+    for m, k in zip(plan.ms.tolist(), plan.k.tolist()):
         try:
             if vector_ok is None:
                 vector_ok = _probe_vector_pred(pred, m)
@@ -388,8 +386,9 @@ def density_limit(
                 count = sum(1 for n in range(1, k + 1) if pred(m, n))
         except Exception as exc:
             raise RuntimeError(f"density evaluation failed at m={m}: {exc}") from exc
-        points.append(TracePoint(m, r, count, count / r))
-    return _assemble(points, cfg, None)
+        counts.append(count)
+    count_col = np.array(counts, dtype=np.int64)
+    return _assemble(plan, count_col, count_col / plan.R, cfg, {})
 
 
 def _probe_vector_pred(pred: Callable, m: int) -> bool:
@@ -465,16 +464,10 @@ def level_density_limits(
 
     count = _prefix_counts if weights.e.constant is not None else _window_counts
     counts = count(plan, rows, threshold, weights.label)
-    verdicts = []
-    for i, row_counts in enumerate(counts.tolist()):
-        points = [
-            TracePoint(m, r, c, c / r)
-            for m, r, c in zip(plan.ms.tolist(), plan.R.tolist(), row_counts)
-        ]
-        merged = dict(extras[i] if extras else {})
-        merged.setdefault("threshold", threshold)
-        verdicts.append(_assemble(points, cfg, merged))
-    return verdicts
+    return [
+        _assemble(plan, c, d, cfg, {"threshold": threshold, **x})
+        for c, d, x in zip(counts, counts / plan.R, extras or [{}] * len(rows))
+    ]
 
 
 def _window_counts(
@@ -550,11 +543,11 @@ def dn_stat_limit(
 
 
 def trace_csv(verdict: ConvergenceVerdict) -> str:
-    """Trace as CSV text with columns m, R_m, count, d_m."""
+    """Trace as CSV text with columns m, R_m, count, d_m; floats by repr."""
+    v = verdict
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["m", "R_m", "count", "d_m"])
-    for p in verdict.trace:
-        writer.writerow([p.m, repr(p.normalizer), p.count, repr(p.density)])
+    writer.writerows(zip(v.ms.tolist(), v.R.tolist(), v.count.tolist(), v.density.tolist()))
     return buf.getvalue()
 

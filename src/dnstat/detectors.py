@@ -28,7 +28,7 @@ theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -155,8 +155,8 @@ def st_dndc(
     """Statistical convergence in distribution at every grid point.
 
     Per-point verdicts are returned in extras["points"]; the overall
-    verdict Converges only when every point converges, the trace shown
-    is the worst point's trace.
+    verdict Converges only when every point converges, the trace columns
+    shown are the worst point's.
     """
     grid = cfg.grid if cfg.grid is not None else default_grid(model)
     if not grid:
@@ -185,12 +185,10 @@ def st_dndc(
         overall = Verdict.INCONCLUSIVE
     else:
         overall = Verdict.CONVERGES
-    return ConvergenceVerdict(
-        overall,
-        worst.trace,
-        worst.tail_max,
-        cfg.density,
-        {"detector": "dndc", "eps": cfg.eps, "grid": tuple(grid), "points": per_point},
+    return replace(
+        worst,
+        verdict=overall,
+        extras={"detector": "dndc", "eps": cfg.eps, "grid": tuple(grid), "points": per_point},
     )
 
 

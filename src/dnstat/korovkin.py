@@ -48,7 +48,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .density import ConvergenceVerdict, DensityConfig, counting_bound, level_density_limit
+from .density import ConvergenceVerdict, DensityConfig, Verdict, counting_bound, level_density_limit
 from .rvmodel import model_preset
 from .schedules import DeferredSchedule, NormalizerMode, WeightScheme
 
@@ -587,8 +587,6 @@ class KorovkinReport:
 
     @property
     def all_conditions_converge(self) -> bool:
-        from .density import Verdict  # noqa: PLC0415
-
         return all(v.verdict is Verdict.CONVERGES for v in self.conditions.values())
 
     def sup_trace(self, label: str) -> np.ndarray:
@@ -611,10 +609,9 @@ class KorovkinReport:
 
     def table(self) -> str:
         lines = [f"{'function':10} {'role':10} {'verdict':13} tail_max"]
-        for label, v in self.conditions.items():
-            lines.append(f"{label:10} {'condition':10} {v.verdict.value:13} {v.tail_max!r}")
-        for label, v in self.conclusions.items():
-            lines.append(f"{label:10} {'conclusion':10} {v.verdict.value:13} {v.tail_max!r}")
+        for role, verdicts in (("condition", self.conditions), ("conclusion", self.conclusions)):
+            for label, v in verdicts.items():
+                lines.append(f"{label:10} {role:10} {v.verdict.value:13} {v.tail_max!r}")
         return "\n".join(lines)
 
 

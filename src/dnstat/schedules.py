@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +40,8 @@ __all__ = [
     "window",
     "window_weight",
     "convolution",
+    "fsum_or_inf",
+    "check_normalizer",
     "dn_mean",
     "window_mean",
     "constant_seq",
@@ -247,15 +249,31 @@ def convolution(
 ) -> float:
     """Window weight sum R_m under the chosen normalizer convention.
 
-    Returns a non-negative float; a zero result is the degenerate case
-    that downstream means and densities must refuse to divide by.
-    Summation uses math.fsum, so the result does not depend on term
-    order or platform.
+    Returns a non-negative float, inf where a product or the sum passes
+    the float range; ``check_normalizer`` rejects both inf and the
+    degenerate zero.  Summation uses math.fsum, so the result does not
+    depend on term order or platform.
     """
     xv, yv = schedule.bounds(m)
     if mode is NormalizerMode.LITERAL:
-        return math.fsum(weights.e(v) * weights.g(yv - v) for v in range(xv + 1, yv + 1))
-    return math.fsum(weights.e(yv - n) * weights.g(n) for n in range(xv + 1, yv + 1))
+        return fsum_or_inf(weights.e(v) * weights.g(yv - v) for v in range(xv + 1, yv + 1))
+    return fsum_or_inf(weights.e(yv - n) * weights.g(n) for n in range(xv + 1, yv + 1))
+
+
+def fsum_or_inf(terms: Iterable[float]) -> float:
+    """``math.fsum``, with inf where finite terms sum past the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+def check_normalizer(r: float, m: int, label: str) -> None:
+    """Raise WeightError for an R_m that is not finite, DegenerateNormalizerError for R_m <= 0."""
+    if not math.isfinite(r):
+        raise WeightError(f"weights '{label}' give no finite window sum at m={m}: R_m={r}")
+    if not r > 0.0:
+        raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={r}")
 
 
 def dn_mean(
@@ -283,8 +301,7 @@ def window_mean(
 ) -> tuple[float, float]:
     """(R_m, t_m) of one window, summing R_m once for both; t_m is ``dn_mean``."""
     r = convolution(schedule, weights, m, mode)
-    if r <= 0.0:
-        raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={r}")
+    check_normalizer(r, m, weights.label)
     xv, yv = schedule.bounds(m)
     # n <= y_m throughout the window, so every slot has its weight e(y_m - n) * g(n).
     num = math.fsum(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from dnstat.schedules import (
@@ -126,6 +127,12 @@ def brute_moment(atoms, r: float) -> float:
 def brute_cdf(atoms, t: float) -> float:
     """P(Y_n <= t) as a plain fsum over model.atoms(n)."""
     return math.fsum(p for a, _, p in atoms if a <= t)
+
+
+def same_columns(a, b) -> bool:
+    """Whether two verdicts hold equal trace columns."""
+    columns = ("ms", "R", "count", "density")
+    return all(np.array_equal(getattr(a, c), getattr(b, c)) for c in columns)
 
 
 def is_square(n: int) -> bool:

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -43,6 +44,24 @@ class TestMean:
         assert main(["mean", "--seq", "identity", "--schedule", "example", "--weights",
                      "identity", "--horizon", "30"]) == 0
         assert len(calls) == 30
+
+    @pytest.mark.parametrize(
+        "e, g, match",
+        [
+            # Finite entries whose products overflow.
+            ([1e200] * 10, [1e200] * 10, "no finite window sum at m=1"),
+            # Finite products whose sum passes the float range.
+            ([1e308] * 10, [1.0] * 10, "no finite window sum at m=2"),
+        ],
+    )
+    def test_normalizer_that_is_not_finite_exits_2(self, tmp_path, capsys, e, g, match):
+        cfg = tmp_path / "weights.json"
+        cfg.write_text(json.dumps({"seq": "identity", "weights": {"e": e, "g": g}}))
+        status = main(["mean", "--config", str(cfg), "--horizon", "3"])
+        out, err = capsys.readouterr()
+        assert status == 2, err
+        assert err.startswith("config error:") and match in err
+        assert out == ""
 
     def test_malformed_schedule_exits_2(self):
         proc = run_cli("mean", "--seq", "identity", "--schedule", "5m,2m")
@@ -178,6 +197,21 @@ class TestDetect:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("config error:") and match in proc.stderr
         assert "Warning" not in proc.stderr
+
+    def test_detect_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, which costs more than
+        # the rest of this run.
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+            from dnstat.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = main(["detect", "--model", "example1", "--mode", "all",
+                               "--horizon", "30000"])
+            print(status, "numpy.ma" in sys.modules)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=240)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
     def test_schedule_past_int64_exits_2(self, capsys):
         # 2^62 * 100 leaves int64: the bounds are checked in Python ints, not wrapped.

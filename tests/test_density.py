@@ -41,7 +41,13 @@ from dnstat.schedules import (
     weight_preset,
 )
 
-from conftest import brute_density_count, brute_normalizer, brute_weight, is_square
+from conftest import (
+    brute_density_count,
+    brute_normalizer,
+    brute_weight,
+    is_square,
+    same_columns,
+)
 
 
 def squares_pred(m, n):
@@ -136,7 +142,7 @@ class TestDensityLimit:
     def test_trace_is_subsampled_with_dense_tail(self, cesaro, ones):
         cfg = DensityConfig(horizon=10_000)
         v = density_limit(lambda m, n: False, cesaro, ones, cfg)
-        ms = [p.m for p in v.trace]
+        ms = v.ms.tolist()
         tail_start = cfg.tail_start()
         tail = [m for m in ms if m >= tail_start]
         assert tail == list(range(tail_start, 10_001))
@@ -178,11 +184,11 @@ class TestDensityLimit:
     def test_matches_brute_counts_on_a_small_horizon(self, deferred, ones):
         cfg = DensityConfig(horizon=60, tail_fraction=0.5, tolerance=0.1)
         v = density_limit(squares_pred, deferred, ones, cfg)
-        for point in v.trace:
-            count, r = brute_density_count(squares_pred, deferred, ones, point.m)
-            assert point.count == count
-            assert point.normalizer == pytest.approx(r, rel=1e-14)
-            assert point.density == count / point.normalizer
+        for m, r, c, d in zip(v.ms.tolist(), v.R.tolist(), v.count.tolist(), v.density.tolist()):
+            count, brute_r = brute_density_count(squares_pred, deferred, ones, m)
+            assert c == count
+            assert r == pytest.approx(brute_r, rel=1e-14)
+            assert d == count / r
 
 
 class TestLevelEngine:
@@ -191,7 +197,7 @@ class TestLevelEngine:
         levels = np.array([1.0 / n for n in range(1, 301)])
         va = level_density_limit(levels, 0.25, cesaro, ones, cfg)
         vb = level_density_limit(lambda n: 1.0 / n, 0.25, cesaro, ones, cfg)
-        assert [p.count for p in va.trace] == [p.count for p in vb.trace]
+        assert np.array_equal(va.count, vb.count)
         assert va.verdict is vb.verdict is Verdict.CONVERGES
 
     def test_short_level_array_rejected(self, cesaro, ones):
@@ -274,13 +280,17 @@ class TestWindowPlan:
             assert r == pytest.approx(brute_normalizer(schedule, weights, m, cfg.mode), rel=1e-13)
         levels = rng.uniform(0.0, 2.0, plan.k_max)
         v = level_density_limit(levels, 1.0, schedule, weights, cfg)
-        for point in v.trace:
-            brute = sum(
-                1
-                for n in range(1, math.floor(point.normalizer) + 1)
-                if brute_weight(schedule, weights, point.m, n) * levels[n - 1] >= 1.0
-            )
-            assert point.count == brute
+        assert np.array_equal(v.ms, density._trace_indices(cfg))
+        assert v.R is plan.R
+
+        def hit(m, n):
+            return brute_weight(schedule, weights, m, n) * levels[n - 1] >= 1.0
+
+        brute = [brute_density_count(hit, schedule, weights, m, cfg.mode)[0] for m in v.ms.tolist()]
+        assert v.count.tolist() == brute
+        assert [d.hex() for d in v.density.tolist()] == [
+            (c / r).hex() for c, r in zip(brute, plan.R.tolist())
+        ]
 
     @given(
         kind=st.sampled_from(["zeros", "subnormal", "wide", "spread9", "spread10", "spread11"]),
@@ -304,11 +314,7 @@ class TestWindowPlan:
         sums = _window_sums(*((e, g) if literal else (g, e)), x, y)
         weights = WeightScheme(tabulated(e), tabulated(g))
         for m, r in enumerate(sums.tolist(), 1):
-            try:
-                expected = convolution(schedule, weights, m, mode)
-            except OverflowError:  # fsum of finite terms past the float range
-                expected = math.inf
-            assert r.hex() == expected.hex(), m
+            assert r.hex() == convolution(schedule, weights, m, mode).hex(), m
 
     @pytest.mark.parametrize("spread, limbs", [(9, True), (10, False), (11, False)])
     def test_wide_windows_at_the_spread_limit(self, spread, limbs, monkeypatch):
@@ -322,8 +328,8 @@ class TestWindowPlan:
         schedule = DeferredSchedule(Affine(0, 0), Affine(7000, 0), "wide")
         weights = WeightScheme(tabulated([1.0] * size), tabulated(g), label="wide")
         fsum_calls = []
-        real_fsum = density._fsum
-        monkeypatch.setattr(density, "_fsum", lambda t: fsum_calls.append(1) or real_fsum(t))
+        real_fsum = density.fsum_or_inf
+        monkeypatch.setattr(density, "fsum_or_inf", lambda t: fsum_calls.append(1) or real_fsum(t))
         window_plan.cache_clear()
         plan = window_plan(schedule, weights, DensityConfig(horizon=10))
         assert int((plan.y - plan.x).max()) > 2**16
@@ -346,13 +352,13 @@ class TestWindowPlan:
         short = WeightScheme(tabulated([1.5] * 100, "short-e"), ones.g, label="short")
         assert counting_bound(deferred, short, cfg) == 150
         v = density_limit(squares_pred, deferred, short, cfg)
-        assert v.trace[-1].normalizer == convolution(deferred, short, 50)
+        assert v.R[-1] == convolution(deferred, short, 50)
         with pytest.raises(WeightError, match="counting range at m="):
             level_density_limit(np.ones(150), 1.0, deferred, short, cfg)
         cesaro_short = WeightScheme(tabulated([1.5] * 50, "short-e"), ones.g, label="short")
         v = level_density_limit(np.ones(75), 1.0, cesaro, cesaro_short, cfg)
         # floor(R_50) = 75, but only n <= y_50 = 50 carry a weight.
-        assert v.trace[-1].count == 50
+        assert v.count[-1] == 50
 
     def test_one_plan_per_detector_run(self):
         bundle = model_preset("example2")
@@ -366,10 +372,30 @@ class TestWindowPlan:
         assert info.hits == 1
 
     def test_arrays_are_read_only(self, deferred):
-        plan = window_plan(deferred, weight_preset("identity"), DensityConfig(horizon=20))
-        for arr in (plan.ms, plan.x, plan.y, plan.R, plan.k, plan.e, plan.g):
+        weights, cfg = weight_preset("identity"), DensityConfig(horizon=20)
+        plan = window_plan(deferred, weights, cfg)
+        arrays = [plan.ms, plan.x, plan.y, plan.R, plan.k, plan.e, plan.g]
+        # Verdict columns, from the generic and the level path.
+        rows = np.ones((2, plan.k_max))
+        for v in [density_limit(squares_pred, deferred, weights, cfg)] + level_density_limits(
+            rows, 1.0, deferred, weights, cfg
+        ):
+            arrays += [v.ms, v.R, v.count, v.density]
+        for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
+
+    @pytest.mark.parametrize("horizon", [10, 1250, 1251, 1300, 5000, 30_000, 100_003])
+    def test_trace_indices_equal_the_unique_linspace(self, horizon):
+        cfg = DensityConfig(horizon=horizon)
+        tail_start = cfg.tail_start()
+        head = np.arange(1, tail_start)
+        if len(head) > 1000:
+            head = np.unique(np.linspace(1, tail_start - 1, 1000).astype(np.int64))
+        expected = np.concatenate((head, np.arange(tail_start, horizon + 1)))
+        indices = density._trace_indices(cfg)
+        assert indices.dtype == np.int64
+        assert np.array_equal(indices, expected)
 
 
 @st.composite
@@ -421,15 +447,15 @@ class TestCountingPaths:
         )
         fast = level_density_limit(levels, threshold, schedule, const_e, cfg)
         slow = level_density_limit(levels, threshold, schedule, table_e, cfg)
-        assert fast.trace == slow.trace
+        assert same_columns(fast, slow)
         assert fast.tail_max == slow.tail_max
-        for point in fast.trace:
+        for m, r, c in zip(fast.ms.tolist(), fast.R.tolist(), fast.count.tolist()):
             brute = sum(
                 1
-                for n in range(1, math.floor(point.normalizer) + 1)
-                if brute_weight(schedule, const_e, point.m, n) * levels[n - 1] >= threshold
+                for n in range(1, math.floor(r) + 1)
+                if brute_weight(schedule, const_e, m, n) * levels[n - 1] >= threshold
             )
-            assert point.count == brute
+            assert c == brute
 
     @given(
         inputs=counting_path_inputs(),
@@ -452,7 +478,7 @@ class TestCountingPaths:
             assert len(together) == n_rows
             for i, verdict in enumerate(together):
                 alone = level_density_limit(rows[i], threshold, schedule, weights, cfg)
-                assert verdict.trace == alone.trace
+                assert same_columns(verdict, alone)
                 assert verdict.tail_max == alone.tail_max
                 assert verdict.verdict is alone.verdict
                 assert verdict.extras == {"row": i, "threshold": threshold}
@@ -512,7 +538,7 @@ class TestDnStatLimit:
             lambda n: lam * seq(n), lam * 0.25, lam * 0.5, sched, ones, cfg
         )
         assert base.verdict is scaled.verdict
-        assert [p.count for p in base.trace] == [p.count for p in scaled.trace]
+        assert np.array_equal(base.count, scaled.count)
 
     def test_eps_must_be_positive(self, cesaro, ones):
         with pytest.raises(ValueError, match="eps"):
@@ -530,7 +556,8 @@ class TestVerdictShape:
         text = trace_csv(v)
         lines = text.strip().splitlines()
         assert lines[0] == "m,R_m,count,d_m"
-        assert len(lines) == 1 + len(v.trace)
+        assert len(lines) == 1 + len(v.ms)
+        assert v.summary()["trace_points"] == len(v.ms)
 
     def test_summary_records_the_mode(self, cesaro, ones):
         cfg = DensityConfig(horizon=50, mode=NormalizerMode.LITERAL)
@@ -538,6 +565,18 @@ class TestVerdictShape:
         assert v.summary()["normalizer_mode"] == "literal"
 
     def test_tail_points_cover_the_tail_window(self, cesaro, ones):
+        # The tail rule reads m = 76..100: a density of 1 at m = 75 is
+        # outside it, one at m = 76 inside.
         cfg = DensityConfig(horizon=100, tail_fraction=0.25)
-        v = density_limit(lambda m, n: False, cesaro, ones, cfg)
-        assert [p.m for p in v.tail_points()] == list(range(76, 101))
+        before = density_limit(lambda m, n: m == 75, cesaro, ones, cfg)
+        assert (before.verdict, before.tail_max) == (Verdict.CONVERGES, 0.0)
+        first = density_limit(lambda m, n: m == 76, cesaro, ones, cfg)
+        assert (first.verdict, first.tail_max) == (Verdict.DIVERGES, 1.0)
+
+    def test_trace_view_matches_the_columns(self, deferred, ones):
+        v = density_limit(squares_pred, deferred, ones, DensityConfig(horizon=60))
+        rows = [(p.m, p.normalizer, p.count, p.density) for p in v.trace]
+        assert rows == list(
+            zip(v.ms.tolist(), v.R.tolist(), v.count.tolist(), v.density.tolist())
+        )
+        assert [type(x) for x in rows[0]] == [int, float, int, float]
