@@ -198,8 +198,10 @@ class WindowPlan:
 
     ``e`` and ``g`` hold the weight values from index 0 up to the largest
     index the run reads, as far as a tabulated sequence reaches; both
-    cover at least every index R_m reads.  Plans are shared between
-    callers, so every array is read-only.
+    cover at least every index R_m reads.  When both sequences are
+    constant, R_m has a closed form and counting reads only e(0) and
+    g(1..max min(k_m, y_m)), so ``e`` has one entry and ``g`` ends there.
+    Plans are shared between callers, so every array is read-only.
     """
 
     ms: np.ndarray
@@ -242,21 +244,27 @@ def window_plan(
     """
     ms = _trace_indices(cfg)
     x, y = schedule.bounds_array(ms)
-    literal = cfg.mode is NormalizerMode.LITERAL
-    w_top = int((y - x).max()) - 1
-    y_top = int(y.max())
-    # Counting reads e(y_m - n) * g(n) for 1 <= n <= min(k_m, y_m).
-    e = _table(weights.e, y_top if literal else w_top, y_top - 1)
-    g = _table(weights.g, w_top if literal else y_top, y_top)
-    if weights.e.constant is not None and weights.g.constant is not None:
+    constant = weights.e.constant is not None and weights.g.constant is not None
+    if constant:
+        # Counting reads e(0) and g(1..min(k_m, y_m)); g grows once k is known.
+        e, g = weights.e.array(0), weights.g.array(0)
         r = (y - x).astype(np.float64) * (weights.e.constant * weights.g.constant)
     else:
+        literal = cfg.mode is NormalizerMode.LITERAL
+        w_top = int((y - x).max()) - 1
+        y_top = int(y.max())
+        # Counting reads e(y_m - n) * g(n) for 1 <= n <= min(k_m, y_m).
+        e = _table(weights.e, y_top if literal else w_top, y_top - 1)
+        g = _table(weights.g, w_top if literal else y_top, y_top)
         # LITERAL pairs e(v) with g(y_m - v), REGULAR g(n) with e(y_m - n).
         r = _window_sums(*((e, g) if literal else (g, e)), x, y)
     bad = np.flatnonzero(~(r > 0.0) | (r >= _COUNT_CAP + 1))
     if bad.size:
         _check_normalizer(float(r[bad[0]]), int(ms[bad[0]]), weights.label)
-    plan = WindowPlan(ms, x, y, r, np.floor(r).astype(np.int64), e, g)
+    k = np.floor(r).astype(np.int64)
+    if constant:
+        g = weights.g.array(int(np.minimum(k, y).max()))
+    plan = WindowPlan(ms, x, y, r, k, e, g)
     for arr in (plan.ms, plan.x, plan.y, plan.R, plan.k, plan.e, plan.g):
         arr.flags.writeable = False
     return plan

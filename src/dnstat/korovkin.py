@@ -15,7 +15,8 @@ underflow through the intermediate products.
 ``mkz_apply`` sums the series from t = 0 and truncates it once the
 running term ratio y (m+t+1)/(t+1) has entered the geometric regime and
 the bounded remainder (tail mass times the sup of |f|) drops below the
-requested tolerance.  The tables behind ``lifted_operator(...).batch``
+requested tolerance; past ``_SERIES_CAP`` terms it raises
+``SeriesCapError``.  The tables behind ``lifted_operator(...).batch``
 sum each grid point over a certified two-sided window [t0, t1] around
 the mode instead.  Half of the budget tail_tol / max sup|f| goes to
 each side: t1 is the smallest index whose right tail bound
@@ -23,6 +24,16 @@ c_t1 rho/(1-rho), rho = y (m+t1+1)/(t1+1), fits its half, and t0 the
 largest whose left tail bound c_t0 rho/(1-rho), rho = t0/(y (m+t0)),
 fits its half (t0 = 0 if none does).  A window of more than
 ``_SERIES_CAP`` terms t1 - t0 + 1 raises ``SeriesCapError``.
+
+``batch`` takes an array of indices.  One search finds the edges of
+every (index, point) row at once: each row gallops out from 12 standard
+deviations past the mode and bisects the bracket, on log C(m+t, t) from
+Stirling's series, with no node table.  Each index then builds its node
+table, and evaluates the functions, only over the blocks of 512
+consecutive t that its windows cover, and sums each point with one
+matrix-vector product.  ``korovkin_check`` calls ``batch`` once per
+block of consecutive indices, at most ``_BLOCK_ROWS`` (index, point,
+side) rows each.
 
 Lifted variants multiply M_n by a positive factor: the two-coordinate
 counterexample's distribution function (which never vanishes, so its
@@ -76,6 +87,9 @@ __all__ = [
 
 _SERIES_CAP = 1_000_000
 _DEFAULT_GRID_POINTS = 257
+# Rows (index, grid point, side) per operator batch in korovkin_check; it
+# bounds the window search's temporaries, about 200 bytes per row.
+_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -150,6 +164,10 @@ def function_preset(name: str) -> SampledFunction:
 # Series evaluation
 
 
+class SeriesCapError(RuntimeError):
+    """A certified series needs more than ``_SERIES_CAP`` terms."""
+
+
 def _required_length(m: int, y: float, log_budget: float) -> int:
     """Smallest truncation index T with a certified tail below the budget.
 
@@ -164,7 +182,7 @@ def _required_length(m: int, y: float, log_budget: float) -> int:
     log_y = math.log(y)
     while True:
         if t > _SERIES_CAP:
-            raise RuntimeError(
+            raise SeriesCapError(
                 f"series tail did not certify within {_SERIES_CAP} terms at m={m}, y={y}"
             )
         rho = y * (m + t + 1) / (t + 1)
@@ -215,22 +233,16 @@ def mkz_apply(f, m: int, y: float, tail_tol: float = 1e-10) -> float:
     return float(np.dot(fn.values(ts / (ts + m)), c))
 
 
-class SeriesCapError(RuntimeError):
-    """A grid point's certified window holds more than ``_SERIES_CAP`` terms."""
-
-
 # Stirling's remainder lgamma(n+1) - (n+1/2) log n + n - log sqrt(2 pi) for
 # n < 16, where its asymptotic series is not yet accurate to a few ulps.
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _STIRLERR_SMALL = np.array(
     [0.0] + [math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - _HALF_LOG_2PI for n in range(1, 16)]
 )
-# Window search: candidate offsets from the mode in standard deviations,
-# a quarter apart where edges usually fall (heavy right tails at small m
-# reach past 10); the bracket found is then searched node by node.
-_SCAN = np.concatenate([np.arange(4.0), np.arange(4.0, 9.0, 0.25), np.arange(9.0, 12.5, 0.5)])
-# Rows of candidates scanned at once, to bound the scan's memory on fine grids.
-_SCAN_ROWS = 4096
+# Window search: every row first probes this many standard deviations out
+# from the mode (heavy right tails at small m reach past 10), then four
+# times farther per probe while rejected.
+_FIRST_PROBE = 12.0
 # Series indices per block of the node table; each block starts from an
 # exact Stirling value, so rounding never accumulates past one block.
 _BLOCK = 512
@@ -247,20 +259,21 @@ def _stirlerr(n: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_binom(m: int, t: np.ndarray) -> np.ndarray:
-    """log C(m+t, t) for integer-valued float t >= 0, to a few ulps of its size.
+def _log_binom(m: int | np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log C(m+t, t) for integer-valued float t >= 0 and m >= 1, to a few ulps of its size.
 
-    Written as (t+1/2) log(1+m/t) + (m+1/2) log(1+t/m) - log sqrt(2 pi (m+t))
-    plus Stirling remainders, so no term is much larger than the result.
+    m is one index or an array that broadcasts against t.  Written as
+    (t+1/2) log(1+m/t) + (m+1/2) log(1+t/m) - log sqrt(2 pi (m+t)) plus
+    Stirling remainders, so no term is much larger than the result.
     """
-    const = _HALF_LOG_2PI + float(_stirlerr(np.array([float(m)]))[0])
+    m = np.asarray(m, dtype=np.float64)
+    const = _HALF_LOG_2PI + _stirlerr(np.atleast_1d(m))
     with np.errstate(divide="ignore", invalid="ignore"):
         n = m + t
-        remainders = _stirlerr(np.concatenate([n, t]))
         out = (t + 0.5) * np.log1p(m / t)
         out += (m + 0.5) * np.log1p(t / m)
-        out -= 0.5 * np.log(n) + const
-        out += remainders[: t.size].reshape(t.shape) - remainders[t.size :].reshape(t.shape)
+        out -= 0.5 * np.log(n) + const.reshape(m.shape)
+        out += _stirlerr(n) - _stirlerr(t)
     out[t == 0.0] = 0.0
     return out
 
@@ -352,114 +365,113 @@ class _Nodes:
         return self.lin[2][self.index(t)]
 
 
-def _windows(
-    m: int, y: np.ndarray, log_budget: float, scratch: _Scratch
-) -> tuple[np.ndarray, np.ndarray, _Nodes]:
-    """Certified windows [t0, t1] of the interior points y, and their nodes.
+def _windows(m: np.ndarray, y: np.ndarray, log_budget: float) -> tuple[np.ndarray, np.ndarray]:
+    """Certified windows [t0, t1] of the rows (m_i, y_i), interior points y_i.
 
     t1 is the smallest index whose right tail bound is within log_budget,
     t0 the largest whose left tail bound is.  Both are searched as offsets
-    d from the mode: rows 0..P-1 hold t1 = mode + d, rows P..2P-1 hold
+    d from the mode: rows 0..R-1 hold t1 = mode + d, rows R..2R-1 hold
     t0 = mode - d.  On each row the certified offsets form a ray [d*, inf)
-    (a left offset reaching t = 0 is always certified), so the last
-    rejected candidate ``lo`` and the first certified one ``hi`` bracket
-    d*, which the nodes in (lo, hi] then pin down.  The node table covers
-    every candidate; offsets past the cap are not searched, since such a
-    window is too wide to sum.
+    (a left offset reaching t = 0 is always certified).  Every row gallops
+    out from 12 standard deviations, four times farther per probe, until
+    a probe is certified; offsets past the cap are not probed, since such
+    a window is too wide to sum.  The bracket (last rejected, first
+    certified] is then bisected on every row at once.  Coefficients come
+    from ``_log_binom``, so the search builds no node table.
     """
-    n_pts = len(y)
+    n_rows = len(y)
     mode = np.floor(y * m / (1.0 - y))
-    side = np.repeat([1.0, -1.0], n_pts)
-    pivot, yy = np.concatenate([mode, mode]), np.concatenate([y, y])
-    log_y, base = np.log(yy), (m + 1) * np.log1p(-yy)
-    step = np.maximum(np.sqrt((m + 1) * yy) / (1.0 - yy), 1.0)
+    side = np.repeat([1.0, -1.0], n_rows)
+    mm, pivot, yy = (np.concatenate([a, a]) for a in (m, mode, y))
+    log_y, base = np.log(yy), (mm + 1) * np.log1p(-yy)
+    step = np.maximum(np.sqrt((mm + 1) * yy) / (1.0 - yy), 1.0)
     reach = np.where(side > 0, _SERIES_CAP + 1.0, np.minimum(pivot, _SERIES_CAP + 1.0))
 
-    def scan(rows, nodes):
-        """Bracket each row's edge between candidates; return the rows left unbracketed."""
-        d = np.minimum(np.ceil(step[rows, None] * _SCAN), reach[rows, None])
-        t = pivot[rows, None] + side[rows, None] * d
-        log_c = base[rows, None] + t * log_y[rows, None] + nodes.log_binom(t)
-        ok = _certified(m, t, yy[rows, None], log_c, side[rows, None], log_budget)
-        k = ok.argmax(axis=1)
-        at = np.arange(len(rows))
-        found = ok[at, k]
-        lo[rows] = np.maximum(lo[rows], np.where(found, np.where(k > 0, d[at, k - 1], -1.0), d[:, -1]))
-        hi[rows[found]] = d[at, k][found]
-        return rows[~found]
+    def certified(rows: np.ndarray, d: np.ndarray) -> np.ndarray:
+        t = pivot[rows] + side[rows] * d
+        log_c = base[rows] + t * log_y[rows] + _log_binom(mm[rows], t)
+        return _certified(mm[rows], t, yy[rows], log_c, side[rows], log_budget)
 
-    lo = np.full(2 * n_pts, -1.0)
-    hi = np.empty(2 * n_pts)
-    rows = np.arange(2 * n_pts)
-    while True:
-        far = np.minimum(np.ceil(step * _SCAN[-1]), reach)
-        lo_t, hi_t = mode - far[n_pts:], mode + far[:n_pts]
-        nodes = _Nodes(m, lo_t.astype(np.int64), hi_t.astype(np.int64), scratch)
-        rows = np.concatenate(
-            [scan(rows[i : i + _SCAN_ROWS], nodes) for i in range(0, len(rows), _SCAN_ROWS)]
-        )
-        if not len(rows):
-            break
-        stuck = rows[lo[rows] >= reach[rows]]  # rejected all the way to the cap
+    lo = np.full(2 * n_rows, -1.0)
+    hi = np.empty(2 * n_rows)
+    rows = np.arange(2 * n_rows)
+    while len(rows):
+        d = np.minimum(np.ceil(step[rows] * _FIRST_PROBE), reach[rows])
+        ok = certified(rows, d)
+        hi[rows[ok]] = d[ok]
+        rows, d = rows[~ok], d[~ok]
+        stuck = rows[d >= reach[rows]]  # rejected all the way to the cap
         if len(stuck):
-            raise _cap_error(m, float(yy[stuck[0]]), f"more than {_SERIES_CAP}")
-        step[rows] *= 4.0  # heavy tails: search four times as far
+            raise _cap_error(int(mm[stuck[0]]), float(yy[stuck[0]]), f"more than {_SERIES_CAP}")
+        lo[rows] = d
+        step[rows] *= 4.0
 
-    width = (hi - lo).astype(np.int64)
-    starts = np.cumsum(width) - width
-    row = np.repeat(np.arange(2 * n_pts), width)
-    t = pivot[row] + side[row] * (np.arange(len(row)) - np.repeat(starts - lo - 1.0, width))
-    log_c = base[row] + t * log_y[row] + nodes.log_binom(t)
-    ok = _certified(m, t, yy[row], log_c, side[row], log_budget)
-    edge = hi - np.add.reduceat(ok.astype(np.int64), starts) + 1
-    return (mode - edge[n_pts:]).astype(np.int64), (mode + edge[:n_pts]).astype(np.int64), nodes
+    rows = np.flatnonzero(hi - lo > 1.0)
+    while len(rows):
+        mid = np.floor(0.5 * (lo[rows] + hi[rows]))
+        ok = certified(rows, mid)
+        hi[rows[ok]] = mid[ok]
+        lo[rows[~ok]] = mid[~ok]
+        rows = rows[hi[rows] - lo[rows] > 1.0]
+    return (mode - hi[n_rows:]).astype(np.int64), (mode + hi[:n_rows]).astype(np.int64)
 
 
 def _mkz_table(
-    fns: Sequence[SampledFunction], m: int, ys: np.ndarray, tail_tol: float, scratch: _Scratch
+    fns: Sequence[SampledFunction],
+    ms: np.ndarray,
+    ys: np.ndarray,
+    tail_tol: float,
+    scratch: _Scratch,
 ) -> np.ndarray:
-    """M_m(f_j, y_i) for all functions and grid points.
+    """M_m(f_j, y_i) for every index m of ms, function and grid point.
 
     Each interior point sums only its certified window [t0, t1]; half of
-    the budget tail_tol / max sup|f| goes to each side.  All windows share
-    one table of log C(m+t, t) and one (functions x nodes) array of
-    f(t/(t+m)), laid out in blocks of consecutive t, so each window is a
-    contiguous slice: one matrix-vector product per point.
+    the budget tail_tol / max sup|f| goes to each side.  One search finds
+    the windows of every (index, point) row.  Per index, the windows then
+    share one table of log C(m+t, t), built only over the blocks of
+    consecutive t that they cover, and one (functions x nodes) array of
+    f(t/(t+m)), so each window is a contiguous slice: one matrix-vector
+    product per point.
     """
     ys = np.asarray(ys, dtype=np.float64)
-    out = np.empty((len(fns), len(ys)))
+    out = np.empty((len(ms), len(fns), len(ys)))
     inner = (ys > 0.0) & (ys < 1.0)
     for i in np.flatnonzero(~inner):
-        out[:, i] = [float(fn(float(ys[i]))) for fn in fns]
+        out[:, :, i] = [float(fn(float(ys[i]))) for fn in fns]
     cols = np.flatnonzero(inner)
-    if len(cols) == 0:
+    if len(cols) == 0 or len(ms) == 0:
         return out
     y = ys[cols]
     sup = max(max(_sup_abs(fn), 1e-300) for fn in fns)
-    t0, t1, nodes = _windows(m, y, math.log(tail_tol) - math.log(sup) - math.log(2.0), scratch)
+    log_budget = math.log(tail_tol) - math.log(sup) - math.log(2.0)
+    t0, t1 = _windows(np.repeat(ms.astype(np.float64), len(y)), np.tile(y, len(ms)), log_budget)
     terms = t1 - t0 + 1
     if terms.max() > _SERIES_CAP:
         worst = int(np.argmax(terms))
-        raise _cap_error(m, float(y[worst]), str(terms[worst]))
+        raise _cap_error(int(ms[worst // len(y)]), float(y[worst % len(y)]), str(terms[worst]))
 
-    starts = nodes.index(t0)
-    lo, hi = int(starts.min()), int((starts + terms).max())
-    lin = nodes.lin[:, lo:hi]
-    u = scratch.take("nodes_u", hi - lo)
-    np.add(lin[0], m, out=u)
-    np.divide(lin[0], u, out=u)
-    f_vals = scratch.take("values", len(fns), hi - lo)
-    for j, fn in enumerate(fns):
-        f_vals[j] = fn.values(u)
-    coef = np.stack([np.log(y), (m + 1) * np.log1p(-y), np.ones(len(y))], axis=1)
-    starts -= lo
-    offsets = np.cumsum(terms) - terms
-    c = scratch.take("coefficients", int(terms.sum()))
-    for a, n, k, row in zip(starts.tolist(), terms.tolist(), offsets.tolist(), coef):
-        np.matmul(row, lin[:, a : a + n], out=c[k : k + n])
-    np.exp(c, out=c)
-    for i, a, n, k in zip(cols.tolist(), starts.tolist(), terms.tolist(), offsets.tolist()):
-        out[:, i] = f_vals[:, a : a + n] @ c[k : k + n]
+    log_y, log_1my, ones = np.log(y), np.log1p(-y), np.ones(len(y))
+    for b, m in enumerate(ms.tolist()):
+        rows = slice(b * len(y), (b + 1) * len(y))
+        nodes = _Nodes(m, t0[rows], t1[rows], scratch)
+        lin = nodes.lin
+        u = scratch.take("nodes_u", lin.shape[1])
+        np.add(lin[0], m, out=u)
+        np.divide(lin[0], u, out=u)
+        f_vals = scratch.take("values", len(fns), lin.shape[1])
+        for j, fn in enumerate(fns):
+            f_vals[j] = fn.values(u)
+        coef = np.stack([log_y, (m + 1) * log_1my, ones], axis=1)
+        starts = nodes.index(t0[rows]).tolist()
+        widths = terms[rows]
+        offsets = (np.cumsum(widths) - widths).tolist()
+        widths = widths.tolist()
+        c = scratch.take("coefficients", sum(widths))
+        for a, n, k, row in zip(starts, widths, offsets, coef):
+            np.matmul(row, lin[:, a : a + n], out=c[k : k + n])
+        np.exp(c, out=c)
+        for i, a, n, k in zip(cols.tolist(), starts, widths, offsets):
+            out[b, :, i] = f_vals[:, a : a + n] @ c[k : k + n]
     return out
 
 
@@ -493,12 +505,13 @@ def _example2_cdf_factor() -> tuple[np.ndarray, np.ndarray]:
 class OperatorSequence:
     """Indexed family of positive linear operators on sampled functions.
 
-    ``batch(n, fns, ys)`` tabulates the n-th operator (rows: functions,
-    columns: grid points); one point of the base operator is ``mkz_apply``.
+    ``batch(ns, fns, ys)`` tabulates the operators of the indices ns, an
+    array of integers >= 1, at once: shape (len(ns), len(fns), len(ys)).
+    One point of the base operator is ``mkz_apply``.
     """
 
     label: str
-    batch: Callable[[int, Sequence[SampledFunction], np.ndarray], np.ndarray]
+    batch: Callable[[np.ndarray, Sequence[SampledFunction], np.ndarray], np.ndarray]
 
 
 def lifted_operator(perturbation: Perturbation, tail_tol: float = 1e-10) -> OperatorSequence:
@@ -510,15 +523,19 @@ def lifted_operator(perturbation: Perturbation, tail_tol: float = 1e-10) -> Oper
     _check_tail_tol(tail_tol)
     scratch = _Scratch()
 
-    def batch(n: int, fns: Sequence[SampledFunction], ys: np.ndarray) -> np.ndarray:
-        table = _mkz_table(fns, n, ys, tail_tol, scratch)
+    def batch(ns: np.ndarray, fns: Sequence[SampledFunction], ys: np.ndarray) -> np.ndarray:
+        ms = np.asarray(ns, dtype=np.int64)
+        if ms.ndim != 1 or (ms < 1).any():
+            raise ValueError(f"operator indices must be a 1-D array of integers >= 1, got {ns!r}")
+        tables = _mkz_table(fns, ms, ys, tail_tol, scratch)
         if perturbation is Perturbation.NONE:
-            return table
+            return tables
         if perturbation is Perturbation.NULL_SET:
-            return table * (2.0 if math.isqrt(n) ** 2 == n else 1.0)
+            squares = np.array([math.isqrt(n) ** 2 == n for n in ms.tolist()], dtype=bool)
+            return tables * np.where(squares, 2.0, 1.0)[:, None, None]
         # 1 + F(y) for the limit law F, summed as rvmodel.cdf sums it.
         values, factor = _example2_cdf_factor()
-        return table * factor[np.searchsorted(values, ys, side="right")]
+        return tables * factor[np.searchsorted(values, ys, side="right")]
 
     label = "mkz" if perturbation is Perturbation.NONE else f"mkz+{perturbation.value}"
     return OperatorSequence(label, batch)
@@ -615,6 +632,20 @@ class KorovkinReport:
         return "\n".join(lines)
 
 
+def _operator_tables(
+    ops: OperatorSequence, ns: np.ndarray, fns: Sequence[SampledFunction], grid: np.ndarray
+) -> np.ndarray:
+    """``ops.batch(ns, fns, grid)``; an error names the first index that fails on its own."""
+    try:
+        return ops.batch(ns, fns, grid)
+    except Exception as exc:
+        if len(ns) > 1:
+            singles = [_operator_tables(ops, ns[i : i + 1], fns, grid) for i in range(len(ns))]
+            return np.concatenate(singles)
+        wrapper = SeriesCapError if isinstance(exc, SeriesCapError) else RuntimeError
+        raise wrapper(f"operator evaluation failed at n={ns[0]}: {exc}") from exc
+
+
 def korovkin_check(
     ops: OperatorSequence,
     mode_tag: str,
@@ -625,10 +656,13 @@ def korovkin_check(
 ) -> KorovkinReport:
     """Run the three-condition check and the conclusion check for each f.
 
-    Forms s_n = sup over the grid of |ops.batch(n, f, y) - f(y)| for the test
+    Forms s_n = sup over the grid of |M_n(f, y) - f(y)| for the test
     triple and for each caller function, then applies the statistical
-    limit detector to every s sequence.  All stochastic modes agree on
-    deterministic sequences, so mode_tag is provenance only.
+    limit detector to every s sequence.  ``ops.batch`` tabulates blocks
+    of consecutive indices with at most ``_BLOCK_ROWS`` (index, grid
+    point, side) rows each, or one index when its grid alone has more.
+    All stochastic modes agree on deterministic sequences, so mode_tag is
+    provenance only.
     """
     if not f_list:
         raise ValueError("korovkin_check needs at least one conclusion function")
@@ -641,13 +675,11 @@ def korovkin_check(
     fns = [ONE, IDENTITY, SQUARE] + [as_sampled(f) for f in f_list]
     targets = np.stack([fn.values(grid) for fn in fns])
     sup_dev = np.empty((len(fns), n_max))
-    for n in range(1, n_max + 1):
-        try:
-            table = ops.batch(n, fns, grid)
-        except Exception as exc:
-            wrapper = SeriesCapError if isinstance(exc, SeriesCapError) else RuntimeError
-            raise wrapper(f"operator evaluation failed at n={n}: {exc}") from exc
-        sup_dev[:, n - 1] = np.max(np.abs(table - targets), axis=1)
+    per_call = max(1, _BLOCK_ROWS // (2 * len(grid)))
+    for first in range(1, n_max + 1, per_call):
+        ns = np.arange(first, min(first + per_call, n_max + 1))
+        tables = _operator_tables(ops, ns, fns, grid)
+        sup_dev[:, ns - 1] = np.max(np.abs(tables - targets), axis=2).T
 
     def run(j: int) -> ConvergenceVerdict:
         return level_density_limit(

@@ -299,14 +299,21 @@ def window_mean(
     m: int,
     mode: NormalizerMode = NormalizerMode.REGULAR,
 ) -> tuple[float, float]:
-    """(R_m, t_m) of one window, summing R_m once for both; t_m is ``dn_mean``."""
+    """(R_m, t_m) of one window, summing R_m once for both; t_m is ``dn_mean``.
+
+    Raises WeightError where R_m or the numerator is not finite.
+    """
     r = convolution(schedule, weights, m, mode)
     check_normalizer(r, m, weights.label)
     xv, yv = schedule.bounds(m)
     # n <= y_m throughout the window, so every slot has its weight e(y_m - n) * g(n).
-    num = math.fsum(
+    num = fsum_or_inf(
         weights.e(yv - n) * weights.g(n) * float(seq(n)) for n in range(xv + 1, yv + 1)
     )
+    if not math.isfinite(num):
+        raise WeightError(
+            f"weights '{weights.label}' give no finite weighted sum of the sequence at m={m}: {num}"
+        )
     return r, num / r
 
 

@@ -118,7 +118,7 @@ def test_criterion_3_mkz_operator(tmp_path):
     ops = lifted_operator(Perturbation.NONE, 1e-10)
     dev2 = {}
     for m in (10, 50, 100, 200):
-        table = ops.batch(m, [ONE, IDENTITY, SQUARE], grid)
+        table = ops.batch([m], [ONE, IDENTITY, SQUARE], grid)[0]
         dev_one = float(np.max(np.abs(table[0] - 1.0)))
         dev_id = float(np.max(np.abs(table[1] - grid)))
         dev2[m] = float(np.max(np.abs(table[2] - grid * grid)))

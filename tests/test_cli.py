@@ -49,15 +49,17 @@ class TestMean:
         "e, g, match",
         [
             # Finite entries whose products overflow.
-            ([1e200] * 10, [1e200] * 10, "no finite window sum at m=1"),
+            ([1e200] * 20, [1e200] * 20, "no finite window sum at m=1"),
             # Finite products whose sum passes the float range.
-            ([1e308] * 10, [1.0] * 10, "no finite window sum at m=2"),
+            ([1e308] * 20, [1.0] * 20, "no finite window sum at m=2"),
+            # R_m stays finite (R_10 = 1e308), the numerator sum of e * g * n does not.
+            ([1e307] * 20, [1.0] * 20, "no finite weighted sum of the sequence at m=6"),
         ],
     )
     def test_normalizer_that_is_not_finite_exits_2(self, tmp_path, capsys, e, g, match):
         cfg = tmp_path / "weights.json"
         cfg.write_text(json.dumps({"seq": "identity", "weights": {"e": e, "g": g}}))
-        status = main(["mean", "--config", str(cfg), "--horizon", "3"])
+        status = main(["mean", "--config", str(cfg), "--horizon", "10"])
         out, err = capsys.readouterr()
         assert status == 2, err
         assert err.startswith("config error:") and match in err

@@ -385,6 +385,16 @@ class TestWindowPlan:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
+    @pytest.mark.parametrize("mode", list(NormalizerMode))
+    @pytest.mark.parametrize("e0", [0.5, 3.0])
+    def test_constant_weights_keep_only_what_counting_reads(self, deferred, mode, e0):
+        # e0 = 3 lifts floor(R_m) past y_m, where counting clips at y_m.
+        e, g = (WeightSeq(lambda n, c=c: c, "c", constant=c) for c in (e0, 1.25))
+        plan = window_plan(deferred, WeightScheme(e, g, "c"), DensityConfig(horizon=300, mode=mode))
+        assert plan.e.tolist() == [e0]
+        assert len(plan.g) == int(np.minimum(plan.k, plan.y).max()) + 1
+        assert set(plan.g.tolist()) == {1.25}
+
     @pytest.mark.parametrize("horizon", [10, 1250, 1251, 1300, 5000, 30_000, 100_003])
     def test_trace_indices_equal_the_unique_linspace(self, horizon):
         cfg = DensityConfig(horizon=horizon)

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     import mpmath
@@ -23,6 +25,7 @@ from dnstat.korovkin import (
     IDENTITY,
     KorovkinConfig,
     ONE,
+    OperatorSequence,
     Perturbation,
     SQUARE,
     SampledFunction,
@@ -99,7 +102,7 @@ class TestOperatorPointValues:
 
     def test_series_cap_is_enforced(self):
         # So close to 1 that certifying the tail would need ~5e12 terms.
-        with pytest.raises(RuntimeError, match="did not certify"):
+        with pytest.raises(SeriesCapError, match="did not certify"):
             mkz_apply(ONE, 500, 1.0 - 1e-10)
 
 
@@ -109,7 +112,7 @@ class TestOperatorInvariants:
         ops = lifted_operator(Perturbation.NONE, 1e-10)
         target_one = np.ones_like(grid)
         for m in range(1, 201):
-            table = ops.batch(m, [ONE, IDENTITY], grid)
+            table = ops.batch([m], [ONE, IDENTITY], grid)[0]
             assert float(np.max(np.abs(table[0] - target_one))) <= 1e-10
             assert float(np.max(np.abs(table[1] - grid))) <= 1e-10 + 1e-9
 
@@ -118,7 +121,7 @@ class TestOperatorInvariants:
         ops = lifted_operator(Perturbation.NONE, 1e-10)
         dev = {}
         for m in (25, 50, 100, 200):
-            table = ops.batch(m, [SQUARE], grid)
+            table = ops.batch([m], [SQUARE], grid)[0]
             dev[m] = float(np.max(np.abs(table[0] - grid * grid)))
         assert dev[50] <= dev[25] + 1e-6
         assert dev[100] <= dev[50] + 1e-6
@@ -149,7 +152,7 @@ class TestOperatorInvariants:
 
 def lifted_value(perturbation: Perturbation, n: int, y: float) -> float:
     """One point of a lifted operator applied to the constant 1."""
-    return lifted_operator(perturbation).batch(n, [ONE], np.array([y]))[0, 0]
+    return lifted_operator(perturbation).batch([n], [ONE], np.array([y]))[0, 0, 0]
 
 
 class TestLiftedOperators:
@@ -171,8 +174,8 @@ class TestLiftedOperators:
         grid = np.linspace(0.0, 1.0, 65)
         model = model_preset("example2").model
         factor = np.array([1.0 + cdf(model, LIMIT, float(y)) for y in grid])
-        base = lifted_operator(Perturbation.NONE).batch(n, [ONE, CUBE], grid)
-        lifted = lifted_operator(Perturbation.CDF_FACTOR).batch(n, [ONE, CUBE], grid)
+        base = lifted_operator(Perturbation.NONE).batch([n], [ONE, CUBE], grid)[0]
+        lifted = lifted_operator(Perturbation.CDF_FACTOR).batch([n], [ONE, CUBE], grid)[0]
         assert np.array_equal(lifted, base * factor)
 
     @pytest.mark.parametrize("tail_tol", [0.0, -1.0, 1.0, 2.0, float("nan")])
@@ -234,10 +237,11 @@ class TestKernelAgainstMpmath:
         ys = np.array(self.POINTS)
         if m >= 200:  # y = 1 - 1e-4 needs more than the cap there
             with pytest.raises(SeriesCapError, match="1000000"):
-                korovkin._windows(m, ys, log_budget, korovkin._Scratch())
+                korovkin._windows(np.full(len(ys), float(m)), ys, log_budget)
             ys = ys[:-1]
-        t0, t1, _ = korovkin._windows(m, ys, log_budget, korovkin._Scratch())
-        table = lifted_operator(Perturbation.NONE, self.TOL).batch(m, [ONE, IDENTITY, SQUARE], ys)
+        t0, t1 = korovkin._windows(np.full(len(ys), float(m)), ys, log_budget)
+        ops = lifted_operator(Perturbation.NONE, self.TOL)
+        table = ops.batch([m], [ONE, IDENTITY, SQUARE], ys)[0]
         slack = self.TOL + 1e-12 + 1e-13 * m
         for y, a, b, col in zip(ys.tolist(), t0.tolist(), t1.tolist(), table.T):
             yv = mpmath.mpf(y)
@@ -263,8 +267,8 @@ class TestKernelAgainstMpmath:
         # must equal the mass outside windows certified for half the budget.
         mpmath.mp.dps = 30
         tol, ys = 1e-6, np.array([1 / 64, 0.5, 63 / 64])
-        t0, t1, _ = korovkin._windows(m, ys, math.log(tol) - math.log(2.0), korovkin._Scratch())
-        table = lifted_operator(Perturbation.NONE, tol).batch(m, [ONE], ys)
+        t0, t1 = korovkin._windows(np.full(len(ys), float(m)), ys, math.log(tol) - math.log(2.0))
+        table = lifted_operator(Perturbation.NONE, tol).batch([m], [ONE], ys)[0]
         for y, a, b, value in zip(ys.tolist(), t0.tolist(), t1.tolist(), table[0]):
             yv = mpmath.mpf(y)
             outside = nb_tail_mass(m, yv, b + 1, +1)
@@ -279,13 +283,98 @@ class TestKernelAgainstMpmath:
     def test_a_window_past_the_cap_is_a_named_error(self):
         ops = lifted_operator(Perturbation.NONE, 1e-8)
         with pytest.raises(SeriesCapError, match=r"m=1, y=0\.99999.*cap of 1000000 terms t1 - t0 \+ 1"):
-            ops.batch(1, [ONE], np.array([0.5, 1 - 1e-5]))
+            ops.batch([1], [ONE], np.array([0.5, 1 - 1e-5]))
 
     def test_checker_names_the_index_of_a_cap_error(self):
         cfg = KorovkinConfig(horizon=30, grid_points=200_001)
         with pytest.raises(SeriesCapError, match="operator evaluation failed at n=1"):
             korovkin_check(lifted_operator(Perturbation.NONE, cfg.tail_tol), "dnp", [CUBE],
                            schedule_preset("stretch"), weight_preset("ones"), cfg)
+
+
+class TestWindowSearch:
+    """The table-free window search, tied to the node table the kernel sums."""
+
+    @given(
+        m=st.integers(min_value=1, max_value=3000),
+        extra=st.lists(st.floats(min_value=1e-9, max_value=0.99), max_size=4),
+        sup=st.sampled_from([0.5, 1.0, math.e]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_edges_are_certified_and_one_step_inward_is_not(self, m, extra, sup):
+        ys = np.array([1e-9, 1 / 64, 0.5, 63 / 64, *extra])
+        log_budget = math.log(1e-8) - math.log(sup) - math.log(2.0)  # korovkin's default tail_tol
+        t0, t1 = korovkin._windows(np.full(len(ys), float(m)), ys, log_budget)
+        nodes = korovkin._Nodes(m, np.maximum(t0 - 1, 0), t1 + 1, korovkin._Scratch())
+        mode = np.floor(ys * m / (1.0 - ys))
+
+        def certified(t, y, side):
+            t = t.astype(np.float64)
+            log_c = (m + 1) * np.log1p(-y) + t * np.log(y) + nodes.log_binom(t)
+            return korovkin._certified(m, t, y, log_c, side, log_budget)
+
+        assert certified(t1, ys, 1.0).all() and certified(t0, ys, -1.0).all()
+        right, left = t1 > mode, t0 < mode  # an edge at the mode has no inward step
+        assert not certified(t1[right] - 1, ys[right], 1.0).any()
+        assert not certified(t0[left] + 1, ys[left], -1.0).any()
+
+    def test_log_binom_takes_an_index_array_and_a_matrix_of_nodes(self):
+        ms = np.array([1.0, 15.0, 16.0, 3000.0])
+        t = np.tile([0.0, 1.0, 7.0, 15.0, 16.0, 511.0, 200000.0], (len(ms), 1))
+        got = korovkin._log_binom(ms[:, None], t)
+        for m, row, ts in zip(ms.tolist(), got, t):
+            assert np.array_equal(row, korovkin._log_binom(int(m), ts))
+            exact = [math.log(math.comb(int(m + v), int(v))) for v in ts]
+            assert row.tolist() == pytest.approx(exact, rel=1e-13, abs=1e-15)
+
+
+class TestIndexBlocks:
+    """One batch over a block of indices equals one batch per index, bit for bit."""
+
+    GRID = np.linspace(0.0, 1.0, 65)
+    FNS = [ONE, IDENTITY, SQUARE, EXP, DIST_HALF]
+
+    @pytest.mark.parametrize("perturbation", list(Perturbation))
+    def test_a_block_equals_one_index_at_a_time(self, perturbation):
+        per_call = korovkin._BLOCK_ROWS // (2 * len(self.GRID))
+        ns = np.arange(per_call - 3, 2 * per_call + 4)  # squares, and two checker blocks' edges
+        ops = lifted_operator(perturbation, 1e-8)
+        block = ops.batch(ns, self.FNS, self.GRID)
+        assert block.shape == (len(ns), len(self.FNS), len(self.GRID))
+        one_by_one = np.stack([ops.batch([n], self.FNS, self.GRID)[0] for n in ns.tolist()])
+        assert np.array_equal(block, one_by_one)
+
+    def test_checker_traces_cross_block_boundaries_unchanged(self):
+        cfg = KorovkinConfig(horizon=60, grid_points=len(self.GRID))
+        ops = lifted_operator(Perturbation.NULL_SET, cfg.tail_tol)
+        report = korovkin_check(
+            ops, "dnp", [EXP], schedule_preset("stretch"), weight_preset("ones"), cfg
+        )
+        n_max = len(report.sup_trace("1"))
+        assert n_max > 2 * (korovkin._BLOCK_ROWS // (2 * len(self.GRID)))
+        fns = [ONE, IDENTITY, SQUARE, EXP]
+        targets = np.stack([fn.values(self.GRID) for fn in fns])
+        for n in range(1, n_max + 1):
+            sup = np.max(np.abs(ops.batch([n], fns, self.GRID)[0] - targets), axis=1)
+            assert [report.sup_trace(fn.label)[n - 1] for fn in fns] == sup.tolist()
+
+    def test_checker_names_the_failing_index_inside_a_block(self):
+        base = lifted_operator(Perturbation.NONE, 1e-8)
+
+        def batch(ns, fns, ys):
+            if 7 in np.asarray(ns):
+                raise ArithmeticError("no value at 7")
+            return base.batch(ns, fns, ys)
+
+        cfg = KorovkinConfig(horizon=30, grid_points=9)
+        with pytest.raises(RuntimeError, match="operator evaluation failed at n=7: no value at 7"):
+            korovkin_check(OperatorSequence("mkz", batch), "dnp", [CUBE],
+                           schedule_preset("stretch"), weight_preset("ones"), cfg)
+
+    @pytest.mark.parametrize("ns", [5, [0, 1], [[1, 2]]])
+    def test_indices_must_be_a_flat_array_of_positive_integers(self, ns):
+        with pytest.raises(ValueError, match="operator indices"):
+            lifted_operator(Perturbation.NONE).batch(ns, [ONE], self.GRID)
 
 
 class TestSupDistance:
