@@ -246,7 +246,7 @@ def window_plan(
     x, y = schedule.bounds_array(ms)
     constant = weights.e.constant is not None and weights.g.constant is not None
     if constant:
-        # Counting reads e(0) and g(1..min(k_m, y_m)); g grows once k is known.
+        # Counting reads e(0) and g(1..min(k_m, y_m)); g is extended once k_m is known.
         e, g = weights.e.array(0), weights.g.array(0)
         r = (y - x).astype(np.float64) * (weights.e.constant * weights.g.constant)
     else:
