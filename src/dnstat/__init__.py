@@ -17,7 +17,7 @@ from .density import (
     level_density_limit,
     level_density_limits,
     trace_csv,
-    weighted_density,
+    window_means,
 )
 from .detectors import (
     AlgebraSuiteReport,
@@ -75,13 +75,8 @@ from .schedules import (
     WeightError,
     WeightScheme,
     WeightSeq,
-    convolution,
-    dn_mean,
     schedule_preset,
     weight_preset,
-    window,
-    window_mean,
-    window_weight,
 )
 
 __version__ = "0.1.0"

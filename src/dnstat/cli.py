@@ -20,9 +20,11 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import ConfigError, parse_model, parse_schedule, parse_weights
-from .density import DensityConfig, trace_csv
+from .density import CountCapError, DensityConfig, trace_csv, window_means
 from .detectors import DetectorConfig, st_dndc, st_dnm, st_dnp
 from .korovkin import (
     KorovkinConfig,
@@ -40,9 +42,6 @@ from .schedules import (
     NormalizerMode,
     ScheduleError,
     WeightError,
-    constant_seq,
-    identity_seq,
-    window_mean,
 )
 
 __all__ = ["main"]
@@ -180,8 +179,9 @@ def _config_echo(pairs: dict[str, object]) -> list[str]:
 
 
 def _parse_seq(spec: str):
+    """The sequence as a function on int64 index arrays."""
     if spec == "identity":
-        return identity_seq
+        return lambda n: n.astype(np.float64)
     if spec.startswith("const:"):
         try:
             value = float(spec.partition(":")[2])
@@ -189,7 +189,7 @@ def _parse_seq(spec: str):
             raise ConfigError(f"bad constant in sequence spec '{spec}'") from None
         if not math.isfinite(value):
             raise ConfigError(f"sequence constant must be finite, got '{spec}'")
-        return constant_seq(value)
+        return lambda n: np.full(len(n), value)
     raise ConfigError(f"unknown sequence spec '{spec}'")
 
 
@@ -212,7 +212,8 @@ def cmd_mean(args: argparse.Namespace) -> int:
         "normalizer_mode": mode.value,
     }
 
-    rows = [(m, *window_mean(seq, schedule, weights, m, mode)) for m in range(1, args.horizon + 1)]
+    r, t = window_means(seq, schedule, weights, args.horizon, mode)
+    rows = list(zip(range(1, args.horizon + 1), r.tolist(), t.tolist()))
 
     if args.format == "json":
         payload = {
@@ -258,7 +259,10 @@ def _detector_runs(args: argparse.Namespace):
     wanted = ("dnp", "dnm", "dndc") if args.mode == "all" else (args.mode,)
     for kind in wanted:
         fn = {"dnp": st_dnp, "dnm": st_dnm, "dndc": st_dndc}[kind]
-        runs[kind] = fn(model, schedule, weights, cfg)
+        try:
+            runs[kind] = fn(model, schedule, weights, cfg)
+        except CountCapError as exc:
+            raise ConfigError(f"{exc}; use a smaller --horizon") from None
     return model, schedule, weights, cfg, runs
 
 
@@ -324,6 +328,8 @@ def cmd_korovkin(args: argparse.Namespace) -> int:
     except SeriesCapError as exc:
         # Only grid points very close to 1 need windows that wide.
         raise ConfigError(f"{exc}; use a smaller --grid-size") from None
+    except CountCapError as exc:
+        raise ConfigError(f"{exc}; use a smaller --horizon") from None
     echo = {
         "command": "korovkin",
         "operator": report.operator,
@@ -391,7 +397,6 @@ def _repro_report(seed: int) -> list[str]:
 
     lines.append("== operator checks ==")
     from .korovkin import IDENTITY, ONE  # noqa: PLC0415
-    import numpy as np  # noqa: PLC0415
 
     grid = np.linspace(0.0, 1.0, 257)
     for m in (10, 50, 200):

@@ -1,4 +1,4 @@
-"""Window-weighted densities of index predicates and tail-limit estimation.
+"""Window sums and means, window-weighted densities and tail-limit estimation.
 
 The weighted density of a predicate at window index m counts the
 integers n with 1 <= n <= floor(R_m) satisfying the predicate and
@@ -11,7 +11,10 @@ returned, as read-only columns, so callers can tighten the run.
 
 Traced runs read m, x_m, y_m, R_m and floor(R_m) from one memoized
 ``WindowPlan``, built from one ``bounds_array`` call over the traced
-window indices; its R_m is exactly rounded, equal to ``convolution``.
+window indices; its R_m is exactly rounded, equal to ``math.fsum``.
+``window_means`` reads R_m at m = 1..horizon from the same code.  Its
+numerator products do not depend on m when e is constant, so each is the
+difference of two exact prefix sums; other weights sum them like R_m.
 Non-constant weights sum their window products in chunks of consecutive
 windows on one of two branches, picked per chunk from the products:
 
@@ -46,6 +49,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -60,11 +64,11 @@ from .schedules import (
     WeightScheme,
     WeightSeq,
     check_normalizer,
-    convolution,
     fsum_or_inf,
 )
 
 __all__ = [
+    "CountCapError",
     "DensityConfig",
     "Verdict",
     "TracePoint",
@@ -72,7 +76,7 @@ __all__ = [
     "WindowPlan",
     "window_plan",
     "counting_bound",
-    "weighted_density",
+    "window_means",
     "density_limit",
     "level_density_limit",
     "level_density_limits",
@@ -93,6 +97,10 @@ _SUM_CHUNK = 2**14
 # Window plans kept per process: a detector run needs one, and a few more
 # cover callers that alternate between schedules or weights.
 _PLAN_CACHE_SIZE = 4
+
+
+class CountCapError(ValueError):
+    """floor(R_m) exceeds the counting cap; a shorter horizon keeps it below."""
 
 
 class Verdict(Enum):
@@ -231,38 +239,19 @@ def window_plan(
 ) -> WindowPlan:
     """Window plan of a traced run, built once per (schedule, weights, cfg).
 
-    R_m is the exactly rounded sum of the window products, equal to
-    ``convolution`` bit for bit: ``width * (e0 * g0)`` when both weight
-    sequences are constant (what fsum returns for ``width`` equal terms),
-    and ``_window_sums`` otherwise.  That sums chunks of about 2^14
-    products: in int64 limbs when the chunk's nonzero products are normal,
-    their frexp exponents span at most 9 and the sums stay below 2^1023,
-    and with ``math.fsum`` per window otherwise.  At the first bad m it
-    raises WeightError for an R_m that is not finite (a product or the
-    sum overflowed), DegenerateNormalizerError for R_m <= 0, and
-    ValueError where floor(R_m) exceeds the counting cap.
+    R_m comes from ``_normalizers``.  At the first bad m it raises
+    WeightError for an R_m that is not finite (a product or the sum
+    overflowed), DegenerateNormalizerError for R_m <= 0, and
+    CountCapError where floor(R_m) exceeds the counting cap.
     """
     ms = _trace_indices(cfg)
-    x, y = schedule.bounds_array(ms)
-    constant = weights.e.constant is not None and weights.g.constant is not None
-    if constant:
-        # Counting reads e(0) and g(1..min(k_m, y_m)); g is extended once k_m is known.
-        e, g = weights.e.array(0), weights.g.array(0)
-        r = (y - x).astype(np.float64) * (weights.e.constant * weights.g.constant)
-    else:
-        literal = cfg.mode is NormalizerMode.LITERAL
-        w_top = int((y - x).max()) - 1
-        y_top = int(y.max())
-        # Counting reads e(y_m - n) * g(n) for 1 <= n <= min(k_m, y_m).
-        e = _table(weights.e, y_top if literal else w_top, y_top - 1)
-        g = _table(weights.g, w_top if literal else y_top, y_top)
-        # LITERAL pairs e(v) with g(y_m - v), REGULAR g(n) with e(y_m - n).
-        r = _window_sums(*((e, g) if literal else (g, e)), x, y)
+    x, y, r, e, g = _normalizers(schedule, weights, cfg.mode, ms)
     bad = np.flatnonzero(~(r > 0.0) | (r >= _COUNT_CAP + 1))
     if bad.size:
         _check_normalizer(float(r[bad[0]]), int(ms[bad[0]]), weights.label)
     k = np.floor(r).astype(np.int64)
-    if constant:
+    if weights.e.constant is not None and weights.g.constant is not None:
+        # Counting reads e(0) and g(1..min(k_m, y_m)), known once k_m is.
         g = weights.g.array(int(np.minimum(k, y).max()))
     plan = WindowPlan(ms, x, y, r, k, e, g)
     for arr in (plan.ms, plan.x, plan.y, plan.R, plan.k, plan.e, plan.g):
@@ -270,8 +259,105 @@ def window_plan(
     return plan
 
 
-def _window_sums(head: np.ndarray, tail: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exactly rounded sum of head[n] * tail[y_m - n] over x_m < n <= y_m, per window.
+def _normalizers(
+    schedule: DeferredSchedule, weights: WeightScheme, mode: NormalizerMode, ms: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """(x, y, R, e, g) at the window indices ms, R_m exactly rounded and unchecked.
+
+    R_m is ``width * (e0 * g0)`` when both weight sequences are constant
+    (what fsum returns for ``width`` equal terms), with e and g one value
+    each; otherwise ``_window_sums`` of the mode's pairing over the
+    ``_table`` values of e and g.
+    """
+    x, y = schedule.bounds_array(ms)
+    if weights.e.constant is not None and weights.g.constant is not None:
+        r = (y - x).astype(np.float64) * (weights.e.constant * weights.g.constant)
+        return x, y, r, weights.e.array(0), weights.g.array(0)
+    literal = mode is NormalizerMode.LITERAL
+    w_top = int((y - x).max()) - 1
+    y_top = int(y.max())
+    # Counting reads e(y_m - n) * g(n) for 1 <= n <= min(k_m, y_m).
+    e = _table(weights.e, y_top if literal else w_top, y_top - 1)
+    g = _table(weights.g, w_top if literal else y_top, y_top)
+    # LITERAL pairs e(v) with g(y_m - v), REGULAR g(n) with e(y_m - n).
+    r = _window_sums(*((e, g) if literal else (g, e)), x, y)
+    return x, y, r, e, g
+
+
+def window_means(
+    seq: Callable[[np.ndarray], np.ndarray],
+    schedule: DeferredSchedule,
+    weights: WeightScheme,
+    horizon: int,
+    mode: NormalizerMode = NormalizerMode.REGULAR,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(R_m, t_m) for m = 1..horizon: t_m = (1/R_m) * sum of w(m, n) * seq(n) over the window.
+
+    ``seq`` maps an int64 array of indices n >= 1 to floats.  R_m is the
+    window plan's; ``mode`` selects only its pairing.  The numerator sums
+    the products (e(y_m - n) * g(n)) * seq(n) exactly, rounded once: by
+    ``_prefix_sums`` when e is constant, else by ``_window_sums`` with seq
+    as a third factor.  At the first m where R_m or the numerator fails,
+    ``check_normalizer`` raises for R_m, else WeightError.
+    """
+    x, y, r, e, _ = _normalizers(schedule, weights, mode, np.arange(1, horizon + 1))
+    y_top = int(y.max())
+    g = weights.g.array(y_top)
+    values = np.asarray(seq(np.arange(1, y_top + 1, dtype=np.int64)), dtype=np.float64)
+    if weights.e.constant is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = _prefix_sums((e[0] * g[1:]) * values, x, y)
+    else:
+        num = _window_sums(g, e, x, y, np.concatenate(([0.0], values)))
+    bad = np.flatnonzero(~((r > 0.0) & (r < np.inf) & np.isfinite(num)))
+    if bad.size:
+        i = int(bad[0])
+        check_normalizer(float(r[i]), i + 1, weights.label)
+        raise WeightError(
+            f"weights '{weights.label}' give no finite weighted sum of the sequence"
+            f" at m={i + 1}: {num[i]}"
+        )
+    with np.errstate(over="ignore"):  # an inf t_m, as float division gives
+        return r, num / r
+
+
+def _prefix_sums(terms: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exactly rounded sum of terms[n - 1] over x_m < n <= y_m, per window.
+
+    Scaled by the largest denominator (a power of two), every finite term
+    is an exact Python int, and a window sum is the difference of two
+    prefix sums, divided back with one correct rounding (inf on overflow,
+    as ``fsum_or_inf``).  The first window with a term that is not finite
+    gets ``fsum_or_inf`` of its terms, and the windows after it nan.
+    """
+    finite = np.isfinite(terms)
+    values = np.where(finite, terms, 0.0).tolist()
+    scale = max(v.as_integer_ratio()[1] for v in values)
+    ratios = map(float.as_integer_ratio, values)
+    prefix = [0, *itertools.accumulate(num * (scale // den) for num, den in ratios)]
+    fault = np.concatenate(([0], np.cumsum(~finite)))
+    clean = (fault[y] == fault[x]).tolist()
+    sums = np.full(len(x), math.nan)
+    for i, (xv, yv) in enumerate(zip(x.tolist(), y.tolist())):
+        if not clean[i]:
+            sums[i] = fsum_or_inf(terms[xv:yv].tolist())
+            break
+        try:
+            sums[i] = (prefix[yv] - prefix[xv]) / scale
+        except OverflowError:
+            sums[i] = math.inf
+    return sums
+
+
+def _window_sums(
+    head: np.ndarray,
+    tail: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    factor: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exactly rounded sum of head[n] * tail[y_m - n] over x_m < n <= y_m, per window,
+    each product times factor[n] when a factor is given.
 
     Consecutive windows are summed in chunks of about ``_SUM_CHUNK``
     products (a wider window is a chunk of its own), so the temporaries
@@ -283,32 +369,42 @@ def _window_sums(head: np.ndarray, tail: np.ndarray, x: np.ndarray, y: np.ndarra
     while start < len(x):
         base = int(ends[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, base + _SUM_CHUNK, side="right")))
-        sums[start:stop] = _chunk_sums(head, tail, x[start:stop].tolist(), y[start:stop].tolist())
+        xs, ys = x[start:stop].tolist(), y[start:stop].tolist()
+        sums[start:stop] = _chunk_sums(head, tail, xs, ys, factor)
         start = stop
     return sums
 
 
-def _chunk_sums(head: np.ndarray, tail: np.ndarray, xs: list[int], ys: list[int]) -> list[float]:
+def _chunk_sums(
+    head: np.ndarray, tail: np.ndarray, xs: list[int], ys: list[int], factor: np.ndarray | None
+) -> list[float]:
     """Window sums of one chunk: int64 limbs when exact, ``math.fsum`` otherwise.
 
     The products are the same doubles either way.  When every nonzero
     product is normal with its frexp exponent in [e_min, e_min + 9], each
     is an integer multiple of 2^(e_min - 53), and ldexp by 53 - e_min
-    makes it an exact integer below 2^62.  Its low and high 32-bit limbs
-    are summed per window in int64 without overflow (a window under 2^31
-    terms), joined as a Python int and rounded once by ``float``.  The
-    ldexp back is exact because the result is normal: at least the
-    largest product, and below 2^1023 when e_max plus the bit length of
-    the widest window is at most 1023.  Any other chunk goes through fsum.
+    makes it an exact integer below 2^62 in magnitude (the rule reads
+    magnitudes, so a factor may be negative).  Its low and high 32-bit
+    limbs are summed per window in int64 without overflow (a window under
+    2^31 terms), joined as a Python int and rounded once by ``float``.
+    The ldexp back adds no second rounding: an int of 2^53 or more gives
+    a normal result, at least 2^e_min, and a smaller int is exact.  The
+    sum stays below 2^1023 when e_max plus the bit length of the widest
+    window is at most 1023.  Any other chunk goes through fsum.
     """
     widths = [yv - xv for xv, yv in zip(xs, ys)]
     starts = np.cumsum([0] + widths[:-1])
     terms = np.empty(sum(widths))
-    with np.errstate(over="ignore"):  # an inf product makes R_m inf, which is reported
+    # An inf or nan product makes its window sum fail, which is reported.
+    with np.errstate(over="ignore", invalid="ignore"):
         for xv, yv, at in zip(xs, ys, starts.tolist()):
-            np.multiply(head[xv + 1 : yv + 1], tail[: yv - xv][::-1], out=terms[at : at + yv - xv])
-    top = float(terms.max())
-    low = float(terms.min(where=terms > 0.0, initial=math.inf))
+            out = terms[at : at + yv - xv]
+            np.multiply(head[xv + 1 : yv + 1], tail[: yv - xv][::-1], out=out)
+            if factor is not None:
+                out *= factor[xv + 1 : yv + 1]
+    size = np.abs(terms)
+    top = float(size.max())
+    low = float(size.min(where=size > 0.0, initial=math.inf))
     widest = max(widths)
     if math.isfinite(top) and low < math.inf and widest < 2**31:
         e_min, e_max = math.frexp(low)[1], math.frexp(top)[1]
@@ -322,23 +418,12 @@ def _chunk_sums(head: np.ndarray, tail: np.ndarray, xs: list[int], ys: list[int]
 
 
 def _check_normalizer(r: float, m: int, label: str) -> None:
-    """``check_normalizer``, then ValueError where floor(R_m) exceeds the counting cap."""
+    """``check_normalizer``, then CountCapError where floor(R_m) exceeds the counting cap."""
     check_normalizer(r, m, label)
     if r >= _COUNT_CAP + 1:
-        raise ValueError(f"floor(R_m)={math.floor(r)} at m={m} exceeds counting cap {_COUNT_CAP}")
-
-
-def weighted_density(
-    pred: Callable[[int, int], bool],
-    schedule: DeferredSchedule,
-    weights: WeightScheme,
-    m: int,
-    mode: NormalizerMode = NormalizerMode.REGULAR,
-) -> float:
-    """Density (1/R_m) * |{n : n <= floor(R_m), pred(m, n)}| in [0, 1]."""
-    r = convolution(schedule, weights, m, mode)
-    _check_normalizer(r, m, weights.label)
-    return sum(1 for n in range(1, math.floor(r) + 1) if pred(m, n)) / r
+        raise CountCapError(
+            f"floor(R_m)={math.floor(r)} at m={m} exceeds counting cap {_COUNT_CAP}"
+        )
 
 
 def _assemble(

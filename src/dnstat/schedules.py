@@ -1,4 +1,4 @@
-"""Deferred window schedules, weight schemes and the window-mean transform.
+"""Deferred window schedules, weight schemes and normalizer conventions.
 
 A deferred schedule is a pair of integer sequences (x_m, y_m) with
 x_m < y_m and y_m unbounded; the window at index m is the integer range
@@ -16,7 +16,9 @@ the mirrored pairing e(v) * g(y_m - v) instead; the two coincide when
 both weight sequences are constant but differ in general.  LITERAL is
 kept for fidelity with the classical convolution display and is always
 recorded in outputs so downstream consumers can tell which convention
-produced a number.
+produced a number.  The window sums R_m and the means over the windows
+are computed on arrays in ``dnstat.density`` (``window_plan``,
+``window_means``).
 """
 
 from __future__ import annotations
@@ -37,13 +39,8 @@ __all__ = [
     "DeferredSchedule",
     "WeightSeq",
     "WeightScheme",
-    "window",
-    "window_weight",
-    "convolution",
     "fsum_or_inf",
     "check_normalizer",
-    "dn_mean",
-    "window_mean",
     "constant_seq",
     "identity_seq",
     "SCHEDULE_PRESETS",
@@ -141,12 +138,6 @@ class DeferredSchedule:
             )
 
 
-def window(schedule: DeferredSchedule, m: int) -> range:
-    """Inclusive integer window x_m+1 .. y_m as a range object."""
-    xv, yv = schedule.bounds(m)
-    return range(xv + 1, yv + 1)
-
-
 @dataclass(frozen=True)
 class WeightSeq:
     """Non-negative sequence defined on n >= 0.
@@ -161,23 +152,6 @@ class WeightSeq:
     label: str = ""
     constant: float | None = None
     table: tuple[float, ...] | None = None
-
-    def __call__(self, n: int) -> float:
-        if n < 0:
-            raise WeightError(f"weight sequence index must be >= 0, got {n}")
-        if self.constant is not None:
-            return self.constant
-        if self.table is not None:
-            if n >= len(self.table):
-                raise WeightError(
-                    f"tabulated weights '{self.label}' end at index "
-                    f"{len(self.table) - 1}, requested {n}"
-                )
-            return self.table[n]
-        value = float(self.fn(n))
-        if value < 0:
-            raise WeightError(f"weight sequence '{self.label}' negative at n={n}: {value}")
-        return value
 
     def array(self, n_max: int) -> np.ndarray:
         """Values at indices 0..n_max as a float64 array; each must be finite and >= 0."""
@@ -233,33 +207,6 @@ class WeightScheme:
     label: str = ""
 
 
-def window_weight(schedule: DeferredSchedule, weights: WeightScheme, m: int, n: int) -> float:
-    """w(m, n) for any n >= 1, zero when e's argument would be negative."""
-    _, yv = schedule.bounds(m)
-    if yv - n < 0:
-        return 0.0
-    return weights.e(yv - n) * weights.g(n)
-
-
-def convolution(
-    schedule: DeferredSchedule,
-    weights: WeightScheme,
-    m: int,
-    mode: NormalizerMode = NormalizerMode.REGULAR,
-) -> float:
-    """Window weight sum R_m under the chosen normalizer convention.
-
-    Returns a non-negative float, inf where a product or the sum passes
-    the float range; ``check_normalizer`` rejects both inf and the
-    degenerate zero.  Summation uses math.fsum, so the result does not
-    depend on term order or platform.
-    """
-    xv, yv = schedule.bounds(m)
-    if mode is NormalizerMode.LITERAL:
-        return fsum_or_inf(weights.e(v) * weights.g(yv - v) for v in range(xv + 1, yv + 1))
-    return fsum_or_inf(weights.e(yv - n) * weights.g(n) for n in range(xv + 1, yv + 1))
-
-
 def fsum_or_inf(terms: Iterable[float]) -> float:
     """``math.fsum``, with inf where finite terms sum past the float range."""
     try:
@@ -274,47 +221,6 @@ def check_normalizer(r: float, m: int, label: str) -> None:
         raise WeightError(f"weights '{label}' give no finite window sum at m={m}: R_m={r}")
     if not r > 0.0:
         raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={r}")
-
-
-def dn_mean(
-    seq: Callable[[int], float],
-    schedule: DeferredSchedule,
-    weights: WeightScheme,
-    m: int,
-    mode: NormalizerMode = NormalizerMode.REGULAR,
-) -> float:
-    """Weighted window mean t_m = (1/R_m) * sum over the window of w(m, n) seq(n).
-
-    The numerator always uses w(m, n); ``mode`` selects only the
-    normalizer convention.  REGULAR therefore reproduces constants
-    exactly (up to summation rounding), LITERAL generally does not.
-    """
-    return window_mean(seq, schedule, weights, m, mode)[1]
-
-
-def window_mean(
-    seq: Callable[[int], float],
-    schedule: DeferredSchedule,
-    weights: WeightScheme,
-    m: int,
-    mode: NormalizerMode = NormalizerMode.REGULAR,
-) -> tuple[float, float]:
-    """(R_m, t_m) of one window, summing R_m once for both; t_m is ``dn_mean``.
-
-    Raises WeightError where R_m or the numerator is not finite.
-    """
-    r = convolution(schedule, weights, m, mode)
-    check_normalizer(r, m, weights.label)
-    xv, yv = schedule.bounds(m)
-    # n <= y_m throughout the window, so every slot has its weight e(y_m - n) * g(n).
-    num = fsum_or_inf(
-        weights.e(yv - n) * weights.g(n) * float(seq(n)) for n in range(xv + 1, yv + 1)
-    )
-    if not math.isfinite(num):
-        raise WeightError(
-            f"weights '{weights.label}' give no finite weighted sum of the sequence at m={m}: {num}"
-        )
-    return r, num / r
 
 
 def constant_seq(c: float) -> Callable[[int], float]:

@@ -13,10 +13,14 @@ import numpy as np
 import pytest
 
 from dnstat.schedules import (
+    Affine,
     DeferredSchedule,
     NormalizerMode,
     ScheduleError,
+    WeightError,
     WeightScheme,
+    check_normalizer,
+    fsum_or_inf,
     schedule_preset,
     weight_preset,
 )
@@ -53,17 +57,63 @@ def brute_normalizer(
     total = 0.0
     for n in range(xv + 1, yv + 1):
         if mode is NormalizerMode.LITERAL:
-            total += weights.e(n) * weights.g(yv - n)
+            total += weights.e.fn(n) * weights.g.fn(yv - n)
         else:
-            total += weights.e(yv - n) * weights.g(n)
+            total += weights.e.fn(yv - n) * weights.g.fn(n)
     return total
+
+
+def fsum_normalizer(
+    schedule: DeferredSchedule,
+    weights: WeightScheme,
+    m: int,
+    mode: NormalizerMode = NormalizerMode.REGULAR,
+) -> float:
+    """R_m as one fsum over the window's products, one scalar weight call each."""
+    xv, yv = schedule.bounds(m)
+    e, g = weights.e.fn, weights.g.fn
+    if mode is NormalizerMode.LITERAL:
+        return fsum_or_inf(e(v) * g(yv - v) for v in range(xv + 1, yv + 1))
+    return fsum_or_inf(e(yv - n) * g(n) for n in range(xv + 1, yv + 1))
+
+
+def fsum_window_mean(
+    seq,
+    schedule: DeferredSchedule,
+    weights: WeightScheme,
+    m: int,
+    mode: NormalizerMode = NormalizerMode.REGULAR,
+) -> tuple[float, float]:
+    """(R_m, t_m) of one window by fsum loops, for a sequence on int indices.
+
+    Raises as ``window_means`` does at m: R_m's error first, then
+    WeightError for a numerator that is not finite.
+    """
+    r = fsum_normalizer(schedule, weights, m, mode)
+    check_normalizer(r, m, weights.label)
+    xv, yv = schedule.bounds(m)
+    num = fsum_or_inf(
+        weights.e.fn(yv - n) * weights.g.fn(n) * float(seq(n)) for n in range(xv + 1, yv + 1)
+    )
+    if not math.isfinite(num):
+        raise WeightError(
+            f"weights '{weights.label}' give no finite weighted sum of the sequence"
+            f" at m={m}: {num}"
+        )
+    return r, num / r
+
+
+def one_window(schedule: DeferredSchedule, m: int) -> DeferredSchedule:
+    """A schedule whose every window is window m of ``schedule``."""
+    xv, yv = schedule.bounds(m)
+    return DeferredSchedule(Affine(0, xv), Affine(0, yv), f"{schedule.label}@{m}")
 
 
 def brute_weight(schedule: DeferredSchedule, weights: WeightScheme, m: int, n: int) -> float:
     yv = int(schedule.y(m))
     if yv - n < 0:
         return 0.0
-    return weights.e(yv - n) * weights.g(n)
+    return weights.e.fn(yv - n) * weights.g.fn(n)
 
 
 def brute_density_count(pred, schedule, weights, m, mode=NormalizerMode.REGULAR) -> tuple[int, float]:

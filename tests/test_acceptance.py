@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from dnstat.density import DensityConfig, Verdict
+from dnstat.density import DensityConfig, Verdict, window_means
 from dnstat.detectors import (
     DetectorConfig,
     markov_bound_check,
@@ -44,13 +44,13 @@ from dnstat.rvmodel import (
     sample,
 )
 from dnstat.schedules import (
-    constant_seq,
-    dn_mean,
     schedule_preset,
     tabulated,
     weight_preset,
     WeightScheme,
 )
+
+from conftest import one_window
 
 HORIZON = 10_000
 
@@ -225,7 +225,8 @@ def test_criterion_5_property_suites():
             )
         else:
             weights = weight_preset(kind)
-        assert abs(dn_mean(constant_seq(c), schedule, weights, m) - c) <= 1e-12
+        t = window_means(lambda n: np.full(len(n), c), one_window(schedule, m), weights, 1)[1]
+        assert abs(t[0] - c) <= 1e-12
 
     # Monte Carlo against exact values, 1e6 samples per check.  The
     # 1e-12 floor covers zero-variance moment cases where the float mean

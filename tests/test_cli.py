@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from dnstat import schedules
+from dnstat import density
 from dnstat.cli import main
 
 
@@ -38,12 +38,14 @@ class TestMean:
         assert all(line.split()[-1] == "7.0" for line in rows if line.strip())
 
     def test_one_normalizer_sum_per_row(self, monkeypatch, capsys):
+        # R_m of every row comes from one call over all window indices.
         calls = []
-        real = schedules.convolution
-        monkeypatch.setattr(schedules, "convolution", lambda *a: calls.append(a) or real(*a))
+        real = density._normalizers
+        monkeypatch.setattr(density, "_normalizers", lambda *a: calls.append(a) or real(*a))
         assert main(["mean", "--seq", "identity", "--schedule", "example", "--weights",
                      "identity", "--horizon", "30"]) == 0
-        assert len(calls) == 30
+        assert len(calls) == 1
+        assert calls[0][3].tolist() == list(range(1, 31))
 
     @pytest.mark.parametrize(
         "e, g, match",
@@ -63,6 +65,19 @@ class TestMean:
         out, err = capsys.readouterr()
         assert status == 2, err
         assert err.startswith("config error:") and match in err
+        assert out == ""
+
+    def test_numerator_that_is_not_finite_on_the_prefix_path_exits_2(self, tmp_path, capsys):
+        # Constant e: R_10 = 1e308 stays finite, e0 * g(n) * n overflows from n = 18 on.
+        cfg = tmp_path / "weights.json"
+        cfg.write_text(json.dumps({"seq": "identity", "weights": {"e": "ones", "g": [1e307] * 20}}))
+        status = main(["mean", "--config", str(cfg), "--horizon", "10"])
+        out, err = capsys.readouterr()
+        assert status == 2, err
+        assert err == (
+            "config error: weights 'custom' give no finite weighted sum of the sequence"
+            " at m=6: inf\n"
+        )
         assert out == ""
 
     def test_malformed_schedule_exits_2(self):
@@ -224,6 +239,17 @@ class TestDetect:
         assert err.startswith("config error: schedule '4611686018427387904m,")
         assert "overflows int64" in err
 
+    def test_counting_cap_exits_2(self, capsys):
+        # floor(R_m) = 2m on example1's windows passes the cap at m = 1,000,001.
+        status = main(["detect", "--model", "example1", "--mode", "dnp", "--horizon", "1000001"])
+        out, err = capsys.readouterr()
+        assert status == 2, err
+        assert err == (
+            "config error: floor(R_m)=2000002 at m=1000001 exceeds counting cap 2000000;"
+            " use a smaller --horizon\n"
+        )
+        assert out == ""
+
     def test_byte_identical_json_runs(self):
         args = ("detect", "--model", "example2", "--mode", "dnp", "--horizon", "1000",
                 "--format", "json")
@@ -271,6 +297,17 @@ class TestKorovkin:
         assert proc.stderr.startswith("config error: operator evaluation failed at n=1:")
         assert "y=0.99998" in proc.stderr and "cap of 1000000 terms" in proc.stderr
         assert "--grid-size" in proc.stderr
+
+    def test_counting_cap_exits_2(self, capsys):
+        # floor(R_m) = 3m on the stretch windows passes the cap at m = 666,667.
+        status = main(["korovkin", "--horizon", "700000", "--grid-size", "3"])
+        out, err = capsys.readouterr()
+        assert status == 2, err
+        assert err == (
+            "config error: floor(R_m)=2000001 at m=666667 exceeds counting cap 2000000;"
+            " use a smaller --horizon\n"
+        )
+        assert out == ""
 
     def test_nullset_report(self):
         proc = run_cli("korovkin", "--perturb", "nullset", "--horizon", "100",

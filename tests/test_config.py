@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from dnstat.config import ConfigError, parse_schedule, parse_weights
-from dnstat.schedules import NormalizerMode, convolution
+from dnstat.density import window_means
 
 
 class TestScheduleSpecs:
@@ -46,7 +46,7 @@ class TestWeightSpecs:
         weights = parse_weights({"e": [1.0, 2.0, 3.0, 4.0], "g": "ones"})
         sched = parse_schedule("0,1")
         # R_3 = e(2) g(1) + e(1) g(2) + e(0) g(3) = 3 + 2 + 1
-        assert convolution(sched, weights, 3, NormalizerMode.REGULAR) == 6.0
+        assert window_means(lambda n: n.astype(float), sched, weights, 3)[0][2] == 6.0
 
     def test_negative_table_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from dnstat.density import (
     level_density_limit,
     level_density_limits,
     trace_csv,
-    weighted_density,
     _window_sums,
+    window_means,
     window_plan,
 )
 from dnstat.detectors import DetectorConfig, st_dndc
@@ -35,7 +36,6 @@ from dnstat.schedules import (
     WeightScheme,
     WeightSeq,
     constant_seq,
-    convolution,
     schedule_preset,
     tabulated,
     weight_preset,
@@ -45,6 +45,8 @@ from conftest import (
     brute_density_count,
     brute_normalizer,
     brute_weight,
+    fsum_normalizer,
+    fsum_window_mean,
     is_square,
     same_columns,
 )
@@ -57,20 +59,26 @@ def squares_pred(m, n):
     return is_square(int(n))
 
 
+def density_at(pred, schedule, weights, m):
+    """d_m from ``density_limit``, with every m up to the horizon traced."""
+    cfg = DensityConfig(horizon=max(10, m), tail_fraction=1.0)
+    return float(density_limit(pred, schedule, weights, cfg).density[m - 1])
+
+
 class TestWeightedDensity:
     def test_false_pred(self, cesaro, ones):
-        assert weighted_density(lambda m, n: False, cesaro, ones, 10) == 0.0
+        assert density_at(lambda m, n: False, cesaro, ones, 10) == 0.0
 
     def test_true_pred_unit_weights(self, cesaro, ones):
-        assert weighted_density(lambda m, n: True, cesaro, ones, 10) == 1.0
+        assert density_at(lambda m, n: True, cesaro, ones, 10) == 1.0
 
     def test_squares_at_r_100(self, cesaro, ones):
-        assert weighted_density(squares_pred, cesaro, ones, 100) == 0.10
+        assert density_at(squares_pred, cesaro, ones, 100) == 0.10
 
     def test_degenerate_normalizer_rejected(self, cesaro):
         zeros = WeightScheme(tabulated([0.0] * 40), tabulated([0.0] * 40), label="z")
         with pytest.raises(DegenerateNormalizerError):
-            weighted_density(lambda m, n: True, cesaro, zeros, 5)
+            density_at(lambda m, n: True, cesaro, zeros, 5)
 
     @given(m=st.integers(min_value=1, max_value=80), k=st.integers(min_value=2, max_value=7))
     @settings(max_examples=60, deadline=None)
@@ -79,14 +87,14 @@ class TestWeightedDensity:
         ones = weight_preset("ones")
         pred_a = lambda mm, n: n % (2 * k) == 0  # noqa: E731
         pred_b = lambda mm, n: n % k == 0  # noqa: E731
-        da = weighted_density(pred_a, sched, ones, m)
-        db = weighted_density(pred_b, sched, ones, m)
+        da = density_at(pred_a, sched, ones, m)
+        db = density_at(pred_b, sched, ones, m)
         assert da <= db
         # Complement identity holds exactly at the integer-count level.
         ca, r = brute_density_count(pred_a, sched, ones, m)
         cna, _ = brute_density_count(lambda mm, n: not pred_a(mm, n), sched, ones, m)
         assert ca + cna == math.floor(r)
-        dna = weighted_density(lambda mm, n: not pred_a(mm, n), sched, ones, m)
+        dna = density_at(lambda mm, n: not pred_a(mm, n), sched, ones, m)
         assert da + dna == pytest.approx(math.floor(r) / r, rel=1e-15)
 
     @given(m=st.integers(min_value=1, max_value=60))
@@ -94,7 +102,7 @@ class TestWeightedDensity:
     def test_density_in_unit_interval(self, m):
         sched = schedule_preset("stretch")
         idw = weight_preset("identity")
-        d = weighted_density(squares_pred, sched, idw, m)
+        d = density_at(squares_pred, sched, idw, m)
         assert 0.0 <= d <= 1.0
 
 
@@ -269,7 +277,8 @@ class TestWindowPlan:
     @settings(max_examples=60, deadline=None)
     def test_plan_matches_convolution_and_brute_counts(self, inputs):
         schedule, weights, cfg, rng = inputs
-        expected = [convolution(schedule, weights, m, cfg.mode) for m in range(1, cfg.horizon + 1)]
+        ms = range(1, cfg.horizon + 1)
+        expected = [fsum_normalizer(schedule, weights, m, cfg.mode) for m in ms]
         # A window of zero weights is degenerate, which other tests cover.
         assume(min(expected) > 0.0)
         plan = window_plan(schedule, weights, cfg)
@@ -314,7 +323,7 @@ class TestWindowPlan:
         sums = _window_sums(*((e, g) if literal else (g, e)), x, y)
         weights = WeightScheme(tabulated(e), tabulated(g))
         for m, r in enumerate(sums.tolist(), 1):
-            assert r.hex() == convolution(schedule, weights, m, mode).hex(), m
+            assert r.hex() == fsum_normalizer(schedule, weights, m, mode).hex(), m
 
     @pytest.mark.parametrize("spread, limbs", [(9, True), (10, False), (11, False)])
     def test_wide_windows_at_the_spread_limit(self, spread, limbs, monkeypatch):
@@ -343,7 +352,7 @@ class TestWindowPlan:
         with pytest.raises(WeightError, match="'big' give no finite window sum at m=1"):
             window_plan(deferred, big, DensityConfig(horizon=10))
         with pytest.raises(WeightError, match="'big' give no finite window sum at m=1"):
-            weighted_density(lambda m, n: True, deferred, big, 1)
+            window_means(lambda n: n.astype(np.float64), deferred, big, 10)
 
     def test_regular_e_table_covering_only_the_widths(self, deferred, cesaro, ones):
         cfg = DensityConfig(horizon=50, tail_fraction=0.5, tolerance=0.1)
@@ -352,7 +361,7 @@ class TestWindowPlan:
         short = WeightScheme(tabulated([1.5] * 100, "short-e"), ones.g, label="short")
         assert counting_bound(deferred, short, cfg) == 150
         v = density_limit(squares_pred, deferred, short, cfg)
-        assert v.R[-1] == convolution(deferred, short, 50)
+        assert v.R[-1] == fsum_normalizer(deferred, short, 50)
         with pytest.raises(WeightError, match="counting range at m="):
             level_density_limit(np.ones(150), 1.0, deferred, short, cfg)
         cesaro_short = WeightScheme(tabulated([1.5] * 50, "short-e"), ones.g, label="short")
@@ -406,6 +415,90 @@ class TestWindowPlan:
         indices = density._trace_indices(cfg)
         assert indices.dtype == np.int64
         assert np.array_equal(indices, expected)
+
+
+@st.composite
+def mean_inputs(draw):
+    """A sequence (array and scalar forms), schedule, weight scheme, horizon and mode."""
+    if draw(st.booleans()):
+        schedule = schedule_preset(draw(st.sampled_from(["cesaro", "example", "stretch"])))
+    else:
+        ax = draw(st.integers(0, 3))
+        bx = draw(st.integers(0, 5))
+        ay = ax + draw(st.integers(1, 3))
+        by = bx + draw(st.integers(1 - (ay - ax), 5))
+        schedule = DeferredSchedule(Affine(ax, bx), Affine(ay, by), "random")
+    horizon = draw(st.integers(10, 30))
+    size = schedule.y(horizon) + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ones", "identity", "tables", "constant-e"]))
+    table = draw(st.sampled_from(["zeros", "subnormal", "wide", "spread9", "spread10", "spread11"]))
+    if kind == "tables":
+        e, g = (tabulated(weight_table(table, rng, size), side) for side in "eg")
+        weights = WeightScheme(e, g, label=table)
+    elif kind == "constant-e":
+        # Constant e with a tabulated g takes the prefix-sum numerator.
+        e0 = float(rng.uniform(0.1, 5.0))
+        e = WeightSeq(lambda n: e0, "e0", constant=e0)
+        weights = WeightScheme(e, tabulated(weight_table(table, rng, size), "g"), label=table)
+    else:
+        weights = weight_preset(kind)
+    c = draw(st.one_of(st.sampled_from([-3.7, 0.0, 0.1, 7.0]), st.floats(-1e3, 1e3)))
+    if draw(st.booleans()):
+        seqs = (lambda n: n.astype(np.float64), float)
+    else:
+        seqs = (lambda n: np.full(len(n), c), lambda n: c)
+    mode = draw(st.sampled_from(list(NormalizerMode)))
+    return seqs, schedule, weights, horizon, mode
+
+
+class TestWindowMeans:
+    @given(inputs=mean_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_for_bit_against_the_fsum_oracle(self, inputs):
+        (seq, scalar_seq), schedule, weights, horizon, mode = inputs
+        try:
+            want = [
+                fsum_window_mean(scalar_seq, schedule, weights, m, mode)
+                for m in range(1, horizon + 1)
+            ]
+        except (WeightError, DegenerateNormalizerError) as exc:
+            # The same error, type and message, at the same first m.
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                window_means(seq, schedule, weights, horizon, mode)
+            return
+        r, t = window_means(seq, schedule, weights, horizon, mode)
+        assert [(a.hex(), b.hex()) for a, b in zip(r.tolist(), t.tolist())] == [
+            (a.hex(), b.hex()) for a, b in want
+        ]
+        try:
+            plan = window_plan(schedule, weights, DensityConfig(horizon=horizon, mode=mode))
+        except density.CountCapError:
+            assert r.max() >= 2_000_001
+            return
+        assert [v.hex() for v in r[plan.ms - 1].tolist()] == [v.hex() for v in plan.R.tolist()]
+
+    @pytest.mark.parametrize("table", ["spread9", "spread10"])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**20])
+    def test_signed_products_on_both_branches(self, deferred, table, scale):
+        # (-1)^n n puts products of both signs into one chunk.  Spread 9 sums in
+        # limbs, unless the negative products lie 2^20 past the positive ones.
+        rng = np.random.default_rng(3)
+        g = tabulated(weight_table(table, rng, 200), table)
+        weights = WeightScheme(tabulated([1.0] * 200, "ones"), g, label=table)
+        r, t = window_means(lambda n: n * np.where(n % 2, -scale, 1.0), deferred, weights, 40)
+        for m in range(1, 41):
+            want = fsum_window_mean(lambda n: n * (-scale if n % 2 else 1.0), deferred, weights, m)
+            assert (r[m - 1].hex(), t[m - 1].hex()) == (want[0].hex(), want[1].hex()), m
+
+    @pytest.mark.parametrize(
+        "e", [WeightSeq(lambda n: 2.0, "two", constant=2.0), tabulated([2.0] * 15)]
+    )
+    def test_numerator_that_is_not_finite_is_named_by_its_fsum(self, cesaro, e):
+        # Literal R_5 reads g(0..4), the numerator g(1..5): 2 * g(5) overflows, times 0 is nan.
+        weights = WeightScheme(e, tabulated([1.0] * 5 + [1e308] * 10), label="big")
+        with pytest.raises(WeightError, match=r"'big' .* of the sequence at m=5: nan$"):
+            window_means(lambda n: np.zeros(len(n)), cesaro, weights, 10, NormalizerMode.LITERAL)
 
 
 @st.composite

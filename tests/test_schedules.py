@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dnstat.density import DensityConfig, _normalizers, level_density_limit, window_means
 from dnstat.schedules import (
     Affine,
     DeferredSchedule,
@@ -18,44 +19,54 @@ from dnstat.schedules import (
     WeightError,
     WeightScheme,
     WeightSeq,
-    constant_seq,
-    convolution,
-    dn_mean,
     identity_seq,
     schedule_preset,
     tabulated,
     weight_preset,
-    window,
-    window_mean,
-    window_weight,
 )
 
-from conftest import brute_normalizer, reference_bounds
+from conftest import (
+    brute_normalizer,
+    brute_weight,
+    fsum_normalizer,
+    fsum_window_mean,
+    one_window,
+    reference_bounds,
+)
+
+
+def identity_array(n: np.ndarray) -> np.ndarray:
+    return n.astype(np.float64)
+
+
+def constant_array(c: float):
+    return lambda n: np.full(len(n), c)
 
 
 class TestWindow:
+    # Window m is x_m+1 .. y_m.
     def test_deferred_window_m1(self, deferred):
-        assert list(window(deferred, 1)) == [2, 3]
+        assert deferred.bounds(1) == (1, 3)
 
     def test_deferred_window_m2(self, deferred):
-        assert list(window(deferred, 2)) == [4, 5, 6, 7]
+        assert deferred.bounds(2) == (3, 7)
 
     def test_smallest_plain_window(self, cesaro):
-        assert list(window(cesaro, 1)) == [1]
+        assert cesaro.bounds(1) == (0, 1)
 
     def test_violation_names_the_index(self):
         bad = DeferredSchedule(Affine(5, 0), Affine(2, 0), "bad")
         with pytest.raises(ScheduleError, match="m=1"):
-            window(bad, 1)
+            bad.bounds(1)
 
     def test_index_below_one_rejected(self, cesaro):
         with pytest.raises(ScheduleError):
-            window(cesaro, 0)
+            cesaro.bounds(0)
 
     def test_negative_x_rejected(self):
         bad = DeferredSchedule(Affine(1, -5), Affine(2, 0), "bad")
         with pytest.raises(ScheduleError):
-            window(bad, 1)
+            bad.bounds(1)
 
 
 class TestScheduleInvariants:
@@ -74,22 +85,29 @@ class TestScheduleInvariants:
 
 
 class TestConvolution:
+    """R_m of ``window_means``."""
+
     def test_unit_weights_both_modes(self, cesaro, ones):
-        assert convolution(cesaro, ones, 5) == 5.0
-        assert convolution(cesaro, ones, 5, NormalizerMode.LITERAL) == 5.0
+        assert window_means(identity_array, cesaro, ones, 5)[0][4] == 5.0
+        assert window_means(identity_array, cesaro, ones, 5, NormalizerMode.LITERAL)[0][4] == 5.0
 
     def test_index_pairing_differs_between_modes(self):
         # e(n) = n, g = 1 on the window 1..3 separates the conventions.
         sched = DeferredSchedule(Affine(0, 0), Affine(0, 3), "w3")
         idw = weight_preset("identity")
-        assert convolution(sched, idw, 3, NormalizerMode.LITERAL) == 6.0
-        assert convolution(sched, idw, 3, NormalizerMode.REGULAR) == 3.0
+        assert window_means(identity_array, sched, idw, 3, NormalizerMode.LITERAL)[0][2] == 6.0
+        assert window_means(identity_array, sched, idw, 3, NormalizerMode.REGULAR)[0][2] == 3.0
 
     def test_zero_weights_yield_degenerate_normalizer(self, cesaro):
         zeros = WeightScheme(tabulated([0.0] * 50), tabulated([0.0] * 50), label="zeros")
-        assert convolution(cesaro, zeros, 5) == 0.0
+        r = _normalizers(cesaro, zeros, NormalizerMode.REGULAR, np.array([5]))[2]
+        assert r.tolist() == [0.0]
+        # R_m = g(m) on cesaro when e = (1, 0, 0, ...): m = 5 is the first zero.
+        gap = WeightScheme(
+            tabulated([1.0] + [0.0] * 49), tabulated([0.0] + [1.0] * 4 + [0.0] * 45), label="gap"
+        )
         with pytest.raises(DegenerateNormalizerError, match="m=5"):
-            dn_mean(constant_seq(1.0), cesaro, zeros, 5)
+            window_means(constant_array(1.0), cesaro, gap, 5)
 
     @given(m=st.integers(min_value=1, max_value=60))
     @settings(max_examples=60, deadline=None)
@@ -97,9 +115,11 @@ class TestConvolution:
         sched = schedule_preset("example")
         idw = weight_preset("identity")
         for mode in NormalizerMode:
-            assert convolution(sched, idw, m, mode) == pytest.approx(
+            r = window_means(identity_array, sched, idw, m, mode)[0]
+            assert r[-1] == pytest.approx(
                 brute_normalizer(sched, idw, m, mode), rel=1e-13, abs=0.0
             )
+            assert r[-1] == fsum_normalizer(sched, idw, m, mode)
 
     @given(m=st.integers(min_value=1, max_value=100))
     @settings(max_examples=50, deadline=None)
@@ -108,21 +128,26 @@ class TestConvolution:
         halves = WeightScheme(
             tabulated([0.5] * 500, "h"), tabulated([0.25] * 500, "q"), label="halves"
         )
-        assert convolution(sched, halves, m) == convolution(
-            sched, halves, m, NormalizerMode.LITERAL
-        )
+        regular = window_means(identity_array, sched, halves, m)[0]
+        literal = window_means(identity_array, sched, halves, m, NormalizerMode.LITERAL)[0]
+        assert np.array_equal(regular, literal)
 
 
 class TestWindowWeight:
     def test_default_form(self, deferred):
+        # The mean of the indicator of n = 7 is w(3, 7) / R_3, w(m, n) = e(y_m - n) * g(n).
         idw = weight_preset("identity")
         yv = deferred.y(3)
-        assert window_weight(deferred, idw, 3, 7) == float(yv - 7)
+        r, t = window_means(lambda n: (n == 7).astype(np.float64), deferred, idw, 3)
+        assert t[2] == float(yv - 7) / r[2]
 
-    def test_out_of_domain_index_has_zero_weight(self, cesaro):
+    def test_out_of_domain_index_has_zero_weight(self, deferred):
         idw = weight_preset("identity")
-        # y(3) = 3, so n = 5 has no defined weight pairing.
-        assert window_weight(cesaro, idw, 3, 5) == 0.0
+        # floor(R_3) = 15 but y(3) = 11: n = 12..15 have no defined weight
+        # pairing, and n = 11 has weight e(0) = 0, so 10 indices count.
+        cfg = DensityConfig(horizon=10, tail_fraction=1.0)
+        v = level_density_limit(np.full(400, 1e300), 1.0, deferred, idw, cfg)
+        assert (v.R[2], deferred.y(3), v.count[2]) == (15.0, 11, 10)
 
     @pytest.mark.parametrize("bad, fault", [
         (math.inf, "not finite"), (math.nan, "not finite"), (-math.inf, "negative"),
@@ -140,15 +165,17 @@ class TestWindowWeight:
     def test_tabulated_range_is_enforced(self):
         short = tabulated([1.0, 2.0], "short")
         with pytest.raises(WeightError, match="end at index 1"):
-            short(5)
+            short.array(5)
 
 
 class TestDnMean:
+    """t_m of ``window_means``."""
+
     def test_constant_sequence_regular(self, cesaro, ones):
-        assert dn_mean(constant_seq(7.0), cesaro, ones, 9) == 7.0
+        assert window_means(constant_array(7.0), cesaro, ones, 9)[1][8] == 7.0
 
     def test_identity_plain_window(self, cesaro, ones):
-        assert dn_mean(identity_seq, cesaro, ones, 4) == 2.5
+        assert window_means(identity_array, cesaro, ones, 4)[1][3] == 2.5
 
     def test_literal_denominator_case(self):
         # Direct-summation oracle: numerator sum of w(m,n) seq(n) over the
@@ -158,7 +185,7 @@ class TestDnMean:
         num = sum((3 - n) * 1.0 * n for n in range(1, 4))
         den = sum(n * 1.0 for n in range(1, 4))
         assert num / den == 4.0 / 6.0
-        got = dn_mean(identity_seq, sched, idw, 3, NormalizerMode.LITERAL)
+        got = window_means(identity_array, sched, idw, 3, NormalizerMode.LITERAL)[1][2]
         assert got == pytest.approx(num / den, rel=1e-15)
 
     @given(
@@ -168,21 +195,20 @@ class TestDnMean:
     )
     @settings(max_examples=100, deadline=None)
     def test_regular_mode_preserves_constants(self, c, m, name):
-        sched = schedule_preset(name)
+        # One window: cesaro's window 1 weighs e(0) * g(1) = 0 under identity weights.
+        sched = one_window(schedule_preset(name), m)
         idw = weight_preset("identity")
-        assert abs(dn_mean(constant_seq(c), sched, idw, m) - c) <= 1e-12
+        assert abs(window_means(constant_array(c), sched, idw, 1)[1][0] - c) <= 1e-12
 
     def test_numerator_uses_window_weights_in_both_modes(self, deferred):
         idw = weight_preset("identity")
         m = 4
-        num = sum(
-            window_weight(deferred, idw, m, n) * float(n) for n in window(deferred, m)
-        )
+        xv, yv = deferred.bounds(m)
+        num = sum(brute_weight(deferred, idw, m, n) * float(n) for n in range(xv + 1, yv + 1))
         for mode in NormalizerMode:
-            r = convolution(deferred, idw, m, mode)
-            t = dn_mean(identity_seq, deferred, idw, m, mode)
-            assert t == pytest.approx(num / r, rel=1e-13)
-            assert window_mean(identity_seq, deferred, idw, m, mode) == (r, t)
+            r, t = window_means(identity_array, deferred, idw, m, mode)
+            assert t[-1] == pytest.approx(num / r[-1], rel=1e-13)
+            assert fsum_window_mean(identity_seq, deferred, idw, m, mode) == (r[-1], t[-1])
 
 
 class TestAffineSpec:
