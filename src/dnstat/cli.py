@@ -42,6 +42,8 @@ from .schedules import (
     NormalizerMode,
     ScheduleError,
     WeightError,
+    constant_seq,
+    identity_seq,
 )
 
 __all__ = ["main"]
@@ -154,19 +156,37 @@ def _merge_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
         raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    valid = {a for a in vars(args) if a != "config"}
-    file_values = {}
+    sub = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices[args.command]
+    actions = {a.dest: a for a in sub._actions if a.dest in vars(args)}
     for key, value in raw.items():
         dest = key.replace("-", "_")
-        if dest not in valid:
+        if dest not in actions or dest == "config":
             raise ConfigError(f"unknown keys in config file: ['{key}']")
-        file_values[dest] = value
+        _check_file_value(actions[dest], key, value)
+        sub.set_defaults(**{dest: value})
     # Re-parse with the file values as defaults; explicit flags still win.
-    sub_map = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ).choices
-    sub_map[args.command].set_defaults(**file_values)
     return parser.parse_args(argv)
+
+
+def _check_file_value(action: argparse.Action, key: str, value: object) -> None:
+    """Reject a config file value that the flag's action, type or choices would reject."""
+    if isinstance(action, argparse._StoreTrueAction):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(action, argparse._AppendAction):
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        want = "a list of strings"
+    elif action.type in (int, float):
+        ok = isinstance(value, (action.type, int)) and not isinstance(value, bool)
+        want = "an integer" if action.type is int else "a number"
+    elif action.choices:
+        ok, want = value in action.choices, "one of " + ", ".join(action.choices)
+    else:  # the schedule, weights and model parsers also read their object forms
+        ok = isinstance(value, str) or action.dest in ("schedule", "weights", "model")
+        want = "a string"
+    if not ok:
+        raise ConfigError(f"config key '{key}' must be {want}, got {json.dumps(value)}")
 
 
 def _emit(lines: list[str]) -> None:
@@ -181,7 +201,7 @@ def _config_echo(pairs: dict[str, object]) -> list[str]:
 def _parse_seq(spec: str):
     """The sequence as a function on int64 index arrays."""
     if spec == "identity":
-        return lambda n: n.astype(np.float64)
+        return identity_seq
     if spec.startswith("const:"):
         try:
             value = float(spec.partition(":")[2])
@@ -189,7 +209,7 @@ def _parse_seq(spec: str):
             raise ConfigError(f"bad constant in sequence spec '{spec}'") from None
         if not math.isfinite(value):
             raise ConfigError(f"sequence constant must be finite, got '{spec}'")
-        return lambda n: np.full(len(n), value)
+        return constant_seq(value)
     raise ConfigError(f"unknown sequence spec '{spec}'")
 
 
@@ -493,10 +513,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _merge_config_file(parser, argv)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return _COMMANDS[args.command](args)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

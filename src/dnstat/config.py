@@ -152,6 +152,8 @@ def parse_model(spec: Any) -> RVSequenceModel:
                 idx = int(key)
             except ValueError:
                 raise ConfigError(f"model.per_m key '{key}' is not an index") from None
+            if idx in parsed:
+                raise ConfigError(f"model.per_m has more than one key for index {idx}")
             rows = []
             for atom in atoms:
                 if len(atom) != 3:

@@ -39,9 +39,8 @@ paths picked from the weights:
   plan's e and g tables once and counts every row against them, in
   O(sum of k_m) per row.
 
-Both give the same counts bit for bit.  Arbitrary callables go through
-``density_limit``, vectorized when the predicate accepts arrays and per
-index otherwise.
+Both give the same counts bit for bit.  Arbitrary predicates go through
+``density_limit``, one call per traced window on its whole index array.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ from .schedules import (
     WeightError,
     WeightScheme,
     WeightSeq,
+    array_result,
     check_normalizer,
     fsum_or_inf,
 )
@@ -248,7 +248,11 @@ def window_plan(
     x, y, r, e, g = _normalizers(schedule, weights, cfg.mode, ms)
     bad = np.flatnonzero(~(r > 0.0) | (r >= _COUNT_CAP + 1))
     if bad.size:
-        _check_normalizer(float(r[bad[0]]), int(ms[bad[0]]), weights.label)
+        r0, m0 = float(r[bad[0]]), int(ms[bad[0]])
+        check_normalizer(r0, m0, weights.label)
+        raise CountCapError(
+            f"floor(R_m)={math.floor(r0)} at m={m0} exceeds counting cap {_COUNT_CAP}"
+        )
     k = np.floor(r).astype(np.int64)
     if weights.e.constant is not None and weights.g.constant is not None:
         # Counting reads e(0) and g(1..min(k_m, y_m)), known once k_m is.
@@ -303,7 +307,8 @@ def window_means(
     x, y, r, e, _ = _normalizers(schedule, weights, mode, np.arange(1, horizon + 1))
     y_top = int(y.max())
     g = weights.g.array(y_top)
-    values = np.asarray(seq(np.arange(1, y_top + 1, dtype=np.int64)), dtype=np.float64)
+    ns = np.arange(1, y_top + 1, dtype=np.int64)
+    values = array_result(seq(ns), ns.shape, np.float64, "sequence")
     if weights.e.constant is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             num = _prefix_sums((e[0] * g[1:]) * values, x, y)
@@ -417,15 +422,6 @@ def _chunk_sums(
     return [fsum_or_inf(terms[at : at + w].tolist()) for at, w in zip(starts.tolist(), widths)]
 
 
-def _check_normalizer(r: float, m: int, label: str) -> None:
-    """``check_normalizer``, then CountCapError where floor(R_m) exceeds the counting cap."""
-    check_normalizer(r, m, label)
-    if r >= _COUNT_CAP + 1:
-        raise CountCapError(
-            f"floor(R_m)={math.floor(r)} at m={m} exceeds counting cap {_COUNT_CAP}"
-        )
-
-
 def _assemble(
     plan: WindowPlan,
     count: np.ndarray,
@@ -450,47 +446,27 @@ def _assemble(
 
 
 def density_limit(
-    pred: Callable[[int, int], bool],
+    pred: Callable[[int, np.ndarray], np.ndarray],
     schedule: DeferredSchedule,
     weights: WeightScheme,
     cfg: DensityConfig,
 ) -> ConvergenceVerdict:
     """Density trace of a generic predicate over m = 1..horizon.
 
-    The predicate may accept a numpy array as its second argument and
-    return a boolean array; that path is probed once and used when it
-    works, otherwise evaluation falls back to one call per index.  A
-    predicate failure is raised as RuntimeError naming the index.
+    Each traced m with k_m > 0 calls ``pred(m, ns)`` once, on the int64
+    array ns = 1..k_m, for a boolean array of ns's shape or one boolean
+    for all of them (``array_result``).  A predicate failure is raised as
+    RuntimeError naming the index.
     """
     plan = window_plan(schedule, weights, cfg)
-    vector_ok: bool | None = None
-    counts: list[int] = []
-    for m, k in zip(plan.ms.tolist(), plan.k.tolist()):
+    counts = np.zeros(len(plan.ms), dtype=np.int64)
+    for i in np.flatnonzero(plan.k).tolist():
+        m, ns = int(plan.ms[i]), np.arange(1, plan.k[i] + 1)
         try:
-            if vector_ok is None:
-                vector_ok = _probe_vector_pred(pred, m)
-            if vector_ok and k > 0:
-                narr = np.arange(1, k + 1, dtype=np.int64)
-                mask = np.asarray(pred(m, narr), dtype=bool)
-                if mask.shape != narr.shape:
-                    raise ValueError("vectorized predicate returned a wrong shape")
-                count = int(np.count_nonzero(mask))
-            else:
-                count = sum(1 for n in range(1, k + 1) if pred(m, n))
+            counts[i] = np.count_nonzero(array_result(pred(m, ns), ns.shape, bool, "predicate"))
         except Exception as exc:
             raise RuntimeError(f"density evaluation failed at m={m}: {exc}") from exc
-        counts.append(count)
-    count_col = np.array(counts, dtype=np.int64)
-    return _assemble(plan, count_col, count_col / plan.R, cfg, {})
-
-
-def _probe_vector_pred(pred: Callable, m: int) -> bool:
-    try:
-        probe = pred(m, np.arange(1, 3, dtype=np.int64))
-    except Exception:
-        return False
-    arr = np.asarray(probe)
-    return arr.dtype == bool and arr.shape == (2,)
+    return _assemble(plan, counts, counts / plan.R, cfg, {})
 
 
 def counting_bound(
@@ -507,7 +483,7 @@ def counting_bound(
 
 
 def level_density_limit(
-    levels: Callable[[int], float] | np.ndarray,
+    levels: np.ndarray,
     threshold: float,
     schedule: DeferredSchedule,
     weights: WeightScheme,
@@ -516,15 +492,12 @@ def level_density_limit(
 ) -> ConvergenceVerdict:
     """Density limit of the separable predicate w(m, n) * level(n) >= threshold.
 
-    ``levels`` is indexed by n starting at 1 (an array is read as
-    levels[n-1]).  This is the workhorse behind the sequence and
-    random-variable detectors; weights enter as a per-index multiplier,
-    indices with no defined weight (beyond y_m) count as weight 0.  It
-    is the one-row case of ``level_density_limits``.
+    ``levels`` is an array read as levels[n-1] for n >= 1.  This is the
+    workhorse behind the sequence and random-variable detectors; weights
+    enter as a per-index multiplier, indices with no defined weight
+    (beyond y_m) count as weight 0.  It is the one-row case of
+    ``level_density_limits``.
     """
-    if not isinstance(levels, np.ndarray):
-        k_max = counting_bound(schedule, weights, cfg)
-        levels = np.fromiter((float(levels(n)) for n in range(1, k_max + 1)), np.float64, k_max)
     rows = np.asarray(levels, dtype=np.float64)[np.newaxis]
     return level_density_limits(rows, threshold, schedule, weights, cfg, [extras or {}])[0]
 
@@ -610,7 +583,7 @@ def _prefix_counts(
 
 
 def dn_stat_limit(
-    seq: Callable[[int], float],
+    seq: Callable[[np.ndarray], np.ndarray],
     candidate: float,
     eps: float,
     schedule: DeferredSchedule,
@@ -620,13 +593,15 @@ def dn_stat_limit(
     """Statistical-limit check of a real sequence against a candidate.
 
     Evaluates d_m = (1/R_m) |{n <= floor(R_m) : w(m, n) |seq(n) - candidate| >= eps}|
-    along the horizon and applies the tail verdict rule.
+    along the horizon and applies the tail verdict rule.  ``seq`` maps an
+    int64 array of indices n >= 1 to floats, as in ``window_means``.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     cand = float(candidate)
+    ns = np.arange(1, counting_bound(schedule, weights, cfg) + 1)
     return level_density_limit(
-        lambda n: abs(float(seq(n)) - cand),
+        np.abs(array_result(seq(ns), ns.shape, np.float64, "sequence") - cand),
         eps,
         schedule,
         weights,

@@ -61,7 +61,7 @@ import numpy as np
 
 from .density import ConvergenceVerdict, DensityConfig, Verdict, counting_bound, level_density_limit
 from .rvmodel import model_preset
-from .schedules import DeferredSchedule, NormalizerMode, WeightScheme
+from .schedules import DeferredSchedule, NormalizerMode, WeightScheme, array_result
 
 __all__ = [
     "SampledFunction",
@@ -96,8 +96,9 @@ _BLOCK_ROWS = 8192
 class SampledFunction:
     """Total bounded function on [0,1].
 
-    ``evaluation`` should accept scalars and numpy arrays (plain
-    arithmetic does; use numpy ufuncs for exp and abs).  Boundedness is
+    ``evaluation`` maps an array of points to their values (plain
+    arithmetic does; use numpy ufuncs for exp and abs), or to one scalar
+    for all of them; ``values`` makes that one call.  Boundedness is
     checked on an evaluation grid, as is the sup estimate used by the
     series tail bound, so wildly oscillating functions need a caller
     supplied bound instead.
@@ -110,13 +111,12 @@ class SampledFunction:
         return self.evaluation(y)
 
     def values(self, ys: np.ndarray) -> np.ndarray:
+        name = f"function '{self.label}'"
         try:
-            out = np.asarray(self.evaluation(ys), dtype=np.float64)
-            if out.shape == ys.shape:
-                return out
-        except Exception:
-            pass
-        return np.fromiter((float(self.evaluation(float(y))) for y in ys), np.float64, len(ys))
+            out = self.evaluation(ys)
+        except Exception as exc:
+            raise ValueError(f"{name} failed on an array of points: {exc}") from exc
+        return array_result(out, ys.shape, np.float64, name)
 
 
 def as_sampled(f, label: str = "") -> SampledFunction:
@@ -436,8 +436,7 @@ def _mkz_table(
     ys = np.asarray(ys, dtype=np.float64)
     out = np.empty((len(ms), len(fns), len(ys)))
     inner = (ys > 0.0) & (ys < 1.0)
-    for i in np.flatnonzero(~inner):
-        out[:, :, i] = [float(fn(float(ys[i]))) for fn in fns]
+    out[:, :, ~inner] = [fn.values(ys[~inner]) for fn in fns]
     cols = np.flatnonzero(inner)
     if len(cols) == 0 or len(ms) == 0:
         return out

@@ -41,6 +41,7 @@ __all__ = [
     "WeightScheme",
     "fsum_or_inf",
     "check_normalizer",
+    "array_result",
     "constant_seq",
     "identity_seq",
     "SCHEDULE_PRESETS",
@@ -138,17 +139,29 @@ class DeferredSchedule:
             )
 
 
+def array_result(value: object, shape: tuple[int, ...], dtype: type, name: str) -> np.ndarray:
+    """A caller-supplied function's result on inputs of ``shape``, as ``dtype``: an
+    array of that shape, or a scalar that stands for every entry; else ValueError."""
+    out = np.asarray(value, dtype=dtype)
+    if out.shape == shape:
+        return out
+    if out.ndim:
+        raise ValueError(f"{name} returned shape {out.shape} for inputs of shape {shape}")
+    return np.full(shape, out)
+
+
 @dataclass(frozen=True)
 class WeightSeq:
     """Non-negative sequence defined on n >= 0.
 
-    ``constant`` is set when every value equals a known constant, which
-    lets bulk evaluation skip per-index calls.  ``table`` holds explicit
-    values for tabulated sequences; indices beyond the table are an
-    error (tables carry exactly the data the caller supplied).
+    ``fn`` maps an int64 index array to its values (``array_result``);
+    ``constant``, set when every value equals a known constant, lets bulk
+    evaluation skip it.  ``table`` holds explicit values for tabulated
+    sequences; indices beyond the table are an error (tables carry
+    exactly the data the caller supplied).
     """
 
-    fn: Callable[[int], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     label: str = ""
     constant: float | None = None
     table: tuple[float, ...] | None = None
@@ -159,27 +172,17 @@ class WeightSeq:
             if not 0.0 <= self.constant < math.inf:
                 raise _weight_fault(self.label, 0, self.constant)
             return np.full(n_max + 1, self.constant, dtype=np.float64)
-        if self.table is not None:
-            if n_max >= len(self.table):
-                raise WeightError(
-                    f"tabulated weights '{self.label}' end at index "
-                    f"{len(self.table) - 1}, requested up to {n_max}"
-                )
-            out = np.asarray(self.table[: n_max + 1], dtype=np.float64)
-        else:
-            out = np.fromiter((float(self.fn(i)) for i in range(n_max + 1)), np.float64, n_max + 1)
+        if self.table is not None and n_max >= len(self.table):
+            raise WeightError(
+                f"tabulated weights '{self.label}' end at index "
+                f"{len(self.table) - 1}, requested up to {n_max}"
+            )
+        ns = np.arange(n_max + 1)
+        out = array_result(self.fn(ns), ns.shape, np.float64, f"weights '{self.label}'")
         bad = np.flatnonzero(~((out >= 0.0) & (out < np.inf)))
         if bad.size:
             raise _weight_fault(self.label, int(bad[0]), float(out[bad[0]]))
         return out
-
-
-def _ones() -> WeightSeq:
-    return WeightSeq(lambda n: 1.0, "ones", constant=1.0)
-
-
-def _identity() -> WeightSeq:
-    return WeightSeq(float, "identity")
 
 
 def _weight_fault(label: str, n: int, value: float) -> WeightError:
@@ -189,10 +192,12 @@ def _weight_fault(label: str, n: int, value: float) -> WeightError:
 
 def tabulated(values: Sequence[float], label: str = "tabulated") -> WeightSeq:
     vals = tuple(float(v) for v in values)
-    for n, v in enumerate(vals):
-        if not 0.0 <= v < math.inf:
-            raise _weight_fault(label, n, v)
-    return WeightSeq(lambda n: vals[n], label, table=vals)
+    arr = np.array(vals, dtype=np.float64)
+    arr.flags.writeable = False
+    # A closure, not the bound arr.__getitem__: WeightSeq must stay hashable.
+    seq = WeightSeq(lambda n: arr[n], label, table=vals)
+    seq.array(len(vals) - 1)  # WeightError at the first negative or non-finite value
+    return seq
 
 
 @dataclass(frozen=True)
@@ -223,13 +228,13 @@ def check_normalizer(r: float, m: int, label: str) -> None:
         raise DegenerateNormalizerError(f"degenerate normalizer at m={m}: R_m={r}")
 
 
-def constant_seq(c: float) -> Callable[[int], float]:
+def constant_seq(c: float) -> Callable[[np.ndarray], np.ndarray]:
     value = float(c)
-    return lambda n: value
+    return lambda n: np.full(np.shape(n), value)
 
 
-def identity_seq(n: int) -> float:
-    return float(n)
+def identity_seq(n: np.ndarray) -> np.ndarray:
+    return np.asarray(n, dtype=np.float64)
 
 
 # Named presets used by the config surface and the CLI.
@@ -242,13 +247,14 @@ SCHEDULE_PRESETS: dict[str, DeferredSchedule] = {
     "stretch": DeferredSchedule(Affine(1, 0), Affine(4, 0), "stretch"),
 }
 
+_ONES = WeightSeq(constant_seq(1.0), "ones", constant=1.0)
 WEIGHT_PRESETS: dict[str, WeightScheme] = {
-    "ones": WeightScheme(_ones(), _ones(), label="ones"),
-    "identity": WeightScheme(_identity(), _ones(), label="identity"),
+    "ones": WeightScheme(_ONES, _ONES, label="ones"),
+    "identity": WeightScheme(WeightSeq(identity_seq, "identity"), _ONES, label="identity"),
     # The worked examples pin the density prefactor to 1/(window width);
     # unit weights on the deferred window reproduce that normalizer, so the
     # example preset is unit weights under another name.
-    "example1": WeightScheme(_ones(), _ones(), label="example1"),
+    "example1": WeightScheme(_ONES, _ONES, label="example1"),
 }
 
 

@@ -19,6 +19,7 @@ from dnstat.schedules import (
     ScheduleError,
     WeightError,
     WeightScheme,
+    WeightSeq,
     check_normalizer,
     fsum_or_inf,
     schedule_preset,
@@ -46,6 +47,11 @@ def ones() -> WeightScheme:
     return weight_preset("ones")
 
 
+def scalar(seq: WeightSeq):
+    """A weight sequence's ``fn`` called on one Python int, as a Python float."""
+    return lambda n: float(seq.fn(n))
+
+
 def brute_normalizer(
     schedule: DeferredSchedule,
     weights: WeightScheme,
@@ -54,12 +60,13 @@ def brute_normalizer(
 ) -> float:
     """Window weight sum by direct loop."""
     xv, yv = int(schedule.x(m)), int(schedule.y(m))
+    e, g = scalar(weights.e), scalar(weights.g)
     total = 0.0
     for n in range(xv + 1, yv + 1):
         if mode is NormalizerMode.LITERAL:
-            total += weights.e.fn(n) * weights.g.fn(yv - n)
+            total += e(n) * g(yv - n)
         else:
-            total += weights.e.fn(yv - n) * weights.g.fn(n)
+            total += e(yv - n) * g(n)
     return total
 
 
@@ -71,7 +78,7 @@ def fsum_normalizer(
 ) -> float:
     """R_m as one fsum over the window's products, one scalar weight call each."""
     xv, yv = schedule.bounds(m)
-    e, g = weights.e.fn, weights.g.fn
+    e, g = scalar(weights.e), scalar(weights.g)
     if mode is NormalizerMode.LITERAL:
         return fsum_or_inf(e(v) * g(yv - v) for v in range(xv + 1, yv + 1))
     return fsum_or_inf(e(yv - n) * g(n) for n in range(xv + 1, yv + 1))
@@ -92,9 +99,8 @@ def fsum_window_mean(
     r = fsum_normalizer(schedule, weights, m, mode)
     check_normalizer(r, m, weights.label)
     xv, yv = schedule.bounds(m)
-    num = fsum_or_inf(
-        weights.e.fn(yv - n) * weights.g.fn(n) * float(seq(n)) for n in range(xv + 1, yv + 1)
-    )
+    e, g = scalar(weights.e), scalar(weights.g)
+    num = fsum_or_inf(e(yv - n) * g(n) * float(seq(n)) for n in range(xv + 1, yv + 1))
     if not math.isfinite(num):
         raise WeightError(
             f"weights '{weights.label}' give no finite weighted sum of the sequence"
@@ -113,7 +119,7 @@ def brute_weight(schedule: DeferredSchedule, weights: WeightScheme, m: int, n: i
     yv = int(schedule.y(m))
     if yv - n < 0:
         return 0.0
-    return weights.e.fn(yv - n) * weights.g.fn(n)
+    return scalar(weights.e)(yv - n) * scalar(weights.g)(n)
 
 
 def brute_density_count(pred, schedule, weights, m, mode=NormalizerMode.REGULAR) -> tuple[int, float]:
@@ -121,6 +127,16 @@ def brute_density_count(pred, schedule, weights, m, mode=NormalizerMode.REGULAR)
     r = brute_normalizer(schedule, weights, m, mode)
     count = sum(1 for n in range(1, math.floor(r) + 1) if pred(m, n))
     return count, r
+
+
+def brute_stat_count(seq, candidate, eps, schedule, weights, m, mode=NormalizerMode.REGULAR) -> int:
+    """|{n <= floor(R_m) : w(m, n) |seq(n) - candidate| >= eps}|, one scalar seq call per n."""
+    k = math.floor(fsum_normalizer(schedule, weights, m, mode))
+    return sum(
+        1
+        for n in range(1, k + 1)
+        if brute_weight(schedule, weights, m, n) * abs(float(seq(n)) - candidate) >= eps
+    )
 
 
 def reference_bounds(schedule: DeferredSchedule, ms) -> list[tuple[int, int]]:

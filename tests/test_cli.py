@@ -380,3 +380,44 @@ class TestConfigFile:
         proc = run_cli("mean", "--seq", "identity", "--config", str(cfg))
         assert proc.returncode == 2
         assert "unknown keys" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, values, key",
+        [
+            (["detect", "--model", "example1"], {"horizon": 20.0}, "horizon"),
+            (["detect", "--model", "example1"], {"eps": None}, "eps"),
+            (["detect", "--model", "example1"], {"mode": "bogus"}, "mode"),
+            (["detect", "--model", "example1"], {"command": "mean"}, "command"),
+            (["detect", "--model", "example1"], {"format": "xml"}, "format"),
+            (["repro"], {"skip_diff": "no"}, "skip_diff"),
+            (["korovkin"], {"grid_size": 3.5}, "grid_size"),
+            (["korovkin"], {"f": "exp"}, "f"),
+        ],
+    )
+    def test_value_of_the_wrong_type_or_choice_exits_2(
+        self, tmp_path, capsys, command, values, key
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main([*command, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error:") and f"'{key}'" in err
+
+    def test_values_of_each_flag_kind(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        trace = tmp_path / "trace.csv"
+        values = {"model": "example1", "mode": "dnp", "eps": 1, "horizon": 50,
+                  "trace-out": str(trace), "schedule": {"x": 1, "y": 4}}
+        cfg.write_text(json.dumps(values))
+        assert main(["detect", "--config", str(cfg)]) == 0
+        assert "schedule=m,4m" in capsys.readouterr().out
+        assert trace.read_text().startswith("m,R_m,count,d_m\n")
+        cfg.write_text(json.dumps({"f": ["exp"], "horizon": 30, "grid-size": 9}))
+        assert main(["korovkin", "--config", str(cfg)]) == 0
+        assert "e^y" in capsys.readouterr().out
+        # A path flag takes a string.
+        cfg.write_text(json.dumps({**values, "trace-out": 5}))
+        assert main(["detect", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: config key 'trace-out' must be a string, got 5\n"

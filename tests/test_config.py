@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from dnstat.config import ConfigError, parse_schedule, parse_weights
+from dnstat.config import ConfigError, parse_model, parse_schedule, parse_weights
 from dnstat.density import window_means
 
 
@@ -59,3 +59,13 @@ class TestWeightSpecs:
     def test_missing_side_rejected(self):
         with pytest.raises(ConfigError):
             parse_weights({"e": "ones"})
+
+
+class TestModelSpecs:
+    def test_keys_that_name_the_same_index_rejected(self):
+        # "1" and "01" are both index 1; one of the two rows would be dropped
+        # silently, and which one would depend on the key order.
+        row_a, row_b = [[0.0, 0.0, 1.0]], [[1.0, 0.0, 1.0]]
+        for per_m in ({"1": row_a, "01": row_b}, {"01": row_b, "1": row_a}):
+            with pytest.raises(ConfigError, match="more than one key for index 1$"):
+                parse_model({"per_m": per_m})

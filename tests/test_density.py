@@ -44,6 +44,7 @@ from dnstat.schedules import (
 from conftest import (
     brute_density_count,
     brute_normalizer,
+    brute_stat_count,
     brute_weight,
     fsum_normalizer,
     fsum_window_mean,
@@ -94,7 +95,7 @@ class TestWeightedDensity:
         ca, r = brute_density_count(pred_a, sched, ones, m)
         cna, _ = brute_density_count(lambda mm, n: not pred_a(mm, n), sched, ones, m)
         assert ca + cna == math.floor(r)
-        dna = density_at(lambda mm, n: not pred_a(mm, n), sched, ones, m)
+        dna = density_at(lambda mm, n: np.logical_not(pred_a(mm, n)), sched, ones, m)
         assert da + dna == pytest.approx(math.floor(r) / r, rel=1e-15)
 
     @given(m=st.integers(min_value=1, max_value=60))
@@ -189,6 +190,16 @@ class TestDensityLimit:
         with pytest.raises(ValueError, match="underpowered"):
             DensityConfig(horizon=5)
 
+    def test_scalar_only_predicate_names_the_first_index(self, deferred, ones):
+        # int() of a two-element index array fails: the predicate is called
+        # once per window on its whole index array, never per index.
+        with pytest.raises(RuntimeError, match="^density evaluation failed at m=1:"):
+            density_limit(lambda m, n: is_square(int(n)), deferred, ones, DensityConfig(horizon=20))
+
+    def test_predicate_result_of_the_wrong_shape_names_the_index(self, deferred, ones):
+        with pytest.raises(RuntimeError, match=r"at m=1: predicate returned shape \(1, 2\)"):
+            density_limit(lambda m, n: (n > 1)[None], deferred, ones, DensityConfig(horizon=20))
+
     def test_matches_brute_counts_on_a_small_horizon(self, deferred, ones):
         cfg = DensityConfig(horizon=60, tail_fraction=0.5, tolerance=0.1)
         v = density_limit(squares_pred, deferred, ones, cfg)
@@ -204,7 +215,7 @@ class TestLevelEngine:
         cfg = DensityConfig(horizon=300, tolerance=0.05)
         levels = np.array([1.0 / n for n in range(1, 301)])
         va = level_density_limit(levels, 0.25, cesaro, ones, cfg)
-        vb = level_density_limit(lambda n: 1.0 / n, 0.25, cesaro, ones, cfg)
+        vb = dn_stat_limit(lambda n: 1.0 / n, 0.0, 0.25, cesaro, ones, cfg)
         assert np.array_equal(va.count, vb.count)
         assert va.verdict is vb.verdict is Verdict.CONVERGES
 
@@ -613,7 +624,7 @@ class TestDnStatLimit:
         assert v.tail_max == 0.0
 
     def test_square_indicator_converges(self, cesaro, ones):
-        seq = lambda n: 1.0 if is_square(n) else 0.0  # noqa: E731
+        seq = lambda n: squares_pred(0, n).astype(np.float64)  # noqa: E731
         v = dn_stat_limit(seq, 0.0, 0.5, cesaro, ones, DensityConfig(horizon=10_000))
         assert v.verdict is Verdict.CONVERGES
         assert v.tail_max == 89 / 8001
@@ -642,6 +653,46 @@ class TestDnStatLimit:
         )
         assert base.verdict is scaled.verdict
         assert np.array_equal(base.count, scaled.count)
+
+    @given(
+        form=st.sampled_from(["constant", "alternating", "reciprocal"]),
+        c=st.floats(min_value=-4.0, max_value=4.0),
+        candidate=st.sampled_from([0.0, 1.0, -0.5]),
+        eps=st.floats(min_value=0.01, max_value=3.0),
+        sched_name=st.sampled_from(["cesaro", "example", "stretch"]),
+        weight_kind=st.sampled_from(["ones", "identity", "table"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        mode=st.sampled_from(list(NormalizerMode)),
+        horizon=st.integers(min_value=10, max_value=25),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_counts_equal_the_scalar_oracle(
+        self, form, c, candidate, eps, sched_name, weight_kind, seed, mode, horizon
+    ):
+        # Each form on index arrays only (ints have no astype), for dnstat,
+        # and on one Python int, for the oracle; both give the same doubles.
+        seq, scalar_seq = {
+            "constant": (lambda n: np.full(n.shape, c), lambda n: c),
+            "alternating": (lambda n: c * (-1.0) ** n.astype(float), lambda n: c * (-1.0) ** n),
+            "reciprocal": (lambda n: c / n.astype(float), lambda n: c / n),
+        }[form]
+        if weight_kind == "table":
+            e = np.round(np.random.default_rng(seed).uniform(0.25, 4.0, 120), 4)
+            weights = WeightScheme(tabulated(e, "e-table"), weight_preset("ones").g, "table")
+        else:
+            weights = weight_preset(weight_kind)
+        # Window 1 of cesaro weighs only e(0) g(1) = 0 under identity weights.
+        assume((sched_name, weight_kind, mode) != ("cesaro", "identity", NormalizerMode.REGULAR))
+        schedule = schedule_preset(sched_name)
+        cfg = DensityConfig(horizon=horizon, tail_fraction=1.0, mode=mode)
+        v = dn_stat_limit(seq, candidate, eps, schedule, weights, cfg)
+        assert v.ms.tolist() == list(range(1, horizon + 1))
+        for m, count in zip(v.ms.tolist(), v.count.tolist()):
+            assert count == brute_stat_count(scalar_seq, candidate, eps, schedule, weights, m, mode)
+
+    def test_sequence_result_of_the_wrong_shape_raises(self, cesaro, ones):
+        with pytest.raises(ValueError, match=r"^sequence returned shape \(3,\)"):
+            dn_stat_limit(lambda n: np.ones(3), 0.0, 0.5, cesaro, ones, DensityConfig(horizon=20))
 
     def test_eps_must_be_positive(self, cesaro, ones):
         with pytest.raises(ValueError, match="eps"):

@@ -377,6 +377,34 @@ class TestIndexBlocks:
             lifted_operator(Perturbation.NONE).batch(ns, [ONE], self.GRID)
 
 
+class TestSampledValues:
+    GRID = np.linspace(0.0, 1.0, 5)
+
+    def test_scalar_only_function_names_its_label(self):
+        f = SampledFunction(lambda y: math.exp(y), "scalar-exp")
+        with pytest.raises(ValueError, match="^function 'scalar-exp' failed on an array") as info:
+            f.values(self.GRID)
+        assert isinstance(info.value.__cause__, TypeError)
+        assert f(0.5) == math.exp(0.5)  # one point still calls it directly
+
+    def test_result_shapes(self):
+        # An array of the grid's shape comes back as it is, a scalar fills the
+        # grid, and any other shape is an error.
+        out = np.zeros(5)
+        assert SampledFunction(lambda y: out, "zeros").values(self.GRID) is out
+        assert SampledFunction(lambda y: 2.0, "two").values(self.GRID).tolist() == [2.0] * 5
+        column = SampledFunction(lambda y: np.reshape(y, (-1, 1)), "column")
+        with pytest.raises(ValueError, match=r"^function 'column' returned shape \(5, 1\)"):
+            column.values(self.GRID)
+
+    def test_checker_names_a_scalar_only_conclusion_function(self):
+        cfg = KorovkinConfig(horizon=20, grid_points=9)
+        ops = lifted_operator(Perturbation.NONE, cfg.tail_tol)
+        f = SampledFunction(lambda y: math.exp(y), "scalar-exp")
+        with pytest.raises(ValueError, match="'scalar-exp'"):
+            korovkin_check(ops, "dnp", [f], schedule_preset("stretch"), weight_preset("ones"), cfg)
+
+
 class TestSupDistance:
     def test_identical_functions(self):
         assert sup_distance(IDENTITY, IDENTITY) == 0.0

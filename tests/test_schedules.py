@@ -155,7 +155,7 @@ class TestWindowWeight:
     def test_weights_that_are_not_finite_name_the_index(self, bad, fault):
         with pytest.raises(WeightError, match=f"'t' {fault} at n=2"):
             tabulated([1.0, 1.0, bad, 1.0], "t")
-        computed = WeightSeq(lambda n: bad if n == 2 else 1.0, "f")
+        computed = WeightSeq(lambda n: np.where(n == 2, bad, 1.0), "f")
         with pytest.raises(WeightError, match=f"'f' {fault} at n=2"):
             computed.array(4)
         constant = WeightSeq(lambda n: bad, "c", constant=bad)
