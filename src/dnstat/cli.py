@@ -160,18 +160,27 @@ def _merge_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ).choices[args.command]
     actions = {a.dest: a for a in sub._actions if a.dest in vars(args)}
+    lists = {}
     for key, value in raw.items():
         dest = key.replace("-", "_")
         if dest not in actions or dest == "config":
             raise ConfigError(f"unknown keys in config file: ['{key}']")
-        _check_file_value(actions[dest], key, value)
-        sub.set_defaults(**{dest: value})
+        value = _check_file_value(actions[dest], key, value)
+        if isinstance(actions[dest], argparse._AppendAction):
+            lists[dest] = value  # a default list would be extended by the flags
+        else:
+            sub.set_defaults(**{dest: value})
     # Re-parse with the file values as defaults; explicit flags still win.
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    for dest, value in lists.items():
+        if getattr(args, dest) is actions[dest].default:  # no flag given
+            setattr(args, dest, value)
+    return args
 
 
-def _check_file_value(action: argparse.Action, key: str, value: object) -> None:
-    """Reject a config file value that the flag's action, type or choices would reject."""
+def _check_file_value(action: argparse.Action, key: str, value: object) -> object:
+    """The value as its flag would read it; reject one that the flag's action,
+    type or choices would reject."""
     if isinstance(action, argparse._StoreTrueAction):
         ok, want = isinstance(value, bool), "true or false"
     elif isinstance(action, argparse._AppendAction):
@@ -187,6 +196,8 @@ def _check_file_value(action: argparse.Action, key: str, value: object) -> None:
         want = "a string"
     if not ok:
         raise ConfigError(f"config key '{key}' must be {want}, got {json.dumps(value)}")
+    # A float flag reads "1" as 1.0, and a huge integer as inf.
+    return float(str(value)) if action.type is float else value
 
 
 def _emit(lines: list[str]) -> None:
@@ -435,9 +446,13 @@ def _repro_report(seed: int) -> list[str]:
     schedule = parse_schedule("stretch")
     weights = parse_weights("ones")
     kcfg = KorovkinConfig()
-    report = korovkin_check(
-        lifted_operator(Perturbation.NULL_SET, kcfg.tail_tol),
-        "dnp",
+    # One check for both lifts, so that each block's base table is computed once.
+    report, report_cdf = korovkin_check(
+        (
+            lifted_operator(Perturbation.NULL_SET, kcfg.tail_tol),
+            lifted_operator(Perturbation.CDF_FACTOR, kcfg.tail_tol),
+        ),
+        ("dnp", "dndc"),
         [function_preset("y^3"), function_preset("e^y"), function_preset("|y-1/2|")],
         schedule,
         weights,
@@ -446,14 +461,6 @@ def _repro_report(seed: int) -> list[str]:
     for role, verdicts in (("condition", report.conditions), ("conclusion", report.conclusions)):
         for label, v in verdicts.items():
             lines.append(f"nullset {role} {label}: {v.verdict.value} tail_max={v.tail_max!r}")
-    report_cdf = korovkin_check(
-        lifted_operator(Perturbation.CDF_FACTOR, kcfg.tail_tol),
-        "dndc",
-        [function_preset("y^3")],
-        schedule,
-        weights,
-        kcfg,
-    )
     v_one = report_cdf.conditions["1"]
     lines.append(
         f"cdffactor condition 1: {v_one.verdict.value} tail_max={v_one.tail_max!r}"

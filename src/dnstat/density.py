@@ -228,8 +228,8 @@ class WindowPlan:
 def _table(seq: WeightSeq, need: int, reach: int) -> np.ndarray:
     """Values of seq at 0..top with top >= need (what R_m reads), extended
     towards reach (what counting reads) as far as a table goes."""
-    if seq.table is not None:
-        reach = min(reach, len(seq.table) - 1)
+    if seq.length is not None:
+        reach = min(reach, seq.length - 1)
     return seq.array(max(need, reach))
 
 

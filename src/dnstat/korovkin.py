@@ -33,7 +33,10 @@ table, and evaluates the functions, only over the blocks of 512
 consecutive t that its windows cover, and sums each point with one
 matrix-vector product.  ``korovkin_check`` calls ``batch`` once per
 block of consecutive indices, at most ``_BLOCK_ROWS`` (index, point,
-side) rows each.
+side) rows each.  Given several lifted sequences, it tabulates each
+block with every one of them in turn; their ``batch`` reads the base
+table through a memo of the last block, keyed by its exact inputs, so
+the lifts share one computation per block.
 
 Lifted variants multiply M_n by a positive factor: the two-coordinate
 counterexample's distribution function (which never vanishes, so its
@@ -513,11 +516,36 @@ class OperatorSequence:
     batch: Callable[[np.ndarray, Sequence[SampledFunction], np.ndarray], np.ndarray]
 
 
+# The base table of the last block that any lifted sequence tabulated, keyed
+# by its exact inputs, so that the lifts of one Korovkin check share it.  An
+# index's rows do not depend on the block around it, so a hit equals a
+# recomputation.
+_last_base: dict[tuple, np.ndarray] = {}
+
+
+def _base_table(
+    fns: Sequence[SampledFunction], ms: np.ndarray, ys: np.ndarray, tail_tol: float, scratch: _Scratch
+) -> np.ndarray:
+    """``_mkz_table`` through the one-block memo; the table is read-only."""
+    ys = np.asarray(ys, dtype=np.float64)
+    key = (ms.tobytes(), tuple(fns), ys.tobytes(), tail_tol)
+    table = _last_base.get(key)
+    if table is None:
+        table = _mkz_table(fns, ms, ys, tail_tol, scratch)
+        table.flags.writeable = False
+        _last_base.clear()
+        _last_base[key] = table
+    return table
+
+
 def lifted_operator(perturbation: Perturbation, tail_tol: float = 1e-10) -> OperatorSequence:
     """The MKZ operator sequence times the perturbation's factor at (n, y).
 
-    ``batch`` reuses its scratch buffers from one call to the next, so a
-    sequence must not be evaluated from several threads at once.
+    ``batch`` reads the base table of its block through a memo of the
+    last block tabulated, shared by every lifted sequence; the bare
+    sequence returns that table, read-only.  It reuses its scratch
+    buffers from one call to the next, so sequences must not be
+    evaluated from several threads at once.
     """
     _check_tail_tol(tail_tol)
     scratch = _Scratch()
@@ -526,7 +554,7 @@ def lifted_operator(perturbation: Perturbation, tail_tol: float = 1e-10) -> Oper
         ms = np.asarray(ns, dtype=np.int64)
         if ms.ndim != 1 or (ms < 1).any():
             raise ValueError(f"operator indices must be a 1-D array of integers >= 1, got {ns!r}")
-        tables = _mkz_table(fns, ms, ys, tail_tol, scratch)
+        tables = _base_table(fns, ms, ys, tail_tol, scratch)
         if perturbation is Perturbation.NONE:
             return tables
         if perturbation is Perturbation.NULL_SET:
@@ -646,13 +674,13 @@ def _operator_tables(
 
 
 def korovkin_check(
-    ops: OperatorSequence,
-    mode_tag: str,
+    ops: OperatorSequence | tuple[OperatorSequence, ...],
+    mode_tag: str | tuple[str, ...],
     f_list: Sequence[SampledFunction],
     schedule: DeferredSchedule,
     weights: WeightScheme,
     cfg: KorovkinConfig,
-) -> KorovkinReport:
+) -> KorovkinReport | tuple[KorovkinReport, ...]:
     """Run the three-condition check and the conclusion check for each f.
 
     Forms s_n = sup over the grid of |M_n(f, y) - f(y)| for the test
@@ -662,53 +690,71 @@ def korovkin_check(
     point, side) rows each, or one index when its grid alone has more.
     All stochastic modes agree on deterministic sequences, so mode_tag is
     provenance only.
+
+    ``ops`` may also be a tuple of sequences, with ``mode_tag`` a tuple of
+    one tag each; the check then returns a tuple of reports in the same
+    order.  Each block is tabulated by every sequence in turn, with the
+    same functions, so lifted sequences share its base table.
     """
+    several = isinstance(ops, tuple)
+    if several != isinstance(mode_tag, tuple) or (several and len(ops) != len(mode_tag)):
+        raise ValueError("korovkin_check needs one mode tag per operator sequence")
+    seqs, tags = (ops, mode_tag) if several else ((ops,), (mode_tag,))
+    if not seqs:
+        raise ValueError("korovkin_check needs at least one operator sequence")
     if not f_list:
         raise ValueError("korovkin_check needs at least one conclusion function")
-    if mode_tag not in ("dnp", "dnm", "dndc"):
-        raise ValueError(f"unknown mode tag '{mode_tag}'")
+    for tag in tags:
+        if tag not in ("dnp", "dnm", "dndc"):
+            raise ValueError(f"unknown mode tag '{tag}'")
     density_cfg = cfg.density()
     n_max = counting_bound(schedule, weights, density_cfg)
 
     grid = np.linspace(0.0, 1.0, cfg.grid_points)
     fns = [ONE, IDENTITY, SQUARE] + [as_sampled(f) for f in f_list]
     targets = np.stack([fn.values(grid) for fn in fns])
-    sup_dev = np.empty((len(fns), n_max))
+    sup_dev = np.empty((len(seqs), len(fns), n_max))
     per_call = max(1, _BLOCK_ROWS // (2 * len(grid)))
     for first in range(1, n_max + 1, per_call):
         ns = np.arange(first, min(first + per_call, n_max + 1))
-        tables = _operator_tables(ops, ns, fns, grid)
-        sup_dev[:, ns - 1] = np.max(np.abs(tables - targets), axis=2).T
+        for seq, dev in zip(seqs, sup_dev):
+            tables = _operator_tables(seq, ns, fns, grid)
+            dev[:, ns - 1] = np.max(np.abs(tables - targets), axis=2).T
 
-    def run(j: int) -> ConvergenceVerdict:
+    def run(dev: np.ndarray, j: int) -> ConvergenceVerdict:
         return level_density_limit(
-            sup_dev[j],
+            dev[j],
             cfg.eps,
             schedule,
             weights,
             density_cfg,
-            extras={"levels": sup_dev[j], "function": fns[j].label},
+            extras={"levels": dev[j], "function": fns[j].label},
         )
 
-    conditions = {fns[j].label: run(j) for j in range(3)}
-    conclusions = {fns[j].label: run(j) for j in range(3, len(fns))}
-    notes = []
-    if "cdffactor" in ops.label:
-        notes.append(
-            "the lift factor 1 + F(y) never falls below 1, so the unit test-function "
-            "deviation persists at every index; the verdict reported is the measured one"
+    reports = []
+    for seq, tag, dev in zip(seqs, tags, sup_dev):
+        conditions = {fns[j].label: run(dev, j) for j in range(3)}
+        conclusions = {fns[j].label: run(dev, j) for j in range(3, len(fns))}
+        notes = []
+        if "cdffactor" in seq.label:
+            notes.append(
+                "the lift factor 1 + F(y) never falls below 1, so the unit test-function "
+                "deviation persists at every index; the verdict reported is the measured one"
+            )
+        reports.append(
+            KorovkinReport(
+                conditions,
+                conclusions,
+                tag,
+                seq.label,
+                cfg.grid_points,
+                cfg.horizon,
+                cfg.eps,
+                cfg.mode,
+                tuple(notes),
+            )
         )
-    return KorovkinReport(
-        conditions,
-        conclusions,
-        mode_tag,
-        ops.label,
-        cfg.grid_points,
-        cfg.horizon,
-        cfg.eps,
-        cfg.mode,
-        tuple(notes),
-    )
+    return tuple(reports) if several else reports[0]
 
 
 # ---------------------------------------------------------------------------

@@ -156,15 +156,15 @@ class WeightSeq:
 
     ``fn`` maps an int64 index array to its values (``array_result``);
     ``constant``, set when every value equals a known constant, lets bulk
-    evaluation skip it.  ``table`` holds explicit values for tabulated
-    sequences; indices beyond the table are an error (tables carry
-    exactly the data the caller supplied).
+    evaluation skip it.  ``length`` is the number of values of a
+    tabulated sequence; indices beyond the table are an error (tables
+    carry exactly the data the caller supplied).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     label: str = ""
     constant: float | None = None
-    table: tuple[float, ...] | None = None
+    length: int | None = None
 
     def array(self, n_max: int) -> np.ndarray:
         """Values at indices 0..n_max as a float64 array; each must be finite and >= 0."""
@@ -172,10 +172,10 @@ class WeightSeq:
             if not 0.0 <= self.constant < math.inf:
                 raise _weight_fault(self.label, 0, self.constant)
             return np.full(n_max + 1, self.constant, dtype=np.float64)
-        if self.table is not None and n_max >= len(self.table):
+        if self.length is not None and n_max >= self.length:
             raise WeightError(
                 f"tabulated weights '{self.label}' end at index "
-                f"{len(self.table) - 1}, requested up to {n_max}"
+                f"{self.length - 1}, requested up to {n_max}"
             )
         ns = np.arange(n_max + 1)
         out = array_result(self.fn(ns), ns.shape, np.float64, f"weights '{self.label}'")
@@ -191,12 +191,12 @@ def _weight_fault(label: str, n: int, value: float) -> WeightError:
 
 
 def tabulated(values: Sequence[float], label: str = "tabulated") -> WeightSeq:
-    vals = tuple(float(v) for v in values)
-    arr = np.array(vals, dtype=np.float64)
+    arr = np.array([float(v) for v in values], dtype=np.float64)
     arr.flags.writeable = False
-    # A closure, not the bound arr.__getitem__: WeightSeq must stay hashable.
-    seq = WeightSeq(lambda n: arr[n], label, table=vals)
-    seq.array(len(vals) - 1)  # WeightError at the first negative or non-finite value
+    # A closure, not the bound arr.__getitem__: WeightSeq must stay hashable,
+    # and it hashes and compares by the closure, not by the values.
+    seq = WeightSeq(lambda n: arr[n], label, length=len(arr))
+    seq.array(len(arr) - 1)  # WeightError at the first negative or non-finite value
     return seq
 
 

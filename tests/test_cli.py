@@ -421,3 +421,26 @@ class TestConfigFile:
         assert main(["detect", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err == "config error: config key 'trace-out' must be a string, got 5\n"
+
+    def test_f_flags_replace_the_files_list(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"f": ["exp"], "horizon": 30, "grid-size": 9}))
+        for flags, labels in (([], ["e^y"]), (["--f", "y^3"], ["y^3"]),
+                              (["--f", "y^3", "--f", "|y-1/2|"], ["y^3", "|y-1/2|"])):
+            assert main(["korovkin", "--config", str(cfg), "--format", "json", *flags]) == 0
+            report = json.loads(capsys.readouterr().out)["report"]
+            assert list(report["conclusions"]) == labels
+
+    def test_integer_for_a_float_flag_reads_as_the_flag_does(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "example1", "eps": 1, "r": 2, "horizon": 50}))
+        flags = ["--model", "example1", "--eps", "1", "--r", "2", "--horizon", "50"]
+        outputs = []
+        for fmt in ("table", "json"):
+            assert main(["detect", "--config", str(cfg), "--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+            assert main(["detect", *flags, "--format", fmt]) == 0
+            assert outputs[-1] == capsys.readouterr().out
+        assert " eps=1.0 delta=0.5 r=2.0 " in outputs[0].splitlines()[1]
+        assert json.loads(outputs[1])["config"]["eps"] == 1.0
+

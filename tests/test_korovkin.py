@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ except ImportError:  # only the oracle tests need it
     mpmath = None
 
 from dnstat.density import Verdict
-from dnstat import korovkin
+from dnstat import cli, korovkin
 from dnstat.korovkin import (
     CUBE,
     DIST_HALF,
@@ -418,6 +419,104 @@ class TestSupDistance:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sup_distance(ONE, ONE, grid=[])
+
+
+class TestSeveralLifts:
+    """One check over a tuple of lifts: the same reports as one check per lift."""
+
+    F_LIST = [CUBE, EXP, DIST_HALF]
+    CFG = KorovkinConfig(horizon=30, tolerance=0.07)  # 90 indices: two blocks
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        korovkin._last_base.clear()
+        calls = []
+        real = korovkin._mkz_table
+        monkeypatch.setattr(korovkin, "_mkz_table", lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def check(self, ops, tag, cfg=None):
+        return korovkin_check(ops, tag, self.F_LIST, schedule_preset("stretch"),
+                              weight_preset("ones"), cfg or self.CFG)
+
+    @pytest.mark.parametrize("first, second", list(itertools.product(Perturbation, repeat=2)))
+    def test_a_tuple_call_equals_one_call_per_lift(self, first, second):
+        tol = self.CFG.tail_tol
+        pair = (lifted_operator(first, tol), lifted_operator(second, tol))
+        reports = self.check(pair, ("dnp", "dndc"))
+        assert isinstance(reports, tuple) and len(reports) == 2
+        for perturbation, tag, report in zip((first, second), ("dnp", "dndc"), reports):
+            korovkin._last_base.clear()  # the single call recomputes its tables
+            single = self.check(lifted_operator(perturbation, tol), tag)
+            assert (report.operator, report.mode_tag, report.notes) == (
+                single.operator, single.mode_tag, single.notes)
+            labels = list(report.conditions) + list(report.conclusions)
+            assert labels == ["1", "z", "z^2", "y^3", "e^y", "|y-1/2|"]
+            for role in ("conditions", "conclusions"):
+                for label, v in getattr(report, role).items():
+                    w = getattr(single, role)[label]
+                    assert v.verdict is w.verdict
+                    assert v.tail_max == w.tail_max
+                    np.testing.assert_array_equal(report.sup_trace(label), single.sup_trace(label))
+
+    def test_repro_makes_one_base_table_per_block(self, monkeypatch, capsys):
+        calls = self.counted(monkeypatch)
+        assert cli.main(["repro", "--skip-diff"]) == 0
+        # 600 indices in blocks of 63 on the 65-point grid, shared by both lifts.
+        assert len(calls) == 10
+        assert "cdffactor condition 1: diverges" in capsys.readouterr().out
+
+    def test_one_lift_makes_one_base_table_per_block(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        self.check(lifted_operator(Perturbation.NULL_SET, self.CFG.tail_tol), "dnp")
+        assert [a[1].tolist() for a in calls] == [list(range(1, 64)), list(range(64, 91))]
+
+    def test_memo_recomputes_when_any_input_changes(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        ns, fns, grid = np.arange(3, 9), [ONE, CUBE, EXP], np.linspace(0.0, 1.0, 17)
+        bare = lifted_operator(Perturbation.NONE, 1e-8)
+        table = bare.batch(ns, fns, grid)
+        lifted_operator(Perturbation.CDF_FACTOR, 1e-8).batch(ns, fns, grid)
+        assert len(calls) == 1
+        changed = [
+            (bare, ns + 1, fns, grid),
+            (bare, ns, fns[::-1], grid),
+            (bare, ns, fns, np.linspace(0.0, 1.0, 9)),
+            (lifted_operator(Perturbation.NONE, 1e-9), ns, fns, grid),
+        ]
+        for ops, *inputs in changed:
+            bare.batch(ns, fns, grid)  # the memo holds the first key again
+            before = len(calls)
+            ops.batch(*inputs)
+            assert len(calls) == before + 1
+        # The rows in the new order, not the memo's (their last bits may move).
+        np.testing.assert_allclose(bare.batch(ns, fns[::-1], grid), table[:, ::-1], rtol=1e-14)
+        # A caller cannot write into the memoized table; a lift's product is its own.
+        with pytest.raises(ValueError, match="read-only"):
+            bare.batch(ns, fns, grid)[0, 0, 0] = 5.0
+        lifted_operator(Perturbation.NULL_SET, 1e-8).batch(ns, fns, grid)[...] = 0.0
+        np.testing.assert_array_equal(bare.batch(ns, fns, grid), table)
+
+    def test_cap_error_names_the_first_index(self):
+        cfg = KorovkinConfig(horizon=30, grid_points=200_001)
+        lifts = (Perturbation.NULL_SET, Perturbation.CDF_FACTOR)
+        pair = tuple(lifted_operator(p, cfg.tail_tol) for p in lifts)
+        with pytest.raises(SeriesCapError, match="operator evaluation failed at n=1"):
+            self.check(pair, ("dnp", "dndc"), cfg)
+
+    @pytest.mark.parametrize("ops, tags", [
+        ((Perturbation.NONE, Perturbation.NULL_SET), ("dnp",)),
+        ((Perturbation.NONE,), "dnp"),
+        (Perturbation.NONE, ("dnp",)),
+        ((), ()),
+    ])
+    def test_one_mode_tag_per_sequence(self, ops, tags):
+        if isinstance(ops, tuple):
+            ops = tuple(lifted_operator(p) for p in ops)
+        else:
+            ops = lifted_operator(ops)
+        with pytest.raises(ValueError, match="operator sequence"):
+            self.check(ops, tags)
 
 
 class TestConditionChecker:

@@ -167,6 +167,14 @@ class TestWindowWeight:
         with pytest.raises(WeightError, match="end at index 1"):
             short.array(5)
 
+    def test_tabulated_keeps_its_values_once(self):
+        # The values live in the array fn indexes; the dataclass, which the
+        # window plan cache hashes, holds only their count.
+        seq = tabulated(range(80_000), "long")
+        assert seq.length == 80_000 and seq.array(79_999)[-1] == 79_999.0
+        assert all(not isinstance(v, (tuple, list)) for v in vars(seq).values())
+        assert seq != tabulated(range(80_000), "long")  # equal by fn, as before
+
 
 class TestDnMean:
     """t_m of ``window_means``."""
