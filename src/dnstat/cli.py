@@ -152,7 +152,7 @@ def _merge_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
         return args
     try:
         raw = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bytes or a huge integer
         raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -347,15 +347,14 @@ def cmd_korovkin(args: argparse.Namespace) -> int:
             horizon=args.horizon,
             eps=args.eps,
             grid_points=args.grid_size,
-            tail_tol=args.tail_tol,
             tolerance=args.tolerance,
         )
+        ops = lifted_operator(Perturbation(args.perturb), args.tail_tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     schedule.validate(cfg.horizon)
-    ops = lifted_operator(Perturbation(args.perturb), cfg.tail_tol)
     try:
-        report = korovkin_check(ops, args.tag, f_list, schedule, weights, cfg)
+        (report,) = korovkin_check((ops,), (args.tag,), f_list, schedule, weights, cfg)
     except SeriesCapError as exc:
         # Only grid points very close to 1 need windows that wide.
         raise ConfigError(f"{exc}; use a smaller --grid-size") from None
@@ -368,7 +367,7 @@ def cmd_korovkin(args: argparse.Namespace) -> int:
         "weights": weights.label,
         "horizon": cfg.horizon,
         "grid_points": cfg.grid_points,
-        "tail_tol": cfg.tail_tol,
+        "tail_tol": args.tail_tol,
         "eps": cfg.eps,
         "tolerance": cfg.tolerance,
         "mode_tag": report.mode_tag,
@@ -445,18 +444,17 @@ def _repro_report(seed: int) -> list[str]:
 
     schedule = parse_schedule("stretch")
     weights = parse_weights("ones")
-    kcfg = KorovkinConfig()
     # One check for both lifts, so that each block's base table is computed once.
     report, report_cdf = korovkin_check(
         (
-            lifted_operator(Perturbation.NULL_SET, kcfg.tail_tol),
-            lifted_operator(Perturbation.CDF_FACTOR, kcfg.tail_tol),
+            lifted_operator(Perturbation.NULL_SET, 1e-8),
+            lifted_operator(Perturbation.CDF_FACTOR, 1e-8),
         ),
         ("dnp", "dndc"),
         [function_preset("y^3"), function_preset("e^y"), function_preset("|y-1/2|")],
         schedule,
         weights,
-        kcfg,
+        KorovkinConfig(),
     )
     for role, verdicts in (("condition", report.conditions), ("conclusion", report.conclusions)):
         for label, v in verdicts.items():

@@ -130,6 +130,8 @@ class DensityConfig:
             raise ValueError(f"tail_fraction must be in (0, 1], got {self.tail_fraction}")
         if not self.tolerance > 0.0:  # NaN fails too
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if math.isinf(self.tolerance):
+            raise ValueError(f"tolerance must be finite, got {self.tolerance}")
         if self.tail_length() < 2:
             raise ValueError("tail window must contain at least 2 points")
 

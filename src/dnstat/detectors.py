@@ -89,12 +89,14 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         # Written so that NaN fails each check.
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        for name, value in (("eps", self.eps), ("delta", self.delta)):
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if not self.r >= 1.0:
             raise ValueError(f"moment order must be >= 1, got {self.r}")
+        for name, value in (("eps", self.eps), ("delta", self.delta), ("r", self.r)):
+            if np.isinf(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def default_grid(model: RVSequenceModel) -> tuple[float, ...]:
@@ -117,14 +119,13 @@ def st_dnp(
     cfg: DetectorConfig,
 ) -> ConvergenceVerdict:
     """Statistical convergence in probability over the weighted windows."""
-    levels = model.laws(_checked_k_max(model, schedule, weights, cfg)).exceedance(cfg.eps)
     return level_density_limit(
-        levels,
+        model.laws(_checked_k_max(model, schedule, weights, cfg)).exceedance(cfg.eps),
         cfg.delta,
         schedule,
         weights,
         cfg.density,
-        extras={"detector": "dnp", "eps": cfg.eps, "delta": cfg.delta, "levels": levels},
+        extras={"detector": "dnp", "eps": cfg.eps, "delta": cfg.delta},
     )
 
 
@@ -134,15 +135,14 @@ def st_dnm(
     weights: WeightScheme,
     cfg: DetectorConfig,
 ) -> ConvergenceVerdict:
-    """Statistical convergence in r-th mean; the raw moment sequence rides along."""
-    levels = model.laws(_checked_k_max(model, schedule, weights, cfg)).moment(cfg.r)
+    """Statistical convergence in r-th mean."""
     return level_density_limit(
-        levels,
+        model.laws(_checked_k_max(model, schedule, weights, cfg)).moment(cfg.r),
         cfg.eps,
         schedule,
         weights,
         cfg.density,
-        extras={"detector": "dnm", "eps": cfg.eps, "r": cfg.r, "levels": levels},
+        extras={"detector": "dnm", "eps": cfg.eps, "r": cfg.r},
     )
 
 

@@ -31,12 +31,12 @@ deviations past the mode and bisects the bracket, on log C(m+t, t) from
 Stirling's series, with no node table.  Each index then builds its node
 table, and evaluates the functions, only over the blocks of 512
 consecutive t that its windows cover, and sums each point with one
-matrix-vector product.  ``korovkin_check`` calls ``batch`` once per
-block of consecutive indices, at most ``_BLOCK_ROWS`` (index, point,
-side) rows each.  Given several lifted sequences, it tabulates each
-block with every one of them in turn; their ``batch`` reads the base
-table through a memo of the last block, keyed by its exact inputs, so
-the lifts share one computation per block.
+matrix-vector product.  ``korovkin_check`` takes a tuple of sequences
+and calls each one's ``batch`` once per block of consecutive indices,
+at most ``_BLOCK_ROWS`` (index, point, side) rows each.  Lifted
+sequences read the base table through a memo of the last block, keyed
+by its exact inputs, so the lifts of one check share one computation
+per block.  ``tail_tol`` is set once, on the operator.
 
 Lifted variants multiply M_n by a positive factor: the two-coordinate
 counterexample's distribution function (which never vanishes, so its
@@ -101,17 +101,15 @@ class SampledFunction:
 
     ``evaluation`` maps an array of points to their values (plain
     arithmetic does; use numpy ufuncs for exp and abs), or to one scalar
-    for all of them; ``values`` makes that one call.  Boundedness is
-    checked on an evaluation grid, as is the sup estimate used by the
-    series tail bound, so wildly oscillating functions need a caller
-    supplied bound instead.
+    for all of them.  ``values`` makes that one call, and is the only way
+    dnstat evaluates a function, at interior points and endpoints alike.
+    Boundedness is checked on an evaluation grid, as is the sup estimate
+    used by the series tail bound, so wildly oscillating functions need a
+    caller supplied bound instead.
     """
 
     evaluation: Callable
     label: str = ""
-
-    def __call__(self, y):
-        return self.evaluation(y)
 
     def values(self, ys: np.ndarray) -> np.ndarray:
         name = f"function '{self.label}'"
@@ -228,7 +226,7 @@ def mkz_apply(f, m: int, y: float, tail_tol: float = 1e-10) -> float:
     if not (0.0 <= y <= 1.0):
         raise ValueError(f"evaluation point must lie in [0, 1], got {y}")
     if y == 0.0 or y == 1.0:
-        return float(fn(float(y)))
+        return float(fn.values(np.array([y], dtype=np.float64))[0])
     sup = max(_sup_abs(fn), 1e-300)
     t_end = _required_length(m, y, math.log(tail_tol) - math.log(sup))
     c = _coefficients(m, y, t_end)
@@ -538,9 +536,11 @@ def _base_table(
     return table
 
 
-def lifted_operator(perturbation: Perturbation, tail_tol: float = 1e-10) -> OperatorSequence:
+def lifted_operator(perturbation: Perturbation, tail_tol: float) -> OperatorSequence:
     """The MKZ operator sequence times the perturbation's factor at (n, y).
 
+    ``tail_tol`` bounds the truncation error of every entry; it has no
+    default, and it is the only tolerance a Korovkin check reads.
     ``batch`` reads the base table of its block through a memo of the
     last block tabulated, shared by every lifted sequence; the bare
     sequence returns that table, read-only.  It reuses its scratch
@@ -584,7 +584,9 @@ def sup_distance(fa, fb, grid: Sequence[float] | None = None) -> float:
 class KorovkinConfig:
     """Settings for a condition-checker run.
 
-    The tolerance default differs from the density module's: at the
+    The series truncation tolerance is not among them: it belongs to the
+    operator sequence (``lifted_operator(perturbation, tail_tol)``).  The
+    tolerance default differs from the density module's: at the
     checker's default horizon of 200 the perfect-square index set still
     has tail densities near 0.045, so certifying statistical nullity of
     that set needs a tolerance above it.
@@ -593,7 +595,6 @@ class KorovkinConfig:
     horizon: int = 200
     eps: float = 0.5
     grid_points: int = 65
-    tail_tol: float = 1e-8
     tolerance: float = 0.05
     tail_fraction: float = 0.2
     mode: NormalizerMode = NormalizerMode.REGULAR
@@ -601,7 +602,8 @@ class KorovkinConfig:
     def __post_init__(self) -> None:
         if not self.eps > 0.0:  # NaN fails too
             raise ValueError(f"eps must be positive, got {self.eps}")
-        _check_tail_tol(self.tail_tol)
+        if math.isinf(self.eps):
+            raise ValueError(f"eps must be finite, got {self.eps}")
         if self.grid_points < 2:
             raise ValueError(f"grid size must be at least 2, got {self.grid_points}")
         self.density()
@@ -674,37 +676,36 @@ def _operator_tables(
 
 
 def korovkin_check(
-    ops: OperatorSequence | tuple[OperatorSequence, ...],
-    mode_tag: str | tuple[str, ...],
+    ops: tuple[OperatorSequence, ...],
+    mode_tags: tuple[str, ...],
     f_list: Sequence[SampledFunction],
     schedule: DeferredSchedule,
     weights: WeightScheme,
     cfg: KorovkinConfig,
-) -> KorovkinReport | tuple[KorovkinReport, ...]:
+) -> tuple[KorovkinReport, ...]:
     """Run the three-condition check and the conclusion check for each f.
 
     Forms s_n = sup over the grid of |M_n(f, y) - f(y)| for the test
     triple and for each caller function, then applies the statistical
-    limit detector to every s sequence.  ``ops.batch`` tabulates blocks
-    of consecutive indices with at most ``_BLOCK_ROWS`` (index, grid
-    point, side) rows each, or one index when its grid alone has more.
-    All stochastic modes agree on deterministic sequences, so mode_tag is
-    provenance only.
-
-    ``ops`` may also be a tuple of sequences, with ``mode_tag`` a tuple of
-    one tag each; the check then returns a tuple of reports in the same
-    order.  Each block is tabulated by every sequence in turn, with the
-    same functions, so lifted sequences share its base table.
+    limit detector to every s sequence.  ``ops`` is a tuple of operator
+    sequences and ``mode_tags`` a tuple of one tag each; the check
+    returns one report per sequence, in the same order.  Blocks of
+    consecutive indices with at most ``_BLOCK_ROWS`` (index, grid point,
+    side) rows each, or one index when its grid alone has more, are
+    tabulated by every sequence in turn with the same functions, so
+    lifted sequences share each block's base table.  All stochastic
+    modes agree on deterministic sequences, so a mode tag is provenance
+    only.
     """
-    several = isinstance(ops, tuple)
-    if several != isinstance(mode_tag, tuple) or (several and len(ops) != len(mode_tag)):
-        raise ValueError("korovkin_check needs one mode tag per operator sequence")
-    seqs, tags = (ops, mode_tag) if several else ((ops,), (mode_tag,))
-    if not seqs:
+    try:
+        runs = list(zip(ops, mode_tags, strict=True))
+    except (TypeError, ValueError):
+        raise ValueError("korovkin_check needs one mode tag per operator sequence") from None
+    if not runs:
         raise ValueError("korovkin_check needs at least one operator sequence")
     if not f_list:
         raise ValueError("korovkin_check needs at least one conclusion function")
-    for tag in tags:
+    for _, tag in runs:
         if tag not in ("dnp", "dnm", "dndc"):
             raise ValueError(f"unknown mode tag '{tag}'")
     density_cfg = cfg.density()
@@ -713,11 +714,11 @@ def korovkin_check(
     grid = np.linspace(0.0, 1.0, cfg.grid_points)
     fns = [ONE, IDENTITY, SQUARE] + [as_sampled(f) for f in f_list]
     targets = np.stack([fn.values(grid) for fn in fns])
-    sup_dev = np.empty((len(seqs), len(fns), n_max))
+    sup_dev = np.empty((len(runs), len(fns), n_max))
     per_call = max(1, _BLOCK_ROWS // (2 * len(grid)))
     for first in range(1, n_max + 1, per_call):
         ns = np.arange(first, min(first + per_call, n_max + 1))
-        for seq, dev in zip(seqs, sup_dev):
+        for (seq, _), dev in zip(runs, sup_dev):
             tables = _operator_tables(seq, ns, fns, grid)
             dev[:, ns - 1] = np.max(np.abs(tables - targets), axis=2).T
 
@@ -732,7 +733,7 @@ def korovkin_check(
         )
 
     reports = []
-    for seq, tag, dev in zip(seqs, tags, sup_dev):
+    for (seq, tag), dev in zip(runs, sup_dev):
         conditions = {fns[j].label: run(dev, j) for j in range(3)}
         conclusions = {fns[j].label: run(dev, j) for j in range(3, len(fns))}
         notes = []
@@ -754,7 +755,7 @@ def korovkin_check(
                 tuple(notes),
             )
         )
-    return tuple(reports) if several else reports[0]
+    return tuple(reports)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from dnstat.density import DensityConfig, Verdict, window_means
+from dnstat.density import DensityConfig, Verdict, counting_bound, window_means
 from dnstat.detectors import (
     DetectorConfig,
     markov_bound_check,
@@ -74,7 +74,9 @@ def test_criterion_1_example1_reproduction():
 
     v_mean = st_dnm(bundle.model, bundle.schedule, bundle.weights, cfg)
     assert v_mean.verdict is Verdict.DIVERGES
-    moments = v_mean.extras["levels"]
+    # The raw moment sequence the detector thresholds, up to its k_max.
+    k_max = counting_bound(bundle.schedule, bundle.weights, cfg.density)
+    moments = bundle.model.laws(k_max).moment(1.0)
     assert moments[10_000 - 1] == 100.0
     assert moments[len(moments) - 1] > 100.0  # still growing at the trace end
 
@@ -146,9 +148,9 @@ def test_criterion_3_mkz_operator(tmp_path):
 def test_criterion_4_korovkin_positive_instance():
     t0 = time.perf_counter()
     cfg = KorovkinConfig(horizon=200)
-    report = korovkin_check(
-        lifted_operator(Perturbation.NULL_SET, cfg.tail_tol),
-        "dnp",
+    (report,) = korovkin_check(
+        (lifted_operator(Perturbation.NULL_SET, 1e-8),),
+        ("dnp",),
         [CUBE, EXP, DIST_HALF],
         schedule_preset("stretch"),
         weight_preset("ones"),

@@ -309,6 +309,21 @@ class TestKorovkin:
         )
         assert out == ""
 
+    def test_tail_tol_reaches_the_operator_from_a_flag_or_a_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tail_tol": 0.001}))
+        runs = {"default": [], "flag": ["--tail-tol", "1e-3"], "file": ["--config", str(cfg)]}
+        traces, echoes = {}, {}
+        for name, flags in runs.items():
+            path = tmp_path / f"{name}.csv"
+            argv = ["korovkin", "--horizon", "30", "--grid-size", "9", "--trace-out", str(path)]
+            assert main([*argv, *flags]) == 0
+            echoes[name] = capsys.readouterr().out.splitlines()[1]
+            traces[name] = path.read_bytes()
+        assert " tail_tol=1e-08 " in echoes["default"]
+        assert " tail_tol=0.001 " in echoes["flag"] and echoes["file"] == echoes["flag"]
+        assert traces["file"] == traces["flag"] != traces["default"]
+
     def test_nullset_report(self):
         proc = run_cli("korovkin", "--perturb", "nullset", "--horizon", "100",
                        "--grid-size", "9", "--tolerance", "0.07", "--format", "json")
@@ -339,6 +354,18 @@ class TestKorovkin:
         ("mean", "--seq", "const:nan"),
         ("mean", "--seq", "const:inf"),
         ("mean", "--seq", "const:-inf"),
+        # argparse reads 1e400 as inf.
+        *[
+            (*command, flag, value)
+            for command, flag in [
+                (("korovkin",), "--eps"),
+                (("korovkin",), "--tolerance"),
+                (("detect", "--model", "example1"), "--eps"),
+                (("detect", "--model", "example1"), "--delta"),
+                (("detect", "--model", "example1"), "--r"),
+            ]
+            for value in ("inf", "1e400")
+        ],
     ],
 )
 def test_bad_numeric_flag_exits_2(args):
@@ -380,6 +407,30 @@ class TestConfigFile:
         proc = run_cli("mean", "--seq", "identity", "--config", str(cfg))
         assert proc.returncode == 2
         assert "unknown keys" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"eps": 1' + b"0" * 5000 + b"}",  # past Python's int-string digit limit
+            b'\xff{"eps": 1}',
+            b'{"eps": ',
+        ],
+        ids=["huge-integer", "not-utf8", "truncated-json"],
+    )
+    def test_file_that_cannot_be_read_exits_2(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert main(["detect", "--model", "example1", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: cannot read config file {cfg}: ")
+
+    def test_infinite_number_in_a_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"eps": 1e400}')  # JSON reads it as inf
+        assert main(["detect", "--model", "example1", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "config error: eps must be finite, got inf\n")
 
     @pytest.mark.parametrize(
         "command, values, key",

@@ -65,10 +65,13 @@ class TestProbabilityDetector:
 
 class TestMeanDetector:
     def test_example1_diverges_with_unbounded_moments(self):
-        v = run_bundle("example1", st_dnm, cfg_at(2000, eps=0.5, r=1.0))
+        cfg = cfg_at(2000, eps=0.5, r=1.0)
+        v = run_bundle("example1", st_dnm, cfg)
         assert v.verdict is Verdict.DIVERGES
-        levels = v.extras["levels"]
-        # raw moment sequence rides along: E|Y_n - Y| = sqrt(n)
+        bundle = model_preset("example1")
+        k_max = counting_bound(bundle.schedule, bundle.weights, cfg.density)
+        levels = bundle.model.laws(k_max).moment(1.0)
+        # the raw moment sequence the detector thresholds: E|Y_n - Y| = sqrt(n)
         assert levels[3] == 2.0
         assert levels[99] == 10.0
 

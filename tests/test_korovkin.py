@@ -138,10 +138,13 @@ class TestOperatorInvariants:
             def poly(u, c=tuple(coeffs)):
                 return c[0] + c[1] * u + c[2] * u * u + c[3] * u * u * u
 
+            def half_exp(u):
+                return np.exp(u) * 0.5
+
             f = SampledFunction(poly, "poly")
-            g = SampledFunction(lambda u: np.exp(u) * 0.5, "halfexp")
+            g = SampledFunction(half_exp, "halfexp")
             a, b = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
-            combo = SampledFunction(lambda u, _a=a, _b=b: _a * poly(u) + _b * g(u), "combo")
+            combo = SampledFunction(lambda u, _a=a, _b=b: _a * poly(u) + _b * half_exp(u), "combo")
             m = rng.randint(1, 40)
             y = rng.choice(ys)
             left = mkz_apply(combo, m, y, 1e-11)
@@ -153,7 +156,7 @@ class TestOperatorInvariants:
 
 def lifted_value(perturbation: Perturbation, n: int, y: float) -> float:
     """One point of a lifted operator applied to the constant 1."""
-    return lifted_operator(perturbation).batch([n], [ONE], np.array([y]))[0, 0, 0]
+    return lifted_operator(perturbation, 1e-10).batch([n], [ONE], np.array([y]))[0, 0, 0]
 
 
 class TestLiftedOperators:
@@ -175,16 +178,20 @@ class TestLiftedOperators:
         grid = np.linspace(0.0, 1.0, 65)
         model = model_preset("example2").model
         factor = np.array([1.0 + cdf(model, LIMIT, float(y)) for y in grid])
-        base = lifted_operator(Perturbation.NONE).batch([n], [ONE, CUBE], grid)[0]
-        lifted = lifted_operator(Perturbation.CDF_FACTOR).batch([n], [ONE, CUBE], grid)[0]
+        base = lifted_operator(Perturbation.NONE, 1e-10).batch([n], [ONE, CUBE], grid)[0]
+        lifted = lifted_operator(Perturbation.CDF_FACTOR, 1e-10).batch([n], [ONE, CUBE], grid)[0]
         assert np.array_equal(lifted, base * factor)
 
     @pytest.mark.parametrize("tail_tol", [0.0, -1.0, 1.0, 2.0, float("nan")])
     def test_bad_tail_tol_rejected(self, tail_tol):
         with pytest.raises(ValueError, match="tail_tol"):
             lifted_operator(Perturbation.NONE, tail_tol)
-        with pytest.raises(ValueError, match="tail_tol"):
-            KorovkinConfig(tail_tol=tail_tol)
+
+    def test_tail_tol_is_set_once_on_the_operator(self):
+        with pytest.raises(TypeError):
+            lifted_operator(Perturbation.NONE)
+        with pytest.raises(TypeError):
+            KorovkinConfig(tail_tol=1e-8)
 
 
 def nb_log_coef(m: int, y, t: int):
@@ -289,7 +296,7 @@ class TestKernelAgainstMpmath:
     def test_checker_names_the_index_of_a_cap_error(self):
         cfg = KorovkinConfig(horizon=30, grid_points=200_001)
         with pytest.raises(SeriesCapError, match="operator evaluation failed at n=1"):
-            korovkin_check(lifted_operator(Perturbation.NONE, cfg.tail_tol), "dnp", [CUBE],
+            korovkin_check((lifted_operator(Perturbation.NONE, 1e-8),), ("dnp",), [CUBE],
                            schedule_preset("stretch"), weight_preset("ones"), cfg)
 
 
@@ -347,9 +354,9 @@ class TestIndexBlocks:
 
     def test_checker_traces_cross_block_boundaries_unchanged(self):
         cfg = KorovkinConfig(horizon=60, grid_points=len(self.GRID))
-        ops = lifted_operator(Perturbation.NULL_SET, cfg.tail_tol)
-        report = korovkin_check(
-            ops, "dnp", [EXP], schedule_preset("stretch"), weight_preset("ones"), cfg
+        ops = lifted_operator(Perturbation.NULL_SET, 1e-8)
+        (report,) = korovkin_check(
+            (ops,), ("dnp",), [EXP], schedule_preset("stretch"), weight_preset("ones"), cfg
         )
         n_max = len(report.sup_trace("1"))
         assert n_max > 2 * (korovkin._BLOCK_ROWS // (2 * len(self.GRID)))
@@ -369,13 +376,13 @@ class TestIndexBlocks:
 
         cfg = KorovkinConfig(horizon=30, grid_points=9)
         with pytest.raises(RuntimeError, match="operator evaluation failed at n=7: no value at 7"):
-            korovkin_check(OperatorSequence("mkz", batch), "dnp", [CUBE],
+            korovkin_check((OperatorSequence("mkz", batch),), ("dnp",), [CUBE],
                            schedule_preset("stretch"), weight_preset("ones"), cfg)
 
     @pytest.mark.parametrize("ns", [5, [0, 1], [[1, 2]]])
     def test_indices_must_be_a_flat_array_of_positive_integers(self, ns):
         with pytest.raises(ValueError, match="operator indices"):
-            lifted_operator(Perturbation.NONE).batch(ns, [ONE], self.GRID)
+            lifted_operator(Perturbation.NONE, 1e-10).batch(ns, [ONE], self.GRID)
 
 
 class TestSampledValues:
@@ -386,7 +393,10 @@ class TestSampledValues:
         with pytest.raises(ValueError, match="^function 'scalar-exp' failed on an array") as info:
             f.values(self.GRID)
         assert isinstance(info.value.__cause__, TypeError)
-        assert f(0.5) == math.exp(0.5)  # one point still calls it directly
+        # The operator's endpoints read the function through the same array call.
+        for y in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match="^function 'scalar-exp' failed on an array"):
+                mkz_apply(f, 5, y)
 
     def test_result_shapes(self):
         # An array of the grid's shape comes back as it is, a scalar fills the
@@ -400,10 +410,11 @@ class TestSampledValues:
 
     def test_checker_names_a_scalar_only_conclusion_function(self):
         cfg = KorovkinConfig(horizon=20, grid_points=9)
-        ops = lifted_operator(Perturbation.NONE, cfg.tail_tol)
+        ops = lifted_operator(Perturbation.NONE, 1e-8)
         f = SampledFunction(lambda y: math.exp(y), "scalar-exp")
         with pytest.raises(ValueError, match="'scalar-exp'"):
-            korovkin_check(ops, "dnp", [f], schedule_preset("stretch"), weight_preset("ones"), cfg)
+            korovkin_check((ops,), ("dnp",), [f], schedule_preset("stretch"),
+                           weight_preset("ones"), cfg)
 
 
 class TestSupDistance:
@@ -426,6 +437,7 @@ class TestSeveralLifts:
 
     F_LIST = [CUBE, EXP, DIST_HALF]
     CFG = KorovkinConfig(horizon=30, tolerance=0.07)  # 90 indices: two blocks
+    TOL = 1e-8
 
     @staticmethod
     def counted(monkeypatch) -> list:
@@ -435,19 +447,19 @@ class TestSeveralLifts:
         monkeypatch.setattr(korovkin, "_mkz_table", lambda *a: calls.append(a) or real(*a))
         return calls
 
-    def check(self, ops, tag, cfg=None):
-        return korovkin_check(ops, tag, self.F_LIST, schedule_preset("stretch"),
+    def check(self, ops, tags, cfg=None):
+        return korovkin_check(ops, tags, self.F_LIST, schedule_preset("stretch"),
                               weight_preset("ones"), cfg or self.CFG)
 
     @pytest.mark.parametrize("first, second", list(itertools.product(Perturbation, repeat=2)))
     def test_a_tuple_call_equals_one_call_per_lift(self, first, second):
-        tol = self.CFG.tail_tol
+        tol = self.TOL
         pair = (lifted_operator(first, tol), lifted_operator(second, tol))
         reports = self.check(pair, ("dnp", "dndc"))
         assert isinstance(reports, tuple) and len(reports) == 2
         for perturbation, tag, report in zip((first, second), ("dnp", "dndc"), reports):
             korovkin._last_base.clear()  # the single call recomputes its tables
-            single = self.check(lifted_operator(perturbation, tol), tag)
+            (single,) = self.check((lifted_operator(perturbation, tol),), (tag,))
             assert (report.operator, report.mode_tag, report.notes) == (
                 single.operator, single.mode_tag, single.notes)
             labels = list(report.conditions) + list(report.conclusions)
@@ -468,7 +480,7 @@ class TestSeveralLifts:
 
     def test_one_lift_makes_one_base_table_per_block(self, monkeypatch):
         calls = self.counted(monkeypatch)
-        self.check(lifted_operator(Perturbation.NULL_SET, self.CFG.tail_tol), "dnp")
+        self.check((lifted_operator(Perturbation.NULL_SET, self.TOL),), ("dnp",))
         assert [a[1].tolist() for a in calls] == [list(range(1, 64)), list(range(64, 91))]
 
     def test_memo_recomputes_when_any_input_changes(self, monkeypatch):
@@ -500,7 +512,7 @@ class TestSeveralLifts:
     def test_cap_error_names_the_first_index(self):
         cfg = KorovkinConfig(horizon=30, grid_points=200_001)
         lifts = (Perturbation.NULL_SET, Perturbation.CDF_FACTOR)
-        pair = tuple(lifted_operator(p, cfg.tail_tol) for p in lifts)
+        pair = tuple(lifted_operator(p, self.TOL) for p in lifts)
         with pytest.raises(SeriesCapError, match="operator evaluation failed at n=1"):
             self.check(pair, ("dnp", "dndc"), cfg)
 
@@ -512,19 +524,19 @@ class TestSeveralLifts:
     ])
     def test_one_mode_tag_per_sequence(self, ops, tags):
         if isinstance(ops, tuple):
-            ops = tuple(lifted_operator(p) for p in ops)
+            ops = tuple(lifted_operator(p, self.TOL) for p in ops)
         else:
-            ops = lifted_operator(ops)
+            ops = lifted_operator(ops, self.TOL)
         with pytest.raises(ValueError, match="operator sequence"):
             self.check(ops, tags)
 
 
 class TestConditionChecker:
     def test_bare_operator_all_conditions_converge(self):
-        cfg = KorovkinConfig(horizon=60, grid_points=33, tail_tol=1e-8, tolerance=0.05)
-        report = korovkin_check(
-            lifted_operator(Perturbation.NONE, cfg.tail_tol),
-            "dnp",
+        cfg = KorovkinConfig(horizon=60, grid_points=33, tolerance=0.05)
+        (report,) = korovkin_check(
+            (lifted_operator(Perturbation.NONE, 1e-8),),
+            ("dnp",),
             [CUBE],
             schedule_preset("stretch"),
             weight_preset("ones"),
@@ -536,10 +548,10 @@ class TestConditionChecker:
         assert report.conclusions["y^3"].verdict is Verdict.CONVERGES
 
     def test_null_set_instance_converges_despite_square_spikes(self):
-        cfg = KorovkinConfig(horizon=100, grid_points=33, tail_tol=1e-8, tolerance=0.07)
-        report = korovkin_check(
-            lifted_operator(Perturbation.NULL_SET, cfg.tail_tol),
-            "dnp",
+        cfg = KorovkinConfig(horizon=100, grid_points=33, tolerance=0.07)
+        (report,) = korovkin_check(
+            (lifted_operator(Perturbation.NULL_SET, 1e-8),),
+            ("dnp",),
             [CUBE],
             schedule_preset("stretch"),
             weight_preset("ones"),
@@ -552,10 +564,10 @@ class TestConditionChecker:
         assert trace[7] <= 1e-6
 
     def test_cdf_factor_instance_reports_the_measured_divergence(self):
-        cfg = KorovkinConfig(horizon=40, grid_points=17, tail_tol=1e-8)
-        report = korovkin_check(
-            lifted_operator(Perturbation.CDF_FACTOR, cfg.tail_tol),
-            "dndc",
+        cfg = KorovkinConfig(horizon=40, grid_points=17)
+        (report,) = korovkin_check(
+            (lifted_operator(Perturbation.CDF_FACTOR, 1e-8),),
+            ("dndc",),
             [CUBE],
             schedule_preset("stretch"),
             weight_preset("ones"),
@@ -568,10 +580,10 @@ class TestConditionChecker:
         assert report.notes
 
     def test_report_echoes_its_configuration(self):
-        cfg = KorovkinConfig(horizon=30, grid_points=9, tail_tol=1e-6)
-        report = korovkin_check(
-            lifted_operator(Perturbation.NONE, cfg.tail_tol),
-            "dndc",
+        cfg = KorovkinConfig(horizon=30, grid_points=9)
+        (report,) = korovkin_check(
+            (lifted_operator(Perturbation.NONE, 1e-6),),
+            ("dndc",),
             [EXP],
             schedule_preset("cesaro"),
             weight_preset("ones"),
@@ -587,16 +599,16 @@ class TestConditionChecker:
         cfg = KorovkinConfig(horizon=30, grid_points=9)
         with pytest.raises(ValueError, match="mode tag"):
             korovkin_check(
-                lifted_operator(Perturbation.NONE), "dnq", [CUBE], schedule_preset("cesaro"),
-                weight_preset("ones"), cfg,
+                (lifted_operator(Perturbation.NONE, 1e-8),), ("dnq",), [CUBE],
+                schedule_preset("cesaro"), weight_preset("ones"), cfg,
             )
 
     def test_conclusion_list_must_be_nonempty(self):
         cfg = KorovkinConfig(horizon=30, grid_points=9)
         with pytest.raises(ValueError, match="conclusion"):
             korovkin_check(
-                lifted_operator(Perturbation.NONE), "dnp", [], schedule_preset("cesaro"),
-                weight_preset("ones"), cfg,
+                (lifted_operator(Perturbation.NONE, 1e-8),), ("dnp",), [],
+                schedule_preset("cesaro"), weight_preset("ones"), cfg,
             )
 
 
