@@ -35,9 +35,11 @@ paths picked from the weights:
   does not depend on m, so each row's hits are computed once up to the
   largest min(k_m, y_m) and each window reads its count off their
   cumulative sum, in O(k_max + trace length) per row;
-- tabulated or computed e: each window builds its weights from the
-  plan's e and g tables once and counts every row against them, in
-  O(sum of k_m) per row.
+- tabulated or computed e: the rounded product (e * g(n)) * level(n)
+  never decreases in e >= 0, so each row's hits at n are the e at or
+  above one cutoff c(n), found once per row by bisection on the same
+  products; each window compares its e(y_m - n) with the cutoffs, one
+  comparison per index, in O(sum of k_m) per row.
 
 Both give the same counts bit for bit.  Arbitrary predicates go through
 ``density_limit``, one call per traced window on its whole index array.
@@ -94,9 +96,20 @@ _TRACE_CAP = 1000
 # Products per chunk of the exact window sums (``_window_sums``).
 _SUM_CHUNK = 2**14
 
+# Entries per cutoff search (``_cutoffs``), which holds about a dozen
+# temporaries per entry: blocks keep them small beside the level rows.
+_CUTOFF_BLOCK = 2**12
+
 # Window plans kept per process: a detector run needs one, and a few more
 # cover callers that alternate between schedules or weights.
 _PLAN_CACHE_SIZE = 4
+
+
+def _check_positive_finite(name: str, value: float) -> None:
+    if not value > 0.0:  # NaN fails too
+        raise ValueError(f"{name} must be positive, got {value}")
+    if math.isinf(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 class CountCapError(ValueError):
@@ -128,10 +141,7 @@ class DensityConfig:
             raise ValueError(f"horizon {self.horizon} rejected as underpowered (need >= 10)")
         if not (0.0 < self.tail_fraction <= 1.0):
             raise ValueError(f"tail_fraction must be in (0, 1], got {self.tail_fraction}")
-        if not self.tolerance > 0.0:  # NaN fails too
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if math.isinf(self.tolerance):
-            raise ValueError(f"tolerance must be finite, got {self.tolerance}")
+        _check_positive_finite("tolerance", self.tolerance)
         if self.tail_length() < 2:
             raise ValueError("tail window must contain at least 2 points")
 
@@ -516,12 +526,12 @@ def level_density_limits(
 
     One pass over the windows counts every row, so the same verdicts come
     out as from one call per row.  Constant e counts each row through one
-    cumulative hit count (``_prefix_counts``); other weights build each
-    window's weights e(y_m - n) * g(n) once for all rows
-    (``_window_counts``).  ``extras`` holds one mapping per row.
+    cumulative hit count (``_prefix_counts``); other weights compare each
+    window's e(y_m - n) with every row's per-index cutoffs
+    (``_window_counts``).  ``threshold`` must be positive and finite.
+    ``extras`` holds one mapping per row.
     """
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    _check_positive_finite("threshold", threshold)
     plan = window_plan(schedule, weights, cfg)
     k_max = plan.k_max
     rows = np.asarray(level_rows, dtype=np.float64)
@@ -543,20 +553,72 @@ def _window_counts(
 ) -> np.ndarray:
     """Counts of every row at every traced window, window by window.
 
-    Each window's weights are built once for all rows.  Indices past
-    y_m weigh 0 and never reach a positive threshold, so only n <=
-    min(k_m, y_m) are compared.
+    Index n hits at window m when (e(y_m - n) * g(n)) * level(n) >=
+    threshold, that is when e(y_m - n) >= c(n), the row's ``_cutoffs``
+    value at n; so each window compares its slice of the reversed e table
+    with every row's cutoffs, and the counts equal those of the products.
+    Indices past y_m weigh 0 and never reach a positive threshold, so
+    only n <= min(k_m, y_m) are compared.
     """
+    keff = np.minimum(plan.k, plan.y)
+    bad = np.flatnonzero((plan.k > 0) & ((plan.y > len(plan.e)) | (keff >= len(plan.g))))
+    if bad.size:
+        m = int(plan.ms[bad[0]])
+        raise WeightError(f"weights '{label}' end before the counting range at m={m}")
+    top = int(keff.max())
+    g, levels = plan.g[1 : top + 1], rows[:, :top]
+    cut = np.empty(levels.shape)
+    step = max(1, _CUTOFF_BLOCK // len(rows))
+    for j in range(0, top, step):
+        cut[:, j : j + step] = _cutoffs(g[j : j + step], levels[:, j : j + step], threshold)
+    e_rev = plan.e[::-1].copy()
     counts = np.zeros((len(rows), len(plan.ms)), dtype=np.int64)
-    for i, (m, yv, k) in enumerate(zip(plan.ms.tolist(), plan.y.tolist(), plan.k.tolist())):
-        if k == 0:
-            continue
-        keff = min(k, yv)
-        if yv > len(plan.e) or keff >= len(plan.g):
-            raise WeightError(f"weights '{label}' end before the counting range at m={m}")
-        w = plan.e[yv - keff : yv][::-1] * plan.g[1 : keff + 1]
-        counts[:, i] = (w * rows[:, : len(w)] >= threshold).sum(axis=1)
+    for i, (yv, kv) in enumerate(zip(plan.y.tolist(), keff.tolist())):
+        at = len(e_rev) - yv
+        hits = np.greater_equal(e_rev[at : at + kv], cut[:, :kv])
+        counts[:, i] = [np.count_nonzero(row) for row in hits]
     return counts
+
+
+# The largest finite double and its bit pattern; the bit patterns of
+# non-negative doubles order as the doubles do.
+_LARGEST = np.finfo(np.float64).max
+_TOP_BITS = _LARGEST.view(np.int64)
+
+
+def _cutoffs(g: np.ndarray, levels: np.ndarray, threshold: float) -> np.ndarray:
+    """Smallest double e >= 0 with (e * g[j]) * levels[i, j] >= threshold, per (i, j).
+
+    With g[j] finite and >= 0, the rounded products never decrease as e
+    grows, so the e that hit form an up-set [c, inf).  c is found by
+    bisection on the bit patterns of the doubles, with the products and
+    comparison counting makes; the search starts within 8 ulps of
+    threshold / (g[j] * levels[i, j]) and covers every double where that
+    bracket fails (subnormal or overflowing products).  c is +inf where
+    the largest finite double misses: a level <= 0 or nan, or g[j] = 0.
+    """
+
+    def hit(bits: np.ndarray, gs: np.ndarray, ls: np.ndarray) -> np.ndarray:
+        return (bits.view(np.float64) * gs) * ls >= threshold
+
+    cut = np.full(levels.shape, np.inf)
+    with np.errstate(all="ignore"):
+        ri, ci = np.nonzero(hit(_TOP_BITS, g, levels))
+        gs, ls = g[ci], levels[ri, ci]
+        guess = np.minimum(threshold / (gs * ls), _LARGEST).view(np.int64)
+        lo, hi = np.maximum(guess - 8, 0), np.minimum(guess + 8, _TOP_BITS)
+        wide = hit(lo, gs, ls) | ~hit(hi, gs, ls)
+        lo[wide], hi[wide] = 0, _TOP_BITS
+        for part in (~wide, wide):
+            pl, ph, pg, pv = lo[part], hi[part], gs[part], ls[part]
+            while pl.size and int((ph - pl).max()) > 1:
+                mid = pl + (ph - pl) // 2
+                up = hit(mid, pg, pv)
+                np.copyto(ph, mid, where=up)
+                np.copyto(pl, mid, where=~up)
+            hi[part] = ph
+    cut[ri, ci] = hi.view(np.float64)
+    return cut
 
 
 def _prefix_counts(
@@ -598,8 +660,7 @@ def dn_stat_limit(
     along the horizon and applies the tail verdict rule.  ``seq`` maps an
     int64 array of indices n >= 1 to floats, as in ``window_means``.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_positive_finite("eps", eps)
     cand = float(candidate)
     ns = np.arange(1, counting_bound(schedule, weights, cfg) + 1)
     return level_density_limit(

@@ -698,6 +698,8 @@ def korovkin_check(
     only.
     """
     try:
+        if isinstance(mode_tags, str):  # it would zip letter by letter
+            raise TypeError
         runs = list(zip(ops, mode_tags, strict=True))
     except (TypeError, ValueError):
         raise ValueError("korovkin_check needs one mode tag per operator sequence") from None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from conftest import (
     fsum_normalizer,
     fsum_window_mean,
     is_square,
+    one_window,
     same_columns,
 )
 
@@ -545,6 +547,57 @@ def counting_path_inputs(draw):
     return schedule, const_e, table_e, cfg, rng
 
 
+# Subnormal and inexact weights, and levels whose products overflow or are
+# not numbers, around the cutoff search's bracket.
+WEIGHT_POOL = [0.0, 5e-324, 1e-310, 0.1, 0.3, 1.0, 2.0, 3.0]
+LEVEL_POOL = [0.0, 1 / 3, 1e300, 1.7e308, math.inf, math.nan, -1.0, 0.5, 1.0, 2.0, 5e-324]
+CUTOFF_THRESHOLDS = [0.1, 0.3, 0.5, 1e-300]
+
+
+@st.composite
+def varying_e_inputs(draw):
+    """A tabulated e and g drawn per index from ``WEIGHT_POOL`` or uniform, and level rows."""
+    schedule = schedule_preset(draw(st.sampled_from(["cesaro", "example", "stretch"])))
+    horizon = draw(st.integers(10, 24))
+    mode = draw(st.sampled_from(list(NormalizerMode)))
+    top = schedule.y(horizon)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def table(size):
+        pooled = rng.random(size) < 0.7
+        return np.where(pooled, rng.choice(WEIGHT_POOL, size), rng.uniform(0.0, 3.0, size))
+
+    weights = WeightScheme(tabulated(table(top + 1), "e"), tabulated(table(top + 1), "g"), "var")
+    cfg = DensityConfig(horizon=horizon, tail_fraction=0.5, tolerance=0.1, mode=mode)
+    try:
+        k_max = counting_bound(schedule, weights, cfg)
+    except DegenerateNormalizerError:
+        assume(False)
+    shape = (draw(st.integers(1, 3)), k_max)
+    pooled = rng.random(shape) < 0.6
+    rows = np.where(pooled, rng.choice(LEVEL_POOL, shape), rng.uniform(-0.5, 4.0, shape))
+    return schedule, weights, cfg, rows
+
+
+def brute_counts(verdict, schedule, weights, levels, threshold):
+    """The counts of a verdict's windows by one Python-float product per index."""
+    levels = levels.tolist()
+    return [
+        sum(
+            1
+            for n in range(1, math.floor(r) + 1)
+            if brute_weight(schedule, weights, m, n) * levels[n - 1] >= threshold
+        )
+        for m, r in zip(verdict.ms.tolist(), verdict.R.tolist())
+    ]
+
+
+def cutoff_hit(e, g, level, threshold):
+    """The counting predicate on one (e, g, level) triple, in float64."""
+    with np.errstate(all="ignore"):
+        return bool((np.float64(e) * g) * level >= threshold)
+
+
 class TestCountingPaths:
     """Constant e counts through one cumulative hit count, tabulated e per window."""
 
@@ -570,6 +623,71 @@ class TestCountingPaths:
                 if brute_weight(schedule, const_e, m, n) * levels[n - 1] >= threshold
             )
             assert c == brute
+
+    @given(
+        inputs=varying_e_inputs(),
+        threshold=st.sampled_from(CUTOFF_THRESHOLDS),
+        block=st.sampled_from([5, density._CUTOFF_BLOCK]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_e_that_varies_by_index_gives_the_brute_counts(self, inputs, threshold, block):
+        schedule, weights, cfg, rows = inputs
+        # Blocks of 5 entries split the cutoff search across many calls.
+        with mock.patch.object(density, "_CUTOFF_BLOCK", block):
+            verdicts = level_density_limits(rows, threshold, schedule, weights, cfg)
+        for verdict, levels in zip(verdicts, rows):
+            want = brute_counts(verdict, schedule, weights, levels, threshold)
+            assert verdict.count.tolist() == want
+
+    def test_products_that_round_onto_the_threshold_hit(self, deferred):
+        # Every window is window 10 of `example`; each level is the least
+        # double with (e(y - n) * g(n)) * level >= threshold, and most of
+        # these products round exactly onto the threshold.
+        schedule = one_window(deferred, 10)
+        e = tabulated([0.1, 0.3, 0.7, 1.1] * 15, "e")
+        g = tabulated([0.3, 0.1, 1.3, 0.9, 1.7] * 12, "g")
+        weights = WeightScheme(e, g, label="ties")
+        cfg = DensityConfig(horizon=10, tail_fraction=1.0)
+        k = counting_bound(schedule, weights, cfg)
+        threshold = 0.3
+        w = np.array([brute_weight(schedule, weights, 10, n) for n in range(1, k + 1)])
+        least = threshold / w
+        while np.any(w * least < threshold):
+            least = np.where(w * least < threshold, np.nextafter(least, np.inf), least)
+        while np.any(lower := w * np.nextafter(least, 0.0) >= threshold):
+            least = np.where(lower, np.nextafter(least, 0.0), least)
+        assert np.count_nonzero(w * least == threshold) > k // 2
+        for row, want in ((least, k), (np.nextafter(least, 0.0), 0)):
+            v = level_density_limit(row, threshold, schedule, weights, cfg)
+            assert v.count.tolist() == [want] * len(v.ms)
+            assert v.count.tolist() == brute_counts(v, schedule, weights, row, threshold)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.sampled_from(CUTOFF_THRESHOLDS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cutoffs_are_the_least_hitting_weights(self, seed, threshold):
+        rng = np.random.default_rng(seed)
+        size = 40
+        g = np.where(rng.random(size) < 0.6, rng.choice(WEIGHT_POOL, size), rng.uniform(0, 3, size))
+        levels = np.where(
+            rng.random((2, size)) < 0.6,
+            rng.choice(LEVEL_POOL, (2, size)),
+            rng.uniform(-0.5, 4.0, (2, size)),
+        )
+        cut = density._cutoffs(g, levels, threshold)
+        largest = np.finfo(np.float64).max
+        probes = np.concatenate((WEIGHT_POOL, rng.uniform(0, 3, 8), [1e300, largest]))
+        for (i, j), c in np.ndenumerate(cut):
+            gv, lv = g[j], levels[i, j]
+            if np.isinf(c):
+                assert not cutoff_hit(largest, gv, lv, threshold)
+            else:
+                assert cutoff_hit(c, gv, lv, threshold)
+                assert not cutoff_hit(np.nextafter(c, 0.0), gv, lv, threshold)
+            for e in probes:
+                assert cutoff_hit(e, gv, lv, threshold) == (e >= c)
 
     @given(
         inputs=counting_path_inputs(),
@@ -603,6 +721,17 @@ class TestCountingPaths:
             level_density_limits(np.zeros((2, 3)), 0.5, cesaro, ones, cfg)
         with pytest.raises(ValueError, match="matrix"):
             level_density_limits(np.zeros(100), 0.5, cesaro, ones, cfg)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(math.nan, "must be positive, got nan"), (math.inf, "must be finite, got inf")],
+    )
+    def test_threshold_and_eps_that_are_not_finite_are_rejected(self, cesaro, ones, value, message):
+        cfg = DensityConfig(horizon=100)
+        with pytest.raises(ValueError, match=f"^threshold {message}$"):
+            level_density_limits(np.ones((2, 100)), value, cesaro, ones, cfg)
+        with pytest.raises(ValueError, match=f"^eps {message}$"):
+            dn_stat_limit(constant_seq(3.0), 1.0, value, cesaro, ones, cfg)
 
     def test_short_g_table_fails_at_the_same_m(self, deferred):
         # Literal R_m reads g below the window width 2m, counting up to

@@ -519,6 +519,7 @@ class TestSeveralLifts:
     @pytest.mark.parametrize("ops, tags", [
         ((Perturbation.NONE, Perturbation.NULL_SET), ("dnp",)),
         ((Perturbation.NONE,), "dnp"),
+        ((Perturbation.NONE, Perturbation.NULL_SET, Perturbation.CDF_FACTOR), "dnp"),
         (Perturbation.NONE, ("dnp",)),
         ((), ()),
     ])
