@@ -232,7 +232,6 @@ def cmd_mean(args: argparse.Namespace) -> int:
     weights = parse_weights(args.weights)
     if args.horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {args.horizon}")
-    schedule.validate(args.horizon)
     mode = NormalizerMode(args.mode)
     echo = {
         "command": "mean",
@@ -243,7 +242,11 @@ def cmd_mean(args: argparse.Namespace) -> int:
         "normalizer_mode": mode.value,
     }
 
-    r, t = window_means(seq, schedule, weights, args.horizon, mode)
+    try:
+        schedule.validate(args.horizon)
+        r, t = window_means(seq, schedule, weights, args.horizon, mode)
+    except MemoryError as exc:
+        raise ConfigError(f"{exc}; use a smaller --horizon") from None
     rows = list(zip(range(1, args.horizon + 1), r.tolist(), t.tolist()))
 
     if args.format == "json":
@@ -285,15 +288,15 @@ def _detector_runs(args: argparse.Namespace):
         cfg = DetectorConfig(eps=args.eps, delta=args.delta, r=args.r, grid=grid, density=density)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    schedule.validate(args.horizon)
     runs = {}
     wanted = ("dnp", "dnm", "dndc") if args.mode == "all" else (args.mode,)
-    for kind in wanted:
-        fn = {"dnp": st_dnp, "dnm": st_dnm, "dndc": st_dndc}[kind]
-        try:
+    try:
+        schedule.validate(args.horizon)
+        for kind in wanted:
+            fn = {"dnp": st_dnp, "dnm": st_dnm, "dndc": st_dndc}[kind]
             runs[kind] = fn(model, schedule, weights, cfg)
-        except CountCapError as exc:
-            raise ConfigError(f"{exc}; use a smaller --horizon") from None
+    except (CountCapError, MemoryError) as exc:
+        raise ConfigError(f"{exc}; use a smaller --horizon") from None
     return model, schedule, weights, cfg, runs
 
 
@@ -352,14 +355,16 @@ def cmd_korovkin(args: argparse.Namespace) -> int:
         ops = lifted_operator(Perturbation(args.perturb), args.tail_tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    schedule.validate(cfg.horizon)
     try:
+        schedule.validate(cfg.horizon)
         (report,) = korovkin_check((ops,), (args.tag,), f_list, schedule, weights, cfg)
     except SeriesCapError as exc:
         # Only grid points very close to 1 need windows that wide.
         raise ConfigError(f"{exc}; use a smaller --grid-size") from None
     except CountCapError as exc:
         raise ConfigError(f"{exc}; use a smaller --horizon") from None
+    except MemoryError as exc:
+        raise ConfigError(f"{exc}; use a smaller --horizon or --grid-size") from None
     echo = {
         "command": "korovkin",
         "operator": report.operator,

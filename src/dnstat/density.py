@@ -12,20 +12,16 @@ returned, as read-only columns, so callers can tighten the run.
 Traced runs read m, x_m, y_m, R_m and floor(R_m) from one memoized
 ``WindowPlan``, built from one ``bounds_array`` call over the traced
 window indices; its R_m is exactly rounded, equal to ``math.fsum``.
-``window_means`` reads R_m at m = 1..horizon from the same code.  Its
-numerator products do not depend on m when e is constant, so each is the
-difference of two exact prefix sums; other weights sum them like R_m.
-Non-constant weights sum their window products in chunks of consecutive
-windows on one of two branches, picked per chunk from the products:
-
-- int64 limbs, when every nonzero product is normal, the exponents
-  (frexp) of the products span at most 9 and no window sum can pass
-  2^1023: the products are scaled to exact integers, summed per window
-  in two 32-bit limbs and rounded once;
-- ``math.fsum`` over each window's products otherwise.
-
-Both return the correctly rounded sum, so R_m does not depend on the
-branch.
+``window_means`` reads R_m at m = 1..horizon from the same code.  Every
+window sum without a closed form, R_m and the ``window_means`` numerator
+alike, goes through one routine, ``_exact_sums``: each product is scaled
+to an exact integer, cut into as many signed 62-bit digits as the span of
+the products' exponents needs, summed per window in 32-bit limbs of int64
+and rounded once, so every sum is the correctly rounded one.
+Non-constant weights pass it their window products in chunks of
+consecutive windows.  When e is constant the numerator's products do not
+depend on m, so they are passed once, over all indices, and each window
+is read off prefix sums.
 Predicates of the separable form  w(m, n) * level(n) >= threshold  go
 through ``level_density_limits``, which counts a matrix of level rows
 (one row: ``level_density_limit``) in one pass, on one of two counting
@@ -50,7 +46,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -93,7 +88,8 @@ _COUNT_CAP = 2_000_000
 # Traces longer than this are subsampled outside the tail window.
 _TRACE_CAP = 1000
 
-# Products per chunk of the exact window sums (``_window_sums``).
+# Products per chunk of ``_window_sums``, each chunk one ``_exact_sums``
+# call, whose few buffers of this length stay small.
 _SUM_CHUNK = 2**14
 
 # Entries per cutoff search (``_cutoffs``), which holds about a dozen
@@ -311,10 +307,11 @@ def window_means(
 
     ``seq`` maps an int64 array of indices n >= 1 to floats.  R_m is the
     window plan's; ``mode`` selects only its pairing.  The numerator sums
-    the products (e(y_m - n) * g(n)) * seq(n) exactly, rounded once: by
-    ``_prefix_sums`` when e is constant, else by ``_window_sums`` with seq
-    as a third factor.  At the first m where R_m or the numerator fails,
-    ``check_normalizer`` raises for R_m, else WeightError.
+    the products (e(y_m - n) * g(n)) * seq(n) exactly, rounded once, by
+    ``_exact_sums``: over the products of all indices at once when e is
+    constant, since they do not depend on m, else through ``_window_sums``
+    with seq as a third factor.  At the first m where R_m or the numerator
+    fails, ``check_normalizer`` raises for R_m, else WeightError.
     """
     x, y, r, e, _ = _normalizers(schedule, weights, mode, np.arange(1, horizon + 1))
     y_top = int(y.max())
@@ -322,8 +319,9 @@ def window_means(
     ns = np.arange(1, y_top + 1, dtype=np.int64)
     values = array_result(seq(ns), ns.shape, np.float64, "sequence")
     if weights.e.constant is not None:
+        # Every index is an edge, so window m runs from edge x_m to edge y_m.
         with np.errstate(over="ignore", invalid="ignore"):
-            num = _prefix_sums((e[0] * g[1:]) * values, x, y)
+            num = _exact_sums((e[0] * g[1:]) * values, np.arange(y_top + 1), x, y)
     else:
         num = _window_sums(g, e, x, y, np.concatenate(([0.0], values)))
     bad = np.flatnonzero(~((r > 0.0) & (r < np.inf) & np.isfinite(num)))
@@ -338,34 +336,6 @@ def window_means(
         return r, num / r
 
 
-def _prefix_sums(terms: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exactly rounded sum of terms[n - 1] over x_m < n <= y_m, per window.
-
-    Scaled by the largest denominator (a power of two), every finite term
-    is an exact Python int, and a window sum is the difference of two
-    prefix sums, divided back with one correct rounding (inf on overflow,
-    as ``fsum_or_inf``).  The first window with a term that is not finite
-    gets ``fsum_or_inf`` of its terms, and the windows after it nan.
-    """
-    finite = np.isfinite(terms)
-    values = np.where(finite, terms, 0.0).tolist()
-    scale = max(v.as_integer_ratio()[1] for v in values)
-    ratios = map(float.as_integer_ratio, values)
-    prefix = [0, *itertools.accumulate(num * (scale // den) for num, den in ratios)]
-    fault = np.concatenate(([0], np.cumsum(~finite)))
-    clean = (fault[y] == fault[x]).tolist()
-    sums = np.full(len(x), math.nan)
-    for i, (xv, yv) in enumerate(zip(x.tolist(), y.tolist())):
-        if not clean[i]:
-            sums[i] = fsum_or_inf(terms[xv:yv].tolist())
-            break
-        try:
-            sums[i] = (prefix[yv] - prefix[xv]) / scale
-        except OverflowError:
-            sums[i] = math.inf
-    return sums
-
-
 def _window_sums(
     head: np.ndarray,
     tail: np.ndarray,
@@ -376,62 +346,85 @@ def _window_sums(
     """Exactly rounded sum of head[n] * tail[y_m - n] over x_m < n <= y_m, per window,
     each product times factor[n] when a factor is given.
 
-    Consecutive windows are summed in chunks of about ``_SUM_CHUNK``
-    products (a wider window is a chunk of its own), so the temporaries
-    stay small.
+    Consecutive windows are summed by ``_exact_sums`` in chunks of about
+    ``_SUM_CHUNK`` products (a wider window is a chunk of its own), so the
+    temporaries stay small.
     """
-    ends = np.cumsum(y - x)
+    bounds = np.concatenate(([0], np.cumsum(y - x)))
     sums = np.empty(len(x))
     start = 0
     while start < len(x):
-        base = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + _SUM_CHUNK, side="right")))
-        xs, ys = x[start:stop].tolist(), y[start:stop].tolist()
-        sums[start:stop] = _chunk_sums(head, tail, xs, ys, factor)
+        stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + _SUM_CHUNK, "right")) - 1)
+        at = bounds[start : stop + 1] - bounds[start]
+        terms = np.empty(int(at[-1]))
+        # An inf or nan product makes its window sum fail, which is reported.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for xv, yv, a in zip(x[start:stop].tolist(), y[start:stop].tolist(), at.tolist()):
+                out = terms[a : a + yv - xv]
+                np.multiply(head[xv + 1 : yv + 1], tail[: yv - xv][::-1], out=out)
+                if factor is not None:
+                    out *= factor[xv + 1 : yv + 1]
+        sums[start:stop] = _exact_sums(terms, at, slice(None, -1), slice(1, None))
         start = stop
     return sums
 
 
-def _chunk_sums(
-    head: np.ndarray, tail: np.ndarray, xs: list[int], ys: list[int], factor: np.ndarray | None
-) -> list[float]:
-    """Window sums of one chunk: int64 limbs when exact, ``math.fsum`` otherwise.
+def _exact_sums(
+    terms: np.ndarray, edges: np.ndarray, lo: np.ndarray | slice, hi: np.ndarray | slice
+) -> np.ndarray:
+    """Exactly rounded sum of terms[edges[lo][i]:edges[hi][i]] per window i; inf on overflow.
 
-    The products are the same doubles either way.  When every nonzero
-    product is normal with its frexp exponent in [e_min, e_min + 9], each
-    is an integer multiple of 2^(e_min - 53), and ldexp by 53 - e_min
-    makes it an exact integer below 2^62 in magnitude (the rule reads
-    magnitudes, so a factor may be negative).  Its low and high 32-bit
-    limbs are summed per window in int64 without overflow (a window under
-    2^31 terms), joined as a Python int and rounded once by ``float``.
-    The ldexp back adds no second rounding: an int of 2^53 or more gives
-    a normal result, at least 2^e_min, and a smaller int is exact.  The
-    sum stays below 2^1023 when e_max plus the bit length of the widest
-    window is at most 1023.  Any other chunk goes through fsum.
+    ``edges`` increases strictly and ends at len(terms); ``lo`` and ``hi``
+    index it, as arrays or slices, so a window is a run of the segments
+    between consecutive edges.  Scaled by 2^shift, shift = max(0, 53 - e_min)
+    with e_min the frexp exponent of the smallest nonzero |term|, each term
+    is an exact integer below 2^(e_max + shift).  Its signed base-2^62
+    digits are taken from the top by ldexp and trunc, each split into a
+    signed high and an unsigned low 32-bit limb, and every limb column is
+    summed per segment (``np.add.reduceat``) and across segments (a
+    cumulative sum) in int64, exactly for fewer than 2^31 terms.  Each
+    window's limb sums are joined as one Python int and rounded once by
+    true division.  The first window holding a term that is not finite gets
+    ``fsum_or_inf`` of its terms, and the windows after it nan.
     """
-    widths = [yv - xv for xv, yv in zip(xs, ys)]
-    starts = np.cumsum([0] + widths[:-1])
-    terms = np.empty(sum(widths))
-    # An inf or nan product makes its window sum fail, which is reported.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for xv, yv, at in zip(xs, ys, starts.tolist()):
-            out = terms[at : at + yv - xv]
-            np.multiply(head[xv + 1 : yv + 1], tail[: yv - xv][::-1], out=out)
-            if factor is not None:
-                out *= factor[xv + 1 : yv + 1]
-    size = np.abs(terms)
-    top = float(size.max())
-    low = float(size.min(where=size > 0.0, initial=math.inf))
-    widest = max(widths)
-    if math.isfinite(top) and low < math.inf and widest < 2**31:
-        e_min, e_max = math.frexp(low)[1], math.frexp(top)[1]
-        if e_min >= -1021 and e_max - e_min <= 9 and e_max + widest.bit_length() <= 1023:
-            shift = 53 - e_min
-            ints = np.ldexp(terms, shift, out=terms).astype(np.int64)
-            lo = np.add.reduceat(ints & 0xFFFFFFFF, starts).tolist()
-            hi = np.add.reduceat(ints >> 32, starts).tolist()
-            return [math.ldexp(float((h << 32) + l), -shift) for h, l in zip(hi, lo)]
-    return [fsum_or_inf(terms[at : at + w].tolist()) for at, w in zip(starts.tolist(), widths)]
+    work = np.abs(terms)
+    top = float(work.max())
+    if not math.isfinite(top):
+        finite = np.isfinite(terms)
+        sums = _exact_sums(np.where(finite, terms, 0.0), edges, lo, hi)
+        fault = np.concatenate(([0], np.cumsum(~finite)))[edges]
+        dirty = np.flatnonzero(fault[hi] > fault[lo])
+        if dirty.size:
+            i = int(dirty[0])
+            sums[i] = fsum_or_inf(terms[edges[lo][i] : edges[hi][i]].tolist())
+            sums[i + 1 :] = math.nan
+        return sums
+    # The smallest nonzero |term|, by a masked pass only when some term is zero.
+    smallest = float(work.min()) or float(work.min(where=work > 0.0, initial=top))
+    e_max, shift = math.frexp(top)[1], max(0, 53 - math.frexp(smallest)[1])
+    digits = (e_max + shift + 61) // 62
+    # Few buffers, reused: fresh memory costs a page fault per 4 KiB, more than the arithmetic.
+    rest = terms.copy() if digits > 1 else terms
+    limb = work.view(np.int64)
+    # Row pairs (high, low limbs) from the top digit down; column c + 1 sums segment c.
+    prefix = np.zeros((2 * digits, len(edges)), dtype=np.int64)
+    for row, j in enumerate(reversed(range(digits))):
+        # Digit j, bits 62j to 62j + 61 of the scaled term; rest keeps the bits below.
+        digit = np.ldexp(rest, shift - 62 * j, out=work).astype(np.int64)
+        if j:
+            top_bits = np.ldexp(np.trunc(work, out=work), 62 * j - shift, out=work)
+            np.subtract(rest, top_bits, out=rest)
+        high, low = prefix[2 * row, 1:], prefix[2 * row + 1, 1:]
+        np.add.reduceat(np.right_shift(digit, 32, out=limb), edges[:-1], out=high)
+        np.add.reduceat(np.bitwise_and(digit, 0xFFFFFFFF, out=limb), edges[:-1], out=low)
+    np.cumsum(prefix, axis=1, out=prefix)
+    cols = (prefix[:, hi] - prefix[:, lo]).tolist()
+    joined = [(h << 32) + w for h, w in zip(cols[0], cols[1])]
+    for high, low in zip(cols[2::2], cols[3::2]):
+        joined = [(v << 62) + (h << 32) + w for v, h, w in zip(joined, high, low)]
+    # A quotient of magnitude (2^54 - 1) * 2^970 or more rounds past the largest double.
+    den, cap = 1 << shift, ((1 << 54) - 1) << (970 + shift)
+    return np.array([v / den if abs(v) < cap else math.inf for v in joined])
 
 
 def _assemble(

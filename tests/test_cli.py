@@ -375,6 +375,24 @@ def test_bad_numeric_flag_exits_2(args):
 
 
 @pytest.mark.parametrize(
+    "args, hint",
+    [
+        (("detect", "--model", "example1"), "--horizon"),
+        (("mean", "--seq", "identity"), "--horizon"),
+        (("korovkin",), "--horizon or --grid-size"),
+    ],
+)
+def test_horizon_past_memory_exits_2(args, hint, capsys):
+    # An index array of 10^17 entries asks for 711 PiB, which malloc refuses at once.
+    status = main([*args, "--horizon", str(10**17)])
+    out, err = capsys.readouterr()
+    assert status == 2, err
+    assert err.startswith("config error: Unable to allocate 711. PiB")
+    assert err.endswith(f"; use a smaller {hint}\n")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ("korovkin", "--horizon", "30", "--grid-size", "9", "--format", "csv"),

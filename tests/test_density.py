@@ -227,13 +227,17 @@ class TestLevelEngine:
 
 
 def weight_table(kind: str, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Table values that steer the window sums onto one branch or the other.
+    """Table values whose products take one or many 62-bit digits, or sum past 2^1023.
 
-    zeros and spread<s> with s <= 9 sum in int64 limbs; subnormal (some
-    subnormal products), wide (values from 1e-300 to 1e300) and larger
-    spreads go through fsum.  spread<s> alternates values with frexp
-    exponents 0 and -s, so its products with 1 span exactly s.
+    spread<s> alternates values with frexp exponents 0 and -s, so its
+    products with 1 span exactly s: up to s = 9 one digit holds every
+    product, s = 10 and 63 take two digits, s = 200 five.  zeros take one
+    or two; subnormal (some subnormal products) and wide (values from
+    1e-300 to 1e300) take dozens.  near-overflow values lie between 2^999
+    and 2^1022, so a window of a few such terms sums past 2^1023.
     """
+    if kind == "near-overflow":
+        return np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(1000, 1023, size))
     if kind == "zeros":
         return np.where(rng.random(size) < 0.2, 0.0, rng.uniform(0.1, 5.0, size))
     if kind == "subnormal":
@@ -259,16 +263,17 @@ def plan_inputs(draw):
     horizon = draw(st.integers(10, 24))
     top = schedule.y(horizon)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(
-        ["ones", "identity", "table", "constant", "zeros", "subnormal", "spread9", "spread10"]
-    ))
+    kind = draw(st.sampled_from([
+        "ones", "identity", "table", "constant", "zeros", "subnormal",
+        "spread9", "spread10", "spread63", "spread200", "near-overflow",
+    ]))
     if kind == "table":
         e = tabulated(rng.uniform(0.1, 5.0, top + 1), "rand-e")
         weights = WeightScheme(e, tabulated(rng.uniform(0.1, 5.0, top + 1), "rand-g"), label="t")
     elif kind in ("zeros", "subnormal"):
         e, g = (tabulated(weight_table(kind, rng, top + 1), side) for side in "eg")
         weights = WeightScheme(e, g, label=kind)
-    elif kind.startswith("spread"):
+    elif kind.startswith("spread") or kind == "near-overflow":
         # g = 1 makes the products the e values, so the spread is exact.
         e = tabulated(weight_table(kind, rng, top + 1), kind)
         weights = WeightScheme(e, tabulated([1.0] * (top + 1), "one-g"), label=kind)
@@ -294,6 +299,13 @@ class TestWindowPlan:
         expected = [fsum_normalizer(schedule, weights, m, cfg.mode) for m in ms]
         # A window of zero weights is degenerate, which other tests cover.
         assume(min(expected) > 0.0)
+        # near-overflow weights put R_m past the counting cap or the float range.
+        big = [m for m, r in zip(ms, expected) if not r < 2_000_001]
+        if big:
+            error = WeightError if math.isinf(expected[big[0] - 1]) else density.CountCapError
+            with pytest.raises(error, match=f"at m={big[0]}[: ]"):
+                window_plan(schedule, weights, cfg)
+            return
         plan = window_plan(schedule, weights, cfg)
         assert plan.ms.tolist() == list(range(1, cfg.horizon + 1))
         assert [r.hex() for r in plan.R.tolist()] == [r.hex() for r in expected]
@@ -315,7 +327,10 @@ class TestWindowPlan:
         ]
 
     @given(
-        kind=st.sampled_from(["zeros", "subnormal", "wide", "spread9", "spread10", "spread11"]),
+        kind=st.sampled_from([
+            "zeros", "subnormal", "wide", "spread9", "spread10", "spread11",
+            "spread63", "spread200", "near-overflow",
+        ]),
         preset=st.sampled_from(["cesaro", "example", "stretch"]),
         mode=st.sampled_from(list(NormalizerMode)),
         seed=st.integers(0, 2**32 - 1),
@@ -338,11 +353,12 @@ class TestWindowPlan:
         for m, r in enumerate(sums.tolist(), 1):
             assert r.hex() == fsum_normalizer(schedule, weights, m, mode).hex(), m
 
-    @pytest.mark.parametrize("spread, limbs", [(9, True), (10, False), (11, False)])
-    def test_wide_windows_at_the_spread_limit(self, spread, limbs, monkeypatch):
+    @pytest.mark.parametrize("spread", [9, 10, 11, 63, 200])
+    def test_wide_windows_at_the_spread_limit(self, spread, monkeypatch):
         # Windows of 7,000m terms, 70,000 at m = 10, each its own chunk.  Half
         # the terms sit at the top of the spread, so one int64 accumulator
-        # would overflow; spreads past 9 must go through fsum.
+        # would overflow; spreads 63 and 200 cut each term into two and five
+        # 62-bit digits.  Finite terms never reach fsum.
         rng = np.random.default_rng(spread)
         size = 70_001
         g = weight_table(f"spread{spread}", rng, size)
@@ -357,7 +373,7 @@ class TestWindowPlan:
         assert int((plan.y - plan.x).max()) > 2**16
         for yv, r in zip(plan.y.tolist(), plan.R.tolist()):
             assert r.hex() == math.fsum(g[1 : yv + 1].tolist()).hex()
-        assert len(fsum_calls) == (0 if limbs else 10)
+        assert len(fsum_calls) == 0
 
     def test_window_sum_past_the_float_range_is_a_weight_error(self, deferred):
         # Every window holds at least two terms of 1e308, so R_1 overflows.
@@ -445,7 +461,10 @@ def mean_inputs(draw):
     size = schedule.y(horizon) + 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["ones", "identity", "tables", "constant-e"]))
-    table = draw(st.sampled_from(["zeros", "subnormal", "wide", "spread9", "spread10", "spread11"]))
+    table = draw(st.sampled_from([
+        "zeros", "subnormal", "wide", "spread9", "spread10", "spread11",
+        "spread63", "spread200", "near-overflow",
+    ]))
     if kind == "tables":
         e, g = (tabulated(weight_table(table, rng, size), side) for side in "eg")
         weights = WeightScheme(e, g, label=table)
@@ -491,11 +510,12 @@ class TestWindowMeans:
             return
         assert [v.hex() for v in r[plan.ms - 1].tolist()] == [v.hex() for v in plan.R.tolist()]
 
-    @pytest.mark.parametrize("table", ["spread9", "spread10"])
+    @pytest.mark.parametrize("table", ["spread9", "spread10", "spread63"])
     @pytest.mark.parametrize("scale", [1.0, 2.0**20])
     def test_signed_products_on_both_branches(self, deferred, table, scale):
-        # (-1)^n n puts products of both signs into one chunk.  Spread 9 sums in
-        # limbs, unless the negative products lie 2^20 past the positive ones.
+        # (-1)^n n puts products of both signs into one chunk.  Spread 9 fits
+        # one digit unless the negative products lie 2^20 past the positive
+        # ones; spread 63 takes two or three digits, each carrying its sign.
         rng = np.random.default_rng(3)
         g = tabulated(weight_table(table, rng, 200), table)
         weights = WeightScheme(tabulated([1.0] * 200, "ones"), g, label=table)
