@@ -44,6 +44,8 @@ from .schedules import (
     WeightError,
     constant_seq,
     identity_seq,
+    schedule_preset,
+    weight_preset,
 )
 
 __all__ = ["main"]
@@ -271,10 +273,16 @@ def _detector_runs(args: argparse.Namespace):
     if args.model is None:
         raise ConfigError("a model spec is required (--model or config file)")
     # Presets keep their worked example's windows; tabulated models get example/ones.
-    bundle = model_preset(args.model) if isinstance(args.model, str) else None
-    model = bundle.model if bundle else parse_model(args.model)
-    schedule = parse_schedule(args.schedule or (bundle.schedule if bundle else "example"))
-    weights = parse_weights(args.weights or (bundle.weights if bundle else "ones"))
+    if isinstance(args.model, str):
+        bundle = model_preset(args.model)
+        model, schedule, weights = bundle.model, bundle.schedule, bundle.weights
+    else:
+        model = parse_model(args.model)
+        schedule, weights = schedule_preset("example"), weight_preset("ones")
+    if args.schedule:
+        schedule = parse_schedule(args.schedule)
+    if args.weights:
+        weights = parse_weights(args.weights)
     grid = None
     if args.grid:
         try:

@@ -76,8 +76,6 @@ def _parse_affine_obj(obj: Any, side: str) -> Affine:
 
 def parse_schedule(spec: Any) -> DeferredSchedule:
     """Schedule from a preset name, 'xspec,yspec' text, or {x, y} object."""
-    if isinstance(spec, DeferredSchedule):
-        return spec
     if isinstance(spec, str):
         if "," in spec:
             x_text, _, y_text = spec.partition(",")
@@ -113,8 +111,6 @@ def _parse_weight_side(obj: Any, side: str) -> WeightSeq:
 
 def parse_weights(spec: Any) -> WeightScheme:
     """Weight scheme from a preset name or an {e, g} object."""
-    if isinstance(spec, WeightScheme):
-        return spec
     if isinstance(spec, str):
         try:
             return weight_preset(spec)
@@ -134,8 +130,6 @@ def parse_weights(spec: Any) -> WeightScheme:
 
 def parse_model(spec: Any) -> RVSequenceModel:
     """Model from a preset spec string or a tabulated per-index support."""
-    if isinstance(spec, RVSequenceModel):
-        return spec
     if isinstance(spec, str):
         try:
             return model_preset(spec).model

@@ -58,7 +58,6 @@ from .schedules import (
     NormalizerMode,
     WeightError,
     WeightScheme,
-    WeightSeq,
     array_result,
     check_normalizer,
     fsum_or_inf,
@@ -212,12 +211,9 @@ def _trace_indices(cfg: DensityConfig) -> np.ndarray:
 class WindowPlan:
     """The window rows a run evaluates: m, x_m, y_m, R_m and k_m = floor(R_m).
 
-    ``e`` and ``g`` hold the weight values from index 0 up to the largest
-    index the run reads, as far as a tabulated sequence reaches; both
-    cover at least every index R_m reads.  When both sequences are
-    constant, R_m has a closed form and counting reads only e(0) and
-    g(1..max min(k_m, y_m)), so ``e`` has one entry and ``g`` ends there.
-    Plans are shared between callers, so every array is read-only.
+    A plan holds no weight values: counting fetches its own
+    (``_counted_range``).  Plans are shared between callers, so every
+    array is read-only.
     """
 
     ms: np.ndarray
@@ -225,20 +221,10 @@ class WindowPlan:
     y: np.ndarray
     R: np.ndarray
     k: np.ndarray
-    e: np.ndarray
-    g: np.ndarray
 
     @property
     def k_max(self) -> int:
         return int(self.k.max())
-
-
-def _table(seq: WeightSeq, need: int, reach: int) -> np.ndarray:
-    """Values of seq at 0..top with top >= need (what R_m reads), extended
-    towards reach (what counting reads) as far as a table goes."""
-    if seq.length is not None:
-        reach = min(reach, seq.length - 1)
-    return seq.array(max(need, reach))
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -253,7 +239,7 @@ def window_plan(
     CountCapError where floor(R_m) exceeds the counting cap.
     """
     ms = _trace_indices(cfg)
-    x, y, r, e, g = _normalizers(schedule, weights, cfg.mode, ms)
+    x, y, r = _normalizers(schedule, weights, cfg.mode, ms)
     bad = np.flatnonzero(~(r > 0.0) | (r >= _COUNT_CAP + 1))
     if bad.size:
         r0, m0 = float(r[bad[0]]), int(ms[bad[0]])
@@ -261,39 +247,32 @@ def window_plan(
         raise CountCapError(
             f"floor(R_m)={math.floor(r0)} at m={m0} exceeds counting cap {_COUNT_CAP}"
         )
-    k = np.floor(r).astype(np.int64)
-    if weights.e.constant is not None and weights.g.constant is not None:
-        # Counting reads e(0) and g(1..min(k_m, y_m)), known once k_m is.
-        g = weights.g.array(int(np.minimum(k, y).max()))
-    plan = WindowPlan(ms, x, y, r, k, e, g)
-    for arr in (plan.ms, plan.x, plan.y, plan.R, plan.k, plan.e, plan.g):
+    plan = WindowPlan(ms, x, y, r, np.floor(r).astype(np.int64))
+    for arr in (plan.ms, plan.x, plan.y, plan.R, plan.k):
         arr.flags.writeable = False
     return plan
 
 
 def _normalizers(
     schedule: DeferredSchedule, weights: WeightScheme, mode: NormalizerMode, ms: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """(x, y, R, e, g) at the window indices ms, R_m exactly rounded and unchecked.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, R) at the window indices ms, R_m exactly rounded and unchecked.
 
     R_m is ``width * (e0 * g0)`` when both weight sequences are constant
-    (what fsum returns for ``width`` equal terms), with e and g one value
-    each; otherwise ``_window_sums`` of the mode's pairing over the
-    ``_table`` values of e and g.
+    (what fsum returns for ``width`` equal terms), with e0 and g0 checked
+    by ``WeightSeq.array(0)``; otherwise ``_window_sums`` of the mode's
+    pairing, over e and g fetched exactly as far as R_m reads them.
     """
     x, y = schedule.bounds_array(ms)
     if weights.e.constant is not None and weights.g.constant is not None:
-        r = (y - x).astype(np.float64) * (weights.e.constant * weights.g.constant)
-        return x, y, r, weights.e.array(0), weights.g.array(0)
+        weights.e.array(0), weights.g.array(0)  # WeightError for a bad e0 or g0
+        return x, y, (y - x).astype(np.float64) * (weights.e.constant * weights.g.constant)
     literal = mode is NormalizerMode.LITERAL
-    w_top = int((y - x).max()) - 1
-    y_top = int(y.max())
-    # Counting reads e(y_m - n) * g(n) for 1 <= n <= min(k_m, y_m).
-    e = _table(weights.e, y_top if literal else w_top, y_top - 1)
-    g = _table(weights.g, w_top if literal else y_top, y_top)
-    # LITERAL pairs e(v) with g(y_m - v), REGULAR g(n) with e(y_m - n).
-    r = _window_sums(*((e, g) if literal else (g, e)), x, y)
-    return x, y, r, e, g
+    y_top, w_top = int(y.max()), int((y - x).max()) - 1
+    # LITERAL pairs e(v) with g(y_m - v), REGULAR g(n) with e(y_m - n), for x_m < v, n <= y_m.
+    e = weights.e.array(y_top if literal else w_top)
+    g = weights.g.array(w_top if literal else y_top)
+    return x, y, _window_sums(*((e, g) if literal else (g, e)), x, y)
 
 
 def window_means(
@@ -313,7 +292,7 @@ def window_means(
     with seq as a third factor.  At the first m where R_m or the numerator
     fails, ``check_normalizer`` raises for R_m, else WeightError.
     """
-    x, y, r, e, _ = _normalizers(schedule, weights, mode, np.arange(1, horizon + 1))
+    x, y, r = _normalizers(schedule, weights, mode, np.arange(1, horizon + 1))
     y_top = int(y.max())
     g = weights.g.array(y_top)
     ns = np.arange(1, y_top + 1, dtype=np.int64)
@@ -321,8 +300,9 @@ def window_means(
     if weights.e.constant is not None:
         # Every index is an edge, so window m runs from edge x_m to edge y_m.
         with np.errstate(over="ignore", invalid="ignore"):
-            num = _exact_sums((e[0] * g[1:]) * values, np.arange(y_top + 1), x, y)
+            num = _exact_sums((weights.e.constant * g[1:]) * values, np.arange(y_top + 1), x, y)
     else:
+        e = weights.e.array(int((y - x).max()) - 1)
         num = _window_sums(g, e, x, y, np.concatenate(([0.0], values)))
     bad = np.flatnonzero(~((r > 0.0) & (r < np.inf) & np.isfinite(num)))
     if bad.size:
@@ -518,11 +498,13 @@ def level_density_limits(
     """``level_density_limit`` of every row of a (rows x k_max) level matrix.
 
     One pass over the windows counts every row, so the same verdicts come
-    out as from one call per row.  Constant e counts each row through one
-    cumulative hit count (``_prefix_counts``); other weights compare each
-    window's e(y_m - n) with every row's per-index cutoffs
-    (``_window_counts``).  ``threshold`` must be positive and finite.
-    ``extras`` holds one mapping per row.
+    out as from one call per row.  ``_counted_range`` decides which
+    indices each window counts and fetches the weights they read; then
+    constant e counts each row through one cumulative hit count
+    (``_prefix_counts``), and other weights compare each window's
+    e(y_m - n) with every row's per-index cutoffs (``_window_counts``).
+    ``threshold`` must be positive and finite.  ``extras`` holds one
+    mapping per row.
     """
     _check_positive_finite("threshold", threshold)
     plan = window_plan(schedule, weights, cfg)
@@ -533,16 +515,42 @@ def level_density_limits(
     if rows.shape[1] < k_max:
         raise ValueError(f"levels array too short: need {k_max}, got {rows.shape[1]}")
 
-    count = _prefix_counts if weights.e.constant is not None else _window_counts
-    counts = count(plan, rows, threshold, weights.label)
+    n, e, g = _counted_range(plan, weights)
+    if weights.e.constant is not None:
+        counts = _prefix_counts(rows, threshold, n, e[0], g)
+    else:
+        counts = _window_counts(rows, threshold, plan.y, n, e, g)
     return [
         _assemble(plan, c, d, cfg, {"threshold": threshold, **x})
         for c, d, x in zip(counts, counts / plan.R, extras or [{}] * len(rows))
     ]
 
 
+def _counted_range(
+    plan: WindowPlan, weights: WeightScheme
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n_m, e, g): window m counts n = 1..n_m, n_m = min(k_m, y_m).
+
+    Indices past y_m weigh 0 and never reach a positive threshold.  Window
+    m reads g(1..n_m) and e(y_m - n): e(0) alone when e is constant, else
+    e up to y_m - 1.  At the first window with n_m > 0 whose reads pass
+    the end of a table (``WeightSeq.length``) it raises WeightError; else
+    e and g are fetched up to their largest read.
+    """
+    n = np.minimum(plan.k, plan.y)
+    counted = n > 0
+    e_top = np.zeros_like(n) if weights.e.constant is not None else plan.y - 1
+    e_len, g_len = (math.inf if s.length is None else s.length for s in (weights.e, weights.g))
+    bad = np.flatnonzero(counted & ((e_top >= e_len) | (n >= g_len)))
+    if bad.size:
+        m = int(plan.ms[bad[0]])
+        raise WeightError(f"weights '{weights.label}' end before the counting range at m={m}")
+    e = weights.e.array(int(e_top.max(where=counted, initial=0)))
+    return n, e, weights.g.array(int(n.max()))
+
+
 def _window_counts(
-    plan: WindowPlan, rows: np.ndarray, threshold: float, label: str
+    rows: np.ndarray, threshold: float, y: np.ndarray, n: np.ndarray, e: np.ndarray, g: np.ndarray
 ) -> np.ndarray:
     """Counts of every row at every traced window, window by window.
 
@@ -550,23 +558,17 @@ def _window_counts(
     threshold, that is when e(y_m - n) >= c(n), the row's ``_cutoffs``
     value at n; so each window compares its slice of the reversed e table
     with every row's cutoffs, and the counts equal those of the products.
-    Indices past y_m weigh 0 and never reach a positive threshold, so
-    only n <= min(k_m, y_m) are compared.
+    ``n``, ``e`` and ``g`` are ``_counted_range``'s.
     """
-    keff = np.minimum(plan.k, plan.y)
-    bad = np.flatnonzero((plan.k > 0) & ((plan.y > len(plan.e)) | (keff >= len(plan.g))))
-    if bad.size:
-        m = int(plan.ms[bad[0]])
-        raise WeightError(f"weights '{label}' end before the counting range at m={m}")
-    top = int(keff.max())
-    g, levels = plan.g[1 : top + 1], rows[:, :top]
+    top = int(n.max())
+    g, levels = g[1 : top + 1], rows[:, :top]
     cut = np.empty(levels.shape)
     step = max(1, _CUTOFF_BLOCK // len(rows))
     for j in range(0, top, step):
         cut[:, j : j + step] = _cutoffs(g[j : j + step], levels[:, j : j + step], threshold)
-    e_rev = plan.e[::-1].copy()
-    counts = np.zeros((len(rows), len(plan.ms)), dtype=np.int64)
-    for i, (yv, kv) in enumerate(zip(plan.y.tolist(), keff.tolist())):
+    e_rev = e[::-1].copy()
+    counts = np.zeros((len(rows), len(y)), dtype=np.int64)
+    for i, (yv, kv) in enumerate(zip(y.tolist(), n.tolist())):
         at = len(e_rev) - yv
         hits = np.greater_equal(e_rev[at : at + kv], cut[:, :kv])
         counts[:, i] = [np.count_nonzero(row) for row in hits]
@@ -615,27 +617,21 @@ def _cutoffs(g: np.ndarray, levels: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def _prefix_counts(
-    plan: WindowPlan, rows: np.ndarray, threshold: float, label: str
+    rows: np.ndarray, threshold: float, n: np.ndarray, e0: float, g: np.ndarray
 ) -> np.ndarray:
     """Counts of every row at every traced window when e is constant.
 
     w(m, n) = e0 * g(n) for n <= y_m does not depend on m, so window m
-    counts the hits among n <= min(k_m, y_m) of one fixed sequence per
-    row, read off their cumulative count.  Indices past y_m weigh 0 and
-    never reach a positive threshold.
+    counts the hits among n <= n_m of one fixed sequence per row, read
+    off their cumulative count.  ``n`` and ``g`` are ``_counted_range``'s.
     """
-    keff = np.minimum(plan.k, plan.y)
-    short = np.flatnonzero(keff >= len(plan.g))
-    if short.size:
-        m = int(plan.ms[short[0]])
-        raise WeightError(f"weights '{label}' end before the counting range at m={m}")
-    top = int(keff.max())
-    w = plan.e[0] * plan.g[1 : top + 1]
+    top = int(n.max())
+    w = e0 * g[1 : top + 1]
     cum = np.zeros(top + 1, dtype=np.int64)
-    counts = np.empty((len(rows), len(keff)), dtype=np.int64)
+    counts = np.empty((len(rows), len(n)), dtype=np.int64)
     for row, out in zip(rows, counts):
         np.cumsum(w * row[:top] >= threshold, out=cum[1:])
-        out[:] = cum[keff]
+        out[:] = cum[n]
     return counts
 
 

@@ -341,10 +341,11 @@ def algebra_suite(
 
     ya = _constant_limit(model_a)
     zb = _constant_limit(model_b)
+    # The product model of (3) and (5), run once.
+    v_prod = run(combine_independent(model_a, model_b, lambda u, v: u * v))
 
     # (3) Product of sequences with constant limits.
     if ya is not None and zb is not None:
-        v_prod = run(combine_independent(model_a, model_b, lambda u, v: u * v))
         results.append(
             AssertionResult(
                 "product_constant_limits",
@@ -391,14 +392,13 @@ def algebra_suite(
         )
 
     # (5) Product with possibly random limits, independent coupling.
-    v_prod_r = run(combine_independent(model_a, model_b, lambda u, v: u * v))
     results.append(
         AssertionResult(
             "product_random_limits",
             f"{model_a.description} * {model_b.description}",
             {"left": va.verdict.value, "right": vb.verdict.value},
-            v_prod_r.verdict.value,
-            (not (a_conv and b_conv)) or v_prod_r.verdict is Verdict.CONVERGES,
+            v_prod.verdict.value,
+            (not (a_conv and b_conv)) or v_prod.verdict is Verdict.CONVERGES,
         )
     )
 

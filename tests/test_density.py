@@ -412,7 +412,7 @@ class TestWindowPlan:
     def test_arrays_are_read_only(self, deferred):
         weights, cfg = weight_preset("identity"), DensityConfig(horizon=20)
         plan = window_plan(deferred, weights, cfg)
-        arrays = [plan.ms, plan.x, plan.y, plan.R, plan.k, plan.e, plan.g]
+        arrays = [plan.ms, plan.x, plan.y, plan.R, plan.k]
         # Verdict columns, from the generic and the level path.
         rows = np.ones((2, plan.k_max))
         for v in [density_limit(squares_pred, deferred, weights, cfg)] + level_density_limits(
@@ -425,13 +425,20 @@ class TestWindowPlan:
 
     @pytest.mark.parametrize("mode", list(NormalizerMode))
     @pytest.mark.parametrize("e0", [0.5, 3.0])
-    def test_constant_weights_keep_only_what_counting_reads(self, deferred, mode, e0):
+    def test_constant_weights_count_up_to_the_clipped_range(self, deferred, mode, e0):
         # e0 = 3 lifts floor(R_m) past y_m, where counting clips at y_m.
         e, g = (WeightSeq(lambda n, c=c: c, "c", constant=c) for c in (e0, 1.25))
-        plan = window_plan(deferred, WeightScheme(e, g, "c"), DensityConfig(horizon=300, mode=mode))
-        assert plan.e.tolist() == [e0]
-        assert len(plan.g) == int(np.minimum(plan.k, plan.y).max()) + 1
-        assert set(plan.g.tolist()) == {1.25}
+        weights, cfg = WeightScheme(e, g, "c"), DensityConfig(horizon=300, mode=mode)
+        plan = window_plan(deferred, weights, cfg)
+        v = level_density_limit(np.ones(plan.k_max), 0.5, deferred, weights, cfg)
+        assert np.array_equal(v.count, np.minimum(plan.k, plan.y))
+        assert (e0 == 3.0) == bool((plan.k > plan.y).any())
+
+        def hit(m, n):
+            return brute_weight(deferred, weights, m, n) >= 0.5
+
+        brute = [brute_density_count(hit, deferred, weights, m, mode)[0] for m in v.ms.tolist()]
+        assert v.count.tolist() == brute
 
     @pytest.mark.parametrize("horizon", [10, 1250, 1251, 1300, 5000, 30_000, 100_003])
     def test_trace_indices_equal_the_unique_linspace(self, horizon):
