@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, parse_model, parse_schedule, parse_weights
+from .config import ConfigError, _json_number, parse_model, parse_schedule, parse_weights
 from .density import CountCapError, DensityConfig, trace_csv, window_means
-from .detectors import DetectorConfig, st_dndc, st_dnm, st_dnp
+from .detectors import DetectorConfig, GridError, st_dndc, st_dnm, st_dnp
 from .korovkin import (
     KorovkinConfig,
     Perturbation,
@@ -182,15 +182,14 @@ def _merge_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
 
 def _check_file_value(action: argparse.Action, key: str, value: object) -> object:
     """The value as its flag would read it; reject one that the flag's action,
-    type or choices would reject."""
+    type or choices would reject.  Numbers follow ``config._json_number``."""
+    if action.type in (int, float):
+        return _json_number(value, f"config key '{key}'", integer=action.type is int)
     if isinstance(action, argparse._StoreTrueAction):
         ok, want = isinstance(value, bool), "true or false"
     elif isinstance(action, argparse._AppendAction):
         ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
         want = "a list of strings"
-    elif action.type in (int, float):
-        ok = isinstance(value, (action.type, int)) and not isinstance(value, bool)
-        want = "an integer" if action.type is int else "a number"
     elif action.choices:
         ok, want = value in action.choices, "one of " + ", ".join(action.choices)
     else:  # the schedule, weights and model parsers also read their object forms
@@ -198,8 +197,7 @@ def _check_file_value(action: argparse.Action, key: str, value: object) -> objec
         want = "a string"
     if not ok:
         raise ConfigError(f"config key '{key}' must be {want}, got {json.dumps(value)}")
-    # A float flag reads "1" as 1.0, and a huge integer as inf.
-    return float(str(value)) if action.type is float else value
+    return value
 
 
 def _emit(lines: list[str]) -> None:
@@ -289,8 +287,6 @@ def _detector_runs(args: argparse.Namespace):
             grid = tuple(float(t) for t in str(args.grid).split(","))
         except ValueError:
             raise ConfigError(f"bad grid spec '{args.grid}'") from None
-        if not all(math.isfinite(t) for t in grid):
-            raise ConfigError(f"grid points must be finite, got '{args.grid}'")
     try:
         density = DensityConfig(horizon=args.horizon, mode=NormalizerMode(args.normalizer))
         cfg = DetectorConfig(eps=args.eps, delta=args.delta, r=args.r, grid=grid, density=density)
@@ -305,6 +301,8 @@ def _detector_runs(args: argparse.Namespace):
             runs[kind] = fn(model, schedule, weights, cfg)
     except (CountCapError, MemoryError) as exc:
         raise ConfigError(f"{exc}; use a smaller --horizon") from None
+    except GridError as exc:
+        raise ConfigError(f"{exc}; --grid points must avoid the limit-law atoms") from None
     return model, schedule, weights, cfg, runs
 
 

@@ -60,7 +60,6 @@ from .schedules import (
     WeightScheme,
     array_result,
     check_normalizer,
-    fsum_or_inf,
 )
 
 __all__ = [
@@ -365,7 +364,8 @@ def _exact_sums(
     cumulative sum) in int64, exactly for fewer than 2^31 terms.  Each
     window's limb sums are joined as one Python int and rounded once by
     true division.  The first window holding a term that is not finite gets
-    ``fsum_or_inf`` of its terms, and the windows after it nan.
+    the plain IEEE sum of its terms (inf or nan, by Python float adds, which
+    raise no warning), and the windows after it nan.
     """
     work = np.abs(terms)
     top = float(work.max())
@@ -376,7 +376,7 @@ def _exact_sums(
         dirty = np.flatnonzero(fault[hi] > fault[lo])
         if dirty.size:
             i = int(dirty[0])
-            sums[i] = fsum_or_inf(terms[edges[lo][i] : edges[hi][i]].tolist())
+            sums[i] = sum(terms[edges[lo][i] : edges[hi][i]].tolist())
             sums[i + 1 :] = math.nan
         return sums
     # The smallest nonzero |term|, by a masked pass only when some term is zero.

@@ -16,9 +16,9 @@ detector counts every grid point's row in one window pass
 (``level_density_limits``).
 
 The distribution detector requires evaluation points where the limit
-distribution function is continuous; the default grid takes midpoints
-between adjacent atoms of the limit law plus one flanking point on each
-side, which satisfies that requirement automatically.
+distribution function is continuous (else GridError); the default grid
+takes midpoints between adjacent limit atoms plus one flanking point on
+each side, which satisfies that requirement automatically.
 
 The suite helpers exercise the algebra-of-limits assertions, the
 continuous-mapping property and the moment bound as finite-horizon
@@ -37,17 +37,17 @@ from .density import (
     ConvergenceVerdict,
     DensityConfig,
     Verdict,
+    _check_positive_finite,
     counting_bound,
     level_density_limit,
     level_density_limits,
 )
 from .rvmodel import (
-    LIMIT,
     RVSequenceModel,
     abs_moment,
-    cdf,
     combine_independent,
     exceedance_prob,
+    limit_cdf,
     map_values,
     prob_limits_equal,
     support_model,
@@ -56,6 +56,7 @@ from .rvmodel import (
 from .schedules import DeferredSchedule, WeightScheme
 
 __all__ = [
+    "GridError",
     "DetectorConfig",
     "default_grid",
     "st_dnp",
@@ -78,7 +79,7 @@ class DetectorConfig:
     ``eps`` and ``delta`` are the exceedance and density thresholds of
     the probability mode; the mean mode thresholds the weighted moment
     at ``eps`` and uses order ``r``; the distribution mode evaluates at
-    ``grid`` (None picks the automatic continuity-safe grid).
+    ``grid`` of finite points (None picks the automatic continuity-safe grid).
     """
 
     eps: float = 0.5
@@ -88,15 +89,18 @@ class DetectorConfig:
     density: DensityConfig = field(default_factory=DensityConfig)
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails each check.
-        for name, value in (("eps", self.eps), ("delta", self.delta)):
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if not self.r >= 1.0:
+        _check_positive_finite("eps", self.eps)
+        _check_positive_finite("delta", self.delta)
+        if not self.r >= 1.0:  # NaN fails too
             raise ValueError(f"moment order must be >= 1, got {self.r}")
-        for name, value in (("eps", self.eps), ("delta", self.delta), ("r", self.r)):
-            if np.isinf(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if np.isinf(self.r):
+            raise ValueError(f"r must be finite, got {self.r}")
+        if self.grid is not None and not np.isfinite(self.grid).all():
+            raise ValueError(f"grid points must be finite, got {self.grid}")
+
+
+class GridError(ValueError):
+    """A distribution-mode grid is empty or has a point on a limit-law atom."""
 
 
 def default_grid(model: RVSequenceModel) -> tuple[float, ...]:
@@ -106,10 +110,8 @@ def default_grid(model: RVSequenceModel) -> tuple[float, ...]:
     unit below the smallest atom and half a unit above the largest.
     """
     atoms = [v for v, _ in model.limit_atoms()]
-    points = [atoms[0] - 0.5]
-    points.extend((a + b) / 2.0 for a, b in zip(atoms, atoms[1:]))
-    points.append(atoms[-1] + 0.5)
-    return tuple(points)
+    midpoints = ((a + b) / 2.0 for a, b in zip(atoms, atoms[1:]))
+    return (atoms[0] - 0.5, *midpoints, atoms[-1] + 0.5)
 
 
 def st_dnp(
@@ -160,11 +162,11 @@ def st_dndc(
     """
     grid = cfg.grid if cfg.grid is not None else default_grid(model)
     if not grid:
-        raise ValueError("distribution detector needs a nonempty grid")
+        raise GridError("distribution detector needs a nonempty grid")
     limit_values = {v for v, _ in model.limit_atoms()}
     for t in grid:
         if t in limit_values:
-            raise ValueError(f"grid point {t!r} sits on a limit-law atom (discontinuity)")
+            raise GridError(f"grid point {t!r} sits on a limit-law atom (discontinuity)")
 
     k_max = _checked_k_max(model, schedule, weights, cfg)
     rows = _cdf_gaps(model, k_max, grid)
@@ -179,12 +181,9 @@ def st_dndc(
     per_point = dict(zip(grid, verdicts))
 
     worst = max(per_point.values(), key=lambda v: v.tail_max)
-    if any(v.verdict is Verdict.DIVERGES for v in per_point.values()):
-        overall = Verdict.DIVERGES
-    elif any(v.verdict is Verdict.INCONCLUSIVE for v in per_point.values()):
-        overall = Verdict.INCONCLUSIVE
-    else:
-        overall = Verdict.CONVERGES
+    # The gravest verdict of any point: Diverges, then Inconclusive, then Converges.
+    seen = {v.verdict for v in per_point.values()}
+    overall = next(v for v in (Verdict.DIVERGES, Verdict.INCONCLUSIVE, Verdict.CONVERGES) if v in seen)
     return replace(
         worst,
         verdict=overall,
@@ -207,11 +206,12 @@ def _checked_k_max(
 def _cdf_gaps(model: RVSequenceModel, k_max: int, grid: Sequence[float]) -> np.ndarray:
     """|F_{Y_n}(t) - F_Y(t)| for n = 1..k_max, one row per grid point t."""
     laws = model.laws(k_max)
+    # The limit law does not depend on n: one limit CDF for the whole grid.
+    limit = limit_cdf(model, np.asarray(grid, dtype=np.float64))
     rows = np.empty((len(grid), k_max))
-    for row, t in zip(rows, grid):
-        # The limit law does not depend on n: one limit CDF per grid point.
+    for row, t, f in zip(rows, grid, limit.tolist()):
         gap = laws.cdf(t)
-        gap -= cdf(model, LIMIT, t)
+        gap -= f
         np.abs(gap, out=row)
     return rows
 

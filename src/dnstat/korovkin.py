@@ -38,9 +38,9 @@ sequences read the base table through a memo of the last block, keyed
 by its exact inputs, so the lifts of one check share one computation
 per block.  ``tail_tol`` is set once, on the operator.
 
-Lifted variants multiply M_n by a positive factor: the two-coordinate
-counterexample's distribution function (which never vanishes, so its
-deviation from 1 persists at every index) or an indicator of the
+Lifted variants multiply M_n by a positive factor: 1 + F_Y for the limit
+law of the two-coordinate counterexample (``rvmodel.limit_cdf``; F_Y > 0
+on [0, 1], so the deviation persists at every index) or 1 + an indicator of the
 perfect squares (a window-density-zero index set, giving a sequence
 that converges statistically although not ordinarily).  Each sequence is
 tabulated by ``lifted_operator(...).batch``; ``mkz_apply`` is M_m at one point.
@@ -62,8 +62,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .density import ConvergenceVerdict, DensityConfig, Verdict, counting_bound, level_density_limit
-from .rvmodel import model_preset
+from .density import (
+    ConvergenceVerdict,
+    DensityConfig,
+    Verdict,
+    _check_positive_finite,
+    counting_bound,
+    level_density_limit,
+)
+from .rvmodel import limit_cdf, model_preset
 from .schedules import DeferredSchedule, NormalizerMode, WeightScheme, array_result
 
 __all__ = [
@@ -487,20 +494,6 @@ class Perturbation(Enum):
     CDF_FACTOR = "cdffactor"
 
 
-@lru_cache(maxsize=1)
-def _example2_cdf_factor() -> tuple[np.ndarray, np.ndarray]:
-    """The sorted values v_k of the example2 limit law and 1 + F at each prefix.
-
-    Entry k of the second array is 1 + fsum of the first k probabilities,
-    the sum rvmodel.cdf forms for a point with exactly k values at or
-    below it; fsum is exactly rounded, so the prefix is bit-identical.
-    """
-    law = model_preset("example2").model.limit_atoms()
-    values = np.array([v for v, _ in law])
-    factor = np.array([1.0 + math.fsum(p for _, p in law[:k]) for k in range(len(law) + 1)])
-    return values, factor
-
-
 @dataclass(frozen=True)
 class OperatorSequence:
     """Indexed family of positive linear operators on sampled functions.
@@ -549,6 +542,7 @@ def lifted_operator(perturbation: Perturbation, tail_tol: float) -> OperatorSequ
     """
     _check_tail_tol(tail_tol)
     scratch = _Scratch()
+    example2 = model_preset("example2").model
 
     def batch(ns: np.ndarray, fns: Sequence[SampledFunction], ys: np.ndarray) -> np.ndarray:
         ms = np.asarray(ns, dtype=np.int64)
@@ -560,9 +554,7 @@ def lifted_operator(perturbation: Perturbation, tail_tol: float) -> OperatorSequ
         if perturbation is Perturbation.NULL_SET:
             squares = np.array([math.isqrt(n) ** 2 == n for n in ms.tolist()], dtype=bool)
             return tables * np.where(squares, 2.0, 1.0)[:, None, None]
-        # 1 + F(y) for the limit law F, summed as rvmodel.cdf sums it.
-        values, factor = _example2_cdf_factor()
-        return tables * factor[np.searchsorted(values, ys, side="right")]
+        return tables * (1.0 + limit_cdf(example2, ys))
 
     label = "mkz" if perturbation is Perturbation.NONE else f"mkz+{perturbation.value}"
     return OperatorSequence(label, batch)
@@ -600,10 +592,7 @@ class KorovkinConfig:
     mode: NormalizerMode = NormalizerMode.REGULAR
 
     def __post_init__(self) -> None:
-        if not self.eps > 0.0:  # NaN fails too
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if math.isinf(self.eps):
-            raise ValueError(f"eps must be finite, got {self.eps}")
+        _check_positive_finite("eps", self.eps)
         if self.grid_points < 2:
             raise ValueError(f"grid size must be at least 2, got {self.grid_points}")
         self.density()

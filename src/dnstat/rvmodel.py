@@ -23,7 +23,8 @@ by ``math.fsum`` per law, and |Y_n - Y|^r is Python's float pow (numpy's
 ``**`` differs in the last bit for some r), except at r = 1.
 
 ``atoms(m)`` (the atoms of positive probability), ``exceedance_prob``,
-``abs_moment`` and ``cdf`` are one-index views of the same table.  A
+``abs_moment`` and ``cdf`` are one-index views of the same table;
+``cdf(model, LIMIT, t)`` is the one-point view of ``limit_cdf``.  A
 seeded Monte Carlo sampler (counter-based, keyed by (seed, m)) provides
 the independent empirical oracle the test suite compares against.
 """
@@ -50,6 +51,7 @@ __all__ = [
     "exceedance_prob",
     "abs_moment",
     "cdf",
+    "limit_cdf",
     "sample",
     "map_values",
     "with_alt_limit",
@@ -79,7 +81,7 @@ def _checked(triples: Sequence[Sequence[float]], description: str, m: int) -> li
     if not law:
         raise ModelError(f"model '{description}' has empty support at m={m}")
     total = math.fsum(p for _, _, p in law)
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:  # NaN fails too
         raise ModelError(f"model '{description}' probabilities sum to {total!r} at m={m}")
     for a, b, p in law:
         if p < 0:
@@ -141,13 +143,13 @@ class LawTable:
 
     def exceedance(self, eps: float) -> np.ndarray:
         """P(|Y_n - Y| >= eps) at each index."""
-        if eps <= 0.0:
+        if not eps > 0.0:  # NaN fails too
             raise ValueError(f"eps must be positive, got {eps}")
         return self._levels(lambda a, b, p: np.where(_gap(a, b) >= eps, p, 0.0))
 
     def moment(self, r: float) -> np.ndarray:
         """E|Y_n - Y|^r at each index."""
-        if r < 1.0:
+        if not r >= 1.0:  # NaN fails too
             raise ValueError(f"moment order must be >= 1, got {r}")
 
         def term(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -159,6 +161,8 @@ class LawTable:
 
     def cdf(self, t: float) -> np.ndarray:
         """P(Y_n <= t) at each index; atoms at t are included."""
+        if math.isnan(t):
+            raise ValueError(f"cdf points must not be nan, got {t}")
         return self._levels(lambda a, b, p: np.where(a <= t, p, 0.0))
 
     def _levels(self, term: Callable[..., np.ndarray]) -> np.ndarray:
@@ -279,8 +283,18 @@ def cdf(model: RVSequenceModel, which: int | str, t: float) -> float:
     Right-continuous by construction: atoms at t are included.
     """
     if which == LIMIT:
-        return math.fsum(p for v, p in model.limit_atoms() if v <= t)
+        return float(limit_cdf(model, t))
     return float(_one_law(model, int(which)).cdf(t)[0])
+
+
+def limit_cdf(model: RVSequenceModel, ts: float | np.ndarray) -> np.ndarray:
+    """Exact P(Y <= t) at each t of ts: one fsum per distinct prefix of the sorted limit atoms."""
+    if np.isnan(ts).any():
+        raise ValueError(f"cdf points must not be nan, got {ts}")
+    law = model.limit_atoms()
+    k = np.searchsorted([v for v, _ in law], ts, side="right")
+    prefix = {j: math.fsum(p for _, p in law[:j]) for j in set(np.ravel(k).tolist())}
+    return np.vectorize(prefix.__getitem__, otypes=[np.float64])(k)
 
 
 @dataclass(frozen=True)

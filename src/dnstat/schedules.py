@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "DeferredSchedule",
     "WeightSeq",
     "WeightScheme",
-    "fsum_or_inf",
     "check_normalizer",
     "array_result",
     "constant_seq",
@@ -210,14 +209,6 @@ class WeightScheme:
     e: WeightSeq
     g: WeightSeq
     label: str = ""
-
-
-def fsum_or_inf(terms: Iterable[float]) -> float:
-    """``math.fsum``, with inf where finite terms sum past the float range."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return math.inf
 
 
 def check_normalizer(r: float, m: int, label: str) -> None:

@@ -21,7 +21,6 @@ from dnstat.schedules import (
     WeightScheme,
     WeightSeq,
     check_normalizer,
-    fsum_or_inf,
     schedule_preset,
     weight_preset,
 )
@@ -68,6 +67,14 @@ def brute_normalizer(
         else:
             total += e(yv - n) * g(n)
     return total
+
+
+def fsum_or_inf(terms) -> float:
+    """``math.fsum``, with inf where finite terms sum past the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def fsum_normalizer(

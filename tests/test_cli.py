@@ -513,3 +513,75 @@ class TestConfigFile:
         assert " eps=1.0 delta=0.5 r=2.0 " in outputs[0].splitlines()[1]
         assert json.loads(outputs[1])["config"]["eps"] == 1.0
 
+
+
+# Bad inputs to `detect --horizon 20`, as a config document (passed by
+# --config) or as flags.  Config-file numbers follow one rule: a JSON number
+# that is not a bool, and an integer where one is meant, so a slope of 1.5 is
+# rejected, not read as 1.  Each case exits 2 with a message naming its key.
+BAD_INPUTS = {
+    "string atom value": (
+        {"model": {"per_m": {"1": [["a", 0, 1]]}}},
+        "each atom value in model.per_m key '1' must be a number, got \"a\"",
+    ),
+    "bool atom value": (
+        {"model": {"per_m": {"1": [[0, 0, True]]}}},
+        "each atom value in model.per_m key '1' must be a number, got true",
+    ),
+    "row that is not a list": (
+        {"model": {"per_m": {"1": 5}}},
+        "model.per_m key '1' must be a list of [ym, y, p] triples, got 5",
+    ),
+    "atom that is not a list": (
+        {"model": {"per_m": {"1": [5]}}},
+        "model.per_m key '1' must be a list of [ym, y, p] triples, got [5]",
+    ),
+    "nan probability": (
+        {"model": {"per_m": {"1": [[0, 0, math.nan]]}}},
+        "model 'tabulated' probabilities sum to nan at m=1",
+    ),
+    "string weight-table entry": (
+        {"model": "example1", "weights": {"e": [1, "x"], "g": "ones"}},
+        "each entry of weights.e must be a number, got \"x\"",
+    ),
+    "huge integer weight-table entry": (
+        {"model": "example1", "weights": {"e": [1, 10**400], "g": "ones"}},
+        "weight sequence 'e-table' not finite at n=1: inf",
+    ),
+    "string affine coefficient": (
+        {"model": "example1", "schedule": {"x": {"a": "q"}, "y": 4}},
+        "schedule.x.a must be an integer, got \"q\"",
+    ),
+    "fractional affine coefficient": (
+        {"model": "example1", "schedule": {"x": {"a": 1.5}, "y": 4}},
+        "schedule.x.a must be an integer, got 1.5",
+    ),
+    "fractional bare slope": (
+        {"model": "example1", "schedule": {"x": 1, "y": 4.5}},
+        "schedule.y must be an integer, got 4.5",
+    ),
+    "bool bare slope": (
+        {"model": "example1", "schedule": {"x": True, "y": 4}},
+        "schedule.x must be an integer, got true",
+    ),
+    "grid point on a limit atom": (
+        ["--model", "example2", "--mode", "dndc", "--grid", "1"],
+        "grid point 1.0 sits on a limit-law atom (discontinuity);"
+        " --grid points must avoid the limit-law atoms",
+    ),
+    "nan grid point": (
+        ["--model", "example2", "--mode", "dndc", "--grid", "0.5,nan"],
+        "grid points must be finite, got (0.5, nan)",
+    ),
+}
+
+
+@pytest.mark.parametrize("source, message", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_exits_2_with_its_message(tmp_path, capsys, source, message):
+    if isinstance(source, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(source))
+        source = ["--config", str(cfg)]
+    assert main(["detect", *source, "--horizon", "20"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"config error: {message}\n")

@@ -354,26 +354,22 @@ class TestWindowPlan:
             assert r.hex() == fsum_normalizer(schedule, weights, m, mode).hex(), m
 
     @pytest.mark.parametrize("spread", [9, 10, 11, 63, 200])
-    def test_wide_windows_at_the_spread_limit(self, spread, monkeypatch):
+    def test_wide_windows_at_the_spread_limit(self, spread):
         # Windows of 7,000m terms, 70,000 at m = 10, each its own chunk.  Half
         # the terms sit at the top of the spread, so one int64 accumulator
         # would overflow; spreads 63 and 200 cut each term into two and five
-        # 62-bit digits.  Finite terms never reach fsum.
+        # 62-bit digits.
         rng = np.random.default_rng(spread)
         size = 70_001
         g = weight_table(f"spread{spread}", rng, size)
         rng.shuffle(g[1:])
         schedule = DeferredSchedule(Affine(0, 0), Affine(7000, 0), "wide")
         weights = WeightScheme(tabulated([1.0] * size), tabulated(g), label="wide")
-        fsum_calls = []
-        real_fsum = density.fsum_or_inf
-        monkeypatch.setattr(density, "fsum_or_inf", lambda t: fsum_calls.append(1) or real_fsum(t))
         window_plan.cache_clear()
         plan = window_plan(schedule, weights, DensityConfig(horizon=10))
         assert int((plan.y - plan.x).max()) > 2**16
         for yv, r in zip(plan.y.tolist(), plan.R.tolist()):
             assert r.hex() == math.fsum(g[1 : yv + 1].tolist()).hex()
-        assert len(fsum_calls) == 0
 
     def test_window_sum_past_the_float_range_is_a_weight_error(self, deferred):
         # Every window holds at least two terms of 1e308, so R_1 overflows.
@@ -539,6 +535,17 @@ class TestWindowMeans:
         weights = WeightScheme(e, tabulated([1.0] * 5 + [1e308] * 10), label="big")
         with pytest.raises(WeightError, match=r"'big' .* of the sequence at m=5: nan$"):
             window_means(lambda n: np.zeros(len(n)), cesaro, weights, 10, NormalizerMode.LITERAL)
+
+    @pytest.mark.parametrize("preset", ["ones", "identity"])
+    def test_window_holding_plus_and_minus_inf_is_a_weight_error(self, deferred, preset):
+        # Window 2 of `example` is n = 4..7, where e(y_2 - n) > 0 at n = 4, 5 for
+        # both presets, so its products hold +inf and -inf; window 1 (n = 2, 3) is finite.
+        def seq(n):
+            return np.where(n == 4, np.inf, np.where(n == 5, -np.inf, n.astype(np.float64)))
+
+        weights = weight_preset(preset)
+        with pytest.raises(WeightError, match=rf"'{preset}' .* of the sequence at m=2: nan$"):
+            window_means(seq, deferred, weights, 5)
 
 
 @st.composite

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dnstat.config import parse_weights
 from dnstat.density import DensityConfig, Verdict, counting_bound, level_density_limit
 from dnstat.detectors import (
     DetectorConfig,
+    GridError,
     algebra_suite,
     cauchy_index_search,
     continuous_map_check,
@@ -21,11 +23,10 @@ from dnstat.detectors import (
     st_dnm,
     st_dnp,
 )
+from dnstat.korovkin import KorovkinConfig
 from dnstat.rvmodel import (
-    LIMIT,
     MODEL_ZOO,
     ModelError,
-    cdf,
     model_preset,
     support_model,
     tabulated_model,
@@ -102,8 +103,33 @@ class TestDistributionDetector:
         assert v.verdict is Verdict.CONVERGES
 
     def test_grid_on_an_atom_is_rejected(self):
-        with pytest.raises(ValueError, match="atom"):
+        with pytest.raises(GridError, match="atom"):
             run_bundle("degenerate:2", st_dndc, cfg_at(500, grid=(2.0,)))
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"eps": math.nan}, "eps must be positive, got nan"),
+            ({"eps": -1.0}, "eps must be positive, got -1.0"),
+            ({"eps": math.inf}, "eps must be finite, got inf"),
+            ({"delta": math.nan}, "delta must be positive, got nan"),
+            ({"delta": math.inf}, "delta must be finite, got inf"),
+            ({"r": math.nan}, "moment order must be >= 1, got nan"),
+            ({"r": 0.5}, "moment order must be >= 1, got 0.5"),
+            ({"r": math.inf}, "r must be finite, got inf"),
+        ],
+    )
+    def test_config_values_are_checked(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cfg_at(500, **kw)
+        if "eps" in kw:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                KorovkinConfig(**kw)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_grid_point_that_is_not_finite_is_rejected(self, t):
+        with pytest.raises(ValueError, match="grid points must be finite"):
+            cfg_at(500, grid=(t, 0.5))
 
     def test_default_grids_flank_and_interleave_atoms(self):
         assert default_grid(model_preset("example2").model) == (-0.5, 0.5, 1.5)
@@ -117,7 +143,7 @@ def assert_points_count_brute_gap_rows(model, schedule, weights, cfg):
     k_max = counting_bound(schedule, weights, cfg.density)
     atoms = [model.atoms(n) for n in range(1, k_max + 1)]
     for t, point in v.extras["points"].items():
-        limit = cdf(model, LIMIT, t)
+        limit = math.fsum(p for y, p in model.limit_atoms() if y <= t)
         row = np.array([abs(brute_cdf(law, t) - limit) for law in atoms])
         alone = level_density_limit(row, cfg.eps, schedule, weights, cfg.density)
         assert same_columns(point, alone)

@@ -38,7 +38,7 @@ from dnstat.korovkin import (
     mkz_apply,
     sup_distance,
 )
-from dnstat.rvmodel import LIMIT, cdf, model_preset
+from dnstat.rvmodel import model_preset
 from dnstat.schedules import schedule_preset, weight_preset
 
 
@@ -176,8 +176,8 @@ class TestLiftedOperators:
     @pytest.mark.parametrize("n", [1, 4, 17, 60])
     def test_cdf_factor_is_one_plus_the_limit_cdf_bit_for_bit(self, n):
         grid = np.linspace(0.0, 1.0, 65)
-        model = model_preset("example2").model
-        factor = np.array([1.0 + cdf(model, LIMIT, float(y)) for y in grid])
+        law = model_preset("example2").model.limit_atoms()
+        factor = np.array([1.0 + math.fsum(p for v, p in law if v <= y) for y in grid])
         base = lifted_operator(Perturbation.NONE, 1e-10).batch([n], [ONE, CUBE], grid)[0]
         lifted = lifted_operator(Perturbation.CDF_FACTOR, 1e-10).batch([n], [ONE, CUBE], grid)[0]
         assert np.array_equal(lifted, base * factor)

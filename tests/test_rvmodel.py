@@ -19,6 +19,7 @@ from dnstat.rvmodel import (
     cdf,
     combine_independent,
     exceedance_prob,
+    limit_cdf,
     map_values,
     model_preset,
     prob_limits_equal,
@@ -78,6 +79,32 @@ class TestExactOperations:
     def test_cdf_below_support(self, ex1, ex2):
         assert cdf(ex1, 7, -3.0) == 0.0
         assert cdf(ex2, 7, -3.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda m: exceedance_prob(m, 4, math.nan), "eps must be positive, got nan"),
+            (lambda m: abs_moment(m, 4, math.nan), "moment order must be >= 1, got nan"),
+            (lambda m: cdf(m, 4, math.nan), "cdf points must not be nan"),
+            (lambda m: cdf(m, LIMIT, math.nan), "cdf points must not be nan"),
+            (lambda m: limit_cdf(m, np.array([0.5, math.nan])), "cdf points must not be nan"),
+        ],
+    )
+    def test_nan_arguments_rejected(self, ex1, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(ex1)
+
+    @pytest.mark.parametrize("spec", MODEL_ZOO)
+    def test_limit_cdf_equals_an_fsum_over_the_limit_atoms(self, spec):
+        law = model_preset(spec).model.limit_atoms()
+        values = [v for v, _ in law]
+        ts = values + [v + d for v in values for d in (-0.25, 0.25)] + [-math.inf, math.inf]
+        got = limit_cdf(model_preset(spec).model, np.array(ts))
+        want = [math.fsum(p for v, p in law if v <= t) for t in ts]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        assert [cdf(model_preset(spec).model, LIMIT, t).hex() for t in ts] == [
+            v.hex() for v in want
+        ]
 
     @given(
         spec=st.sampled_from(MODEL_ZOO),
