@@ -24,21 +24,17 @@ depend on m, so they are passed once, over all indices, and each window
 is read off prefix sums.
 Predicates of the separable form  w(m, n) * level(n) >= threshold  go
 through ``level_density_limits``, which counts a matrix of level rows
-(one row: ``level_density_limit``) in one pass, on one of two counting
-paths picked from the weights:
-
-- constant e (every weight preset): w(m, n) = e0 * g(n) for n <= y_m
-  does not depend on m, so each row's hits are computed once up to the
-  largest min(k_m, y_m) and each window reads its count off their
-  cumulative sum, in O(k_max + trace length) per row;
-- tabulated or computed e: the rounded product (e * g(n)) * level(n)
-  never decreases in e >= 0, so each row's hits at n are the e at or
-  above one cutoff c(n), found once per row by bisection on the same
-  products; each window compares its e(y_m - n) with the cutoffs, one
-  comparison per index, in O(sum of k_m) per row.
-
-Both give the same counts bit for bit.  Arbitrary predicates go through
-``density_limit``, one call per traced window on its whole index array.
+(one row: ``level_density_limit``) in one pass, on one counting path for
+every weight kind.  The rounded product (e * g(n)) * level(n) never
+decreases in e >= 0, so against the least and largest e counting reads,
+each (row, n) entry hits in every window, in none, or is open.  Sure
+hits are found once per row and each window counts its own by binary
+search, which is all constant e (every weight preset) needs; an open
+entry hits at the e at or above one cutoff c(n), found by bisection on
+the same products, and each window compares its e(y_m - n) with the
+cutoffs of the open span alone.  The counts are those of the products,
+bit for bit.  Arbitrary predicates go through ``density_limit``, one
+call per traced window on its whole index array.
 """
 
 from __future__ import annotations
@@ -90,9 +86,13 @@ _TRACE_CAP = 1000
 # call, whose few buffers of this length stay small.
 _SUM_CHUNK = 2**14
 
-# Entries per cutoff search (``_cutoffs``), which holds about a dozen
-# temporaries per entry: blocks keep them small beside the level rows.
+# Entries per block of ``_window_counts``' hit tests and cutoff search
+# (``_cutoffs`` holds about a dozen temporaries per entry): small blocks
+# reuse freed memory where whole-row temporaries would fault in fresh pages.
 _CUTOFF_BLOCK = 2**12
+
+# Comparisons per level row in one chunk of ``_window_counts``, counted by one reduceat.
+_COUNT_CHUNK = 2**14
 
 # Window plans kept per process: a detector run needs one, and a few more
 # cover callers that alternate between schedules or weights.
@@ -351,7 +351,7 @@ def _window_sums(
 def _exact_sums(
     terms: np.ndarray, edges: np.ndarray, lo: np.ndarray | slice, hi: np.ndarray | slice
 ) -> np.ndarray:
-    """Exactly rounded sum of terms[edges[lo][i]:edges[hi][i]] per window i; inf on overflow.
+    """Exactly rounded sum of terms[edges[lo][i]:edges[hi][i]] per window i, ±inf on overflow.
 
     ``edges`` increases strictly and ends at len(terms); ``lo`` and ``hi``
     index it, as arrays or slices, so a window is a run of the segments
@@ -404,7 +404,7 @@ def _exact_sums(
         joined = [(v << 62) + (h << 32) + w for v, h, w in zip(joined, high, low)]
     # A quotient of magnitude (2^54 - 1) * 2^970 or more rounds past the largest double.
     den, cap = 1 << shift, ((1 << 54) - 1) << (970 + shift)
-    return np.array([v / den if abs(v) < cap else math.inf for v in joined])
+    return np.array([v / den if abs(v) < cap else math.inf if v > 0 else -math.inf for v in joined])
 
 
 def _assemble(
@@ -499,10 +499,10 @@ def level_density_limits(
 
     One pass over the windows counts every row, so the same verdicts come
     out as from one call per row.  ``_counted_range`` decides which
-    indices each window counts and fetches the weights they read; then
-    constant e counts each row through one cumulative hit count
-    (``_prefix_counts``), and other weights compare each window's
-    e(y_m - n) with every row's per-index cutoffs (``_window_counts``).
+    indices each window counts and fetches the weights they read, and
+    ``_window_counts`` counts them for every weight kind: the entries the
+    e table's range decides once per row, the open rest against per-index
+    cutoffs in each window (none when e is constant).
     ``threshold`` must be positive and finite.  ``extras`` holds one
     mapping per row.
     """
@@ -515,11 +515,7 @@ def level_density_limits(
     if rows.shape[1] < k_max:
         raise ValueError(f"levels array too short: need {k_max}, got {rows.shape[1]}")
 
-    n, e, g = _counted_range(plan, weights)
-    if weights.e.constant is not None:
-        counts = _prefix_counts(rows, threshold, n, e[0], g)
-    else:
-        counts = _window_counts(rows, threshold, plan.y, n, e, g)
+    counts = _window_counts(rows, threshold, plan.y, *_counted_range(plan, weights))
     return [
         _assemble(plan, c, d, cfg, {"threshold": threshold, **x})
         for c, d, x in zip(counts, counts / plan.R, extras or [{}] * len(rows))
@@ -531,11 +527,11 @@ def _counted_range(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n_m, e, g): window m counts n = 1..n_m, n_m = min(k_m, y_m).
 
-    Indices past y_m weigh 0 and never reach a positive threshold.  Window
-    m reads g(1..n_m) and e(y_m - n): e(0) alone when e is constant, else
-    e up to y_m - 1.  At the first window with n_m > 0 whose reads pass
-    the end of a table (``WeightSeq.length``) it raises WeightError; else
-    e and g are fetched up to their largest read.
+    Indices past y_m weigh 0 and never reach a positive threshold.  Window m reads
+    g(1..n_m) and e(y_m - n): e(0) alone when e is constant, else e up to y_m - 1.  At
+    the first window with n_m > 0 whose reads pass the end of a table
+    (``WeightSeq.length``) it raises WeightError; else e and g are fetched up to their
+    largest read, a constant g as g(0) broadcast to that length.
     """
     n = np.minimum(plan.k, plan.y)
     counted = n > 0
@@ -546,32 +542,61 @@ def _counted_range(
         m = int(plan.ms[bad[0]])
         raise WeightError(f"weights '{weights.label}' end before the counting range at m={m}")
     e = weights.e.array(int(e_top.max(where=counted, initial=0)))
-    return n, e, weights.g.array(int(n.max()))
+    g = weights.g.array(0 if weights.g.constant is not None else int(n.max()))
+    return n, e, np.broadcast_to(g, int(n.max()) + 1)
 
 
 def _window_counts(
     rows: np.ndarray, threshold: float, y: np.ndarray, n: np.ndarray, e: np.ndarray, g: np.ndarray
 ) -> np.ndarray:
-    """Counts of every row at every traced window, window by window.
+    """Counts of every row at every traced window; ``n``, ``e``, ``g`` are ``_counted_range``'s.
 
-    Index n hits at window m when (e(y_m - n) * g(n)) * level(n) >=
-    threshold, that is when e(y_m - n) >= c(n), the row's ``_cutoffs``
-    value at n; so each window compares its slice of the reversed e table
-    with every row's cutoffs, and the counts equal those of the products.
-    ``n``, ``e`` and ``g`` are ``_counted_range``'s.
+    Index n hits at window m when (e(y_m - n) * g(n)) * level(n) >= threshold, which never
+    turns false as e grows: an entry that hits at e_lo = min e hits in every window, and
+    window m counts those with n <= n_m by one binary search; one that misses at e_hi = max e
+    never hits (constant e leaves no other).  The open rest, over the rows holding one and the
+    span [a, b) of their open columns, is compared per window with its ``_cutoffs`` (+inf
+    at decided entries), a chunk of windows into one bool buffer counted by one reduceat.
     """
     top = int(n.max())
     g, levels = g[1 : top + 1], rows[:, :top]
-    cut = np.empty(levels.shape)
-    step = max(1, _CUTOFF_BLOCK // len(rows))
-    for j in range(0, top, step):
-        cut[:, j : j + step] = _cutoffs(g[j : j + step], levels[:, j : j + step], threshold)
-    e_rev = e[::-1].copy()
-    counts = np.zeros((len(rows), len(y)), dtype=np.int64)
-    for i, (yv, kv) in enumerate(zip(y.tolist(), n.tolist())):
-        at = len(e_rev) - yv
-        hits = np.greater_equal(e_rev[at : at + kv], cut[:, :kv])
-        counts[:, i] = [np.count_nonzero(row) for row in hits]
+    e_lo, e_hi = float(e.min()), float(e.max())
+    counts, sure = np.empty((len(rows), len(n)), dtype=np.int64), np.empty(top, dtype=bool)
+    unsure = np.zeros(levels.shape if e_hi > e_lo else (0, top), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(levels):
+            for j in range(0, top, _CUTOFF_BLOCK):
+                cs = slice(j, j + _CUTOFF_BLOCK)
+                np.greater_equal((e_lo * g[cs]) * row[cs], threshold, out=sure[cs])
+                if len(unsure):
+                    np.greater((e_hi * g[cs]) * row[cs] >= threshold, sure[cs], out=unsure[i, cs])
+            counts[i] = np.searchsorted(np.flatnonzero(sure), n)  # sure hits at columns < n_m
+    live = np.flatnonzero(unsure.any(axis=1))
+    if not live.size:
+        return counts
+    cols = np.flatnonzero(unsure[live].any(axis=0))
+    a, b = int(cols[0]), int(cols[-1]) + 1
+    # Decided entries get a nan level, which never hits: their cutoff is +inf.
+    cut = np.where(unsure[live, a:b], levels[live, a:b], np.nan)
+    step, g = max(1, _CUTOFF_BLOCK // len(live)), g[a:b]
+    for j in range(0, b - a, step):
+        cut[:, j : j + step] = _cutoffs(g[j : j + step], cut[:, j : j + step], threshold)
+    # Window m reads e(y_m - 1 - j) at column j, e_rev[len(e) - y_m + j] in the reversed table.
+    e_rev, at = e[::-1].copy(), len(e) - y + a
+    width = np.clip(n - a, 0, b - a)
+    wins = np.flatnonzero(width)
+    bounds = np.concatenate(([0], np.cumsum(width[wins])))
+    start, size = 0, _COUNT_CHUNK
+    buf = np.empty((len(live), max(size, int(width.max()))), dtype=bool)
+    while start < len(wins):
+        stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + size, "right")) - 1)
+        ws, offs = wins[start:stop], bounds[start : stop + 1] - bounds[start]
+        for s, o, p in zip(at[ws].tolist(), offs.tolist(), offs[1:].tolist()):
+            np.greater_equal(e_rev[s : s + p - o], cut[:, : p - o], out=buf[:, o:p])
+        # Window w's columns are buf[:, offs[w]:offs[w + 1]], none of them empty.
+        hits = np.add.reduceat(buf[:, : offs[-1]], offs[:-1], axis=1, dtype=np.int32)
+        counts[live[:, np.newaxis], ws] += hits
+        start = stop
     return counts
 
 
@@ -614,25 +639,6 @@ def _cutoffs(g: np.ndarray, levels: np.ndarray, threshold: float) -> np.ndarray:
             hi[part] = ph
     cut[ri, ci] = hi.view(np.float64)
     return cut
-
-
-def _prefix_counts(
-    rows: np.ndarray, threshold: float, n: np.ndarray, e0: float, g: np.ndarray
-) -> np.ndarray:
-    """Counts of every row at every traced window when e is constant.
-
-    w(m, n) = e0 * g(n) for n <= y_m does not depend on m, so window m
-    counts the hits among n <= n_m of one fixed sequence per row, read
-    off their cumulative count.  ``n`` and ``g`` are ``_counted_range``'s.
-    """
-    top = int(n.max())
-    w = e0 * g[1 : top + 1]
-    cum = np.zeros(top + 1, dtype=np.int64)
-    counts = np.empty((len(rows), len(n)), dtype=np.int64)
-    for row, out in zip(rows, counts):
-        np.cumsum(w * row[:top] >= threshold, out=cum[1:])
-        out[:] = cum[n]
-    return counts
 
 
 def dn_stat_limit(

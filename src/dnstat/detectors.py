@@ -28,6 +28,7 @@ theorems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -106,12 +107,16 @@ class GridError(ValueError):
 def default_grid(model: RVSequenceModel) -> tuple[float, ...]:
     """Continuity-safe evaluation points for the limit law.
 
-    Midpoints between adjacent limit atoms, flanked by one point half a
-    unit below the smallest atom and half a unit above the largest.
+    Midpoints between adjacent limit atoms, flanked by one point half a unit below the
+    smallest atom and half a unit above the largest.  No point sits on an atom: a midpoint
+    with no double between its atoms is dropped, and a flank that rounds onto its atom
+    moves to the next double out.
     """
     atoms = [v for v, _ in model.limit_atoms()]
-    midpoints = ((a + b) / 2.0 for a, b in zip(atoms, atoms[1:]))
-    return (atoms[0] - 0.5, *midpoints, atoms[-1] + 0.5)
+    midpoints = (t for a, b in zip(atoms, atoms[1:]) if a < (t := (a + b) / 2.0) < b)
+    lo = min(atoms[0] - 0.5, math.nextafter(atoms[0], -math.inf))
+    hi = max(atoms[-1] + 0.5, math.nextafter(atoms[-1], math.inf))
+    return (lo, *midpoints, hi)
 
 
 def st_dnp(

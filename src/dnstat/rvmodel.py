@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .schedules import DeferredSchedule, WeightScheme, schedule_preset, weight_preset
+from .schedules import DeferredSchedule, WeightScheme, real_values, schedule_preset, weight_preset
 
 __all__ = [
     "ModelError",
@@ -77,6 +77,8 @@ class ModelError(ValueError):
 
 def _checked(triples: Sequence[Sequence[float]], description: str, m: int) -> list[Triple]:
     """The law at index m as float triples, after the support checks."""
+    where = f"each atom value of '{description}' at m={m}"
+    real_values((v for atom in triples for v in atom), where, ModelError)
     law = [(float(a), float(b), float(p)) for a, b, p in triples]
     if not law:
         raise ModelError(f"model '{description}' has empty support at m={m}")

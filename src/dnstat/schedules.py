@@ -24,9 +24,10 @@ are computed on arrays in ``dnstat.density`` (``window_plan``,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -189,8 +190,18 @@ def _weight_fault(label: str, n: int, value: float) -> WeightError:
     return WeightError(f"weight sequence '{label}' {fault} at n={n}: {value}")
 
 
+def real_values(values: Iterable, what: str, error: type[ValueError]) -> list[float]:
+    """``values`` as floats; ``error`` at a bool or a non-number, as ``config`` rules for files."""
+    values = list(values)
+    if not set(map(type, values)) <= {float, int, np.float64}:
+        for v in values:
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+                raise error(f"{what} must be a number, got {v!r}")
+    return list(map(float, values))
+
+
 def tabulated(values: Sequence[float], label: str = "tabulated") -> WeightSeq:
-    arr = np.array([float(v) for v in values], dtype=np.float64)
+    arr = np.array(real_values(values, f"each entry of weights '{label}'", WeightError))
     arr.flags.writeable = False
     # A closure, not the bound arr.__getitem__: WeightSeq must stay hashable,
     # and it hashes and compares by the closure, not by the values.

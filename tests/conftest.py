@@ -8,6 +8,7 @@ against itself.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,12 +70,25 @@ def brute_normalizer(
     return total
 
 
-def fsum_or_inf(terms) -> float:
-    """``math.fsum``, with inf where finite terms sum past the float range."""
+def window_sum(terms) -> float:
+    """A window sum by the rule ``density._exact_sums`` documents.
+
+    Finite terms: ``math.fsum``, and where its partial sums pass the float
+    range, the exact sum (as a Fraction) rounded once, or inf with its sign
+    where that passes the range too.  A window holding a term that is not
+    finite: Python's plain float ``sum`` of the terms in order.
+    """
+    terms = list(terms)
+    if not all(map(math.isfinite, terms)):
+        return sum(terms)
     try:
         return math.fsum(terms)
     except OverflowError:
-        return math.inf
+        exact = sum(map(Fraction, terms))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 def fsum_normalizer(
@@ -87,8 +101,8 @@ def fsum_normalizer(
     xv, yv = schedule.bounds(m)
     e, g = scalar(weights.e), scalar(weights.g)
     if mode is NormalizerMode.LITERAL:
-        return fsum_or_inf(e(v) * g(yv - v) for v in range(xv + 1, yv + 1))
-    return fsum_or_inf(e(yv - n) * g(n) for n in range(xv + 1, yv + 1))
+        return window_sum(e(v) * g(yv - v) for v in range(xv + 1, yv + 1))
+    return window_sum(e(yv - n) * g(n) for n in range(xv + 1, yv + 1))
 
 
 def fsum_window_mean(
@@ -107,7 +121,7 @@ def fsum_window_mean(
     check_normalizer(r, m, weights.label)
     xv, yv = schedule.bounds(m)
     e, g = scalar(weights.e), scalar(weights.g)
-    num = fsum_or_inf(e(yv - n) * g(n) * float(seq(n)) for n in range(xv + 1, yv + 1))
+    num = window_sum(e(yv - n) * g(n) * float(seq(n)) for n in range(xv + 1, yv + 1))
     if not math.isfinite(num):
         raise WeightError(
             f"weights '{weights.label}' give no finite weighted sum of the sequence"

@@ -536,6 +536,38 @@ class TestWindowMeans:
         with pytest.raises(WeightError, match=r"'big' .* of the sequence at m=5: nan$"):
             window_means(lambda n: np.zeros(len(n)), cesaro, weights, 10, NormalizerMode.LITERAL)
 
+    @pytest.mark.parametrize(
+        "e", [WeightSeq(lambda n: 0.25, "quarter", constant=0.25), tabulated([0.25] * 40)]
+    )
+    @pytest.mark.parametrize("mode", list(NormalizerMode))
+    def test_finite_terms_past_the_float_range_keep_their_sign(self, deferred, e, mode):
+        # Each product is -3 * 2^1020; window 3 of `example` (n = 6..11)
+        # sums six of them, past -2^1024, while R_3 = 6 * 2^1020 is finite.
+        weights = WeightScheme(e, tabulated([2.0**1022] * 40, "big-g"), label="big")
+        message = r"'big' .* of the sequence at m=3: -inf$"
+        with pytest.raises(WeightError, match=message):
+            window_means(lambda n: np.full(len(n), -3.0), deferred, weights, 10, mode)
+        with pytest.raises(WeightError, match=message):
+            fsum_window_mean(lambda n: -3.0, deferred, weights, 3, mode)
+
+    @pytest.mark.parametrize(
+        "e", [WeightSeq(lambda n: 1.0, "one", constant=1.0), tabulated([1.0] * 4)]
+    )
+    @pytest.mark.parametrize("mode", list(NormalizerMode))
+    def test_window_holding_minus_inf_beside_an_overflow_sums_to_minus_inf(self, cesaro, e, mode):
+        # Every window is n = 1..3 with products -3.7 * (4e307, 4e307, 6e307):
+        # two finite terms that sum past the float range, where math.fsum
+        # raises, and -inf.  The plain float sum is -inf.
+        schedule = one_window(cesaro, 3)
+        weights = WeightScheme(e, tabulated([1.0, 4e307, 4e307, 6e307], "big-g"), label="big")
+        message = r"'big' .* of the sequence at m=1: -inf$"
+        with pytest.raises(WeightError, match=message):
+            window_means(lambda n: np.full(len(n), -3.7), schedule, weights, 10, mode)
+        with pytest.raises(WeightError, match=message):
+            fsum_window_mean(lambda n: -3.7, schedule, weights, 1, mode)
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            math.fsum([-3.7 * 4e307, -3.7 * 4e307, -math.inf])
+
     @pytest.mark.parametrize("preset", ["ones", "identity"])
     def test_window_holding_plus_and_minus_inf_is_a_weight_error(self, deferred, preset):
         # Window 2 of `example` is n = 4..7, where e(y_2 - n) > 0 at n = 4, 5 for
@@ -633,7 +665,7 @@ def cutoff_hit(e, g, level, threshold):
 
 
 class TestCountingPaths:
-    """Constant e counts through one cumulative hit count, tabulated e per window."""
+    """One counting path: entries the e range decides, and the open rest per window."""
 
     @given(inputs=counting_path_inputs(), threshold=st.sampled_from([0.5, 1.0, 2.0]))
     @settings(max_examples=80, deadline=None)
@@ -748,6 +780,58 @@ class TestCountingPaths:
                 assert verdict.tail_max == alone.tail_max
                 assert verdict.verdict is alone.verdict
                 assert verdict.extras == {"row": i, "threshold": threshold}
+
+    @pytest.mark.parametrize("chunk", [1, 5, density._COUNT_CHUNK])
+    @pytest.mark.parametrize("mode", list(NormalizerMode))
+    @pytest.mark.parametrize("e_kind", ["equal", "two-valued", "zeros-and-subnormals"])
+    def test_entries_the_e_range_decides_and_the_open_rest(self, deferred, chunk, mode, e_kind):
+        # With g = 1 and threshold 1, e in {1, 2} makes a level >= 1 hit in
+        # every window, one below 0.5 miss in every window, and one in
+        # [0.5, 1) open: it hits where e(y_m - n) = 2, exactly at 0.5.  An e
+        # table holding 0 and subnormals leaves no entry sure.  Chunks of 1
+        # and 5 entries are far smaller than one window.
+        rng = np.random.default_rng(len(e_kind) + 7 * chunk)
+        cfg = DensityConfig(horizon=24, tail_fraction=0.5, tolerance=0.1, mode=mode)
+        size = deferred.y(24) + 1
+        e = {
+            "equal": [1.5] * size,
+            "two-valued": rng.choice([1.0, 2.0], size),
+            # Every other e positive, so that no R_m is 0.
+            "zeros-and-subnormals": np.where(
+                np.arange(size) % 2,
+                rng.choice([0.0, 5e-324, 1e-310], size),
+                rng.choice([1.0, 2.0], size),
+            ),
+        }[e_kind]
+        weights = WeightScheme(tabulated(e, "e"), tabulated([1.0] * size, "g"), label=e_kind)
+        plan = window_plan(deferred, weights, cfg)
+        top = int(np.minimum(plan.k, plan.y).max())
+        decided = rng.choice([0.0, 0.25, 0.4, 1.0, 3.0, -1.0, math.nan, math.inf], (5, plan.k_max))
+        rows = decided.copy()
+        rows[1, 0] = 0.75  # the open span starts at column 0
+        rows[2, top - 1] = 0.75  # and ends at top
+        # Open from the middle on: windows with n_m <= top // 2 read no open column.
+        rows[3, top // 2 :] = rng.choice([0.5, 0.75, 0.99], plan.k_max - top // 2)
+        rows[4] = np.where(rng.random(plan.k_max) < 0.5, rng.uniform(0.0, 2.0, plan.k_max), 0.5)
+        cutoffs = density._cutoffs
+        # Rows 0 and 3 alone: with e in {1, 2} the open span starts at top // 2.
+        for part in (rows, rows[[0, 3]]):
+            calls = []
+            spy = lambda *args: calls.append(args) or cutoffs(*args)  # noqa: E731
+            with mock.patch.object(density, "_COUNT_CHUNK", chunk), mock.patch.object(
+                density, "_cutoffs", spy
+            ):
+                verdicts = level_density_limits(part, 1.0, deferred, weights, cfg)
+            for verdict, levels in zip(verdicts, part):
+                want = brute_counts(verdict, deferred, weights, levels, 1.0)
+                assert verdict.count.tolist() == want
+            if e_kind == "equal":
+                assert calls == []  # no cutoff search, so no window pass
+            else:
+                assert calls
+            # Row 0 holds no open entry when e is 1 or 2, so no cutoff search reads it.
+            if e_kind == "two-valued":
+                assert all(len(levels) == len(part) - 1 for _, levels, _ in calls)
 
     def test_level_rows_are_checked(self, cesaro, ones):
         cfg = DensityConfig(horizon=100)

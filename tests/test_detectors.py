@@ -136,6 +136,23 @@ class TestDistributionDetector:
         assert default_grid(model_preset("example1").model) == (-0.5, 0.5)
         assert default_grid(model_preset("degenerate:2").model) == (1.5, 2.5)
 
+    @pytest.mark.parametrize(
+        "atoms, grid",
+        [
+            # No double lies between the atoms: the midpoint rounds onto one.
+            ((1.0, math.nextafter(1.0, 2.0)), (0.5, 1.5000000000000002)),
+            # Half a unit is below half an ulp: both flanks round onto their atoms.
+            ((1e17, 2e17), (math.nextafter(1e17, 0.0), 1.5e17, math.nextafter(2e17, math.inf))),
+        ],
+    )
+    def test_default_grid_steps_off_atoms_that_rounding_lands_on(self, atoms, grid):
+        model = tabulated_model({1: [(a, a, 0.5) for a in atoms]}, "close-atoms")
+        assert default_grid(model) == grid
+        assert not set(grid) & set(atoms)
+        v = st_dndc(model, schedule_preset("example"), weight_preset("ones"), cfg_at(50))
+        assert v.verdict is Verdict.CONVERGES
+        assert tuple(v.extras["points"]) == grid
+
 
 def assert_points_count_brute_gap_rows(model, schedule, weights, cfg):
     """Each dndc point's verdict equals a one-row count of its plain-loop gap row."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,17 @@ class TestValidation:
     def test_empty_support_rejected(self):
         with pytest.raises(ModelError, match="empty"):
             support_model(lambda m: [], "empty").atoms(1)
+
+    @pytest.mark.parametrize(
+        "atom", [("0.5", 1.0, 1.0), (0.5, True, 1.0), (0.5, 1.0, np.True_), (0.5, None, 1.0)]
+    )
+    def test_atom_values_that_are_not_numbers_are_rejected(self, atom):
+        bad = next(v for v in atom if isinstance(v, (str, bool, np.bool_)) or v is None)
+        message = f"^each atom value of 'api' at m=2 must be a number, got {re.escape(repr(bad))}$"
+        with pytest.raises(ModelError, match=message):
+            tabulated_model({1: [(0.5, 1.0, 1.0)], 2: [atom]}, "api")
+        numpy_atom = (np.float32(0.5), 1, np.int64(1))
+        assert tabulated_model({1: [numpy_atom]}).atoms(1) == [(0.5, 1.0, 1.0)]
 
     def test_non_finite_value_rejected(self):
         bad = support_model(lambda m: [(math.inf, 0.0, 1.0)], "inf")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,6 +163,17 @@ class TestWindowWeight:
         constant = WeightSeq(lambda n: bad, "c", constant=bad)
         with pytest.raises(WeightError, match=f"'c' {fault} at n=0"):
             constant.array(4)
+
+    @pytest.mark.parametrize("bad", ["1.5", True, np.True_, None, b"2"])
+    def test_values_that_are_not_numbers_are_rejected(self, bad):
+        message = f"^each entry of weights 't' must be a number, got {re.escape(repr(bad))}$"
+        with pytest.raises(WeightError, match=message):
+            tabulated([1.5, bad], "t")
+
+    def test_real_numbers_of_any_type_are_accepted(self):
+        values = [1, 2.5, np.int64(3), np.float32(0.25), Fraction(1, 4)]
+        assert tabulated(values).array(4).tolist() == [1.0, 2.5, 3.0, 0.25, 0.25]
+        assert tabulated(np.arange(3)).array(2).tolist() == [0.0, 1.0, 2.0]
 
     def test_tabulated_range_is_enforced(self):
         short = tabulated([1.0, 2.0], "short")
