@@ -31,10 +31,12 @@ each (row, n) entry hits in every window, in none, or is open.  Sure
 hits are found once per row and each window counts its own by binary
 search, which is all constant e (every weight preset) needs; an open
 entry hits at the e at or above one cutoff c(n), found by bisection on
-the same products, and each window compares its e(y_m - n) with the
-cutoffs of the open span alone.  The counts are those of the products,
-bit for bit.  Arbitrary predicates go through ``density_limit``, one
-call per traced window on its whole index array.
+the same products.  With e held as ranks in its sorted distinct values,
+e >= c(n) is rank(e) >= q(n), the number of distinct e below c(n), and a
+chunk of windows, in order of width, compares its rank rows with q over
+the open span at once.  The counts are those of the products, bit for
+bit.  Arbitrary predicates go through ``density_limit``, one call per
+traced window on its whole index array.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ _SUM_CHUNK = 2**14
 # reuse freed memory where whole-row temporaries would fault in fresh pages.
 _CUTOFF_BLOCK = 2**12
 
-# Comparisons per level row in one chunk of ``_window_counts``, counted by one reduceat.
-_COUNT_CHUNK = 2**14
+# Rank entries per level row that ``_window_counts`` compares at once, in one reused buffer.
+_COUNT_CHUNK = 2**15
 
 # Window plans kept per process: a detector run needs one, and a few more
 # cover callers that alternate between schedules or weights.
@@ -515,23 +517,25 @@ def level_density_limits(
     if rows.shape[1] < k_max:
         raise ValueError(f"levels array too short: need {k_max}, got {rows.shape[1]}")
 
-    counts = _window_counts(rows, threshold, plan.y, *_counted_range(plan, weights))
+    counts = _window_counts(rows, threshold, plan, weights)
     return [
         _assemble(plan, c, d, cfg, {"threshold": threshold, **x})
         for c, d, x in zip(counts, counts / plan.R, extras or [{}] * len(rows))
     ]
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _counted_range(
     plan: WindowPlan, weights: WeightScheme
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n_m, e, g): window m counts n = 1..n_m, n_m = min(k_m, y_m).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(n_m, values, ranks, g): window m counts n = 1..n_m, n_m = min(k_m, y_m).
 
     Indices past y_m weigh 0 and never reach a positive threshold.  Window m reads
     g(1..n_m) and e(y_m - n): e(0) alone when e is constant, else e up to y_m - 1.  At
     the first window with n_m > 0 whose reads pass the end of a table
     (``WeightSeq.length``) it raises WeightError; else e and g are fetched up to their
-    largest read, a constant g as g(0) broadcast to that length.
+    largest read, a constant g as g(0) broadcast to that length.  e comes as sorted distinct
+    ``values`` and ``ranks`` in them, uint16 (as every count) below 2^16 entries, else uint32.
     """
     n = np.minimum(plan.k, plan.y)
     counted = n > 0
@@ -543,24 +547,31 @@ def _counted_range(
         raise WeightError(f"weights '{weights.label}' end before the counting range at m={m}")
     e = weights.e.array(int(e_top.max(where=counted, initial=0)))
     g = weights.g.array(0 if weights.g.constant is not None else int(n.max()))
-    return n, e, np.broadcast_to(g, int(n.max()) + 1)
+    order = np.argsort(e, kind="stable")  # np.sort, np.unique page in more numpy code
+    first = np.concatenate(([True], np.diff(e[order]) > 0.0))
+    values, ranks = e[order[first]], np.empty(len(e), np.uint16 if len(e) < 2**16 else np.uint32)
+    ranks[order] = np.cumsum(first) - 1
+    for arr in (n, values, ranks):
+        arr.flags.writeable = False
+    return n, values, ranks, np.broadcast_to(g, int(n.max()) + 1)
 
 
 def _window_counts(
-    rows: np.ndarray, threshold: float, y: np.ndarray, n: np.ndarray, e: np.ndarray, g: np.ndarray
+    rows: np.ndarray, threshold: float, plan: WindowPlan, weights: WeightScheme
 ) -> np.ndarray:
-    """Counts of every row at every traced window; ``n``, ``e``, ``g`` are ``_counted_range``'s.
+    """Counts of every row at every traced window, over ``_counted_range``'s indices.
 
     Index n hits at window m when (e(y_m - n) * g(n)) * level(n) >= threshold, which never
     turns false as e grows: an entry that hits at e_lo = min e hits in every window, and
     window m counts those with n <= n_m by one binary search; one that misses at e_hi = max e
     never hits (constant e leaves no other).  The open rest, over the rows holding one and the
-    span [a, b) of their open columns, is compared per window with its ``_cutoffs`` (+inf
-    at decided entries), a chunk of windows into one bool buffer counted by one reduceat.
+    span [a, b) of their open columns, hits where rank(e) >= q(n), the number of distinct e
+    below its ``_cutoffs`` c(n); a chunk of windows, in order of width, is compared at once.
     """
+    n, values, ranks, g = _counted_range(plan, weights)
     top = int(n.max())
     g, levels = g[1 : top + 1], rows[:, :top]
-    e_lo, e_hi = float(e.min()), float(e.max())
+    e_lo, e_hi = float(values[0]), float(values[-1])
     counts, sure = np.empty((len(rows), len(n)), dtype=np.int64), np.empty(top, dtype=bool)
     unsure = np.zeros(levels.shape if e_hi > e_lo else (0, top), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -581,22 +592,29 @@ def _window_counts(
     step, g = max(1, _CUTOFF_BLOCK // len(live)), g[a:b]
     for j in range(0, b - a, step):
         cut[:, j : j + step] = _cutoffs(g[j : j + step], cut[:, j : j + step], threshold)
-    # Window m reads e(y_m - 1 - j) at column j, e_rev[len(e) - y_m + j] in the reversed table.
-    e_rev, at = e[::-1].copy(), len(e) - y + a
+    # An open cutoff exceeds e_lo, so q >= 1 and rank 0 never hits; q = len(values) never hits.
+    q = np.searchsorted(values, cut, "left").astype(ranks.dtype)
+    # Row len(e) - y_m + a, column j: the rank of e(y_m - n) at n = a + j + 1; padding never hits.
+    padded = np.concatenate((ranks[::-1], np.zeros(b - a, dtype=ranks.dtype)))
+    view = np.lib.stride_tricks.sliding_window_view(padded, b - a)
     width = np.clip(n - a, 0, b - a)
-    wins = np.flatnonzero(width)
-    bounds = np.concatenate(([0], np.cumsum(width[wins])))
-    start, size = 0, _COUNT_CHUNK
-    buf = np.empty((len(live), max(size, int(width.max()))), dtype=bool)
-    while start < len(wins):
-        stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + size, "right")) - 1)
-        ws, offs = wins[start:stop], bounds[start : stop + 1] - bounds[start]
-        for s, o, p in zip(at[ws].tolist(), offs.tolist(), offs[1:].tolist()):
-            np.greater_equal(e_rev[s : s + p - o], cut[:, : p - o], out=buf[:, o:p])
-        # Window w's columns are buf[:, offs[w]:offs[w + 1]], none of them empty.
-        hits = np.add.reduceat(buf[:, : offs[-1]], offs[:-1], axis=1, dtype=np.int32)
-        counts[live[:, np.newaxis], ws] += hits
-        start = stop
+    wins = np.flatnonzero(width)[np.argsort(width[width > 0], kind="stable")]
+    at, width = len(ranks) - plan.y[wins] + a, width[wins]
+    hits = np.empty((len(live), len(wins)), dtype=np.int64)
+    buf = np.empty(len(live) * max(_COUNT_CHUNK, int(width[-1])), dtype=bool)
+    # Chunks [start, stop) of k windows, k * (their largest width) <= _COUNT_CHUNK or k = 1.
+    starts, ws, cols = [0], width.tolist(), np.arange(b - a)
+    for i, w in enumerate(ws):
+        if i > starts[-1] and (i + 1 - starts[-1]) * w > _COUNT_CHUNK:
+            starts.append(i)
+    for start, stop in zip(starts, starts[1:] + [len(wins)]):
+        lo, hi = ws[start], ws[stop - 1]
+        hit = buf[: len(live) * (stop - start) * hi].reshape(len(live), stop - start, hi)
+        np.greater_equal(view[at[start:stop], :hi], q[:, np.newaxis, :hi], out=hit)
+        if lo < hi:  # columns at or past a window's width hold indices past its n_m
+            hit[:, :, lo:] &= cols[lo:hi] < width[start:stop, np.newaxis]
+        np.add.reduce(hit.view(np.uint8), axis=2, dtype=ranks.dtype, out=hits[:, start:stop])
+    counts[live[:, np.newaxis], wins] += hits
     return counts
 
 

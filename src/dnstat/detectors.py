@@ -110,10 +110,12 @@ def default_grid(model: RVSequenceModel) -> tuple[float, ...]:
     Midpoints between adjacent limit atoms, flanked by one point half a unit below the
     smallest atom and half a unit above the largest.  No point sits on an atom: a midpoint
     with no double between its atoms is dropped, and a flank that rounds onto its atom
-    moves to the next double out.
+    moves to the next double out.  Where a + b overflows, the midpoint is a / 2 + b / 2.
     """
     atoms = [v for v, _ in model.limit_atoms()]
-    midpoints = (t for a, b in zip(atoms, atoms[1:]) if a < (t := (a + b) / 2.0) < b)
+    pairs = list(zip(atoms, atoms[1:]))
+    halves = ((a + b) / 2.0 if math.isfinite(a + b) else a / 2.0 + b / 2.0 for a, b in pairs)
+    midpoints = (t for (a, b), t in zip(pairs, halves) if a < t < b)
     lo = min(atoms[0] - 0.5, math.nextafter(atoms[0], -math.inf))
     hi = max(atoms[-1] + 0.5, math.nextafter(atoms[-1], math.inf))
     return (lo, *midpoints, hi)

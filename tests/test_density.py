@@ -833,6 +833,51 @@ class TestCountingPaths:
             if e_kind == "two-valued":
                 assert all(len(levels) == len(part) - 1 for _, levels, _ in calls)
 
+    @pytest.mark.parametrize("chunk", sorted({1, 5, 2**14, density._COUNT_CHUNK}))
+    @pytest.mark.parametrize("mode", list(NormalizerMode))
+    @pytest.mark.parametrize("e_kind", ["repeated", "distinct"])
+    def test_ranks_of_the_e_table_give_the_brute_counts(self, chunk, mode, e_kind):
+        # Windows m + off < n <= m + off + 8 sum 8 products of e in [1, 4] and
+        # g in {0.5, 1, 2}, so n_m = floor(R_m) rises and falls with m.  e takes
+        # 5 values, each many times, or past off = 100,000 more than 2^16 distinct
+        # ones, which need uint32 ranks.  Open levels 1 / (2 g(n)) and 1 / (4 g(n))
+        # put cutoffs exactly on the e values 2 and 4.
+        rng = np.random.default_rng(len(e_kind) + 11 * chunk + len(mode.value))
+        off, p_pool = {"repeated": (1000, 1.0), "distinct": (100_000, 0.3)}[e_kind]
+        schedule = DeferredSchedule(Affine(1, off), Affine(1, off + 8), "shifted")
+        cfg = DensityConfig(horizon=24, tail_fraction=0.5, tolerance=0.1, mode=mode)
+        size = off + 33
+        e = np.where(
+            rng.random(size) < p_pool,
+            rng.choice([1.0, 1.5, 2.0, 3.0, 4.0], size),
+            rng.uniform(1.0, 4.0, size),
+        )
+        e[:5] = [1.0, 1.5, 2.0, 3.0, 4.0]
+        g_table = rng.choice([0.5, 1.0, 2.0], size)
+        weights = WeightScheme(tabulated(e, "e"), tabulated(g_table, "g"), label=e_kind)
+        plan = window_plan(schedule, weights, cfg)
+        ranks = density._counted_range(plan, weights)[2]
+        assert ranks.dtype == (np.uint32 if e_kind == "distinct" else np.uint16)
+        n = np.minimum(plan.k, plan.y)
+        assert np.any(np.diff(n) < 0) and np.any(np.diff(n) > 0)
+        # Open columns [a, b): the window of least n_m reads one, some read all.
+        a, b = int(n.min()) - 1, int(n.max()) - 2
+        assert {1, b - a} <= set(np.clip(n - a, 0, b - a).tolist())
+        g = g_table[1 : plan.k_max + 1]
+        rows = rng.choice([0.0, -1.0, math.nan, 100.0], (3, plan.k_max))
+        rows[:, a:b] = np.where(
+            rng.random((3, b - a)) < 0.5,
+            1.0 / (g[a:b] * rng.choice([2.0, 4.0], (3, b - a))),
+            rng.uniform(0.25, 1.0, (3, b - a)) / g[a:b],
+        )
+        rows[0, [a, b - 1]] = 1.0 / (2.0 * g[[a, b - 1]])
+        cut = density._cutoffs(g[a:b], rows[:, a:b], 1.0)
+        assert np.isin(cut, [2.0, 4.0]).any()
+        with mock.patch.object(density, "_COUNT_CHUNK", chunk):
+            verdicts = level_density_limits(rows, 1.0, schedule, weights, cfg)
+        for verdict, levels in zip(verdicts, rows):
+            assert verdict.count.tolist() == brute_counts(verdict, schedule, weights, levels, 1.0)
+
     def test_level_rows_are_checked(self, cesaro, ones):
         cfg = DensityConfig(horizon=100)
         with pytest.raises(ValueError, match="too short"):

@@ -143,6 +143,9 @@ class TestDistributionDetector:
             ((1.0, math.nextafter(1.0, 2.0)), (0.5, 1.5000000000000002)),
             # Half a unit is below half an ulp: both flanks round onto their atoms.
             ((1e17, 2e17), (math.nextafter(1e17, 0.0), 1.5e17, math.nextafter(2e17, math.inf))),
+            # a + b overflows: the midpoint is a / 2 + b / 2, not dropped.
+            ((1e308, 1.5e308), (9.999999999999998e307, 1.25e308, 1.5000000000000002e308)),
+            ((-1.5e308, -1e308), (-1.5000000000000002e308, -1.25e308, -9.999999999999998e307)),
         ],
     )
     def test_default_grid_steps_off_atoms_that_rounding_lands_on(self, atoms, grid):
