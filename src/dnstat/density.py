@@ -29,14 +29,14 @@ every weight kind.  The rounded product (e * g(n)) * level(n) never
 decreases in e >= 0, so against the least and largest e counting reads,
 each (row, n) entry hits in every window, in none, or is open.  Sure
 hits are found once per row and each window counts its own by binary
-search, which is all constant e (every weight preset) needs; an open
-entry hits at the e at or above one cutoff c(n), found by bisection on
-the same products.  With e held as ranks in its sorted distinct values,
-e >= c(n) is rank(e) >= q(n), the number of distinct e below c(n), and a
-chunk of windows, in order of width, compares its rank rows with q over
-the open span at once.  The counts are those of the products, bit for
-bit.  Arbitrary predicates go through ``density_limit``, one call per
-traced window on its whole index array.
+search, which is all constant e (the ``ones`` and ``example1`` presets)
+needs; an open entry hits at the e at or above one cutoff c(n), found by
+bisection on the same products.  With e held as ranks in its sorted
+distinct values, e >= c(n) is rank(e) >= q(n), the number of distinct e
+below c(n), and a chunk of windows, in order of width, compares its rank
+rows with q over the open span at once.  The counts are those of the
+products, bit for bit.  Arbitrary predicates go through
+``density_limit``, one call per traced window on its whole index array.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ by ``math.fsum`` per law, and |Y_n - Y|^r is Python's float pow (numpy's
 ``abs_moment`` and ``cdf`` are one-index views of the same table;
 ``cdf(model, LIMIT, t)`` is the one-point view of ``limit_cdf``.  A
 seeded Monte Carlo sampler (counter-based, keyed by (seed, m)) provides
-the independent empirical oracle the test suite compares against.
+the independent empirical oracle the test suite compares against; it
+streams its draws in chunks and keeps them as atom indices.
 """
 
 from __future__ import annotations
@@ -119,6 +120,21 @@ def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(d, out=d)
 
 
+def _check_eps(eps: float) -> None:
+    if not eps > 0.0:  # NaN fails too
+        raise ValueError(f"eps must be positive, got {eps}")
+
+
+def _check_order(r: float) -> None:
+    if not r >= 1.0:  # NaN fails too
+        raise ValueError(f"moment order must be >= 1, got {r}")
+
+
+def _check_point(t: float) -> None:
+    if math.isnan(t):
+        raise ValueError(f"cdf points must not be nan, got {t}")
+
+
 def _power(x: np.ndarray, r: float) -> np.ndarray:
     """x ** r by Python's float pow; numpy's ``**`` can differ in the last bit."""
     if r == 1.0:
@@ -145,14 +161,12 @@ class LawTable:
 
     def exceedance(self, eps: float) -> np.ndarray:
         """P(|Y_n - Y| >= eps) at each index."""
-        if not eps > 0.0:  # NaN fails too
-            raise ValueError(f"eps must be positive, got {eps}")
+        _check_eps(eps)
         return self._levels(lambda a, b, p: np.where(_gap(a, b) >= eps, p, 0.0))
 
     def moment(self, r: float) -> np.ndarray:
         """E|Y_n - Y|^r at each index."""
-        if not r >= 1.0:  # NaN fails too
-            raise ValueError(f"moment order must be >= 1, got {r}")
+        _check_order(r)
 
         def term(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
             d = _power(_gap(a, b), r)
@@ -163,8 +177,7 @@ class LawTable:
 
     def cdf(self, t: float) -> np.ndarray:
         """P(Y_n <= t) at each index; atoms at t are included."""
-        if math.isnan(t):
-            raise ValueError(f"cdf points must not be nan, got {t}")
+        _check_point(t)
         return self._levels(lambda a, b, p: np.where(a <= t, p, 0.0))
 
     def _levels(self, term: Callable[..., np.ndarray]) -> np.ndarray:
@@ -309,45 +322,72 @@ class EmpiricalEstimate:
     seed: int
 
 
+# Uniforms drawn per generator call; successive calls continue one stream,
+# so a batch's draws do not depend on this size.
+_SAMPLE_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     """Joint samples of (Y_m, Y) drawn from one counter-based stream.
 
     The stream is keyed by (seed, m); a given (seed, m, draw index)
-    always yields the same pair, independent of any other stream.
+    always yields the same pair, independent of any other stream.  Draws
+    are kept as indices into the atoms ``a_vals`` and ``b_vals`` (uint8
+    up to 256 atoms), and every estimate decides its event or power once
+    per atom and gathers it per draw; ``values_m`` and ``values_y``
+    gather the value columns on each access.
     """
 
-    values_m: np.ndarray
-    values_y: np.ndarray
+    atom: np.ndarray
+    a_vals: np.ndarray
+    b_vals: np.ndarray
     m: int
     seed: int
 
     @property
     def count(self) -> int:
-        return len(self.values_m)
+        return len(self.atom)
 
-    def _prob(self, hits: np.ndarray) -> EmpiricalEstimate:
+    @property
+    def values_m(self) -> np.ndarray:
+        return self.a_vals[self.atom]
+
+    @property
+    def values_y(self) -> np.ndarray:
+        return self.b_vals[self.atom]
+
+    def _prob(self, hit_atom: np.ndarray) -> EmpiricalEstimate:
         n = self.count
-        p_hat = float(np.count_nonzero(hits)) / n
+        p_hat = float(np.count_nonzero(hit_atom[self.atom])) / n
         stderr = math.sqrt(p_hat * (1.0 - p_hat) / n)
         return EmpiricalEstimate(p_hat, stderr, n, self.seed)
 
     def exceedance_prob(self, eps: float) -> EmpiricalEstimate:
-        return self._prob(np.abs(self.values_m - self.values_y) >= eps)
+        _check_eps(eps)
+        return self._prob(_gap(self.a_vals, self.b_vals) >= eps)
 
     def abs_moment(self, r: float) -> EmpiricalEstimate:
-        powers = np.abs(self.values_m - self.values_y) ** r
+        _check_order(r)
+        powers = (_gap(self.a_vals, self.b_vals) ** r)[self.atom]
         est = float(np.mean(powers))
         spread = float(np.std(powers, ddof=1)) if self.count > 1 else 0.0
         return EmpiricalEstimate(est, spread / math.sqrt(self.count), self.count, self.seed)
 
     def cdf(self, which: int | str, t: float) -> EmpiricalEstimate:
-        column = self.values_y if which == LIMIT else self.values_m
-        return self._prob(column <= t)
+        """P(Y_m <= t) for which = m, or P(Y <= t) for which = LIMIT."""
+        if which != LIMIT and which != self.m:
+            raise ValueError(f"cdf of a batch drawn at m={self.m} asked at {which!r}")
+        _check_point(t)
+        return self._prob((self.b_vals if which == LIMIT else self.a_vals) <= t)
 
 
 def sample(model: RVSequenceModel, m: int, count: int, seed: int) -> SampleBatch:
-    """Draw count iid joint samples by inverse CDF over the finite support."""
+    """Draw count iid joint samples by inverse CDF over the finite support.
+
+    The uniforms are drawn and mapped to atom indices in chunks, so no
+    count-long float or int64 array is formed.
+    """
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     triples = model.atoms(m)
@@ -357,8 +397,11 @@ def sample(model: RVSequenceModel, m: int, count: int, seed: int) -> SampleBatch
     cum[-1] = np.inf  # guard the top edge against rounding in the cumsum
     key = np.array([np.uint64(seed % (1 << 64)), np.uint64(m)], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    idx = np.searchsorted(cum, gen.random(count), side="right")
-    return SampleBatch(a_vals[idx], b_vals[idx], m, seed)
+    atom = np.empty(count, dtype=np.min_scalar_type(len(triples) - 1))
+    for lo in range(0, count, _SAMPLE_CHUNK):
+        hi = min(lo + _SAMPLE_CHUNK, count)
+        atom[lo:hi] = np.searchsorted(cum, gen.random(hi - lo), side="right")
+    return SampleBatch(atom, a_vals, b_vals, m, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,88 @@ class TestSampler:
     def test_count_must_be_positive(self, ex1):
         with pytest.raises(ValueError):
             sample(ex1, 3, 0, 1)
+
+
+def one_shot_atoms(model: RVSequenceModel, m: int, count: int, seed: int) -> np.ndarray:
+    """Atom indices of all count draws mapped at once, as the unchunked sampler did."""
+    cum = np.cumsum([p for _, _, p in model.atoms(m)])
+    cum[-1] = np.inf
+    key = np.array([seed, m], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return np.searchsorted(cum, gen.random(count), side="right")
+
+
+class TestChunkedSampler:
+    """Draws streamed in chunks of 2^16 and kept as atom indices."""
+
+    @pytest.mark.parametrize("count", [1, 2**16 - 1, 2**16, 2**16 + 1, 1_000_000])
+    def test_atoms_equal_the_one_shot_draws(self, ex1, count):
+        batch = sample(ex1, 16, count, 2024)
+        assert batch.atom.dtype == np.uint8
+        assert batch.count == count
+        assert np.array_equal(batch.atom, one_shot_atoms(ex1, 16, count, 2024))
+
+    def test_more_than_256_atoms_draw_on_a_wider_dtype(self):
+        wide = support_model(
+            lambda m: [(float(i), 0.0, (i + 1) / 45_150) for i in range(300)], "wide"
+        )
+        batch = sample(wide, 3, 2**16 + 5, 8)
+        assert batch.atom.dtype == np.uint16
+        assert np.array_equal(batch.atom, one_shot_atoms(wide, 3, 2**16 + 5, 8))
+        assert batch.atom.max() > 255
+        assert np.array_equal(batch.values_m, batch.atom.astype(np.float64))
+
+    def test_value_columns_gather_the_drawn_atoms(self, ex2):
+        batch = sample(ex2, 5, 1000, 3)
+        atoms = np.array(ex2.atoms(5))[one_shot_atoms(ex2, 5, 1000, 3)]
+        assert np.array_equal(batch.values_m, atoms[:, 0])
+        assert np.array_equal(batch.values_y, atoms[:, 1])
+
+    def test_exceedance_estimate_allocates_no_count_long_float_array(self, ex1):
+        sample(ex1, 16, 10, 1).exceedance_prob(0.5)  # imports and caches warm
+        tracemalloc.start()
+        try:
+            sample(ex1, 16, 10**6, 17).exceedance_prob(0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("spec,m", [("example1", 16), ("example2", 5)])
+    @pytest.mark.parametrize("r", [1.0, 2.0, 2.5])
+    def test_moment_per_atom_equals_the_gathered_columns(self, spec, m, r):
+        batch = sample(model_preset(spec).model, m, 100_000, 41)
+        powers = np.abs(batch.values_m - batch.values_y) ** r
+        est = batch.abs_moment(r)
+        assert est.estimate == float(np.mean(powers))
+        assert est.stderr == float(np.std(powers, ddof=1)) / math.sqrt(batch.count)
+
+    def test_estimates_decide_each_atom_as_the_value_columns_do(self, ex2):
+        batch = sample(ex2, 5, 10_000, 12)
+        gap = np.abs(batch.values_m - batch.values_y)
+        for eps in (0.5, 1.0, 1.5):
+            assert batch.exceedance_prob(eps).estimate == np.count_nonzero(gap >= eps) / 10_000
+        for t in (-1.0, 0.0, 0.5, 1.0):
+            assert batch.cdf(5, t).estimate == np.count_nonzero(batch.values_m <= t) / 10_000
+            limit = np.count_nonzero(batch.values_y <= t) / 10_000
+            assert batch.cdf(LIMIT, t).estimate == limit
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda b: b.cdf(9, 0.5), "cdf of a batch drawn at m=5 asked at 9"),
+            (lambda b: b.cdf("y", 0.5), "cdf of a batch drawn at m=5 asked at 'y'"),
+            (lambda b: b.cdf(5, math.nan), "cdf points must not be nan"),
+            (lambda b: b.cdf(LIMIT, math.nan), "cdf points must not be nan"),
+            (lambda b: b.exceedance_prob(math.nan), "eps must be positive, got nan"),
+            (lambda b: b.exceedance_prob(0.0), "eps must be positive, got 0.0"),
+            (lambda b: b.abs_moment(math.nan), "moment order must be >= 1, got nan"),
+            (lambda b: b.abs_moment(0.5), "moment order must be >= 1, got 0.5"),
+        ],
+    )
+    def test_bad_arguments_are_rejected(self, ex2, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(sample(ex2, 5, 100, 1))
 
 
 class TestConfigModels:
