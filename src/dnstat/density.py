@@ -14,14 +14,17 @@ Traced runs read m, x_m, y_m, R_m and floor(R_m) from one memoized
 window indices; its R_m is exactly rounded, equal to ``math.fsum``.
 ``window_means`` reads R_m at m = 1..horizon from the same code.  Every
 window sum without a closed form, R_m and the ``window_means`` numerator
-alike, goes through one routine, ``_exact_sums``: each product is scaled
-to an exact integer, cut into as many signed 62-bit digits as the span of
-the products' exponents needs, summed per window in 32-bit limbs of int64
-and rounded once, so every sum is the correctly rounded one.
-Non-constant weights pass it their window products in chunks of
-consecutive windows.  When e is constant the numerator's products do not
-depend on m, so they are passed once, over all indices, and each window
-is read off prefix sums.
+alike, scales each product to an exact integer, sums it per window in
+32-bit limbs of int64 and rounds the sum once, so every sum is the
+correctly rounded one.  Non-constant weights form their window products
+in chunks of consecutive windows (``_window_sums``).  When the tables'
+magnitude bounds put every product in the normal range and within 9
+binades, each product is formed as one scaled int64 digit; other tables
+pass float products to ``_exact_sums``, which cuts each into as many
+signed 62-bit digits as the span of their exponents needs.  When e is
+constant the numerator's products do not depend on m, so they are passed
+to ``_exact_sums`` once, over all indices, and each window is read off
+prefix sums.
 Predicates of the separable form  w(m, n) * level(n) >= threshold  go
 through ``level_density_limits``, which counts a matrix of level rows
 (one row: ``level_density_limit``) in one pass, on one counting path for
@@ -84,8 +87,9 @@ _COUNT_CAP = 2_000_000
 # Traces longer than this are subsampled outside the tail window.
 _TRACE_CAP = 1000
 
-# Products per chunk of ``_window_sums``, each chunk one ``_exact_sums``
-# call, whose few buffers of this length stay small.
+# Products per chunk of ``_window_sums``: one reduceat pair on the one-digit
+# route, one ``_exact_sums`` call otherwise, whose few buffers of this
+# length stay small.
 _SUM_CHUNK = 2**14
 
 # Entries per block of ``_window_counts``' hit tests and cutoff search
@@ -327,27 +331,103 @@ def _window_sums(
     """Exactly rounded sum of head[n] * tail[y_m - n] over x_m < n <= y_m, per window,
     each product times factor[n] when a factor is given.
 
-    Consecutive windows are summed by ``_exact_sums`` in chunks of about
-    ``_SUM_CHUNK`` products (a wider window is a chunk of its own), so the
-    temporaries stay small.
+    Consecutive windows are summed in chunks of about ``_SUM_CHUNK``
+    products (a wider window is a chunk of its own), so the buffers stay
+    small.  When ``_one_digit_shift`` finds that every product, scaled by
+    2^shift, is an integer below 2^62, the head is scaled once, so each
+    chunk's float products are those integers.  They are cast once into
+    an int64 buffer, ``_limb_sums`` sums them per window in two passes,
+    and ``_rounded`` rounds each window's sum once.
+    Other tables (a span of more than 9 binades, products below 2^-1021,
+    values that are not finite) pass each chunk's products to
+    ``_exact_sums``.
     """
+    # Rebased to the first index any window reads, so only the slices read are scaled.
+    lo, top, width = int(x.min()) + 1, int(y.max()) + 1, int((y - x).max())
+    x, y, head = x - lo, y - lo, head[lo:top]
+    factor = None if factor is None else factor[lo:top]
+    shift = _one_digit_shift((head, tail[:width]) + (() if factor is None else (factor,)))
+    rev = tail[:width][::-1].copy()
     bounds = np.concatenate(([0], np.cumsum(y - x)))
+    buf = np.empty(min(int(bounds[-1]), max(_SUM_CHUNK, width)))
+    if shift is not None:
+        head, digits = np.ldexp(head, shift), np.empty(len(buf), dtype=np.int64)
+        limbs = np.empty((2, len(x)), dtype=np.int64)
     sums = np.empty(len(x))
     start = 0
     while start < len(x):
         stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + _SUM_CHUNK, "right")) - 1)
         at = bounds[start : stop + 1] - bounds[start]
-        terms = np.empty(int(at[-1]))
+        terms = buf[: int(at[-1])]
         # An inf or nan product makes its window sum fail, which is reported.
         with np.errstate(over="ignore", invalid="ignore"):
             for xv, yv, a in zip(x[start:stop].tolist(), y[start:stop].tolist(), at.tolist()):
                 out = terms[a : a + yv - xv]
-                np.multiply(head[xv + 1 : yv + 1], tail[: yv - xv][::-1], out=out)
+                np.multiply(head[xv + 1 : yv + 1], rev[width - yv + xv :], out=out)
                 if factor is not None:
                     out *= factor[xv + 1 : yv + 1]
-        sums[start:stop] = _exact_sums(terms, at, slice(None, -1), slice(1, None))
+        if shift is None:
+            sums[start:stop] = _exact_sums(terms, at, slice(None, -1), slice(1, None))
+        else:
+            chunk = digits[: len(terms)]
+            np.copyto(chunk, terms, casting="unsafe")
+            _limb_sums(chunk, at[:-1], limbs[0, start:stop], limbs[1, start:stop])
         start = stop
-    return sums
+    return sums if shift is None else _rounded(limbs, shift)
+
+
+def _one_digit_shift(sides: tuple[np.ndarray, ...]) -> int | None:
+    """The shift of ``_window_sums``' one-digit route for these table slices, or None.
+
+    Products multiply the sides left to right.  The largest and least
+    nonzero magnitudes of the sides bound every product and every partial
+    product, as rounding never decreases.  With shift = max(0, 53 - e_min),
+    e_min the frexp exponent of the least bound, every nonzero product is
+    a multiple of 2^-shift.  The route applies when the bounds are finite;
+    the least partial products are at least 2^-1021, so every exact one is
+    at least 2^-1022 and rounds in the normal range, where scaling the
+    head by 2^shift scales every rounded product by 2^shift exactly; every
+    scaled partial product is finite; and every scaled product is below 2^62.
+    """
+    tops, bots = [], []
+    for side in sides:
+        mag = np.abs(side)
+        tops.append((tops[-1] if tops else 1.0) * float(mag.max()))
+        bots.append((bots[-1] if bots else 1.0) * float(mag.min(where=mag > 0.0, initial=math.inf)))
+    if not (all(map(math.isfinite, tops + bots)) and min(bots[1:]) >= 2.0**-1021):
+        return None
+    shift = max(0, 53 - math.frexp(bots[-1])[1])
+    fits = math.frexp(tops[-1])[1] + shift <= 62
+    return shift if fits and all(math.frexp(t)[1] + shift <= 1024 for t in tops) else None
+
+
+def _limb_sums(digits: np.ndarray, starts: np.ndarray, high: np.ndarray, low: np.ndarray) -> None:
+    """Per segment of int64 ``digits`` from each of ``starts``, the sums of their
+    signed high and unsigned low 32-bit limbs, into ``high`` and ``low``.
+
+    Two ``np.add.reduceat`` passes: the digits' own sum wraps mod 2^64, and
+    less the high limbs' sum times 2^32 it leaves the low limbs' sum, exact
+    for fewer than 2^31 digits.  ``digits`` is overwritten.
+    """
+    np.add.reduceat(digits, starts, out=low)
+    np.add.reduceat(np.right_shift(digits, 32, out=digits), starts, out=high)
+    np.subtract(low, np.left_shift(high, 32), out=low)
+
+
+def _rounded(limbs: np.ndarray, shift: int) -> np.ndarray:
+    """Per column, its limbs' sum divided by 2^shift, rounded once; ±inf past the float range.
+
+    ``limbs`` holds row pairs (high, low) of int64 limb sums from the top
+    62-bit digit down, so a column's value is the sum over its digits j of
+    (high * 2^32 + low) * 2^(62 j).
+    """
+    rows = limbs.tolist()
+    joined = [(h << 32) + w for h, w in zip(rows[0], rows[1])]
+    for high, low in zip(rows[2::2], rows[3::2]):
+        joined = [(v << 62) + (h << 32) + w for v, h, w in zip(joined, high, low)]
+    # A quotient of magnitude (2^54 - 1) * 2^970 or more rounds past the largest double.
+    den, cap = 1 << shift, ((1 << 54) - 1) << (970 + shift)
+    return np.array([v / den if abs(v) < cap else math.inf if v > 0 else -math.inf for v in joined])
 
 
 def _exact_sums(
@@ -360,14 +440,13 @@ def _exact_sums(
     between consecutive edges.  Scaled by 2^shift, shift = max(0, 53 - e_min)
     with e_min the frexp exponent of the smallest nonzero |term|, each term
     is an exact integer below 2^(e_max + shift).  Its signed base-2^62
-    digits are taken from the top by ldexp and trunc, each split into a
-    signed high and an unsigned low 32-bit limb, and every limb column is
-    summed per segment (``np.add.reduceat``) and across segments (a
-    cumulative sum) in int64, exactly for fewer than 2^31 terms.  Each
-    window's limb sums are joined as one Python int and rounded once by
-    true division.  The first window holding a term that is not finite gets
-    the plain IEEE sum of its terms (inf or nan, by Python float adds, which
-    raise no warning), and the windows after it nan.
+    digits are taken from the top by ldexp and trunc into one int64
+    buffer.  ``_limb_sums`` sums each digit's two 32-bit limbs per
+    segment, and a cumulative sum across segments, in int64, exactly for
+    fewer than 2^31 terms; ``_rounded`` joins each window's limb sums and
+    rounds them once.  The first window holding a term that is not finite
+    gets the plain IEEE sum of its terms (inf or nan, by Python float adds,
+    which raise no warning), and the windows after it nan.
     """
     work = np.abs(terms)
     top = float(work.max())
@@ -387,26 +466,18 @@ def _exact_sums(
     digits = (e_max + shift + 61) // 62
     # Few buffers, reused: fresh memory costs a page fault per 4 KiB, more than the arithmetic.
     rest = terms.copy() if digits > 1 else terms
-    limb = work.view(np.int64)
+    digit = np.empty(len(terms), dtype=np.int64)
     # Row pairs (high, low limbs) from the top digit down; column c + 1 sums segment c.
     prefix = np.zeros((2 * digits, len(edges)), dtype=np.int64)
     for row, j in enumerate(reversed(range(digits))):
         # Digit j, bits 62j to 62j + 61 of the scaled term; rest keeps the bits below.
-        digit = np.ldexp(rest, shift - 62 * j, out=work).astype(np.int64)
+        np.copyto(digit, np.ldexp(rest, shift - 62 * j, out=work), casting="unsafe")
         if j:
             top_bits = np.ldexp(np.trunc(work, out=work), 62 * j - shift, out=work)
             np.subtract(rest, top_bits, out=rest)
-        high, low = prefix[2 * row, 1:], prefix[2 * row + 1, 1:]
-        np.add.reduceat(np.right_shift(digit, 32, out=limb), edges[:-1], out=high)
-        np.add.reduceat(np.bitwise_and(digit, 0xFFFFFFFF, out=limb), edges[:-1], out=low)
+        _limb_sums(digit, edges[:-1], prefix[2 * row, 1:], prefix[2 * row + 1, 1:])
     np.cumsum(prefix, axis=1, out=prefix)
-    cols = (prefix[:, hi] - prefix[:, lo]).tolist()
-    joined = [(h << 32) + w for h, w in zip(cols[0], cols[1])]
-    for high, low in zip(cols[2::2], cols[3::2]):
-        joined = [(v << 62) + (h << 32) + w for v, h, w in zip(joined, high, low)]
-    # A quotient of magnitude (2^54 - 1) * 2^970 or more rounds past the largest double.
-    den, cap = 1 << shift, ((1 << 54) - 1) << (970 + shift)
-    return np.array([v / den if abs(v) < cap else math.inf if v > 0 else -math.inf for v in joined])
+    return _rounded(prefix[:, hi] - prefix[:, lo], shift)
 
 
 def _assemble(

@@ -327,7 +327,7 @@ class EmpiricalEstimate:
 _SAMPLE_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """Joint samples of (Y_m, Y) drawn from one counter-based stream.
 
@@ -336,7 +336,8 @@ class SampleBatch:
     are kept as indices into the atoms ``a_vals`` and ``b_vals`` (uint8
     up to 256 atoms), and every estimate decides its event or power once
     per atom and gathers it per draw; ``values_m`` and ``values_y``
-    gather the value columns on each access.
+    gather the value columns on each access.  Batches compare and hash by
+    identity, as their array fields have no single truth value.
     """
 
     atom: np.ndarray

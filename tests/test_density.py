@@ -22,6 +22,7 @@ from dnstat.density import (
     level_density_limit,
     level_density_limits,
     trace_csv,
+    _exact_sums,
     _window_sums,
     window_means,
     window_plan,
@@ -52,6 +53,7 @@ from conftest import (
     is_square,
     one_window,
     same_columns,
+    window_sum,
 )
 
 
@@ -249,6 +251,36 @@ def weight_table(kind: str, rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.uniform(0.5, 1.0, size) * 2.0 ** (-spread * (np.arange(size) % 2))
 
 
+# Kinds of ``boundary_tables``: least-ulp and head-past fall just outside the one-digit route.
+BOUNDARY_KINDS = ("signed9", "least", "least-ulp", "head-edge", "head-past")
+
+
+def boundary_tables(
+    kind: str, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(head, tail) of window sums on either side of a limit of the one-digit route.
+
+    signed9: signs and zeros in both tables, magnitudes over exactly 9
+    binades.  least: odd indices give the least product bound 2^-1021
+    exactly; least-ulp puts it one ulp below.  head-edge: heads below 2^1000
+    and products near 2^29 (shift 24), so the scaled head ends just below
+    2^1024; head-past halves the tail, so the shift is 25 and the scaled
+    head overflows.  Every product is a normal double.
+    """
+    odd = np.arange(size) % 2 == 1
+    if kind == "signed9":
+        signs = rng.choice([-1.0, 1.0], size)
+        head = np.where(rng.random(size) < 0.2, 0.0, weight_table("spread9", rng, size) * signs)
+        return head, np.where(rng.random(size) < 0.2, 0.0, rng.choice([-1.0, 1.0], size))
+    if kind in ("least", "least-ulp"):
+        low = 2.0**-511 if kind == "least" else math.nextafter(2.0**-511, 0.0)
+        head = np.where(odd, 2.0**-510, rng.uniform(1.0, 2.0, size) * 2.0**-510)
+        return head, np.where(odd, low, rng.uniform(1.0, 2.0, size) * 2.0**-511)
+    scale = 2.0**-970 if kind == "head-edge" else 2.0**-971
+    head = np.where(odd, 0.5, rng.uniform(0.5, 1.0, size)) * 2.0**1000
+    return head, np.where(odd, 0.5, rng.uniform(0.5, 1.0, size)) * scale
+
+
 @st.composite
 def plan_inputs(draw):
     """A growing schedule, a weight scheme, a normalizer mode and a horizon."""
@@ -329,29 +361,74 @@ class TestWindowPlan:
     @given(
         kind=st.sampled_from([
             "zeros", "subnormal", "wide", "spread9", "spread10", "spread11",
-            "spread63", "spread200", "near-overflow",
+            "spread63", "spread200", "near-overflow", *BOUNDARY_KINDS, "mean",
         ]),
         preset=st.sampled_from(["cesaro", "example", "stretch"]),
         mode=st.sampled_from(list(NormalizerMode)),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_window_sums_equal_convolution_on_both_branches(self, kind, preset, mode, seed):
         # R_m past the counting cap never reaches a plan, so the sums are
-        # checked directly, over a range of weights no plan would accept.
+        # checked directly, over a range of weights no plan would accept,
+        # against the fsum oracle and against ``_exact_sums`` of the products.
         schedule = schedule_preset(preset)
         x, y = schedule.bounds_array(np.arange(1, 41))
         rng = np.random.default_rng(seed)
-        e = weight_table(kind, rng, int(y.max()) + 1)
-        if kind in ("zeros", "subnormal"):
-            g = weight_table(kind, rng, len(e))
-        else:
-            g = rng.uniform(0.5, 1.5, len(e)) if kind == "wide" else np.ones(len(e))
+        size = int(y.max()) + 1
         literal = mode is NormalizerMode.LITERAL
-        sums = _window_sums(*((e, g) if literal else (g, e)), x, y)
-        weights = WeightScheme(tabulated(e), tabulated(g))
-        for m, r in enumerate(sums.tolist(), 1):
-            assert r.hex() == fsum_normalizer(schedule, weights, m, mode).hex(), m
+        if kind == "mean":
+            # Pool-shaped weights and a signed factor within two binades.
+            e, g = (tabulated(np.round(rng.uniform(0.5, 1.5, size), 4), side) for side in "eg")
+            weights = WeightScheme(e, g, label="pool")
+
+            def scalar_seq(n):
+                return (-1.0) ** n * (1.0 + n % 3 / 4)
+
+            with mock.patch.object(density, "_exact_sums", wraps=density._exact_sums) as general:
+                r, t = window_means(np.vectorize(scalar_seq), schedule, weights, 40, mode)
+            assert not general.called
+            for m in range(1, 41):
+                want = fsum_window_mean(scalar_seq, schedule, weights, m, mode)
+                assert (r[m - 1].hex(), t[m - 1].hex()) == (want[0].hex(), want[1].hex()), m
+            return
+        if kind in BOUNDARY_KINDS:
+            head, tail = boundary_tables(kind, rng, size)
+        else:
+            e = weight_table(kind, rng, size)
+            if kind in ("zeros", "subnormal"):
+                g = weight_table(kind, rng, size)
+            else:
+                g = rng.uniform(0.5, 1.5, size) if kind == "wide" else np.ones(size)
+            head, tail = (e, g) if literal else (g, e)
+        with mock.patch.object(density, "_exact_sums", wraps=density._exact_sums) as general:
+            sums = _window_sums(head, tail, x, y)
+        if kind in BOUNDARY_KINDS or kind in ("spread9", "spread10"):
+            assert general.called == (kind in ("spread10", "least-ulp", "head-past"))
+        windows = [
+            [float(head[n]) * float(tail[yv - n]) for n in range(xv + 1, yv + 1)]
+            for xv, yv in zip(x.tolist(), y.tolist())
+        ]
+        edges = np.concatenate(([0], np.cumsum([len(w) for w in windows])))
+        terms = np.array([v for w in windows for v in w])
+        exact = _exact_sums(terms, edges, slice(None, -1), slice(1, None))
+        for m, (r, s, w) in enumerate(zip(sums.tolist(), exact.tolist(), windows), 1):
+            assert r.hex() == s.hex() == window_sum(w).hex(), m
+
+    @pytest.mark.parametrize("mode", list(NormalizerMode))
+    @pytest.mark.parametrize("low, high", [(0.5, 1.5), (2.0, 4.0)])
+    def test_benchmark_and_guard_weights_take_the_one_digit_route(self, deferred, low, high, mode):
+        # Tables at 4 decimals, as the benchmark pool ([0.5, 1.5]) and the CI
+        # level guard ([2, 4]) draw them: every window sum takes one digit.
+        rng = np.random.default_rng(7)
+        e, g = (tabulated(np.round(rng.uniform(low, high, 1000), 4), side) for side in "eg")
+        weights = WeightScheme(e, g, label="tables")
+        cfg = DensityConfig(horizon=200, mode=mode)
+        window_plan.cache_clear()
+        with mock.patch.object(density, "_exact_sums", side_effect=AssertionError("general route")):
+            plan = window_plan(deferred, weights, cfg)
+        for m, r in zip(plan.ms.tolist(), plan.R.tolist()):
+            assert r.hex() == fsum_normalizer(deferred, weights, m, mode).hex(), m
 
     @pytest.mark.parametrize("spread", [9, 10, 11, 63, 200])
     def test_wide_windows_at_the_spread_limit(self, spread):

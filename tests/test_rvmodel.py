@@ -192,6 +192,12 @@ class TestSampler:
         assert np.array_equal(a.values_m, b.values_m)
         assert np.array_equal(a.values_y, b.values_y)
 
+    def test_batches_compare_and_hash_by_identity(self, ex1):
+        a, b = sample(ex1, 16, 100, 1), sample(ex1, 16, 100, 1)
+        assert a == a and a != b and hash(a) == hash(a)
+        assert len({a, b}) == 2
+        assert np.array_equal(a.atom, b.atom)
+
     def test_streams_differ_across_indices_and_seeds(self, ex1):
         base = sample(ex1, 16, 4096, 99)
         other_m = sample(ex1, 17, 4096, 99)
