@@ -31,15 +31,16 @@ through ``level_density_limits``, which counts a matrix of level rows
 every weight kind.  The rounded product (e * g(n)) * level(n) never
 decreases in e >= 0, so against the least and largest e counting reads,
 each (row, n) entry hits in every window, in none, or is open.  Sure
-hits are found once per row and each window counts its own by binary
-search, which is all constant e (the ``ones`` and ``example1`` presets)
-needs; an open entry hits at the e at or above one cutoff c(n), found by
-bisection on the same products.  With e held as ranks in its sorted
-distinct values, e >= c(n) is rank(e) >= q(n), the number of distinct e
-below c(n), and a chunk of windows, in order of width, compares its rank
-rows with q over the open span at once.  The counts are those of the
-products, bit for bit.  Arbitrary predicates go through
-``density_limit``, one call per traced window on its whole index array.
+hits are found once per row and summed once, between the sorted distinct
+ends of the windows' ranges, which is all constant e (the ``ones`` and
+``example1`` presets) needs; an open entry hits at the e at or above one
+cutoff c(n), found by bisection on the same products.  With e held as
+ranks in its sorted distinct values, e >= c(n) is rank(e) >= q(n), the
+number of distinct e below c(n), and a chunk of windows, in order of
+width, compares its rank rows with q over the open span at once.  The
+counts are those of the products, bit for bit.  Arbitrary predicates go
+through ``density_limit``, one call per traced window on its whole index
+array.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ __all__ = [
     "WindowPlan",
     "window_plan",
     "counting_bound",
+    "counted_top",
     "window_means",
     "density_limit",
     "level_density_limit",
@@ -534,10 +536,19 @@ def counting_bound(
 ) -> int:
     """Largest floor(R_m) over the window indices a run will evaluate.
 
-    Level sequences fed to the detectors must be defined at least this
-    far; the bound is also the engine's per-index work ceiling.
+    The bound is the engine's per-index work ceiling; counting reads
+    levels only up to ``counted_top``, which never exceeds it.
     """
     return window_plan(schedule, weights, cfg).k_max
+
+
+def counted_top(schedule: DeferredSchedule, weights: WeightScheme, cfg: DensityConfig) -> int:
+    """The last index counting reads: max over the run's windows of min(floor(R_m), y_m).
+
+    Level rows fed to ``level_density_limits`` must be defined at least this far.  Raises
+    WeightError where the weights end before the counting range.
+    """
+    return int(_counted_range(schedule, weights, cfg)[1][-1])
 
 
 def level_density_limit(
@@ -550,9 +561,9 @@ def level_density_limit(
 ) -> ConvergenceVerdict:
     """Density limit of the separable predicate w(m, n) * level(n) >= threshold.
 
-    ``levels`` is an array read as levels[n-1] for n >= 1.  This is the
-    workhorse behind the sequence and random-variable detectors; weights
-    enter as a per-index multiplier, indices with no defined weight
+    ``levels`` is an array read as levels[n-1] for n = 1..``counted_top``.
+    This is the workhorse behind the sequence and random-variable detectors;
+    weights enter as a per-index multiplier, indices with no defined weight
     (beyond y_m) count as weight 0.  It is the one-row case of
     ``level_density_limits``.
     """
@@ -568,7 +579,7 @@ def level_density_limits(
     cfg: DensityConfig,
     extras: Sequence[Mapping[str, object]] | None = None,
 ) -> list[ConvergenceVerdict]:
-    """``level_density_limit`` of every row of a (rows x k_max) level matrix.
+    """``level_density_limit`` of every row of a level matrix at least ``counted_top`` wide.
 
     One pass over the windows counts every row, so the same verdicts come
     out as from one call per row.  ``_counted_range`` decides which
@@ -580,15 +591,15 @@ def level_density_limits(
     mapping per row.
     """
     _check_positive_finite("threshold", threshold)
-    plan = window_plan(schedule, weights, cfg)
-    k_max = plan.k_max
+    counted = _counted_range(schedule, weights, cfg)
+    plan, top = counted[0], int(counted[1][-1])
     rows = np.asarray(level_rows, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError(f"level rows must form a matrix, got shape {rows.shape}")
-    if rows.shape[1] < k_max:
-        raise ValueError(f"levels array too short: need {k_max}, got {rows.shape[1]}")
+    if rows.shape[1] < top:
+        raise ValueError(f"levels array too short: need top = {top} entries, got {rows.shape[1]}")
 
-    counts = _window_counts(rows, threshold, plan, weights)
+    counts = _window_counts(rows, threshold, counted)
     return [
         _assemble(plan, c, d, cfg, {"threshold": threshold, **x})
         for c, d, x in zip(counts, counts / plan.R, extras or [{}] * len(rows))
@@ -597,17 +608,18 @@ def level_density_limits(
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _counted_range(
-    plan: WindowPlan, weights: WeightScheme
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(n_m, values, ranks, g): window m counts n = 1..n_m, n_m = min(k_m, y_m).
+    schedule: DeferredSchedule, weights: WeightScheme, cfg: DensityConfig
+) -> tuple[WindowPlan, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(plan, steps, at_step, values, ranks, g): window m counts n = 1..n_m, n_m = min(k_m, y_m).
 
-    Indices past y_m weigh 0 and never reach a positive threshold.  Window m reads
-    g(1..n_m) and e(y_m - n): e(0) alone when e is constant, else e up to y_m - 1.  At
-    the first window with n_m > 0 whose reads pass the end of a table
-    (``WeightSeq.length``) it raises WeightError; else e and g are fetched up to their
-    largest read, a constant g as g(0) broadcast to that length.  e comes as sorted distinct
-    ``values`` and ``ranks`` in them, uint16 (as every count) below 2^16 entries, else uint32.
+    Indices past y_m weigh 0 and never reach a positive threshold.  n_m is steps[at_step], with
+    ``steps`` the sorted distinct n_m after 0.  Window m reads g(1..n_m) and e(y_m - n):
+    e(0) alone when e is constant, else e up to y_m - 1.  At the first window with n_m > 0
+    whose reads pass the end of a table (``WeightSeq.length``) it raises WeightError; else e
+    and g are fetched up to their largest read, a constant g as g(0) broadcast to that length.
+    e comes as sorted distinct ``values`` and ``ranks`` in them, in a dtype that holds counts.
     """
+    plan = window_plan(schedule, weights, cfg)
     n = np.minimum(plan.k, plan.y)
     counted = n > 0
     e_top = np.zeros_like(n) if weights.e.constant is not None else plan.y - 1
@@ -618,32 +630,39 @@ def _counted_range(
         raise WeightError(f"weights '{weights.label}' end before the counting range at m={m}")
     e = weights.e.array(int(e_top.max(where=counted, initial=0)))
     g = weights.g.array(0 if weights.g.constant is not None else int(n.max()))
-    order = np.argsort(e, kind="stable")  # np.sort, np.unique page in more numpy code
-    first = np.concatenate(([True], np.diff(e[order]) > 0.0))
-    values, ranks = e[order[first]], np.empty(len(e), np.uint16 if len(e) < 2**16 else np.uint32)
-    ranks[order] = np.cumsum(first) - 1
-    for arr in (n, values, ranks):
+    (steps, at_step), (values, ranks) = _distinct(np.concatenate(([0], n))), _distinct(e)
+    for arr in (steps, at_step, values, ranks):
         arr.flags.writeable = False
-    return n, values, ranks, np.broadcast_to(g, int(n.max()) + 1)
+    return plan, steps, at_step[1:], values, ranks, np.broadcast_to(g, int(steps[-1]) + 1)
 
 
-def _window_counts(
-    rows: np.ndarray, threshold: float, plan: WindowPlan, weights: WeightScheme
-) -> np.ndarray:
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct x and each entry's rank in them: uint16 below 2^16 entries, else uint32."""
+    # np.sort and np.unique page in more numpy code; an argsort 128 KB, which sorted x skips.
+    order = np.argsort(x, kind="stable") if (np.diff(x) < 0).any() else np.arange(len(x))
+    first = np.concatenate(([True], np.diff(x[order]) > 0))
+    ranks = np.empty(len(x), np.uint16 if len(x) < 2**16 else np.uint32)
+    ranks[order] = np.cumsum(first) - 1
+    return x[order[first]], ranks
+
+
+def _window_counts(rows: np.ndarray, threshold: float, counted: tuple) -> np.ndarray:
     """Counts of every row at every traced window, over ``_counted_range``'s indices.
 
     Index n hits at window m when (e(y_m - n) * g(n)) * level(n) >= threshold, which never
     turns false as e grows: an entry that hits at e_lo = min e hits in every window, and
-    window m counts those with n <= n_m by one binary search; one that misses at e_hi = max e
-    never hits (constant e leaves no other).  The open rest, over the rows holding one and the
-    span [a, b) of their open columns, hits where rank(e) >= q(n), the number of distinct e
-    below its ``_cutoffs`` c(n); a chunk of windows, in order of width, is compared at once.
+    window m counts those with n <= n_m from one running sum over the sure hits between
+    steps; one that misses at e_hi = max e never hits (constant e leaves no other).  The open
+    rest, over the rows holding one and the span [a, b) of their open columns, hits where
+    rank(e) >= q(n), the number of distinct e below its ``_cutoffs`` c(n); a chunk of
+    windows, in order of width, is compared at once.
     """
-    n, values, ranks, g = _counted_range(plan, weights)
-    top = int(n.max())
+    plan, steps, at_step, values, ranks, g = counted
+    top = int(steps[-1])
     g, levels = g[1 : top + 1], rows[:, :top]
     e_lo, e_hi = float(values[0]), float(values[-1])
-    counts, sure = np.empty((len(rows), len(n)), dtype=np.int64), np.empty(top, dtype=bool)
+    counts, sure = np.empty((len(rows), len(at_step)), dtype=np.int64), np.empty(top, dtype=bool)
+    below = np.zeros(len(steps), dtype=np.int64)  # sure hits at columns below each step
     unsure = np.zeros(levels.shape if e_hi > e_lo else (0, top), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, row in enumerate(levels):
@@ -652,7 +671,8 @@ def _window_counts(
                 np.greater_equal((e_lo * g[cs]) * row[cs], threshold, out=sure[cs])
                 if len(unsure):
                     np.greater((e_hi * g[cs]) * row[cs] >= threshold, sure[cs], out=unsure[i, cs])
-            counts[i] = np.searchsorted(np.flatnonzero(sure), n)  # sure hits at columns < n_m
+            np.cumsum(np.add.reduceat(sure, steps[:-1], dtype=np.int64), out=below[1:])
+            counts[i] = below[at_step]
     live = np.flatnonzero(unsure.any(axis=1))
     if not live.size:
         return counts
@@ -668,7 +688,7 @@ def _window_counts(
     # Row len(e) - y_m + a, column j: the rank of e(y_m - n) at n = a + j + 1; padding never hits.
     padded = np.concatenate((ranks[::-1], np.zeros(b - a, dtype=ranks.dtype)))
     view = np.lib.stride_tricks.sliding_window_view(padded, b - a)
-    width = np.clip(n - a, 0, b - a)
+    width = np.clip(steps[at_step] - a, 0, b - a)
     wins = np.flatnonzero(width)[np.argsort(width[width > 0], kind="stable")]
     at, width = len(ranks) - plan.y[wins] + a, width[wins]
     hits = np.empty((len(live), len(wins)), dtype=np.int64)

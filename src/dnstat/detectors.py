@@ -8,12 +8,14 @@ sequence evaluated at the counting index n:
   distribution mode  level(n) = |F_{Y_n}(t) - F_Y(t)|, threshold eps,
                      one level row per evaluation point t
 
-Levels come from the model's array view (``RVSequenceModel.laws``):
-each is computed once per distinct law of the model, as an exactly
-rounded sum equal to ``math.fsum`` over the law's atoms (|Y_n - Y|^r by
-Python's float pow unless r = 1), and gathered per n.  The distribution
-detector counts every grid point's row in one window pass
-(``level_density_limits``).
+Counting reads level(n) for n up to ``counted_top``, so each level row
+ends there.  Rows are filled from ``RVSequenceModel.law_table`` on one
+chunk of indices at a time: each level is computed once per distinct law
+of a chunk's table (of all chunks' tables, when they share their atoms,
+as a tabulated model's do), as an exactly rounded sum equal to
+``math.fsum`` over the law's atoms (|Y_n - Y|^r by Python's float pow
+unless r = 1), and gathered per n.  The distribution detector counts
+every grid point's row in one window pass (``level_density_limits``).
 
 The distribution detector requires evaluation points where the limit
 distribution function is continuous (else GridError); the default grid
@@ -29,6 +31,7 @@ theorems.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -39,11 +42,13 @@ from .density import (
     DensityConfig,
     Verdict,
     _check_positive_finite,
+    counted_top,
     counting_bound,
     level_density_limit,
     level_density_limits,
 )
 from .rvmodel import (
+    LawTable,
     RVSequenceModel,
     abs_moment,
     combine_independent,
@@ -71,6 +76,10 @@ __all__ = [
     "continuous_map_check",
     "cauchy_index_search",
 ]
+
+# Indices per chunk of level rows: a chunk's float row is 64 KB, under glibc's 128 KB
+# mmap threshold, so chunk buffers are reused from the heap, not faulted in afresh.
+_LEVEL_CHUNK = 2**13
 
 
 @dataclass(frozen=True)
@@ -128,8 +137,9 @@ def st_dnp(
     cfg: DetectorConfig,
 ) -> ConvergenceVerdict:
     """Statistical convergence in probability over the weighted windows."""
+    top = _checked_top(model, schedule, weights, cfg)
     return level_density_limit(
-        model.laws(_checked_k_max(model, schedule, weights, cfg)).exceedance(cfg.eps),
+        _level_rows(model, top, lambda laws: laws.exceedance(cfg.eps))[0],
         cfg.delta,
         schedule,
         weights,
@@ -145,8 +155,9 @@ def st_dnm(
     cfg: DetectorConfig,
 ) -> ConvergenceVerdict:
     """Statistical convergence in r-th mean."""
+    top = _checked_top(model, schedule, weights, cfg)
     return level_density_limit(
-        model.laws(_checked_k_max(model, schedule, weights, cfg)).moment(cfg.r),
+        _level_rows(model, top, lambda laws: laws.moment(cfg.r))[0],
         cfg.eps,
         schedule,
         weights,
@@ -175,8 +186,11 @@ def st_dndc(
         if t in limit_values:
             raise GridError(f"grid point {t!r} sits on a limit-law atom (discontinuity)")
 
-    k_max = _checked_k_max(model, schedule, weights, cfg)
-    rows = _cdf_gaps(model, k_max, grid)
+    top = _checked_top(model, schedule, weights, cfg)
+    # The limit law does not depend on n: one limit CDF for the whole grid.
+    limit = limit_cdf(model, np.asarray(grid, dtype=np.float64)).tolist()
+    gaps = [lambda laws, t=t, f=f: np.abs(laws.cdf(t) - f) for t, f in zip(grid, limit)]
+    rows = _level_rows(model, top, *gaps)
     verdicts = level_density_limits(
         rows,
         cfg.eps,
@@ -198,28 +212,34 @@ def st_dndc(
     )
 
 
-def _checked_k_max(
+def _checked_top(
     model: RVSequenceModel,
     schedule: DeferredSchedule,
     weights: WeightScheme,
     cfg: DetectorConfig,
 ) -> int:
-    """k_max of the run, after checking the model's limit law at k_max against m = 1."""
-    k_max = counting_bound(schedule, weights, cfg.density)
-    model.check_limit_law(k_max)
-    return k_max
+    """The run's ``counted_top``, after checking the model's limit law at k_max against m = 1."""
+    model.check_limit_law(counting_bound(schedule, weights, cfg.density))
+    return counted_top(schedule, weights, cfg.density)
 
 
-def _cdf_gaps(model: RVSequenceModel, k_max: int, grid: Sequence[float]) -> np.ndarray:
-    """|F_{Y_n}(t) - F_Y(t)| for n = 1..k_max, one row per grid point t."""
-    laws = model.laws(k_max)
-    # The limit law does not depend on n: one limit CDF for the whole grid.
-    limit = limit_cdf(model, np.asarray(grid, dtype=np.float64))
-    rows = np.empty((len(grid), k_max))
-    for row, t, f in zip(rows, grid, limit.tolist()):
-        gap = laws.cdf(t)
-        gap -= f
-        np.abs(gap, out=row)
+def _level_rows(
+    model: RVSequenceModel, top: int, *levels: Callable[[LawTable], np.ndarray]
+) -> np.ndarray:
+    """One row per level function at n = 1..top, from ``model.law_table`` on a chunk at a time.
+
+    Each function maps a table of distinct laws (``index`` None) to one level per law.  A table
+    that shares its atom arrays with the last chunk's (a tabulated model's do) reuses its
+    levels, so each of its distinct laws is levelled once per call.
+    """
+    rows, atoms = np.empty((len(levels), top)), (None, None, None)
+    for lo in range(0, top, _LEVEL_CHUNK):
+        laws = model.law_table(np.arange(lo + 1, min(lo + _LEVEL_CHUNK, top) + 1, dtype=np.int64))
+        if not all(map(operator.is_, atoms, (laws.a, laws.b, laws.p))):
+            distinct = replace(laws, index=None)
+            atoms, per_law = (laws.a, laws.b, laws.p), [f(distinct) for f in levels]
+        for row, level in zip(rows[:, lo : lo + _LEVEL_CHUNK], per_law):
+            row[:] = level if laws.index is None else level[laws.index]
     return rows
 
 

@@ -68,7 +68,8 @@ from .density import (
     Verdict,
     _check_positive_finite,
     counting_bound,
-    level_density_limit,
+    level_density_limit,  # noqa: F401  unused; perfbench/tracing.py wraps this binding
+    level_density_limits,
 )
 from .rvmodel import limit_cdf, model_preset
 from .schedules import DeferredSchedule, NormalizerMode, WeightScheme, array_result
@@ -713,20 +714,13 @@ def korovkin_check(
             tables = _operator_tables(seq, ns, fns, grid)
             dev[:, ns - 1] = np.max(np.abs(tables - targets), axis=2).T
 
-    def run(dev: np.ndarray, j: int) -> ConvergenceVerdict:
-        return level_density_limit(
-            dev[j],
-            cfg.eps,
-            schedule,
-            weights,
-            density_cfg,
-            extras={"levels": dev[j], "function": fns[j].label},
-        )
-
     reports = []
     for (seq, tag), dev in zip(runs, sup_dev):
-        conditions = {fns[j].label: run(dev, j) for j in range(3)}
-        conclusions = {fns[j].label: run(dev, j) for j in range(3, len(fns))}
+        # One counting pass over the 3 + F rows: every row has the threshold cfg.eps.
+        extras = [{"levels": row, "function": fn.label} for row, fn in zip(dev, fns)]
+        verdicts = level_density_limits(dev, cfg.eps, schedule, weights, density_cfg, extras)
+        conditions = {fn.label: v for fn, v in zip(fns[:3], verdicts)}
+        conclusions = {fn.label: v for fn, v in zip(fns[3:], verdicts[3:])}
         notes = []
         if "cdffactor" in seq.label:
             notes.append(

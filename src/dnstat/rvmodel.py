@@ -13,14 +13,17 @@ atoms once, plus the law used at each index.  example1, bernoulli_shift
 and the deterministic forms are closed forms in numpy; a tabulated model
 validates its rows when built and binary-searches its keys;
 ``support_model`` calls a per-index support callable once per index and
-validates each distinct law once.  The detectors read ``laws(k_max)``,
-the table at n = 1..k_max.  Exceedance, moment and distribution-function
-levels are computed once per distinct law and gathered per n.  Each
-level equals the plain ``math.fsum`` over the atoms bit for bit, since a
-last-bit change can flip a threshold tie: a single IEEE add is exactly
-rounded, so laws of at most two atoms are summed by numpy and wider ones
-by ``math.fsum`` per law, and |Y_n - Y|^r is Python's float pow (numpy's
-``**`` differs in the last bit for some r), except at r = 1.
+validates each distinct law of a call once.  The detectors call
+``law_table`` on one chunk of indices at a time, up to the last index
+counting reads.  Exceedance, moment and distribution-function levels are
+computed once per distinct law of a table and gathered per n; a
+tabulated model's tables share their read-only atom arrays, so the
+detectors level its laws once per call.  Each level equals the plain
+``math.fsum`` over the atoms bit for bit, since a last-bit change can
+flip a threshold tie: a single IEEE add is exactly rounded, so laws of
+at most two atoms are summed by numpy and wider ones by ``math.fsum``
+per law, and |Y_n - Y|^r is Python's float pow (numpy's ``**`` differs
+in the last bit for some r), except at r = 1.
 
 ``atoms(m)`` (the atoms of positive probability), ``exceedance_prob``,
 ``abs_moment`` and ``cdf`` are one-index views of the same table;

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dnstat import density
@@ -16,6 +16,7 @@ from dnstat.density import (
     ConvergenceVerdict,
     DensityConfig,
     Verdict,
+    counted_top,
     counting_bound,
     density_limit,
     dn_stat_limit,
@@ -226,6 +227,35 @@ class TestLevelEngine:
     def test_short_level_array_rejected(self, cesaro, ones):
         with pytest.raises(ValueError, match="too short"):
             level_density_limit(np.zeros(3), 0.5, cesaro, ones, DensityConfig(horizon=100))
+
+    def test_rows_end_at_top_not_at_k_max(self, deferred):
+        # e = 3 lifts floor(R_m) past y_m: counting reads n <= top < k_max.
+        e, g = (WeightSeq(lambda n, c=c: c, "c", constant=c) for c in (3.0, 1.25))
+        weights, cfg = WeightScheme(e, g, "c"), DensityConfig(horizon=300)
+        top, k_max = counted_top(deferred, weights, cfg), counting_bound(deferred, weights, cfg)
+        plan = window_plan(deferred, weights, cfg)
+        assert top == int(np.minimum(plan.k, plan.y).max()) < k_max
+        levels = np.cos(np.arange(k_max))
+        with pytest.raises(ValueError, match=f"need top = {top} entries, got {top - 1}"):
+            level_density_limit(levels[: top - 1], 0.5, deferred, weights, cfg)
+        v = level_density_limit(levels[:top], 0.5, deferred, weights, cfg)
+        assert same_columns(v, level_density_limit(levels, 0.5, deferred, weights, cfg))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.booleans(), min_size=1, max_size=80),
+        st.lists(st.integers(0, 80), min_size=1, max_size=40),
+    )
+    @example([True, False, True], [3, 0, 1, 0, 3, 2])
+    def test_sure_counts_by_running_sum_equal_binary_search(self, sure, ns):
+        # Constant e leaves no open entry: every count is a sure count.
+        sure = np.array(sure)
+        n = np.minimum(ns, len(sure)).astype(np.int64)
+        steps, at_step = density._distinct(np.concatenate(([0], n)))
+        top = int(steps[-1])
+        counted = (None, steps, at_step[1:], np.ones(1), np.zeros(1, np.uint16), np.ones(top + 1))
+        counts = density._window_counts(sure[np.newaxis].astype(np.float64), 0.5, counted)
+        assert counts[0].tolist() == np.searchsorted(np.flatnonzero(sure), n).tolist()
 
 
 def weight_table(kind: str, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -933,7 +963,7 @@ class TestCountingPaths:
         g_table = rng.choice([0.5, 1.0, 2.0], size)
         weights = WeightScheme(tabulated(e, "e"), tabulated(g_table, "g"), label=e_kind)
         plan = window_plan(schedule, weights, cfg)
-        ranks = density._counted_range(plan, weights)[2]
+        ranks = density._counted_range(schedule, weights, cfg)[4]
         assert ranks.dtype == (np.uint32 if e_kind == "distinct" else np.uint16)
         n = np.minimum(plan.k, plan.y)
         assert np.any(np.diff(n) < 0) and np.any(np.diff(n) > 0)

@@ -9,8 +9,15 @@ import re
 import numpy as np
 import pytest
 
+from dnstat import detectors
 from dnstat.config import parse_weights
-from dnstat.density import DensityConfig, Verdict, counting_bound, level_density_limit
+from dnstat.density import (
+    DensityConfig,
+    Verdict,
+    counted_top,
+    counting_bound,
+    level_density_limit,
+)
 from dnstat.detectors import (
     DetectorConfig,
     GridError,
@@ -26,12 +33,21 @@ from dnstat.detectors import (
 from dnstat.korovkin import KorovkinConfig
 from dnstat.rvmodel import (
     MODEL_ZOO,
+    LawTable,
     ModelError,
+    RVSequenceModel,
+    limit_cdf,
     model_preset,
     support_model,
     tabulated_model,
 )
-from dnstat.schedules import NormalizerMode, schedule_preset, weight_preset
+from dnstat.schedules import (
+    NormalizerMode,
+    WeightScheme,
+    WeightSeq,
+    schedule_preset,
+    weight_preset,
+)
 
 from conftest import brute_cdf, same_columns
 
@@ -195,6 +211,94 @@ class TestDistributionGrid:
         density = DensityConfig(horizon=150, mode=NormalizerMode.LITERAL)
         cfg = DetectorConfig(eps=0.125, density=density)
         assert_points_count_brute_gap_rows(model, schedule_preset("example"), weights, cfg)
+
+
+def clipped_weights() -> WeightScheme:
+    """Constant e = 3 and g = 1.25: floor(R_m) passes y_m on the example schedule: top < k_max."""
+    e, g = (WeightSeq(lambda n, c=c: c, "c", constant=c) for c in (3.0, 1.25))
+    return WeightScheme(e, g, "clipped")
+
+
+def level_model(name: str):
+    """A MODEL_ZOO preset's model, a tabulated model, or a support model of 2- and 3-atom laws."""
+    if name == "tabulated":
+        law = lambda m: [(1.0 / m, 0.0, 0.25), (2.0 + m, 0.0, 0.25), (1.5, 1.0, 0.5)]  # noqa: E731
+        return tabulated_model({m: law(m) for m in (1, 3, 8, 9)}, "tab")
+    if name == "support":
+
+        def support(m):
+            if m % 5:
+                return [(1.0 / m, 0.0, 0.5), (2.0, 1.0, 0.5)]
+            return [(1.0 / m, 0.0, 0.25), (3.0 + 1.0 / m, 0.0, 0.25), (2.0, 1.0, 0.5)]
+
+        return support_model(support, "widths")
+    return model_preset(name).model
+
+
+def level_functions(model):
+    """Exceedance, moment (by Python's pow) and one CDF gap per default grid point."""
+    grid = default_grid(model)
+    limit = limit_cdf(model, np.asarray(grid)).tolist()
+    gaps = [lambda laws, t=t, f=f: np.abs(laws.cdf(t) - f) for t, f in zip(grid, limit)]
+    return [lambda laws: laws.exceedance(0.5), lambda laws: laws.moment(1.5), *gaps]
+
+
+class TestLevelRows:
+    @pytest.mark.parametrize(
+        "chunk, top", [(1, 21), (7, 21), (7, 23), (2**13, 2**13), (2**13, 2**13 + 5)]
+    )
+    @pytest.mark.parametrize("name", [*MODEL_ZOO, "tabulated", "support"])
+    def test_chunked_rows_equal_one_shot_rows(self, monkeypatch, name, chunk, top):
+        model = level_model(name)
+        functions = level_functions(model)
+        laws = model.laws(top)
+        one_shot = np.array([f(laws) for f in functions])
+        monkeypatch.setattr(detectors, "_LEVEL_CHUNK", chunk)
+        rows = detectors._level_rows(model, top, *functions)
+        assert rows.shape == one_shot.shape
+        assert rows.tobytes() == one_shot.tobytes()
+
+    @pytest.mark.parametrize("detector", [st_dnp, st_dnm, st_dndc])
+    def test_law_table_is_asked_one_chunk_at_a_time_up_to_top(self, monkeypatch, detector):
+        base, calls = model_preset("example1").model, []
+
+        def law_table(ns):
+            calls.append(ns.tolist())
+            return base.law_table(ns)
+
+        schedule, weights, cfg = schedule_preset("example"), clipped_weights(), cfg_at(60)
+        k_max = counting_bound(schedule, weights, cfg.density)
+        top = counted_top(schedule, weights, cfg.density)
+        assert top < k_max and top % 6 > 1
+        monkeypatch.setattr(detectors, "_LEVEL_CHUNK", 6)
+        v = detector(RVSequenceModel(law_table, "recorded"), schedule, weights, cfg)
+        assert same_columns(v, detector(base, schedule, weights, cfg))
+        chunks = [ns for ns in calls if len(ns) > 1]
+        assert [n for ns in chunks for n in ns] == list(range(1, top + 1))
+        assert max(map(len, chunks)) == 6
+        # The other lookups are the limit law's, at m = 1 and at k_max.
+        assert {n for ns in calls if len(ns) == 1 for n in ns} <= {1, k_max}
+
+    @pytest.mark.parametrize("detector", [st_dnp, st_dnm, st_dndc])
+    def test_tabulated_laws_are_levelled_once_per_call(self, monkeypatch, detector):
+        levelled, levels = [], LawTable._levels
+
+        def recorded(table, term):
+            levelled.append(len(table.p[0]))
+            return levels(table, term)
+
+        monkeypatch.setattr(LawTable, "_levels", recorded)
+        monkeypatch.setattr(detectors, "_LEVEL_CHUNK", 7)
+        schedule, weights, cfg = schedule_preset("example"), weight_preset("ones"), cfg_at(20)
+        chunks = -(-counted_top(schedule, weights, cfg.density) // 7)
+        for name in ("tabulated", "example1"):
+            model = level_model(name)
+            rows = len(default_grid(model)) if detector is st_dndc else 1
+            levelled.clear()
+            detector(model, schedule, weights, cfg)
+            # The table's 4 distinct laws once per row; example1's laws once per chunk.
+            assert levelled == [4] * rows if name == "tabulated" else len(levelled) == chunks * rows
+            assert chunks > 2
 
 
 class TestLimitLawCheck:

@@ -17,7 +17,7 @@ try:
 except ImportError:  # only the oracle tests need it
     mpmath = None
 
-from dnstat.density import Verdict
+from dnstat.density import Verdict, level_density_limit
 from dnstat import cli, korovkin
 from dnstat.korovkin import (
     CUBE,
@@ -40,6 +40,8 @@ from dnstat.korovkin import (
 )
 from dnstat.rvmodel import model_preset
 from dnstat.schedules import schedule_preset, weight_preset
+
+from conftest import same_columns
 
 
 def rational_series(f_exact, m: int, y: Fraction, terms: int) -> float:
@@ -533,6 +535,27 @@ class TestSeveralLifts:
 
 
 class TestConditionChecker:
+    def test_each_report_counts_its_rows_in_one_pass(self, monkeypatch):
+        cfg = KorovkinConfig(horizon=60, grid_points=17, tolerance=0.05)
+        schedule, weights = schedule_preset("stretch"), weight_preset("ones")
+        passes, count = [], korovkin.level_density_limits
+
+        def recorded(rows, *args, **kwargs):
+            passes.append(len(rows))
+            return count(rows, *args, **kwargs)
+
+        monkeypatch.setattr(korovkin, "level_density_limits", recorded)
+        ops = tuple(lifted_operator(p, 1e-8) for p in (Perturbation.NONE, Perturbation.NULL_SET))
+        reports = korovkin_check(ops, ("dnp", "dnm"), [CUBE, EXP], schedule, weights, cfg)
+        assert passes == [5, 5]
+        for report in reports:
+            for label, v in {**report.conditions, **report.conclusions}.items():
+                assert v.extras.keys() == {"threshold", "levels", "function"}
+                assert v.extras["function"] == label and v.extras["threshold"] == cfg.eps
+                levels = v.extras["levels"]
+                alone = level_density_limit(levels, cfg.eps, schedule, weights, cfg.density())
+                assert same_columns(v, alone) and v.tail_max == alone.tail_max
+
     def test_bare_operator_all_conditions_converge(self):
         cfg = KorovkinConfig(horizon=60, grid_points=33, tolerance=0.05)
         (report,) = korovkin_check(
