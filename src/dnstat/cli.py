@@ -277,12 +277,10 @@ def _detector_runs(args: argparse.Namespace):
     else:
         model = parse_model(args.model)
         schedule, weights = schedule_preset("example"), weight_preset("ones")
-    if args.schedule:
-        schedule = parse_schedule(args.schedule)
-    if args.weights:
-        weights = parse_weights(args.weights)
+    schedule = schedule if args.schedule is None else parse_schedule(args.schedule)
+    weights = weights if args.weights is None else parse_weights(args.weights)
     grid = None
-    if args.grid:
+    if args.grid is not None:
         try:
             grid = tuple(float(t) for t in str(args.grid).split(","))
         except ValueError:

@@ -11,20 +11,12 @@ returned, as read-only columns, so callers can tighten the run.
 
 Traced runs read m, x_m, y_m, R_m and floor(R_m) from one memoized
 ``WindowPlan``, built from one ``bounds_array`` call over the traced
-window indices; its R_m is exactly rounded, equal to ``math.fsum``.
-``window_means`` reads R_m at m = 1..horizon from the same code.  Every
-window sum without a closed form, R_m and the ``window_means`` numerator
-alike, scales each product to an exact integer, sums it per window in
-32-bit limbs of int64 and rounds the sum once, so every sum is the
-correctly rounded one.  Non-constant weights form their window products
-in chunks of consecutive windows (``_window_sums``).  When the tables'
-magnitude bounds put every product in the normal range and within 9
-binades, each product is formed as one scaled int64 digit; other tables
-pass float products to ``_exact_sums``, which cuts each into as many
-signed 62-bit digits as the span of their exponents needs.  When e is
-constant the numerator's products do not depend on m, so they are passed
-to ``_exact_sums`` once, over all indices, and each window is read off
-prefix sums.
+window indices; ``window_means`` reads R_m at m = 1..horizon from the
+same code.  Every window sum without a closed form, R_m and the mean's
+numerator alike, is the exactly rounded sum of its products, summed in
+int64 limbs and rounded once.  ``_pair_sums`` reads it off prefix sums
+when a constant weight side leaves each product depending on one index,
+and otherwise forms the products in chunks of windows (``_window_sums``).
 Predicates of the separable form  w(m, n) * level(n) >= threshold  go
 through ``level_density_limits``, which counts a matrix of level rows
 (one row: ``level_density_limit``) in one pass, on one counting path for
@@ -267,19 +259,13 @@ def _normalizers(
 
     R_m is ``width * (e0 * g0)`` when both weight sequences are constant
     (what fsum returns for ``width`` equal terms), with e0 and g0 checked
-    by ``WeightSeq.array(0)``; otherwise ``_window_sums`` of the mode's
-    pairing, over e and g fetched exactly as far as R_m reads them.
+    by ``WeightSeq.array(0)``; otherwise ``_pair_sums`` of the mode's pairing.
     """
     x, y = schedule.bounds_array(ms)
     if weights.e.constant is not None and weights.g.constant is not None:
         weights.e.array(0), weights.g.array(0)  # WeightError for a bad e0 or g0
         return x, y, (y - x).astype(np.float64) * (weights.e.constant * weights.g.constant)
-    literal = mode is NormalizerMode.LITERAL
-    y_top, w_top = int(y.max()), int((y - x).max()) - 1
-    # LITERAL pairs e(v) with g(y_m - v), REGULAR g(n) with e(y_m - n), for x_m < v, n <= y_m.
-    e = weights.e.array(y_top if literal else w_top)
-    g = weights.g.array(w_top if literal else y_top)
-    return x, y, _window_sums(*((e, g) if literal else (g, e)), x, y)
+    return x, y, _pair_sums(weights, mode, x, y)
 
 
 def window_means(
@@ -291,26 +277,16 @@ def window_means(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(R_m, t_m) for m = 1..horizon: t_m = (1/R_m) * sum of w(m, n) * seq(n) over the window.
 
-    ``seq`` maps an int64 array of indices n >= 1 to floats.  R_m is the
-    window plan's; ``mode`` selects only its pairing.  The numerator sums
-    the products (e(y_m - n) * g(n)) * seq(n) exactly, rounded once, by
-    ``_exact_sums``: over the products of all indices at once when e is
-    constant, since they do not depend on m, else through ``_window_sums``
-    with seq as a third factor.  At the first m where R_m or the numerator
-    fails, ``check_normalizer`` raises for R_m, else WeightError.
+    ``seq`` maps an int64 array of indices n >= 1 to floats.  R_m is the window plan's;
+    ``mode`` selects only its pairing.  The numerator, the exactly rounded sum of
+    (e(y_m - n) * g(n)) * seq(n), is the REGULAR pairing's ``_pair_sums`` with seq as a factor.
+    At the first m where R_m or the numerator fails, ``check_normalizer`` raises for R_m, else
+    WeightError.
     """
     x, y, r = _normalizers(schedule, weights, mode, np.arange(1, horizon + 1))
-    y_top = int(y.max())
-    g = weights.g.array(y_top)
-    ns = np.arange(1, y_top + 1, dtype=np.int64)
+    ns = np.arange(1, int(y.max()) + 1, dtype=np.int64)
     values = array_result(seq(ns), ns.shape, np.float64, "sequence")
-    if weights.e.constant is not None:
-        # Every index is an edge, so window m runs from edge x_m to edge y_m.
-        with np.errstate(over="ignore", invalid="ignore"):
-            num = _exact_sums((weights.e.constant * g[1:]) * values, np.arange(y_top + 1), x, y)
-    else:
-        e = weights.e.array(int((y - x).max()) - 1)
-        num = _window_sums(g, e, x, y, np.concatenate(([0.0], values)))
+    num = _pair_sums(weights, NormalizerMode.REGULAR, x, y, np.concatenate(([0.0], values)))
     bad = np.flatnonzero(~((r > 0.0) & (r < np.inf) & np.isfinite(num)))
     if bad.size:
         i = int(bad[0])
@@ -321,6 +297,32 @@ def window_means(
         )
     with np.errstate(over="ignore"):  # an inf t_m, as float division gives
         return r, num / r
+
+
+def _pair_sums(
+    weights: WeightScheme, mode: NormalizerMode, x: np.ndarray, y: np.ndarray, factor=None
+) -> np.ndarray:
+    """Exactly rounded window sums of the mode's pairing, each product times factor[n] if given.
+
+    The one place a window sum's route is decided.  LITERAL pairs a head e(v) with a tail
+    g(y_m - v), REGULAR a head g(n) with a tail e(y_m - n), for x_m < v, n <= y_m.  Products of
+    one index (n: constant tail; y_m - n: constant head, no factor) are formed once, in order of
+    n, and each window is read off their prefix sums (``_exact_sums``); else ``_window_sums``.
+    """
+    flip = 1 if mode is NormalizerMode.LITERAL else -1
+    y_top, width = int(y.max()), int((y - x).max())
+    # e before g, a constant side as its one value, else as far as the windows read it.
+    e, g = (np.broadcast_to(s.array(0), n + 1) if s.constant is not None else s.array(n)
+            for s, n in zip((weights.e, weights.g), (y_top, width - 1)[::flip]))
+    (head, h), (tail, t) = ((weights.e, e), (weights.g, g))[::flip]
+    with np.errstate(over="ignore", invalid="ignore"):  # a bad product fails its window
+        if tail.constant is not None:  # every index an edge: window m runs from edge x_m to y_m
+            terms = h[1:] * t[0] if factor is None else (h[1:] * t[0]) * factor[1:]
+            return _exact_sums(terms, np.arange(y_top + 1), x, y)
+        if head.constant is not None and factor is None:  # tail reversed: products in order of n
+            ends = np.full_like(x, width)
+            return _exact_sums(h[0] * t[::-1], np.arange(width + 1), ends - (y - x), ends)
+    return _window_sums(h, t, x, y, factor)
 
 
 def _window_sums(

@@ -56,6 +56,8 @@ class TestMean:
             ([1e308] * 20, [1.0] * 20, "no finite window sum at m=2"),
             # R_m stays finite (R_10 = 1e308), the numerator sum of e * g * n does not.
             ([1e307] * 20, [1.0] * 20, "no finite weighted sum of the sequence at m=6"),
+            # The same sum with constant g, read off prefix sums.
+            ([1e308] * 20, "ones", "no finite window sum at m=2"),
         ],
     )
     def test_normalizer_that_is_not_finite_exits_2(self, tmp_path, capsys, e, g, match):
@@ -572,6 +574,31 @@ BAD_INPUTS = {
     "nan grid point": (
         ["--model", "example2", "--mode", "dndc", "--grid", "0.5,nan"],
         "grid points must be finite, got (0.5, nan)",
+    ),
+    # An empty value is parsed like any other, not read as "not given".
+    "empty schedule flag": (
+        ["--model", "example2", "--mode", "dndc", "--schedule="],
+        "unknown schedule preset ''",
+    ),
+    "empty weights in a config file": (
+        {"model": "example2", "mode": "dndc", "weights": ""},
+        "unknown weight preset ''",
+    ),
+    "empty grid flag": (
+        ["--model", "example2", "--mode", "dndc", "--grid="],
+        "bad grid spec ''",
+    ),
+    "empty schedule in a config file": (
+        {"model": "example2", "mode": "dndc", "schedule": ""},
+        "unknown schedule preset ''",
+    ),
+    "empty weights flag": (
+        ["--model", "example2", "--mode", "dndc", "--weights="],
+        "unknown weight preset ''",
+    ),
+    "empty grid in a config file": (
+        {"model": "example2", "mode": "dndc", "grid": ""},
+        "bad grid spec ''",
     ),
 }
 

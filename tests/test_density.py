@@ -311,6 +311,10 @@ def boundary_tables(
     return head, np.where(odd, 0.5, rng.uniform(0.5, 1.0, size)) * scale
 
 
+# Tables set against a constant on the other side in ``plan_inputs`` and the prefix-route tests.
+ONE_SIDE_TABLES = ("zeros", "subnormal", "spread63", "spread200", "near-overflow")
+
+
 @st.composite
 def plan_inputs(draw):
     """A growing schedule, a weight scheme, a normalizer mode and a horizon."""
@@ -328,8 +332,17 @@ def plan_inputs(draw):
     kind = draw(st.sampled_from([
         "ones", "identity", "table", "constant", "zeros", "subnormal",
         "spread9", "spread10", "spread63", "spread200", "near-overflow",
+        *(f"{side}-const-{table}" for side in "eg" for table in ONE_SIDE_TABLES),
     ]))
-    if kind == "table":
+    if "-const-" in kind:
+        # One constant side and one table: R_m is read off prefix sums.
+        side, _, table = kind.split("-", 2)
+        c = float(rng.uniform(0.1, 5.0))
+        const = WeightSeq(lambda n: c, "c", constant=c)
+        values = tabulated(weight_table(table, rng, top + 1), table)
+        e, g = (const, values) if side == "e" else (values, const)
+        weights = WeightScheme(e, g, label=kind)
+    elif kind == "table":
         e = tabulated(rng.uniform(0.1, 5.0, top + 1), "rand-e")
         weights = WeightScheme(e, tabulated(rng.uniform(0.1, 5.0, top + 1), "rand-g"), label="t")
     elif kind in ("zeros", "subnormal"):
@@ -478,6 +491,61 @@ class TestWindowPlan:
         for yv, r in zip(plan.y.tolist(), plan.R.tolist()):
             assert r.hex() == math.fsum(g[1 : yv + 1].tolist()).hex()
 
+    @pytest.mark.parametrize("table", [*ONE_SIDE_TABLES, "identity"])
+    @pytest.mark.parametrize("side", ["e", "g"])
+    @pytest.mark.parametrize("preset", ["cesaro", "example", "stretch"])
+    @pytest.mark.parametrize("mode", list(NormalizerMode))
+    def test_one_constant_side_never_reaches_the_chunk_route(self, mode, preset, side, table):
+        # R_m with one constant side comes off prefix sums, equal to the chunk
+        # route's sums and the fsum oracle's bit for bit, up to and including
+        # the first window that is not finite.
+        schedule = schedule_preset(preset)
+        ms = np.arange(1, 61)
+        x, y = schedule.bounds_array(ms)
+        size = int(y.max()) + 1
+        if table == "identity":
+            values, seq = np.arange(size, dtype=np.float64), weight_preset("identity").e
+        else:
+            values = weight_table(table, np.random.default_rng(len(table)), size)
+            seq = tabulated(values, table)
+        const = WeightSeq(lambda n: 1.5, "c", constant=1.5)
+        weights = WeightScheme(*((const, seq) if side == "e" else (seq, const)), label=table)
+        with mock.patch.object(density, "_window_sums", side_effect=AssertionError("chunk route")):
+            r = density._normalizers(schedule, weights, mode, ms)[2]
+        e, g = (np.full(size, 1.5), values) if side == "e" else (values, np.full(size, 1.5))
+        chunk = _window_sums(*((e, g) if mode is NormalizerMode.LITERAL else (g, e)), x, y)
+        bad = np.flatnonzero(~np.isfinite(chunk))
+        stop = int(bad[0]) + 1 if bad.size else len(ms)
+        assert np.isfinite(r[: stop - 1]).all()
+        assert [v.hex() for v in r[:stop].tolist()] == [v.hex() for v in chunk[:stop].tolist()]
+        for m in ms[:stop].tolist():
+            assert r[m - 1].hex() == fsum_normalizer(schedule, weights, m, mode).hex(), m
+
+    @pytest.mark.parametrize("lead", [0, 7])
+    @pytest.mark.parametrize("side", ["e", "g"])
+    @pytest.mark.parametrize("mode", list(NormalizerMode))
+    def test_inf_products_of_a_constant_side_fail_where_the_chunk_route_does(
+        self, deferred, mode, side, lead
+    ):
+        # A constant 1e200 against a table of 1e200 past its first `lead`
+        # entries (1e-200, products of 1): the products there are inf, and the
+        # first window holding one depends on the side and the mode.  Its R_m
+        # is the chunk route's.
+        values = np.array([1e-200] * lead + [1e200] * (160 - lead))
+        const = WeightSeq(lambda n: 1e200, "big", constant=1e200)
+        e, g = (const, tabulated(values)) if side == "e" else (tabulated(values), const)
+        weights = WeightScheme(e, g, label="big")
+        x, y = deferred.bounds_array(np.arange(1, 41))
+        big = np.full(160, 1e200)
+        e_arr, g_arr = (big, values) if side == "e" else (values, big)
+        literal = mode is NormalizerMode.LITERAL
+        chunk = _window_sums(*((e_arr, g_arr) if literal else (g_arr, e_arr)), x, y)
+        m = int(np.flatnonzero(~np.isfinite(chunk))[0]) + 1
+        assert (m > 1) == (lead > 0)
+        with pytest.raises(WeightError, match=f"'big' give no finite window sum at m={m}: R_m=inf$"):
+            window_plan(deferred, weights, DensityConfig(horizon=40, mode=mode))
+        assert chunk[m - 1] == fsum_normalizer(deferred, weights, m, mode) == math.inf
+
     def test_window_sum_past_the_float_range_is_a_weight_error(self, deferred):
         # Every window holds at least two terms of 1e308, so R_1 overflows.
         big = WeightScheme(tabulated([1e308] * 41), weight_preset("ones").g, label="big")
@@ -619,6 +687,44 @@ class TestWindowMeans:
             assert r.max() >= 2_000_001
             return
         assert [v.hex() for v in r[plan.ms - 1].tolist()] == [v.hex() for v in plan.R.tolist()]
+
+    @given(
+        side=st.sampled_from("eg"),
+        table=st.sampled_from([*ONE_SIDE_TABLES, "wide", "spread9"]),
+        preset=st.sampled_from(["cesaro", "example", "stretch"]),
+        mode=st.sampled_from(list(NormalizerMode)),
+        seq=st.sampled_from(["one", "signed", "identity"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_route_equals_the_fsum_oracle(self, side, table, preset, mode, seq, seed):
+        # One constant side: R_m, summed without a factor, is read off prefix
+        # sums in either mode.  The numerator, with seq as its factor, is too
+        # when e is constant; with constant g its head is constant, so it takes
+        # the chunk route.  Either way t_m equals the fsum oracle's hex for hex.
+        schedule = schedule_preset(preset)
+        size = schedule.y(30) + 1
+        rng = np.random.default_rng(seed)
+        const = WeightSeq(lambda n: 0.75, "c", constant=0.75)
+        values = tabulated(weight_table(table, rng, size), table)
+        weights = WeightScheme(*((const, values) if side == "e" else (values, const)), label=table)
+        scalar_seq = {
+            "one": lambda n: 1.0,
+            "signed": lambda n: (-1.0) ** n * (1.0 + n % 3 / 4),
+            "identity": float,
+        }[seq]
+        try:
+            want = [fsum_window_mean(scalar_seq, schedule, weights, m, mode) for m in range(1, 31)]
+        except (WeightError, DegenerateNormalizerError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                window_means(np.vectorize(scalar_seq), schedule, weights, 30, mode)
+            return
+        with mock.patch.object(density, "_window_sums", wraps=density._window_sums) as chunked:
+            r, t = window_means(np.vectorize(scalar_seq), schedule, weights, 30, mode)
+        assert chunked.call_count == (side == "g")
+        assert [(a.hex(), b.hex()) for a, b in zip(r.tolist(), t.tolist())] == [
+            (a.hex(), b.hex()) for a, b in want
+        ]
 
     @pytest.mark.parametrize("table", ["spread9", "spread10", "spread63"])
     @pytest.mark.parametrize("scale", [1.0, 2.0**20])
