@@ -6,6 +6,12 @@ file is self-describing.  Verdicts are data and never drive a nonzero
 exit status; exit 2 means the configuration was rejected, exit 1 means
 a computation failed.
 
+``mean``, ``detect`` and ``korovkin`` return one record: the echo, the
+JSON body or the lines of the one format asked for, and each trace
+file's text.  ``main`` writes it, trace files first, so a failed run
+writes nothing; an error that a smaller flag value avoids exits 2 with
+the command's hint (``_COMMANDS``).  ``repro`` writes its own report.
+
 CSV outputs use the columns documented per subcommand in --help.  A
 JSON document passed via --config supplies defaults for the same
 subcommand's flags (explicit flags win); unknown keys in it are
@@ -18,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -200,13 +207,28 @@ def _check_file_value(action: argparse.Action, key: str, value: object) -> objec
     return value
 
 
-def _emit(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+@dataclass(frozen=True)
+class _Record:
+    """A command's output: echo, JSON key and body or the text lines, trace texts by path."""
+
+    echo: dict[str, object]
+    body: tuple[str, object] | None = None
+    lines: list[str] = field(default_factory=list)
+    traces: dict[Path, str] = field(default_factory=dict)
 
 
-def _config_echo(pairs: dict[str, object]) -> list[str]:
-    rendered = " ".join(f"{k}={v}" for k, v in pairs.items())
-    return [f"# dnstat {__version__}", f"# config {rendered}"]
+def _write(record: _Record) -> None:
+    """The trace files, then the JSON document or the echo and the lines."""
+    for path, text in record.traces.items():
+        path.write_text(text)
+    if record.body is not None:
+        key, value = record.body
+        payload = {"version": __version__, "config": record.echo, key: value}
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        rendered = " ".join(f"{k}={v}" for k, v in record.echo.items())
+        head = [f"# dnstat {__version__}", f"# config {rendered}"]
+        sys.stdout.write("\n".join([*head, *record.lines]) + "\n")
 
 
 def _parse_seq(spec: str):
@@ -224,7 +246,7 @@ def _parse_seq(spec: str):
     raise ConfigError(f"unknown sequence spec '{spec}'")
 
 
-def cmd_mean(args: argparse.Namespace) -> int:
+def cmd_mean(args: argparse.Namespace) -> _Record:
     if args.seq is None:
         raise ConfigError("a sequence spec is required (--seq or config file)")
     seq = _parse_seq(args.seq)
@@ -241,33 +263,18 @@ def cmd_mean(args: argparse.Namespace) -> int:
         "horizon": args.horizon,
         "normalizer_mode": mode.value,
     }
-
-    try:
-        schedule.validate(args.horizon)
-        r, t = window_means(seq, schedule, weights, args.horizon, mode)
-    except MemoryError as exc:
-        raise ConfigError(f"{exc}; use a smaller --horizon") from None
-    rows = list(zip(range(1, args.horizon + 1), r.tolist(), t.tolist()))
-
+    schedule.validate(args.horizon)
+    r, t = window_means(seq, schedule, weights, args.horizon, mode)
+    rows = zip(range(1, args.horizon + 1), r.tolist(), t.tolist())
     if args.format == "json":
-        payload = {
-            "version": __version__,
-            "config": echo,
-            "rows": [[m, r, t] for m, r, t in rows],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    elif args.format == "csv":
-        lines = _config_echo(echo) + ["m,R_m,t_m"]
-        lines += [f"{m},{r!r},{t!r}" for m, r, t in rows]
-        _emit(lines)
-    else:
-        lines = _config_echo(echo) + [f"{'m':>6} {'R_m':>14} t_m"]
-        lines += [f"{m:>6} {r!r:>14} {t!r}" for m, r, t in rows]
-        _emit(lines)
-    return 0
+        return _Record(echo, ("rows", [[m, r, t] for m, r, t in rows]))
+    if args.format == "csv":
+        return _Record(echo, lines=["m,R_m,t_m", *(f"{m},{r!r},{t!r}" for m, r, t in rows)])
+    head = f"{'m':>6} {'R_m':>14} t_m"
+    return _Record(echo, lines=[head, *(f"{m:>6} {r!r:>14} {t!r}" for m, r, t in rows)])
 
 
-def _detector_runs(args: argparse.Namespace):
+def cmd_detect(args: argparse.Namespace) -> _Record:
     if args.model is None:
         raise ConfigError("a model spec is required (--model or config file)")
     # Presets keep their worked example's windows; tabulated models get example/ones.
@@ -290,22 +297,10 @@ def _detector_runs(args: argparse.Namespace):
         cfg = DetectorConfig(eps=args.eps, delta=args.delta, r=args.r, grid=grid, density=density)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    runs = {}
-    wanted = ("dnp", "dnm", "dndc") if args.mode == "all" else (args.mode,)
-    try:
-        schedule.validate(args.horizon)
-        for kind in wanted:
-            fn = {"dnp": st_dnp, "dnm": st_dnm, "dndc": st_dndc}[kind]
-            runs[kind] = fn(model, schedule, weights, cfg)
-    except (CountCapError, MemoryError) as exc:
-        raise ConfigError(f"{exc}; use a smaller --horizon") from None
-    except GridError as exc:
-        raise ConfigError(f"{exc}; --grid points must avoid the limit-law atoms") from None
-    return model, schedule, weights, cfg, runs
-
-
-def cmd_detect(args: argparse.Namespace) -> int:
-    model, schedule, weights, cfg, runs = _detector_runs(args)
+    schedule.validate(args.horizon)
+    detectors = {"dnp": st_dnp, "dnm": st_dnm, "dndc": st_dndc}
+    wanted = detectors if args.mode == "all" else (args.mode,)
+    runs = {kind: detectors[kind](model, schedule, weights, cfg) for kind in wanted}
     echo = {
         "command": "detect",
         "model": model.description,
@@ -318,33 +313,23 @@ def cmd_detect(args: argparse.Namespace) -> int:
         "normalizer_mode": cfg.density.mode.value,
         "seed": args.seed,
     }
+    traces = {}
     if args.trace_out is not None:
         out = Path(args.trace_out)
         for kind, verdict in runs.items():
             path = out if len(runs) == 1 else out.with_name(f"{out.stem}.{kind}{out.suffix}")
-            path.write_text(trace_csv(verdict))
-
+            traces[path] = trace_csv(verdict)
     if args.format == "json":
-        payload = {
-            "version": __version__,
-            "config": echo,
-            "results": {k: v.summary() for k, v in runs.items()},
-        }
-        print(json.dumps(payload, sort_keys=True))
-    elif args.format == "csv":
-        lines = _config_echo(echo) + ["detector,verdict,tail_max"]
-        lines += [f"{k},{v.verdict.value},{v.tail_max!r}" for k, v in runs.items()]
-        _emit(lines)
+        return _Record(echo, ("results", {k: v.summary() for k, v in runs.items()}), traces=traces)
+    rows = [(kind, v.verdict.value, v.tail_max) for kind, v in runs.items()]
+    if args.format == "csv":
+        lines = ["detector,verdict,tail_max", *(f"{k},{w},{t!r}" for k, w, t in rows)]
     else:
-        lines = _config_echo(echo)
-        for kind, verdict in runs.items():
-            word = verdict.verdict.value.capitalize()
-            lines.append(f"{kind}: {word} (tail_max={verdict.tail_max!r})")
-        _emit(lines)
-    return 0
+        lines = [f"{k}: {w.capitalize()} (tail_max={t!r})" for k, w, t in rows]
+    return _Record(echo, lines=lines, traces=traces)
 
 
-def cmd_korovkin(args: argparse.Namespace) -> int:
+def cmd_korovkin(args: argparse.Namespace) -> _Record:
     schedule = parse_schedule(args.schedule)
     weights = parse_weights(args.weights)
     f_specs = args.f if args.f else ["y^3"]
@@ -359,16 +344,8 @@ def cmd_korovkin(args: argparse.Namespace) -> int:
         ops = lifted_operator(Perturbation(args.perturb), args.tail_tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    try:
-        schedule.validate(cfg.horizon)
-        (report,) = korovkin_check((ops,), (args.tag,), f_list, schedule, weights, cfg)
-    except SeriesCapError as exc:
-        # Only grid points very close to 1 need windows that wide.
-        raise ConfigError(f"{exc}; use a smaller --grid-size") from None
-    except CountCapError as exc:
-        raise ConfigError(f"{exc}; use a smaller --horizon") from None
-    except MemoryError as exc:
-        raise ConfigError(f"{exc}; use a smaller --horizon or --grid-size") from None
+    schedule.validate(cfg.horizon)
+    (report,) = korovkin_check((ops,), (args.tag,), f_list, schedule, weights, cfg)
     echo = {
         "command": "korovkin",
         "operator": report.operator,
@@ -382,22 +359,17 @@ def cmd_korovkin(args: argparse.Namespace) -> int:
         "mode_tag": report.mode_tag,
         "normalizer_mode": cfg.mode.value,
     }
+    traces = {}
     if args.trace_out is not None:
-        labels = list(report.conditions) + list(report.conclusions)
-        traces = [report.sup_trace(label) for label in labels]
+        labels = [*report.conditions, *report.conclusions]
+        columns = [report.sup_trace(label).tolist() for label in labels]
         rows = ["n," + ",".join(labels)]
-        for n in range(len(traces[0])):
-            rows.append(f"{n + 1}," + ",".join(repr(float(tr[n])) for tr in traces))
-        Path(args.trace_out).write_text("\n".join(rows) + "\n")
-
+        rows += [f"{n}," + ",".join(map(repr, row)) for n, row in enumerate(zip(*columns), 1)]
+        traces[Path(args.trace_out)] = "\n".join(rows) + "\n"
     if args.format == "json":
-        payload = {"version": __version__, "config": echo, "report": report.to_json_dict()}
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        lines = _config_echo(echo) + [report.table()]
-        lines += [f"note: {note}" for note in report.notes]
-        _emit(lines)
-    return 0
+        return _Record(echo, ("report", report.to_json_dict()), traces=traces)
+    lines = [report.table(), *(f"note: {note}" for note in report.notes)]
+    return _Record(echo, lines=lines, traces=traces)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +479,26 @@ def cmd_repro(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+# Each command and its exit-2 hints, by the error types a smaller flag value avoids.
 _COMMANDS = {
-    "mean": cmd_mean,
-    "detect": cmd_detect,
-    "korovkin": cmd_korovkin,
-    "repro": cmd_repro,
+    "mean": (cmd_mean, {MemoryError: "use a smaller --horizon"}),
+    "detect": (
+        cmd_detect,
+        {
+            CountCapError: "use a smaller --horizon",
+            MemoryError: "use a smaller --horizon",
+            GridError: "--grid points must avoid the limit-law atoms",
+        },
+    ),
+    "korovkin": (
+        cmd_korovkin,
+        {
+            # Only grid points very close to 1 need windows that wide.
+            SeriesCapError: "use a smaller --grid-size",
+            CountCapError: "use a smaller --horizon",
+            MemoryError: "use a smaller --horizon or --grid-size",
+        },
+    ),
 }
 
 # Errors that mean the request itself was malformed (exit 2), as opposed
@@ -527,7 +514,16 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _merge_config_file(parser, argv)
-        return _COMMANDS[args.command](args)
+        if args.command == "repro":  # its own writer, which diffs the report against a snapshot
+            return cmd_repro(args)
+        command, hints = _COMMANDS[args.command]
+        try:
+            record = command(args)
+        except tuple(hints) as exc:
+            hint = next(h for kind, h in hints.items() if isinstance(exc, kind))
+            raise ConfigError(f"{exc}; {hint}") from None
+        _write(record)
+        return 0
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

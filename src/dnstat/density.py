@@ -768,7 +768,7 @@ def dn_stat_limit(
     """
     _check_positive_finite("eps", eps)
     cand = float(candidate)
-    ns = np.arange(1, counting_bound(schedule, weights, cfg) + 1)
+    ns = np.arange(1, counted_top(schedule, weights, cfg) + 1)
     return level_density_limit(
         np.abs(array_result(seq(ns), ns.shape, np.float64, "sequence") - cand),
         eps,

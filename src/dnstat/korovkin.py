@@ -67,7 +67,8 @@ from .density import (
     DensityConfig,
     Verdict,
     _check_positive_finite,
-    counting_bound,
+    counted_top,
+    counting_bound,  # noqa: F401  unused; perfbench/tracing.py wraps this binding
     level_density_limit,  # noqa: F401  unused; perfbench/tracing.py wraps this binding
     level_density_limits,
 )
@@ -675,17 +676,17 @@ def korovkin_check(
 ) -> tuple[KorovkinReport, ...]:
     """Run the three-condition check and the conclusion check for each f.
 
-    Forms s_n = sup over the grid of |M_n(f, y) - f(y)| for the test
-    triple and for each caller function, then applies the statistical
-    limit detector to every s sequence.  ``ops`` is a tuple of operator
-    sequences and ``mode_tags`` a tuple of one tag each; the check
-    returns one report per sequence, in the same order.  Blocks of
-    consecutive indices with at most ``_BLOCK_ROWS`` (index, grid point,
-    side) rows each, or one index when its grid alone has more, are
-    tabulated by every sequence in turn with the same functions, so
-    lifted sequences share each block's base table.  All stochastic
-    modes agree on deterministic sequences, so a mode tag is provenance
-    only.
+    Forms s_n = sup over the grid of |M_n(f, y) - f(y)| up to the last
+    index counting reads (``counted_top``) for the test triple and each
+    caller function, then applies the statistical limit detector to
+    every s sequence.  ``ops`` is a tuple of operator sequences and
+    ``mode_tags`` a tuple of one tag each; the check returns one report
+    per sequence, in the same order.  Blocks of consecutive indices with
+    at most ``_BLOCK_ROWS`` (index, grid point, side) rows each, or one
+    index when its grid alone has more, are tabulated by every sequence
+    in turn with the same functions, so lifted sequences share each
+    block's base table.  All stochastic modes agree on deterministic
+    sequences, so a mode tag is provenance only.
     """
     try:
         if isinstance(mode_tags, str):  # it would zip letter by letter
@@ -701,15 +702,15 @@ def korovkin_check(
         if tag not in ("dnp", "dnm", "dndc"):
             raise ValueError(f"unknown mode tag '{tag}'")
     density_cfg = cfg.density()
-    n_max = counting_bound(schedule, weights, density_cfg)
+    top = counted_top(schedule, weights, density_cfg)
 
     grid = np.linspace(0.0, 1.0, cfg.grid_points)
     fns = [ONE, IDENTITY, SQUARE] + [as_sampled(f) for f in f_list]
     targets = np.stack([fn.values(grid) for fn in fns])
-    sup_dev = np.empty((len(runs), len(fns), n_max))
+    sup_dev = np.empty((len(runs), len(fns), top))
     per_call = max(1, _BLOCK_ROWS // (2 * len(grid)))
-    for first in range(1, n_max + 1, per_call):
-        ns = np.arange(first, min(first + per_call, n_max + 1))
+    for first in range(1, top + 1, per_call):
+        ns = np.arange(first, min(first + per_call, top + 1))
         for (seq, _), dev in zip(runs, sup_dev):
             tables = _operator_tables(seq, ns, fns, grid)
             dev[:, ns - 1] = np.max(np.abs(tables - targets), axis=2).T

@@ -1195,6 +1195,25 @@ class TestDnStatLimit:
         for m, count in zip(v.ms.tolist(), v.count.tolist()):
             assert count == brute_stat_count(scalar_seq, candidate, eps, schedule, weights, m, mode)
 
+    def test_sequence_is_evaluated_only_where_counting_reads(self, stretch):
+        # Identity weights make k_max = max floor(R_m) = 1,124,250 at horizon 500, where
+        # counting reads n <= top = max min(k_m, y_m) = 2,000.
+        weights, cfg = weight_preset("identity"), DensityConfig(horizon=500)
+        top, k_max = counted_top(stretch, weights, cfg), counting_bound(stretch, weights, cfg)
+        assert (top, k_max) == (2000, 1_124_250)
+        seen = []
+
+        def seq(n):
+            seen.append(n.copy())
+            return 1.0 / n
+
+        v = dn_stat_limit(seq, 0.0, 0.25, stretch, weights, cfg)
+        assert [n.tolist() for n in seen] == [list(range(1, top + 1))]
+        # Oracle: the same levels tabulated up to k_max give the same counts.
+        wide = level_density_limit(1.0 / np.arange(1, k_max + 1), 0.25, stretch, weights, cfg)
+        assert same_columns(v, wide)
+        assert (v.verdict, v.tail_max) == (wide.verdict, wide.tail_max)
+
     def test_sequence_result_of_the_wrong_shape_raises(self, cesaro, ones):
         with pytest.raises(ValueError, match=r"^sequence returned shape \(3,\)"):
             dn_stat_limit(lambda n: np.ones(3), 0.0, 0.5, cesaro, ones, DensityConfig(horizon=20))

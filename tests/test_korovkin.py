@@ -556,6 +556,24 @@ class TestConditionChecker:
                 alone = level_density_limit(levels, cfg.eps, schedule, weights, cfg.density())
                 assert same_columns(v, alone) and v.tail_max == alone.tail_max
 
+    def test_rows_end_where_counting_reads(self, monkeypatch):
+        # Identity weights make k_max = max floor(R_m) = 435 at horizon 10, where counting
+        # reads n <= top = max min(k_m, y_m) = 40: the operators are tabulated up to top.
+        cfg = KorovkinConfig(horizon=10, grid_points=17)
+        schedule, weights = schedule_preset("stretch"), weight_preset("identity")
+        ops = tuple(lifted_operator(p, 1e-8) for p in Perturbation)
+        tags = ("dnp", "dnm", "dndc")
+        reports = korovkin_check(ops, tags, [CUBE, EXP], schedule, weights, cfg)
+        # Oracle: rows sized by k_max give the same reports and the same rows up to top.
+        monkeypatch.setattr(korovkin, "counted_top", korovkin.counting_bound)
+        wide = korovkin_check(ops, tags, [CUBE, EXP], schedule, weights, cfg)
+        for report, full in zip(reports, wide):
+            assert report.to_json_dict() == full.to_json_dict()
+            for label in ("1", "z", "z^2", "y^3", "e^y"):
+                row, full_row = report.sup_trace(label), full.sup_trace(label)
+                assert (len(row), len(full_row)) == (40, 435)
+                assert row.tolist() == full_row[:40].tolist()
+
     def test_bare_operator_all_conditions_converge(self):
         cfg = KorovkinConfig(horizon=60, grid_points=33, tolerance=0.05)
         (report,) = korovkin_check(
