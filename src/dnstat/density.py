@@ -25,12 +25,12 @@ decreases in e >= 0, so against the least and largest e counting reads,
 each (row, n) entry hits in every window, in none, or is open.  Sure
 hits are found once per row and summed once, between the sorted distinct
 ends of the windows' ranges, which is all constant e (the ``ones`` and
-``example1`` presets) needs; an open entry hits at the e at or above one
-cutoff c(n), found by bisection on the same products.  With e held as
-ranks in its sorted distinct values, e >= c(n) is rank(e) >= q(n), the
-number of distinct e below c(n), and a chunk of windows, in order of
-width, compares its rank rows with q over the open span at once.  The
-counts are those of the products, bit for bit.  Arbitrary predicates go
+``example1`` presets) needs.  With e held as ranks in its sorted
+distinct values, an open entry hits where rank(e) >= q(n), the number of
+distinct e that miss, found by a binary search over those values with
+the same products, and a chunk of windows, in order of width, compares
+its rank rows with q over the open span at once.  The counts are those
+of the products, bit for bit.  Arbitrary predicates go
 through ``density_limit``, one call per traced window on its whole index
 array.
 """
@@ -86,8 +86,8 @@ _TRACE_CAP = 1000
 # length stay small.
 _SUM_CHUNK = 2**14
 
-# Entries per block of ``_window_counts``' hit tests and cutoff search
-# (``_cutoffs`` holds about a dozen temporaries per entry): small blocks
+# Entries per block of ``_window_counts``' hit tests and rank search
+# (``_rank_thresholds`` holds a few temporaries per entry): small blocks
 # reuse freed memory where whole-row temporaries would fault in fresh pages.
 _CUTOFF_BLOCK = 2**12
 
@@ -588,9 +588,9 @@ def level_density_limits(
     indices each window counts and fetches the weights they read, and
     ``_window_counts`` counts them for every weight kind: the entries the
     e table's range decides once per row, the open rest against per-index
-    cutoffs in each window (none when e is constant).
-    ``threshold`` must be positive and finite.  ``extras`` holds one
-    mapping per row.
+    rank thresholds in each window (none when e is constant).
+    ``threshold`` must be positive and finite.  ``extras`` is None or
+    holds one mapping per row.
     """
     _check_positive_finite("threshold", threshold)
     counted = _counted_range(schedule, weights, cfg)
@@ -600,6 +600,8 @@ def level_density_limits(
         raise ValueError(f"level rows must form a matrix, got shape {rows.shape}")
     if rows.shape[1] < top:
         raise ValueError(f"levels array too short: need top = {top} entries, got {rows.shape[1]}")
+    if extras is not None and len(extras) != len(rows):
+        raise ValueError(f"extras holds {len(extras)} mappings for {len(rows)} level rows")
 
     counts = _window_counts(rows, threshold, counted)
     return [
@@ -656,7 +658,7 @@ def _window_counts(rows: np.ndarray, threshold: float, counted: tuple) -> np.nda
     window m counts those with n <= n_m from one running sum over the sure hits between
     steps; one that misses at e_hi = max e never hits (constant e leaves no other).  The open
     rest, over the rows holding one and the span [a, b) of their open columns, hits where
-    rank(e) >= q(n), the number of distinct e below its ``_cutoffs`` c(n); a chunk of
+    rank(e) >= q(n), the number of distinct e that miss (``_rank_thresholds``); a chunk of
     windows, in order of width, is compared at once.
     """
     plan, steps, at_step, values, ranks, g = counted
@@ -680,13 +682,14 @@ def _window_counts(rows: np.ndarray, threshold: float, counted: tuple) -> np.nda
         return counts
     cols = np.flatnonzero(unsure[live].any(axis=0))
     a, b = int(cols[0]), int(cols[-1]) + 1
-    # Decided entries get a nan level, which never hits: their cutoff is +inf.
-    cut = np.where(unsure[live, a:b], levels[live, a:b], np.nan)
+    # Decided entries get a nan level, which never hits: their q is len(values).
+    open_levels = np.where(unsure[live, a:b], levels[live, a:b], np.nan)
+    q = np.empty(open_levels.shape, dtype=ranks.dtype)
     step, g = max(1, _CUTOFF_BLOCK // len(live)), g[a:b]
     for j in range(0, b - a, step):
-        cut[:, j : j + step] = _cutoffs(g[j : j + step], cut[:, j : j + step], threshold)
-    # An open cutoff exceeds e_lo, so q >= 1 and rank 0 never hits; q = len(values) never hits.
-    q = np.searchsorted(values, cut, "left").astype(ranks.dtype)
+        cs = slice(j, j + step)
+        q[:, cs] = _rank_thresholds(values, g[cs], open_levels[:, cs], threshold)
+    # An open entry misses at e_lo, so q >= 1 and rank 0 never hits; q = len(values) never hits.
     # Row len(e) - y_m + a, column j: the rank of e(y_m - n) at n = a + j + 1; padding never hits.
     padded = np.concatenate((ranks[::-1], np.zeros(b - a, dtype=ranks.dtype)))
     view = np.lib.stride_tricks.sliding_window_view(padded, b - a)
@@ -711,45 +714,25 @@ def _window_counts(rows: np.ndarray, threshold: float, counted: tuple) -> np.nda
     return counts
 
 
-# The largest finite double and its bit pattern; the bit patterns of
-# non-negative doubles order as the doubles do.
-_LARGEST = np.finfo(np.float64).max
-_TOP_BITS = _LARGEST.view(np.int64)
+def _rank_thresholds(
+    values: np.ndarray, g: np.ndarray, levels: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Per (i, j), q: how many of the sorted distinct ``values`` miss, that is, fail
+    (v * g[j]) * levels[i, j] >= threshold.
 
-
-def _cutoffs(g: np.ndarray, levels: np.ndarray, threshold: float) -> np.ndarray:
-    """Smallest double e >= 0 with (e * g[j]) * levels[i, j] >= threshold, per (i, j).
-
-    With g[j] finite and >= 0, the rounded products never decrease as e
-    grows, so the e that hit form an up-set [c, inf).  c is found by
-    bisection on the bit patterns of the doubles, with the products and
-    comparison counting makes; the search starts within 8 ulps of
-    threshold / (g[j] * levels[i, j]) and covers every double where that
-    bracket fails (subnormal or overflowing products).  c is +inf where
-    the largest finite double misses: a level <= 0 or nan, or g[j] = 0.
+    With g[j] >= 0 the rounded products never decrease as v grows, so the values that
+    hit form a suffix and e hits exactly where rank(e) >= q.  q is found by a branchless
+    binary search over indices into ``values``, ceil(log2(len(values) + 1)) steps of one
+    probe per entry, with the products and comparison counting makes.  Every value
+    misses (q = len(values)) for a level <= 0 or nan, or g[j] = 0.
     """
-
-    def hit(bits: np.ndarray, gs: np.ndarray, ls: np.ndarray) -> np.ndarray:
-        return (bits.view(np.float64) * gs) * ls >= threshold
-
-    cut = np.full(levels.shape, np.inf)
-    with np.errstate(all="ignore"):
-        ri, ci = np.nonzero(hit(_TOP_BITS, g, levels))
-        gs, ls = g[ci], levels[ri, ci]
-        guess = np.minimum(threshold / (gs * ls), _LARGEST).view(np.int64)
-        lo, hi = np.maximum(guess - 8, 0), np.minimum(guess + 8, _TOP_BITS)
-        wide = hit(lo, gs, ls) | ~hit(hi, gs, ls)
-        lo[wide], hi[wide] = 0, _TOP_BITS
-        for part in (~wide, wide):
-            pl, ph, pg, pv = lo[part], hi[part], gs[part], ls[part]
-            while pl.size and int((ph - pl).max()) > 1:
-                mid = pl + (ph - pl) // 2
-                up = hit(mid, pg, pv)
-                np.copyto(ph, mid, where=up)
-                np.copyto(pl, mid, where=~up)
-            hi[part] = ph
-    cut[ri, ci] = hi.view(np.float64)
-    return cut
+    size, q = len(values), np.zeros(levels.shape, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in (1 << k for k in reversed(range(size.bit_length()))):
+            up = q + step
+            hit = (values[np.minimum(up, size) - 1] * g) * levels >= threshold
+            np.copyto(q, up, where=(up <= size) & ~hit)
+    return q
 
 
 def dn_stat_limit(
@@ -764,13 +747,20 @@ def dn_stat_limit(
 
     Evaluates d_m = (1/R_m) |{n <= floor(R_m) : w(m, n) |seq(n) - candidate| >= eps}|
     along the horizon and applies the tail verdict rule.  ``seq`` maps an
-    int64 array of indices n >= 1 to floats, as in ``window_means``.
+    int64 array of indices n >= 1 to floats, as in ``window_means``.  A candidate that
+    is not finite and a nan sequence value are ValueErrors: a nan deviation never counts.
     """
     _check_positive_finite("eps", eps)
     cand = float(candidate)
+    if not math.isfinite(cand):
+        raise ValueError(f"candidate must be finite, got {cand}")
     ns = np.arange(1, counted_top(schedule, weights, cfg) + 1)
+    values = array_result(seq(ns), ns.shape, np.float64, "sequence")
+    nan = np.flatnonzero(np.isnan(values))
+    if nan.size:
+        raise ValueError(f"sequence value at n={int(nan[0]) + 1} is nan")
     return level_density_limit(
-        np.abs(array_result(seq(ns), ns.shape, np.float64, "sequence") - cand),
+        np.abs(values - cand),
         eps,
         schedule,
         weights,

@@ -8,8 +8,11 @@ stderr and every file it writes there (its ``--trace-out`` files), each
 with a short digest of every line, so that a replay can name the first
 line that differs.  The digests go to ``digests.json``.
 
-Record once, at the commit that adds a case, after checking its outputs
-against the parent's.  Never re-record to make a change pass.
+A run records only the cases that ``digests.json`` does not hold yet and
+leaves every existing entry byte-identical.  Record once, at the commit
+that adds a case, after checking its outputs against the parent's.
+Re-recording a case means deleting its entry from ``digests.json`` first;
+never re-record to make a change pass.
 """
 
 from __future__ import annotations
@@ -74,9 +77,11 @@ def record_case(argv: list[str], files: dict) -> dict[str, object]:
 
 def main() -> int:
     files, cases = load_cases()
-    recorded = {case["name"]: record_case(case["argv"], files) for case in cases}
+    recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    missing = [case for case in cases if case["name"] not in recorded]
+    recorded.update((case["name"], record_case(case["argv"], files)) for case in missing)
     DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(recorded)} cases in {DIGESTS.name}")
+    print(f"recorded {len(missing)} new cases in {DIGESTS.name}, {len(recorded)} in all")
     return 0
 
 

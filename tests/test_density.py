@@ -827,7 +827,7 @@ def counting_path_inputs(draw):
 
 
 # Subnormal and inexact weights, and levels whose products overflow or are
-# not numbers, around the cutoff search's bracket.
+# not numbers, around the rank search's probes.
 WEIGHT_POOL = [0.0, 5e-324, 1e-310, 0.1, 0.3, 1.0, 2.0, 3.0]
 LEVEL_POOL = [0.0, 1 / 3, 1e300, 1.7e308, math.inf, math.nan, -1.0, 0.5, 1.0, 2.0, 5e-324]
 CUTOFF_THRESHOLDS = [0.1, 0.3, 0.5, 1e-300]
@@ -911,7 +911,7 @@ class TestCountingPaths:
     @settings(max_examples=80, deadline=None)
     def test_e_that_varies_by_index_gives_the_brute_counts(self, inputs, threshold, block):
         schedule, weights, cfg, rows = inputs
-        # Blocks of 5 entries split the cutoff search across many calls.
+        # Blocks of 5 entries split the rank search across many calls.
         with mock.patch.object(density, "_CUTOFF_BLOCK", block):
             verdicts = level_density_limits(rows, threshold, schedule, weights, cfg)
         for verdict, levels in zip(verdicts, rows):
@@ -944,29 +944,33 @@ class TestCountingPaths:
     @given(
         seed=st.integers(0, 2**32 - 1),
         threshold=st.sampled_from(CUTOFF_THRESHOLDS),
+        size=st.integers(1, 40),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_cutoffs_are_the_least_hitting_weights(self, seed, threshold):
+    @settings(max_examples=80, deadline=None)
+    def test_rank_thresholds_count_the_values_that_miss(self, seed, threshold, size):
         rng = np.random.default_rng(seed)
-        size = 40
-        g = np.where(rng.random(size) < 0.6, rng.choice(WEIGHT_POOL, size), rng.uniform(0, 3, size))
-        levels = np.where(
-            rng.random((2, size)) < 0.6,
-            rng.choice(LEVEL_POOL, (2, size)),
-            rng.uniform(-0.5, 4.0, (2, size)),
-        )
-        cut = density._cutoffs(g, levels, threshold)
         largest = np.finfo(np.float64).max
-        probes = np.concatenate((WEIGHT_POOL, rng.uniform(0, 3, 8), [1e300, largest]))
-        for (i, j), c in np.ndenumerate(cut):
-            gv, lv = g[j], levels[i, j]
-            if np.isinf(c):
-                assert not cutoff_hit(largest, gv, lv, threshold)
-            else:
-                assert cutoff_hit(c, gv, lv, threshold)
-                assert not cutoff_hit(np.nextafter(c, 0.0), gv, lv, threshold)
-            for e in probes:
-                assert cutoff_hit(e, gv, lv, threshold) == (e >= c)
+        # Sorted distinct e from zeros, subnormals, dyadic and inexact values, 1e300
+        # and the largest double: 1 to 21 of them, so the search takes 1 to 5 steps.
+        pool = np.concatenate((WEIGHT_POOL, [0.5, 1.5, 4.0, 1e300, largest], rng.uniform(0, 3, 8)))
+        values = np.unique(rng.choice(pool, size))
+        cols = 30
+        g = np.where(rng.random(cols) < 0.6, rng.choice(WEIGHT_POOL, cols), rng.uniform(0, 3, cols))
+        levels = np.where(
+            rng.random((3, cols)) < 0.6,
+            rng.choice(LEVEL_POOL, (3, cols)),
+            rng.uniform(-0.5, 4.0, (3, cols)),
+        )
+        # Levels that put the threshold on a product of one of the values, mostly exactly.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            near = threshold / (rng.choice(values, (3, cols)) * g)
+        levels = np.where(rng.random((3, cols)) < 0.3, near, levels)
+        q = density._rank_thresholds(values, g, levels, threshold)
+        for (i, j), rank in np.ndenumerate(q):
+            misses = [not cutoff_hit(v, g[j], levels[i, j], threshold) for v in values.tolist()]
+            # The values that hit form a suffix, and q counts the values before it.
+            assert rank == sum(misses)
+            assert misses == [k < rank for k in range(len(values))]
 
     @given(
         inputs=counting_path_inputs(),
@@ -1026,25 +1030,25 @@ class TestCountingPaths:
         # Open from the middle on: windows with n_m <= top // 2 read no open column.
         rows[3, top // 2 :] = rng.choice([0.5, 0.75, 0.99], plan.k_max - top // 2)
         rows[4] = np.where(rng.random(plan.k_max) < 0.5, rng.uniform(0.0, 2.0, plan.k_max), 0.5)
-        cutoffs = density._cutoffs
+        rank_thresholds = density._rank_thresholds
         # Rows 0 and 3 alone: with e in {1, 2} the open span starts at top // 2.
         for part in (rows, rows[[0, 3]]):
             calls = []
-            spy = lambda *args: calls.append(args) or cutoffs(*args)  # noqa: E731
+            spy = lambda *args: calls.append(args) or rank_thresholds(*args)  # noqa: E731
             with mock.patch.object(density, "_COUNT_CHUNK", chunk), mock.patch.object(
-                density, "_cutoffs", spy
+                density, "_rank_thresholds", spy
             ):
                 verdicts = level_density_limits(part, 1.0, deferred, weights, cfg)
             for verdict, levels in zip(verdicts, part):
                 want = brute_counts(verdict, deferred, weights, levels, 1.0)
                 assert verdict.count.tolist() == want
             if e_kind == "equal":
-                assert calls == []  # no cutoff search, so no window pass
+                assert calls == []  # no rank search, so no window pass
             else:
                 assert calls
-            # Row 0 holds no open entry when e is 1 or 2, so no cutoff search reads it.
+            # Row 0 holds no open entry when e is 1 or 2, so no rank search reads it.
             if e_kind == "two-valued":
-                assert all(len(levels) == len(part) - 1 for _, levels, _ in calls)
+                assert all(len(levels) == len(part) - 1 for _, _, levels, _ in calls)
 
     @pytest.mark.parametrize("chunk", sorted({1, 5, 2**14, density._COUNT_CHUNK}))
     @pytest.mark.parametrize("mode", list(NormalizerMode))
@@ -1054,7 +1058,7 @@ class TestCountingPaths:
         # g in {0.5, 1, 2}, so n_m = floor(R_m) rises and falls with m.  e takes
         # 5 values, each many times, or past off = 100,000 more than 2^16 distinct
         # ones, which need uint32 ranks.  Open levels 1 / (2 g(n)) and 1 / (4 g(n))
-        # put cutoffs exactly on the e values 2 and 4.
+        # make the e values 2 and 4 the least that hit, exactly on the threshold.
         rng = np.random.default_rng(len(e_kind) + 11 * chunk + len(mode.value))
         off, p_pool = {"repeated": (1000, 1.0), "distinct": (100_000, 0.3)}[e_kind]
         schedule = DeferredSchedule(Affine(1, off), Affine(1, off + 8), "shifted")
@@ -1084,10 +1088,18 @@ class TestCountingPaths:
             rng.uniform(0.25, 1.0, (3, b - a)) / g[a:b],
         )
         rows[0, [a, b - 1]] = 1.0 / (2.0 * g[[a, b - 1]])
-        cut = density._cutoffs(g[a:b], rows[:, a:b], 1.0)
-        assert np.isin(cut, [2.0, 4.0]).any()
-        with mock.patch.object(density, "_COUNT_CHUNK", chunk):
+        rank_thresholds, landed = density._rank_thresholds, set()
+
+        def spy(values, *args):
+            q = rank_thresholds(values, *args)
+            landed.update(values[q[q < len(values)]].tolist())
+            return q
+
+        with mock.patch.object(density, "_COUNT_CHUNK", chunk), mock.patch.object(
+            density, "_rank_thresholds", spy
+        ):
             verdicts = level_density_limits(rows, 1.0, schedule, weights, cfg)
+        assert {2.0, 4.0} <= landed
         for verdict, levels in zip(verdicts, rows):
             assert verdict.count.tolist() == brute_counts(verdict, schedule, weights, levels, 1.0)
 
@@ -1097,6 +1109,19 @@ class TestCountingPaths:
             level_density_limits(np.zeros((2, 3)), 0.5, cesaro, ones, cfg)
         with pytest.raises(ValueError, match="matrix"):
             level_density_limits(np.zeros(100), 0.5, cesaro, ones, cfg)
+
+    @pytest.mark.parametrize("n_extras", [0, 1, 2, 4])
+    def test_extras_must_hold_one_mapping_per_row(self, cesaro, ones, n_extras):
+        # zip would pair one mapping with the first row only and drop the other verdicts.
+        cfg = DensityConfig(horizon=100)
+        rows = np.ones((3, counted_top(cesaro, ones, cfg)))
+        extras = [{"row": i} for i in range(4)]
+        message = f"^extras holds {n_extras} mappings for 3 level rows$"
+        with pytest.raises(ValueError, match=message):
+            level_density_limits(rows, 0.5, cesaro, ones, cfg, extras[:n_extras])
+        verdicts = level_density_limits(rows, 0.5, cesaro, ones, cfg, extras[:3])
+        assert [v.extras["row"] for v in verdicts] == [0, 1, 2]
+        assert len(level_density_limits(rows, 0.5, cesaro, ones, cfg)) == 3
 
     @pytest.mark.parametrize(
         "value, message",
@@ -1217,6 +1242,24 @@ class TestDnStatLimit:
     def test_sequence_result_of_the_wrong_shape_raises(self, cesaro, ones):
         with pytest.raises(ValueError, match=r"^sequence returned shape \(3,\)"):
             dn_stat_limit(lambda n: np.ones(3), 0.0, 0.5, cesaro, ones, DensityConfig(horizon=20))
+
+    @pytest.mark.parametrize("candidate", [math.nan, math.inf, -math.inf])
+    def test_candidate_that_is_not_finite_is_rejected(self, cesaro, ones, candidate):
+        # |x - nan| >= eps never holds, so (-1)^n would read as converging to nan.
+        cfg = DensityConfig(horizon=100)
+        with pytest.raises(ValueError, match=f"^candidate must be finite, got {candidate}$"):
+            dn_stat_limit(lambda n: (-1.0) ** n, candidate, 0.5, cesaro, ones, cfg)
+
+    def test_nan_sequence_value_is_rejected(self, cesaro, ones):
+        def seq(n):
+            return np.where(n >= 7, np.nan, (-1.0) ** n)
+
+        cfg = DensityConfig(horizon=100)
+        with pytest.raises(ValueError, match="^sequence value at n=7 is nan$"):
+            dn_stat_limit(seq, 0.0, 0.5, cesaro, ones, cfg)
+        # An infinite value is a deviation like any other and counts.
+        v = dn_stat_limit(lambda n: np.full(n.shape, np.inf), 0.0, 0.5, cesaro, ones, cfg)
+        assert v.verdict is Verdict.DIVERGES
 
     def test_eps_must_be_positive(self, cesaro, ones):
         with pytest.raises(ValueError, match="eps"):
