@@ -9,14 +9,16 @@ tolerance.  A finite horizon cannot certify a limit, so the verdict can
 also be Inconclusive when the tail oscillates; the trace is always
 returned, as read-only columns, so callers can tighten the run.
 
-Traced runs read m, x_m, y_m, R_m and floor(R_m) from one memoized
-``WindowPlan``, built from one ``bounds_array`` call over the traced
-window indices; ``window_means`` reads R_m at m = 1..horizon from the
-same code.  Every window sum without a closed form, R_m and the mean's
-numerator alike, is the exactly rounded sum of its products, summed in
-int64 limbs and rounded once.  ``_pair_sums`` reads it off prefix sums
+Traced runs read m, x_m, y_m and R_m from one memoized ``WindowPlan``,
+built from one ``bounds_array`` call over the traced window indices;
+``window_means`` reads R_m at m = 1..horizon from the same code.  Every
+window sum without a closed form, R_m and the mean's numerator alike, is
+the exactly rounded sum of its products, summed in int64 limbs and
+rounded once.  ``_pair_sums`` reads it off prefix sums
 when a constant weight side leaves each product depending on one index,
 and otherwise forms the products in chunks of windows (``_window_sums``).
+The weight is 0 past y_m, so window m counts n <= n_m = min(floor(R_m), y_m),
+and level rows reach ``counting_bound``, the largest n_m, below the counting cap.
 Predicates of the separable form  w(m, n) * level(n) >= threshold  go
 through ``level_density_limits``, which counts a matrix of level rows
 (one row: ``level_density_limit``) in one pass, on one counting path for
@@ -65,7 +67,6 @@ __all__ = [
     "WindowPlan",
     "window_plan",
     "counting_bound",
-    "counted_top",
     "window_means",
     "density_limit",
     "level_density_limit",
@@ -74,8 +75,8 @@ __all__ = [
     "trace_csv",
 ]
 
-# Hard cap on floor(R_m); counting ranges beyond this indicate a weight
-# scheme this engine is not meant for.
+# Hard cap on the last index a window counts (n_m; floor(R_m) for a generic
+# predicate); beyond it lies a weight scheme this engine is not meant for.
 _COUNT_CAP = 2_000_000
 
 # Traces longer than this are subsampled outside the tail window.
@@ -107,7 +108,7 @@ def _check_positive_finite(name: str, value: float) -> None:
 
 
 class CountCapError(ValueError):
-    """floor(R_m) exceeds the counting cap; a shorter horizon keeps it below."""
+    """A window's counting range passes the counting cap; a shorter horizon keeps it below."""
 
 
 class Verdict(Enum):
@@ -208,7 +209,7 @@ def _trace_indices(cfg: DensityConfig) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WindowPlan:
-    """The window rows a run evaluates: m, x_m, y_m, R_m and k_m = floor(R_m).
+    """The window rows a run evaluates: m, x_m, y_m and R_m.
 
     A plan holds no weight values: counting fetches its own
     (``_counted_range``).  Plans are shared between callers, so every
@@ -219,11 +220,6 @@ class WindowPlan:
     x: np.ndarray
     y: np.ndarray
     R: np.ndarray
-    k: np.ndarray
-
-    @property
-    def k_max(self) -> int:
-        return int(self.k.max())
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -234,22 +230,26 @@ def window_plan(
 
     R_m comes from ``_normalizers``.  At the first bad m it raises
     WeightError for an R_m that is not finite (a product or the sum
-    overflowed), DegenerateNormalizerError for R_m <= 0, and
-    CountCapError where floor(R_m) exceeds the counting cap.
+    overflowed) and DegenerateNormalizerError for R_m <= 0.
     """
     ms = _trace_indices(cfg)
     x, y, r = _normalizers(schedule, weights, cfg.mode, ms)
-    bad = np.flatnonzero(~(r > 0.0) | (r >= _COUNT_CAP + 1))
+    bad = np.flatnonzero(~((r > 0.0) & (r < math.inf)))
     if bad.size:
-        r0, m0 = float(r[bad[0]]), int(ms[bad[0]])
-        check_normalizer(r0, m0, weights.label)
-        raise CountCapError(
-            f"floor(R_m)={math.floor(r0)} at m={m0} exceeds counting cap {_COUNT_CAP}"
-        )
-    plan = WindowPlan(ms, x, y, r, np.floor(r).astype(np.int64))
-    for arr in (plan.ms, plan.x, plan.y, plan.R, plan.k):
+        check_normalizer(float(r[bad[0]]), int(ms[bad[0]]), weights.label)
+    plan = WindowPlan(ms, x, y, r)
+    for arr in (plan.ms, plan.x, plan.y, plan.R):
         arr.flags.writeable = False
     return plan
+
+
+def _capped(name: str, n: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Counting ranges n, floats, as int64; CountCapError at the first m where n passes the cap."""
+    big = np.flatnonzero(n > _COUNT_CAP)
+    if big.size:
+        i = big[0]
+        raise CountCapError(f"{name}={n[i]:.0f} at m={ms[i]} exceeds counting cap {_COUNT_CAP}")
+    return n.astype(np.int64)
 
 
 def _normalizers(
@@ -515,15 +515,16 @@ def density_limit(
 ) -> ConvergenceVerdict:
     """Density trace of a generic predicate over m = 1..horizon.
 
-    Each traced m with k_m > 0 calls ``pred(m, ns)`` once, on the int64
-    array ns = 1..k_m, for a boolean array of ns's shape or one boolean
-    for all of them (``array_result``).  A predicate failure is raised as
-    RuntimeError naming the index.
+    Each traced m with k_m = floor(R_m) > 0 calls ``pred(m, ns)`` once, on
+    the int64 array ns = 1..k_m, for a boolean array of ns's shape or one
+    boolean for all of them (``array_result``).  A k_m past the counting
+    cap raises CountCapError, a predicate failure RuntimeError naming m.
     """
     plan = window_plan(schedule, weights, cfg)
+    k = _capped("floor(R_m)", np.floor(plan.R), plan.ms)
     counts = np.zeros(len(plan.ms), dtype=np.int64)
-    for i in np.flatnonzero(plan.k).tolist():
-        m, ns = int(plan.ms[i]), np.arange(1, plan.k[i] + 1)
+    for i in np.flatnonzero(k).tolist():
+        m, ns = int(plan.ms[i]), np.arange(1, k[i] + 1)
         try:
             counts[i] = np.count_nonzero(array_result(pred(m, ns), ns.shape, bool, "predicate"))
         except Exception as exc:
@@ -531,24 +532,12 @@ def density_limit(
     return _assemble(plan, counts, counts / plan.R, cfg, {})
 
 
-def counting_bound(
-    schedule: DeferredSchedule,
-    weights: WeightScheme,
-    cfg: DensityConfig,
-) -> int:
-    """Largest floor(R_m) over the window indices a run will evaluate.
-
-    The bound is the engine's per-index work ceiling; counting reads
-    levels only up to ``counted_top``, which never exceeds it.
-    """
-    return window_plan(schedule, weights, cfg).k_max
-
-
-def counted_top(schedule: DeferredSchedule, weights: WeightScheme, cfg: DensityConfig) -> int:
-    """The last index counting reads: max over the run's windows of min(floor(R_m), y_m).
+def counting_bound(schedule: DeferredSchedule, weights: WeightScheme, cfg: DensityConfig) -> int:
+    """The last index counting reads: max over the run's windows of n_m = min(floor(R_m), y_m).
 
     Level rows fed to ``level_density_limits`` must be defined at least this far.  Raises
-    WeightError where the weights end before the counting range.
+    CountCapError where n_m passes the counting cap and WeightError where the weights end
+    before the counting range.
     """
     return int(_counted_range(schedule, weights, cfg)[1][-1])
 
@@ -563,7 +552,7 @@ def level_density_limit(
 ) -> ConvergenceVerdict:
     """Density limit of the separable predicate w(m, n) * level(n) >= threshold.
 
-    ``levels`` is an array read as levels[n-1] for n = 1..``counted_top``.
+    ``levels`` is an array read as levels[n-1] for n = 1..``counting_bound``.
     This is the workhorse behind the sequence and random-variable detectors;
     weights enter as a per-index multiplier, indices with no defined weight
     (beyond y_m) count as weight 0.  It is the one-row case of
@@ -581,7 +570,7 @@ def level_density_limits(
     cfg: DensityConfig,
     extras: Sequence[Mapping[str, object]] | None = None,
 ) -> list[ConvergenceVerdict]:
-    """``level_density_limit`` of every row of a level matrix at least ``counted_top`` wide.
+    """``level_density_limit`` of every row of a level matrix at least ``counting_bound`` wide.
 
     One pass over the windows counts every row, so the same verdicts come
     out as from one call per row.  ``_counted_range`` decides which
@@ -616,15 +605,16 @@ def _counted_range(
 ) -> tuple[WindowPlan, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(plan, steps, at_step, values, ranks, g): window m counts n = 1..n_m, n_m = min(k_m, y_m).
 
-    Indices past y_m weigh 0 and never reach a positive threshold.  n_m is steps[at_step], with
-    ``steps`` the sorted distinct n_m after 0.  Window m reads g(1..n_m) and e(y_m - n):
-    e(0) alone when e is constant, else e up to y_m - 1.  At the first window with n_m > 0
-    whose reads pass the end of a table (``WeightSeq.length``) it raises WeightError; else e
-    and g are fetched up to their largest read, a constant g as g(0) broadcast to that length.
-    e comes as sorted distinct ``values`` and ``ranks`` in them, in a dtype that holds counts.
+    Indices past y_m weigh 0 and never reach a positive threshold.  k_m = floor(R_m) stays a
+    float, so any finite R_m is safe, until n_m passes the counting cap (CountCapError).  n_m is
+    steps[at_step], with ``steps`` the sorted distinct n_m after 0.  Window m reads g(1..n_m)
+    and e(y_m - n): e(0) alone when e is constant, else e up to y_m - 1.  At the first window
+    with n_m > 0 whose reads pass the end of a table (``WeightSeq.length``) it raises
+    WeightError; else e and g are fetched up to their largest read, a constant g as g(0)
+    broadcast to that length.  e comes as sorted distinct ``values`` and ``ranks`` in them.
     """
     plan = window_plan(schedule, weights, cfg)
-    n = np.minimum(plan.k, plan.y)
+    n = _capped("min(floor(R_m), y_m)", np.minimum(np.floor(plan.R), plan.y), plan.ms)
     counted = n > 0
     e_top = np.zeros_like(n) if weights.e.constant is not None else plan.y - 1
     e_len, g_len = (math.inf if s.length is None else s.length for s in (weights.e, weights.g))
@@ -747,14 +737,15 @@ def dn_stat_limit(
 
     Evaluates d_m = (1/R_m) |{n <= floor(R_m) : w(m, n) |seq(n) - candidate| >= eps}|
     along the horizon and applies the tail verdict rule.  ``seq`` maps an
-    int64 array of indices n >= 1 to floats, as in ``window_means``.  A candidate that
-    is not finite and a nan sequence value are ValueErrors: a nan deviation never counts.
+    int64 array of indices n >= 1 to floats, as in ``window_means``, here n = 1..``counting_bound``.
+    A candidate that is not finite and a nan sequence value are ValueErrors: a nan deviation
+    never counts.
     """
     _check_positive_finite("eps", eps)
     cand = float(candidate)
     if not math.isfinite(cand):
         raise ValueError(f"candidate must be finite, got {cand}")
-    ns = np.arange(1, counted_top(schedule, weights, cfg) + 1)
+    ns = np.arange(1, counting_bound(schedule, weights, cfg) + 1)
     values = array_result(seq(ns), ns.shape, np.float64, "sequence")
     nan = np.flatnonzero(np.isnan(values))
     if nan.size:

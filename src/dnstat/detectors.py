@@ -8,14 +8,15 @@ sequence evaluated at the counting index n:
   distribution mode  level(n) = |F_{Y_n}(t) - F_Y(t)|, threshold eps,
                      one level row per evaluation point t
 
-Counting reads level(n) for n up to ``counted_top``, so each level row
-ends there.  Rows are filled from ``RVSequenceModel.law_table`` on one
-chunk of indices at a time: each level is computed once per distinct law
-of a chunk's table (of all chunks' tables, when they share their atoms,
-as a tabulated model's do), as an exactly rounded sum equal to
-``math.fsum`` over the law's atoms (|Y_n - Y|^r by Python's float pow
-unless r = 1), and gathered per n.  The distribution detector counts
-every grid point's row in one window pass (``level_density_limits``).
+Counting reads level(n) for n up to ``counting_bound``, so each level row
+ends there, and the model's limit law is checked there.  Rows are filled
+from ``RVSequenceModel.law_table`` on one chunk of indices at a time:
+each level is computed once per distinct law of a chunk's table (of all
+chunks' tables, when they share their atoms, as a tabulated model's do),
+as an exactly rounded sum equal to ``math.fsum`` over the law's atoms
+(|Y_n - Y|^r by Python's float pow unless r = 1), and gathered per n.
+The distribution detector counts every grid point's row in one window
+pass (``level_density_limits``).
 
 The distribution detector requires evaluation points where the limit
 distribution function is continuous (else GridError); the default grid
@@ -42,7 +43,6 @@ from .density import (
     DensityConfig,
     Verdict,
     _check_positive_finite,
-    counted_top,
     counting_bound,
     level_density_limit,
     level_density_limits,
@@ -218,9 +218,10 @@ def _checked_top(
     weights: WeightScheme,
     cfg: DetectorConfig,
 ) -> int:
-    """The run's ``counted_top``, after checking the model's limit law at k_max against m = 1."""
-    model.check_limit_law(counting_bound(schedule, weights, cfg.density))
-    return counted_top(schedule, weights, cfg.density)
+    """The run's ``counting_bound``, after checking the model's limit law there against m = 1."""
+    top = counting_bound(schedule, weights, cfg.density)
+    model.check_limit_law(top)
+    return top
 
 
 def _level_rows(

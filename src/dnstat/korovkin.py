@@ -67,8 +67,7 @@ from .density import (
     DensityConfig,
     Verdict,
     _check_positive_finite,
-    counted_top,
-    counting_bound,  # noqa: F401  unused; perfbench/tracing.py wraps this binding
+    counting_bound,
     level_density_limit,  # noqa: F401  unused; perfbench/tracing.py wraps this binding
     level_density_limits,
 )
@@ -677,7 +676,7 @@ def korovkin_check(
     """Run the three-condition check and the conclusion check for each f.
 
     Forms s_n = sup over the grid of |M_n(f, y) - f(y)| up to the last
-    index counting reads (``counted_top``) for the test triple and each
+    index counting reads (``counting_bound``) for the test triple and each
     caller function, then applies the statistical limit detector to
     every s sequence.  ``ops`` is a tuple of operator sequences and
     ``mode_tags`` a tuple of one tag each; the check returns one report
@@ -686,7 +685,8 @@ def korovkin_check(
     index when its grid alone has more, are tabulated by every sequence
     in turn with the same functions, so lifted sequences share each
     block's base table.  All stochastic modes agree on deterministic
-    sequences, so a mode tag is provenance only.
+    sequences, so a mode tag is provenance only.  A nan sup deviation, which
+    would never count, is a ValueError naming the function and the first n.
     """
     try:
         if isinstance(mode_tags, str):  # it would zip letter by letter
@@ -702,7 +702,7 @@ def korovkin_check(
         if tag not in ("dnp", "dnm", "dndc"):
             raise ValueError(f"unknown mode tag '{tag}'")
     density_cfg = cfg.density()
-    top = counted_top(schedule, weights, density_cfg)
+    top = counting_bound(schedule, weights, density_cfg)
 
     grid = np.linspace(0.0, 1.0, cfg.grid_points)
     fns = [ONE, IDENTITY, SQUARE] + [as_sampled(f) for f in f_list]
@@ -717,6 +717,10 @@ def korovkin_check(
 
     reports = []
     for (seq, tag), dev in zip(runs, sup_dev):
+        nan = np.argwhere(np.isnan(dev.T))
+        if len(nan):
+            n, j = nan[0].tolist()
+            raise ValueError(f"{seq.label}: sup deviation of '{fns[j].label}' at n={n + 1} is nan")
         # One counting pass over the 3 + F rows: every row has the threshold cfg.eps.
         extras = [{"levels": row, "function": fn.label} for row, fn in zip(dev, fns)]
         verdicts = level_density_limits(dev, cfg.eps, schedule, weights, density_cfg, extras)

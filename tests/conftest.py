@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dnstat.density import window_plan
 from dnstat.schedules import (
     Affine,
     DeferredSchedule,
@@ -158,6 +159,15 @@ def brute_stat_count(seq, candidate, eps, schedule, weights, m, mode=NormalizerM
         for n in range(1, k + 1)
         if brute_weight(schedule, weights, m, n) * abs(float(seq(n)) - candidate) >= eps
     )
+
+
+def floor_r(schedule: DeferredSchedule, weights: WeightScheme, cfg) -> np.ndarray:
+    """floor(R_m) at a run's traced windows, from its window plan's R_m, as int64.
+
+    The generic predicate path counts n up to floor(R_m); level counting reads
+    only n <= min(floor(R_m), y_m), so rows this wide hold every level it reads.
+    """
+    return np.floor(window_plan(schedule, weights, cfg).R).astype(np.int64)
 
 
 def reference_bounds(schedule: DeferredSchedule, ms) -> list[tuple[int, int]]:

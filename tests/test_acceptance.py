@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from dnstat.density import DensityConfig, Verdict, counting_bound, window_means
+from dnstat.density import DensityConfig, Verdict, window_means
 from dnstat.detectors import (
     DetectorConfig,
     markov_bound_check,
@@ -50,7 +50,7 @@ from dnstat.schedules import (
     WeightScheme,
 )
 
-from conftest import one_window
+from conftest import floor_r, one_window
 
 HORIZON = 10_000
 
@@ -75,7 +75,7 @@ def test_criterion_1_example1_reproduction():
     v_mean = st_dnm(bundle.model, bundle.schedule, bundle.weights, cfg)
     assert v_mean.verdict is Verdict.DIVERGES
     # The raw moment sequence the detector thresholds, up to its k_max.
-    k_max = counting_bound(bundle.schedule, bundle.weights, cfg.density)
+    k_max = int(floor_r(bundle.schedule, bundle.weights, cfg.density).max())
     moments = bundle.model.laws(k_max).moment(1.0)
     assert moments[10_000 - 1] == 100.0
     assert moments[len(moments) - 1] > 100.0  # still growing at the trace end

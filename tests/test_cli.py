@@ -242,12 +242,12 @@ class TestDetect:
         assert "overflows int64" in err
 
     def test_counting_cap_exits_2(self, capsys):
-        # floor(R_m) = 2m on example1's windows passes the cap at m = 1,000,001.
+        # n_m = min(floor(R_m), y_m) = 2m on example1's windows passes the cap at m = 1,000,001.
         status = main(["detect", "--model", "example1", "--mode", "dnp", "--horizon", "1000001"])
         out, err = capsys.readouterr()
         assert status == 2, err
         assert err == (
-            "config error: floor(R_m)=2000002 at m=1000001 exceeds counting cap 2000000;"
+            "config error: min(floor(R_m), y_m)=2000002 at m=1000001 exceeds counting cap 2000000;"
             " use a smaller --horizon\n"
         )
         assert out == ""
@@ -301,12 +301,12 @@ class TestKorovkin:
         assert "--grid-size" in proc.stderr
 
     def test_counting_cap_exits_2(self, capsys):
-        # floor(R_m) = 3m on the stretch windows passes the cap at m = 666,667.
+        # n_m = min(floor(R_m), y_m) = 3m on the stretch windows passes the cap at m = 666,667.
         status = main(["korovkin", "--horizon", "700000", "--grid-size", "3"])
         out, err = capsys.readouterr()
         assert status == 2, err
         assert err == (
-            "config error: floor(R_m)=2000001 at m=666667 exceeds counting cap 2000000;"
+            "config error: min(floor(R_m), y_m)=2000001 at m=666667 exceeds counting cap 2000000;"
             " use a smaller --horizon\n"
         )
         assert out == ""

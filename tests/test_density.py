@@ -16,7 +16,6 @@ from dnstat.density import (
     ConvergenceVerdict,
     DensityConfig,
     Verdict,
-    counted_top,
     counting_bound,
     density_limit,
     dn_stat_limit,
@@ -49,6 +48,7 @@ from conftest import (
     brute_normalizer,
     brute_stat_count,
     brute_weight,
+    floor_r,
     fsum_normalizer,
     fsum_window_mean,
     is_square,
@@ -232,9 +232,9 @@ class TestLevelEngine:
         # e = 3 lifts floor(R_m) past y_m: counting reads n <= top < k_max.
         e, g = (WeightSeq(lambda n, c=c: c, "c", constant=c) for c in (3.0, 1.25))
         weights, cfg = WeightScheme(e, g, "c"), DensityConfig(horizon=300)
-        top, k_max = counted_top(deferred, weights, cfg), counting_bound(deferred, weights, cfg)
-        plan = window_plan(deferred, weights, cfg)
-        assert top == int(np.minimum(plan.k, plan.y).max()) < k_max
+        top, k = counting_bound(deferred, weights, cfg), floor_r(deferred, weights, cfg)
+        plan, k_max = window_plan(deferred, weights, cfg), int(k.max())
+        assert top == int(np.minimum(k, plan.y).max()) < k_max
         levels = np.cos(np.arange(k_max))
         with pytest.raises(ValueError, match=f"need top = {top} entries, got {top - 1}"):
             level_density_limit(levels[: top - 1], 0.5, deferred, weights, cfg)
@@ -374,27 +374,45 @@ class TestWindowPlan:
         expected = [fsum_normalizer(schedule, weights, m, cfg.mode) for m in ms]
         # A window of zero weights is degenerate, which other tests cover.
         assume(min(expected) > 0.0)
-        # near-overflow weights put R_m past the counting cap or the float range.
-        big = [m for m, r in zip(ms, expected) if not r < 2_000_001]
-        if big:
-            error = WeightError if math.isinf(expected[big[0] - 1]) else density.CountCapError
-            with pytest.raises(error, match=f"at m={big[0]}[: ]"):
+        # near-overflow weights put R_m past the float range, or floor(R_m) past the counting cap.
+        inf = [m for m, r in zip(ms, expected) if math.isinf(r)]
+        if inf:
+            with pytest.raises(WeightError, match=f"at m={inf[0]}: "):
                 window_plan(schedule, weights, cfg)
             return
         plan = window_plan(schedule, weights, cfg)
         assert plan.ms.tolist() == list(range(1, cfg.horizon + 1))
         assert [r.hex() for r in plan.R.tolist()] == [r.hex() for r in expected]
-        assert np.array_equal(plan.k, np.floor(plan.R))
         for m, r in zip(plan.ms.tolist(), plan.R.tolist()):
             assert r == pytest.approx(brute_normalizer(schedule, weights, m, cfg.mode), rel=1e-13)
-        levels = rng.uniform(0.0, 2.0, plan.k_max)
+        k = [math.floor(r) for r in expected]
+        top = counting_bound(schedule, weights, cfg)
+        assert top == max(min(kv, schedule.y(m)) for m, kv in zip(ms, k))
+        levels = rng.uniform(0.0, 2.0, top)
+        level_list = levels.tolist()  # Python floats: a product past the float range is inf
         v = level_density_limit(levels, 1.0, schedule, weights, cfg)
         assert np.array_equal(v.ms, density._trace_indices(cfg))
         assert v.R is plan.R
 
         def hit(m, n):
-            return brute_weight(schedule, weights, m, n) * levels[n - 1] >= 1.0
+            # Past top, n passes y_m in every window that counts it, where w(m, n) = 0.
+            return n <= top and brute_weight(schedule, weights, m, n) * level_list[n - 1] >= 1.0
 
+        big = [m for m, kv in zip(ms, k) if kv > 2_000_000]
+        if big:
+            # Only the generic predicate reads n up to floor(R_m), so only it meets the cap;
+            # level counting reads n <= y_m, where the weight is 0 past y_m.
+            with pytest.raises(
+                density.CountCapError,
+                match=rf"^floor\(R_m\)={k[big[0] - 1]} at m={big[0]} exceeds counting cap 2000000$",
+            ):
+                density_limit(squares_pred, schedule, weights, cfg)
+            brute = [
+                sum(hit(m, n) for n in range(1, min(k[m - 1], schedule.y(m)) + 1))
+                for m in v.ms.tolist()
+            ]
+            assert v.count.tolist() == brute
+            return
         brute = [brute_density_count(hit, schedule, weights, m, cfg.mode)[0] for m in v.ms.tolist()]
         assert v.count.tolist() == brute
         assert [d.hex() for d in v.density.tolist()] == [
@@ -412,7 +430,7 @@ class TestWindowPlan:
     )
     @settings(max_examples=150, deadline=None)
     def test_window_sums_equal_convolution_on_both_branches(self, kind, preset, mode, seed):
-        # R_m past the counting cap never reaches a plan, so the sums are
+        # R_m past the float range never reaches a plan, so the sums are
         # checked directly, over a range of weights no plan would accept,
         # against the fsum oracle and against ``_exact_sums`` of the products.
         schedule = schedule_preset(preset)
@@ -559,7 +577,7 @@ class TestWindowPlan:
         # The widest windows are 100 (example) and 50 (cesaro) indices
         # wide; regular sums read e below the width, counting below y_m.
         short = WeightScheme(tabulated([1.5] * 100, "short-e"), ones.g, label="short")
-        assert counting_bound(deferred, short, cfg) == 150
+        assert floor_r(deferred, short, cfg).max() == 150
         v = density_limit(squares_pred, deferred, short, cfg)
         assert v.R[-1] == fsum_normalizer(deferred, short, 50)
         with pytest.raises(WeightError, match="counting range at m="):
@@ -573,19 +591,55 @@ class TestWindowPlan:
         bundle = model_preset("example2")
         cfg = DetectorConfig(density=DensityConfig(horizon=200))
         window_plan.cache_clear()
+        density._counted_range.cache_clear()
         v = st_dndc(bundle.model, bundle.schedule, bundle.weights, cfg)
-        info = window_plan.cache_info()
-        assert info.misses == 1
-        # One lookup for the run's k_max, then one for counting the whole grid.
         assert len(v.extras["grid"]) == 3
-        assert info.hits == 1
+        # One plan, read once, into one counted range: built for the run's bound, then
+        # looked up for counting the whole grid.
+        assert window_plan.cache_info()[:2] == (0, 1)
+        assert density._counted_range.cache_info()[:2] == (1, 1)
+
+    def test_identity_weights_count_past_the_cap_on_floor_r(self, deferred):
+        # floor(R_m) = 2m(2m - 1) / 2 passes the cap at m = 1001, where level counting reads
+        # n <= y_m = 4m - 1 only; the generic predicate reads n <= floor(R_m) and meets the cap.
+        weights, cfg = weight_preset("identity"), DensityConfig(horizon=1001)
+        message = "^floor\\(R_m\\)=2003001 at m=1001 exceeds counting cap 2000000$"
+        with pytest.raises(density.CountCapError, match=message):
+            density_limit(squares_pred, deferred, weights, cfg)
+        top = counting_bound(deferred, weights, cfg)
+        assert top == deferred.y(1001) == 4003
+        levels = 1.0 / np.sqrt(np.arange(1, top + 1))
+        v = level_density_limit(levels, 0.5, deferred, weights, cfg)
+        assert v.ms[-1] == 1001 and v.verdict is Verdict.CONVERGES
+        for i in (0, 1, len(v.ms) // 2, len(v.ms) - 1):
+            m = int(v.ms[i])
+            n_m = min(math.floor(v.R[i]), deferred.y(m))
+            brute = sum(
+                1 for n in range(1, n_m + 1)
+                if brute_weight(deferred, weights, m, n) * levels[n - 1] >= 0.5
+            )
+            assert v.count[i] == brute
+
+    @pytest.mark.parametrize("y", [2_000_000, 2_000_001])
+    def test_the_cap_bounds_the_last_counted_index(self, ones, y):
+        # Every window is 0 < n <= y with unit weights, so n_m = floor(R_m) = y_m = y.
+        schedule = DeferredSchedule(Affine(0, 0), Affine(0, y), "flat")
+        cfg = DensityConfig(horizon=10)
+        if y > 2_000_000:
+            message = f"^min\\(floor\\(R_m\\), y_m\\)={y} at m=1 exceeds counting cap 2000000$"
+            with pytest.raises(density.CountCapError, match=message):
+                counting_bound(schedule, ones, cfg)
+            return
+        assert counting_bound(schedule, ones, cfg) == y
+        v = level_density_limit(np.ones(y), 1.0, schedule, ones, cfg)
+        assert v.count.tolist() == [y] * 10
 
     def test_arrays_are_read_only(self, deferred):
         weights, cfg = weight_preset("identity"), DensityConfig(horizon=20)
         plan = window_plan(deferred, weights, cfg)
-        arrays = [plan.ms, plan.x, plan.y, plan.R, plan.k]
+        arrays = [plan.ms, plan.x, plan.y, plan.R]
         # Verdict columns, from the generic and the level path.
-        rows = np.ones((2, plan.k_max))
+        rows = np.ones((2, counting_bound(deferred, weights, cfg)))
         for v in [density_limit(squares_pred, deferred, weights, cfg)] + level_density_limits(
             rows, 1.0, deferred, weights, cfg
         ):
@@ -600,10 +654,10 @@ class TestWindowPlan:
         # e0 = 3 lifts floor(R_m) past y_m, where counting clips at y_m.
         e, g = (WeightSeq(lambda n, c=c: c, "c", constant=c) for c in (e0, 1.25))
         weights, cfg = WeightScheme(e, g, "c"), DensityConfig(horizon=300, mode=mode)
-        plan = window_plan(deferred, weights, cfg)
-        v = level_density_limit(np.ones(plan.k_max), 0.5, deferred, weights, cfg)
-        assert np.array_equal(v.count, np.minimum(plan.k, plan.y))
-        assert (e0 == 3.0) == bool((plan.k > plan.y).any())
+        plan, k = window_plan(deferred, weights, cfg), floor_r(deferred, weights, cfg)
+        v = level_density_limit(np.ones(k.max()), 0.5, deferred, weights, cfg)
+        assert np.array_equal(v.count, np.minimum(k, plan.y))
+        assert (e0 == 3.0) == bool((k > plan.y).any())
 
         def hit(m, n):
             return brute_weight(deferred, weights, m, n) >= 0.5
@@ -681,11 +735,7 @@ class TestWindowMeans:
         assert [(a.hex(), b.hex()) for a, b in zip(r.tolist(), t.tolist())] == [
             (a.hex(), b.hex()) for a, b in want
         ]
-        try:
-            plan = window_plan(schedule, weights, DensityConfig(horizon=horizon, mode=mode))
-        except density.CountCapError:
-            assert r.max() >= 2_000_001
-            return
+        plan = window_plan(schedule, weights, DensityConfig(horizon=horizon, mode=mode))
         assert [v.hex() for v in r[plan.ms - 1].tolist()] == [v.hex() for v in plan.R.tolist()]
 
     @given(
@@ -849,7 +899,7 @@ def varying_e_inputs(draw):
     weights = WeightScheme(tabulated(table(top + 1), "e"), tabulated(table(top + 1), "g"), "var")
     cfg = DensityConfig(horizon=horizon, tail_fraction=0.5, tolerance=0.1, mode=mode)
     try:
-        k_max = counting_bound(schedule, weights, cfg)
+        k_max = int(floor_r(schedule, weights, cfg).max())
     except DegenerateNormalizerError:
         assume(False)
     shape = (draw(st.integers(1, 3)), k_max)
@@ -884,7 +934,7 @@ class TestCountingPaths:
     @settings(max_examples=80, deadline=None)
     def test_both_paths_give_the_brute_counts(self, inputs, threshold):
         schedule, const_e, table_e, cfg, rng = inputs
-        k_max = counting_bound(schedule, const_e, cfg)
+        k_max = int(floor_r(schedule, const_e, cfg).max())
         # Levels on a coarse dyadic grid make exact ties with the threshold.
         levels = np.where(
             rng.random(k_max) < 0.5,
@@ -927,7 +977,7 @@ class TestCountingPaths:
         g = tabulated([0.3, 0.1, 1.3, 0.9, 1.7] * 12, "g")
         weights = WeightScheme(e, g, label="ties")
         cfg = DensityConfig(horizon=10, tail_fraction=1.0)
-        k = counting_bound(schedule, weights, cfg)
+        k = int(floor_r(schedule, weights, cfg).max())
         threshold = 0.3
         w = np.array([brute_weight(schedule, weights, 10, n) for n in range(1, k + 1)])
         least = threshold / w
@@ -980,7 +1030,7 @@ class TestCountingPaths:
     @settings(max_examples=60, deadline=None)
     def test_one_pass_over_many_rows_matches_one_call_per_row(self, inputs, threshold, n_rows):
         schedule, const_e, table_e, cfg, rng = inputs
-        k_max = counting_bound(schedule, const_e, cfg)
+        k_max = int(floor_r(schedule, const_e, cfg).max())
         # Levels on a coarse dyadic grid make exact ties with the threshold.
         rows = np.where(
             rng.random((n_rows, k_max)) < 0.5,
@@ -1021,15 +1071,15 @@ class TestCountingPaths:
             ),
         }[e_kind]
         weights = WeightScheme(tabulated(e, "e"), tabulated([1.0] * size, "g"), label=e_kind)
-        plan = window_plan(deferred, weights, cfg)
-        top = int(np.minimum(plan.k, plan.y).max())
-        decided = rng.choice([0.0, 0.25, 0.4, 1.0, 3.0, -1.0, math.nan, math.inf], (5, plan.k_max))
+        plan, k = window_plan(deferred, weights, cfg), floor_r(deferred, weights, cfg)
+        top, k_max = int(np.minimum(k, plan.y).max()), int(k.max())
+        decided = rng.choice([0.0, 0.25, 0.4, 1.0, 3.0, -1.0, math.nan, math.inf], (5, k_max))
         rows = decided.copy()
         rows[1, 0] = 0.75  # the open span starts at column 0
         rows[2, top - 1] = 0.75  # and ends at top
         # Open from the middle on: windows with n_m <= top // 2 read no open column.
-        rows[3, top // 2 :] = rng.choice([0.5, 0.75, 0.99], plan.k_max - top // 2)
-        rows[4] = np.where(rng.random(plan.k_max) < 0.5, rng.uniform(0.0, 2.0, plan.k_max), 0.5)
+        rows[3, top // 2 :] = rng.choice([0.5, 0.75, 0.99], k_max - top // 2)
+        rows[4] = np.where(rng.random(k_max) < 0.5, rng.uniform(0.0, 2.0, k_max), 0.5)
         rank_thresholds = density._rank_thresholds
         # Rows 0 and 3 alone: with e in {1, 2} the open span starts at top // 2.
         for part in (rows, rows[[0, 3]]):
@@ -1075,13 +1125,14 @@ class TestCountingPaths:
         plan = window_plan(schedule, weights, cfg)
         ranks = density._counted_range(schedule, weights, cfg)[4]
         assert ranks.dtype == (np.uint32 if e_kind == "distinct" else np.uint16)
-        n = np.minimum(plan.k, plan.y)
+        k = floor_r(schedule, weights, cfg)
+        n = np.minimum(k, plan.y)
         assert np.any(np.diff(n) < 0) and np.any(np.diff(n) > 0)
         # Open columns [a, b): the window of least n_m reads one, some read all.
         a, b = int(n.min()) - 1, int(n.max()) - 2
         assert {1, b - a} <= set(np.clip(n - a, 0, b - a).tolist())
-        g = g_table[1 : plan.k_max + 1]
-        rows = rng.choice([0.0, -1.0, math.nan, 100.0], (3, plan.k_max))
+        g = g_table[1 : k.max() + 1]
+        rows = rng.choice([0.0, -1.0, math.nan, 100.0], (3, k.max()))
         rows[:, a:b] = np.where(
             rng.random((3, b - a)) < 0.5,
             1.0 / (g[a:b] * rng.choice([2.0, 4.0], (3, b - a))),
@@ -1114,7 +1165,7 @@ class TestCountingPaths:
     def test_extras_must_hold_one_mapping_per_row(self, cesaro, ones, n_extras):
         # zip would pair one mapping with the first row only and drop the other verdicts.
         cfg = DensityConfig(horizon=100)
-        rows = np.ones((3, counted_top(cesaro, ones, cfg)))
+        rows = np.ones((3, counting_bound(cesaro, ones, cfg)))
         extras = [{"row": i} for i in range(4)]
         message = f"^extras holds {n_extras} mappings for 3 level rows$"
         with pytest.raises(ValueError, match=message):
@@ -1224,7 +1275,8 @@ class TestDnStatLimit:
         # Identity weights make k_max = max floor(R_m) = 1,124,250 at horizon 500, where
         # counting reads n <= top = max min(k_m, y_m) = 2,000.
         weights, cfg = weight_preset("identity"), DensityConfig(horizon=500)
-        top, k_max = counted_top(stretch, weights, cfg), counting_bound(stretch, weights, cfg)
+        top = counting_bound(stretch, weights, cfg)
+        k_max = int(floor_r(stretch, weights, cfg).max())
         assert (top, k_max) == (2000, 1_124_250)
         seen = []
 

@@ -14,7 +14,6 @@ from dnstat.config import parse_weights
 from dnstat.density import (
     DensityConfig,
     Verdict,
-    counted_top,
     counting_bound,
     level_density_limit,
 )
@@ -49,7 +48,7 @@ from dnstat.schedules import (
     weight_preset,
 )
 
-from conftest import brute_cdf, same_columns
+from conftest import brute_cdf, floor_r, same_columns
 
 
 def cfg_at(horizon: int, **kw) -> DetectorConfig:
@@ -86,7 +85,7 @@ class TestMeanDetector:
         v = run_bundle("example1", st_dnm, cfg)
         assert v.verdict is Verdict.DIVERGES
         bundle = model_preset("example1")
-        k_max = counting_bound(bundle.schedule, bundle.weights, cfg.density)
+        k_max = int(floor_r(bundle.schedule, bundle.weights, cfg.density).max())
         levels = bundle.model.laws(k_max).moment(1.0)
         # the raw moment sequence the detector thresholds: E|Y_n - Y| = sqrt(n)
         assert levels[3] == 2.0
@@ -176,7 +175,7 @@ class TestDistributionDetector:
 def assert_points_count_brute_gap_rows(model, schedule, weights, cfg):
     """Each dndc point's verdict equals a one-row count of its plain-loop gap row."""
     v = st_dndc(model, schedule, weights, cfg)
-    k_max = counting_bound(schedule, weights, cfg.density)
+    k_max = int(floor_r(schedule, weights, cfg.density).max())
     atoms = [model.atoms(n) for n in range(1, k_max + 1)]
     for t, point in v.extras["points"].items():
         limit = math.fsum(p for y, p in model.limit_atoms() if y <= t)
@@ -267,8 +266,8 @@ class TestLevelRows:
             return base.law_table(ns)
 
         schedule, weights, cfg = schedule_preset("example"), clipped_weights(), cfg_at(60)
-        k_max = counting_bound(schedule, weights, cfg.density)
-        top = counted_top(schedule, weights, cfg.density)
+        k_max = int(floor_r(schedule, weights, cfg.density).max())
+        top = counting_bound(schedule, weights, cfg.density)
         assert top < k_max and top % 6 > 1
         monkeypatch.setattr(detectors, "_LEVEL_CHUNK", 6)
         v = detector(RVSequenceModel(law_table, "recorded"), schedule, weights, cfg)
@@ -276,8 +275,8 @@ class TestLevelRows:
         chunks = [ns for ns in calls if len(ns) > 1]
         assert [n for ns in chunks for n in ns] == list(range(1, top + 1))
         assert max(map(len, chunks)) == 6
-        # The other lookups are the limit law's, at m = 1 and at k_max.
-        assert {n for ns in calls if len(ns) == 1 for n in ns} <= {1, k_max}
+        # The other lookups are the limit law's, at m = 1 and at top, the last law a row reads.
+        assert {n for ns in calls if len(ns) == 1 for n in ns} == {1, top}
 
     @pytest.mark.parametrize("detector", [st_dnp, st_dnm, st_dndc])
     def test_tabulated_laws_are_levelled_once_per_call(self, monkeypatch, detector):
@@ -290,7 +289,7 @@ class TestLevelRows:
         monkeypatch.setattr(LawTable, "_levels", recorded)
         monkeypatch.setattr(detectors, "_LEVEL_CHUNK", 7)
         schedule, weights, cfg = schedule_preset("example"), weight_preset("ones"), cfg_at(20)
-        chunks = -(-counted_top(schedule, weights, cfg.density) // 7)
+        chunks = -(-counting_bound(schedule, weights, cfg.density) // 7)
         for name in ("tabulated", "example1"):
             model = level_model(name)
             rows = len(default_grid(model)) if detector is st_dndc else 1
@@ -304,11 +303,23 @@ class TestLevelRows:
 class TestLimitLawCheck:
     @pytest.mark.parametrize("detector", [st_dnp, st_dnm, st_dndc])
     def test_limit_marginal_that_depends_on_m_is_rejected(self, detector):
-        # Y = m: the limit law at k_max = 200 is not the one at m = 1.
+        # Y = m: the limit law at top = 200 is not the one at m = 1.
         model = support_model(lambda m: [(m, m, 1.0)], "y=m")
         cesaro, ones = schedule_preset("cesaro"), weight_preset("ones")
         with pytest.raises(ModelError, match=r"m=200 .*m=1"):
             detector(model, cesaro, ones, cfg_at(200))
+
+    @pytest.mark.parametrize("detector", [st_dnp, st_dnm, st_dndc])
+    def test_the_law_is_checked_at_top_the_last_law_a_row_reads(self, detector):
+        # Y moves from 0 to 1 past top: no count reads those laws, so the run goes ahead.
+        schedule, weights, cfg = schedule_preset("example"), clipped_weights(), cfg_at(60)
+        top = counting_bound(schedule, weights, cfg.density)
+        assert top < floor_r(schedule, weights, cfg.density).max()
+        moved = support_model(lambda m: [(0.0, float(m > top), 1.0)], "moves past top")
+        v = detector(moved, schedule, weights, cfg)
+        assert same_columns(v, detector(model_preset("degenerate:0").model, schedule, weights, cfg))
+        with pytest.raises(ModelError, match=f"m={top + 1} .*m=1"):
+            moved.check_limit_law(top + 1)
 
 
 class TestMarkovBound:

@@ -41,7 +41,7 @@ from dnstat.korovkin import (
 from dnstat.rvmodel import model_preset
 from dnstat.schedules import schedule_preset, weight_preset
 
-from conftest import same_columns
+from conftest import floor_r, same_columns
 
 
 def rational_series(f_exact, m: int, y: Fraction, terms: int) -> float:
@@ -565,7 +565,8 @@ class TestConditionChecker:
         tags = ("dnp", "dnm", "dndc")
         reports = korovkin_check(ops, tags, [CUBE, EXP], schedule, weights, cfg)
         # Oracle: rows sized by k_max give the same reports and the same rows up to top.
-        monkeypatch.setattr(korovkin, "counted_top", korovkin.counting_bound)
+        k_max = int(floor_r(schedule, weights, cfg.density()).max())
+        monkeypatch.setattr(korovkin, "counting_bound", lambda *args: k_max)
         wide = korovkin_check(ops, tags, [CUBE, EXP], schedule, weights, cfg)
         for report, full in zip(reports, wide):
             assert report.to_json_dict() == full.to_json_dict()
@@ -643,6 +644,19 @@ class TestConditionChecker:
             korovkin_check(
                 (lifted_operator(Perturbation.NONE, 1e-8),), ("dnq",), [CUBE],
                 schedule_preset("cesaro"), weight_preset("ones"), cfg,
+            )
+
+    def test_a_nan_sup_deviation_names_the_function_and_the_first_n(self):
+        # nan exactly at y = 1/3, the node t/(t+n) at t = n/2 of every even n, and on neither
+        # the 1025-point sup grid nor the 9-point check grid.  A nan level never counts, so
+        # the check would read Converges on the 60 rows it leaves out of 120.
+        step = SampledFunction(lambda y: np.where(y == 1.0 / 3.0, np.nan, (y >= 0.5) * 1.0), "step")
+        cfg = KorovkinConfig(horizon=40, grid_points=9)
+        ops = tuple(lifted_operator(p, 1e-8) for p in (Perturbation.NONE, Perturbation.NULL_SET))
+        with pytest.raises(ValueError, match=r"^mkz: sup deviation of 'step' at n=2 is nan$"):
+            korovkin_check(
+                ops, ("dnp", "dnm"), [CUBE, step],
+                schedule_preset("stretch"), weight_preset("ones"), cfg,
             )
 
     def test_conclusion_list_must_be_nonempty(self):
