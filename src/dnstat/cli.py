@@ -6,11 +6,12 @@ file is self-describing.  Verdicts are data and never drive a nonzero
 exit status; exit 2 means the configuration was rejected, exit 1 means
 a computation failed.
 
-``mean``, ``detect`` and ``korovkin`` return one record: the echo, the
-JSON body or the lines of the one format asked for, and each trace
-file's text.  ``main`` writes it, trace files first, so a failed run
-writes nothing; an error that a smaller flag value avoids exits 2 with
-the command's hint (``_COMMANDS``).  ``repro`` writes its own report.
+Every command returns one record: the echo, the JSON body or the lines
+of the one format asked for, each trace or ``--out`` file's text, and
+the exit status (1 only for a ``repro`` snapshot that is missing or does
+not match).  ``main`` writes it, files first, so a failed run writes
+nothing to stdout; an error that a smaller flag value avoids exits 2
+with the command's hint (``_COMMANDS``).
 
 CSV outputs use the columns documented per subcommand in --help.  A
 JSON document passed via --config supplies defaults for the same
@@ -209,16 +210,23 @@ def _check_file_value(action: argparse.Action, key: str, value: object) -> objec
 
 @dataclass(frozen=True)
 class _Record:
-    """A command's output: echo, JSON key and body or the text lines, trace texts by path."""
+    """A command's output: echo, JSON body or text lines, file texts by path, exit status."""
 
     echo: dict[str, object]
     body: tuple[str, object] | None = None
     lines: list[str] = field(default_factory=list)
     traces: dict[Path, str] = field(default_factory=dict)
+    status: int = 0
+
+
+def _text(echo: dict[str, object], lines: list[str]) -> str:
+    """The ``# dnstat`` and ``# config`` header lines, then the lines."""
+    rendered = " ".join(f"{k}={v}" for k, v in echo.items())
+    return "\n".join([f"# dnstat {__version__}", f"# config {rendered}", *lines]) + "\n"
 
 
 def _write(record: _Record) -> None:
-    """The trace files, then the JSON document or the echo and the lines."""
+    """The trace and ``--out`` files, then the JSON document or the header and the lines."""
     for path, text in record.traces.items():
         path.write_text(text)
     if record.body is not None:
@@ -226,9 +234,7 @@ def _write(record: _Record) -> None:
         payload = {"version": __version__, "config": record.echo, key: value}
         print(json.dumps(payload, sort_keys=True))
     else:
-        rendered = " ".join(f"{k}={v}" for k, v in record.echo.items())
-        head = [f"# dnstat {__version__}", f"# config {rendered}"]
-        sys.stdout.write("\n".join([*head, *record.lines]) + "\n")
+        sys.stdout.write(_text(record.echo, record.lines))
 
 
 def _parse_seq(spec: str):
@@ -377,14 +383,8 @@ def cmd_korovkin(args: argparse.Namespace) -> _Record:
 
 
 def _repro_report(seed: int) -> list[str]:
-    lines = [f"# dnstat {__version__}"]
-    lines.append(
-        f"# config command=repro seed={seed} horizon=10000 operator_horizon=200 "
-        f"normalizer_mode=regular"
-    )
-
     bundle1 = model_preset("example1")
-    lines.append("== sequence model example1 (deferred window, unit weights) ==")
+    lines = ["== sequence model example1 (deferred window, unit weights) =="]
     lines.append(f"exceedance_prob(m=16, eps=0.5) = {exceedance_prob(bundle1.model, 16, 0.5)!r}")
     lines.append(f"abs_moment(m=100, r=1) = {abs_moment(bundle1.model, 100, 1.0)!r}")
     lines.append(f"abs_moment(m=10000, r=1) = {abs_moment(bundle1.model, 10_000, 1.0)!r}")
@@ -419,64 +419,49 @@ def _repro_report(seed: int) -> list[str]:
         f"second-moment audit (m=50, y=0.5): series={audit.series_value!r} "
         f"quoted={audit.quoted_value!r} difference={audit.difference!r}"
     )
-    note = audit.note()
-    if note:
+    if note := audit.note():
         lines.append(note)
 
-    schedule = parse_schedule("stretch")
-    weights = parse_weights("ones")
     # One check for both lifts, so that each block's base table is computed once.
     report, report_cdf = korovkin_check(
-        (
-            lifted_operator(Perturbation.NULL_SET, 1e-8),
-            lifted_operator(Perturbation.CDF_FACTOR, 1e-8),
-        ),
+        tuple(lifted_operator(p, 1e-8) for p in (Perturbation.NULL_SET, Perturbation.CDF_FACTOR)),
         ("dnp", "dndc"),
         [function_preset("y^3"), function_preset("e^y"), function_preset("|y-1/2|")],
-        schedule,
-        weights,
+        parse_schedule("stretch"),
+        parse_weights("ones"),
         KorovkinConfig(),
     )
     for role, verdicts in (("condition", report.conditions), ("conclusion", report.conclusions)):
         for label, v in verdicts.items():
             lines.append(f"nullset {role} {label}: {v.verdict.value} tail_max={v.tail_max!r}")
     v_one = report_cdf.conditions["1"]
-    lines.append(
-        f"cdffactor condition 1: {v_one.verdict.value} tail_max={v_one.tail_max!r}"
-    )
-    for note in report_cdf.notes:
-        lines.append(f"note: {note}")
+    lines.append(f"cdffactor condition 1: {v_one.verdict.value} tail_max={v_one.tail_max!r}")
+    lines += [f"note: {note}" for note in report_cdf.notes]
 
     lines.append("== seeded sampling check ==")
-    batch = sample(bundle1.model, 16, 1_000_000, seed)
-    est = batch.exceedance_prob(0.5)
+    est = sample(bundle1.model, 16, 1_000_000, seed).exceedance_prob(0.5)
     lines.append(
         f"example1 m=16 exceedance estimate={est.estimate!r} stderr={est.stderr!r} (exact 0.25)"
     )
     return lines
 
 
-def cmd_repro(args: argparse.Namespace) -> int:
+def cmd_repro(args: argparse.Namespace) -> _Record:
+    echo = dict(command="repro", seed=args.seed, horizon=10_000, operator_horizon=200,
+                normalizer_mode="regular")
     lines = _repro_report(args.seed)
-    body = "\n".join(lines) + "\n"
-    status = "snapshot: skipped"
-    failed = False
-    if not args.skip_diff:
-        expected_path = Path(__file__).parent / "data" / "repro_expected.txt"
-        expected = expected_path.read_text() if expected_path.exists() else None
-        if expected is None:
-            status = "snapshot: missing expected file"
-            failed = True
-        elif expected == body:
-            status = "snapshot: match"
-        else:
-            status = "snapshot: MISMATCH against committed expected output"
-            failed = True
-    output = body + status + "\n"
-    sys.stdout.write(output)
-    if args.out is not None:
-        Path(args.out).write_text(output)
-    return 1 if failed else 0
+    expected = Path(__file__).parent / "data" / "repro_expected.txt"
+    if args.skip_diff:
+        status = "skipped"
+    elif not expected.exists():
+        status = "missing expected file"
+    elif expected.read_text() == _text(echo, lines):
+        status = "match"
+    else:
+        status = "MISMATCH against committed expected output"
+    lines.append(f"snapshot: {status}")
+    traces = {} if args.out is None else {Path(args.out): _text(echo, lines)}
+    return _Record(echo, lines=lines, traces=traces, status=int(status not in ("match", "skipped")))
 
 
 # Each command and its exit-2 hints, by the error types a smaller flag value avoids.
@@ -499,6 +484,7 @@ _COMMANDS = {
             MemoryError: "use a smaller --horizon or --grid-size",
         },
     ),
+    "repro": (cmd_repro, {}),
 }
 
 # Errors that mean the request itself was malformed (exit 2), as opposed
@@ -514,8 +500,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _merge_config_file(parser, argv)
-        if args.command == "repro":  # its own writer, which diffs the report against a snapshot
-            return cmd_repro(args)
         command, hints = _COMMANDS[args.command]
         try:
             record = command(args)
@@ -523,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
             hint = next(h for kind, h in hints.items() if isinstance(exc, kind))
             raise ConfigError(f"{exc}; {hint}") from None
         _write(record)
-        return 0
+        return record.status
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -319,9 +319,8 @@ def _pair_sums(
         if tail.constant is not None:  # every index an edge: window m runs from edge x_m to y_m
             terms = h[1:] * t[0] if factor is None else (h[1:] * t[0]) * factor[1:]
             return _exact_sums(terms, np.arange(y_top + 1), x, y)
-        if head.constant is not None and factor is None:  # tail reversed: products in order of n
-            ends = np.full_like(x, width)
-            return _exact_sums(h[0] * t[::-1], np.arange(width + 1), ends - (y - x), ends)
+        if head.constant is not None and factor is None:  # window m sums t[0:y_m - x_m]
+            return _exact_sums(h[0] * t, np.arange(width + 1), np.zeros_like(x), y - x)
     return _window_sums(h, t, x, y, factor)
 
 
@@ -655,30 +654,35 @@ def _window_counts(rows: np.ndarray, threshold: float, counted: tuple) -> np.nda
     top = int(steps[-1])
     g, levels = g[1 : top + 1], rows[:, :top]
     e_lo, e_hi = float(values[0]), float(values[-1])
-    counts, sure = np.empty((len(rows), len(at_step)), dtype=np.int64), np.empty(top, dtype=bool)
+    counts = np.empty((len(rows), len(at_step)), dtype=np.int64)
+    sure, unsure = np.empty(top, dtype=bool), np.zeros(top, dtype=bool)
     below = np.zeros(len(steps), dtype=np.int64)  # sure hits at columns below each step
-    unsure = np.zeros(levels.shape if e_hi > e_lo else (0, top), dtype=bool)
+    found = {}  # per row holding an open entry: its open columns and their q
     with np.errstate(over="ignore", invalid="ignore"):
         for i, row in enumerate(levels):
             for j in range(0, top, _CUTOFF_BLOCK):
                 cs = slice(j, j + _CUTOFF_BLOCK)
                 np.greater_equal((e_lo * g[cs]) * row[cs], threshold, out=sure[cs])
-                if len(unsure):
-                    np.greater((e_hi * g[cs]) * row[cs] >= threshold, sure[cs], out=unsure[i, cs])
+                if e_hi > e_lo:
+                    np.greater((e_hi * g[cs]) * row[cs] >= threshold, sure[cs], out=unsure[cs])
             np.cumsum(np.add.reduceat(sure, steps[:-1], dtype=np.int64), out=below[1:])
             counts[i] = below[at_step]
-    live = np.flatnonzero(unsure.any(axis=1))
-    if not live.size:
+            cols = np.flatnonzero(unsure)
+            if cols.size:
+                q = np.empty(len(cols), dtype=ranks.dtype)
+                for j in range(0, len(cols), _CUTOFF_BLOCK):
+                    cs = cols[j : j + _CUTOFF_BLOCK]
+                    q[j : j + _CUTOFF_BLOCK] = _rank_thresholds(values, g[cs], row[cs], threshold)
+                found[i] = cols, q
+    if not found:
         return counts
-    cols = np.flatnonzero(unsure[live].any(axis=0))
-    a, b = int(cols[0]), int(cols[-1]) + 1
-    # Decided entries get a nan level, which never hits: their q is len(values).
-    open_levels = np.where(unsure[live, a:b], levels[live, a:b], np.nan)
-    q = np.empty(open_levels.shape, dtype=ranks.dtype)
-    step, g = max(1, _CUTOFF_BLOCK // len(live)), g[a:b]
-    for j in range(0, b - a, step):
-        cs = slice(j, j + step)
-        q[:, cs] = _rank_thresholds(values, g[cs], open_levels[:, cs], threshold)
+    live = np.array(list(found))
+    a = min(int(cols[0]) for cols, _ in found.values())
+    b = max(int(cols[-1]) for cols, _ in found.values()) + 1
+    # Decided entries never hit: their q is len(values).
+    q = np.full((len(live), b - a), len(values), dtype=ranks.dtype)
+    for r, (cols, q_open) in enumerate(found.values()):
+        q[r, cols - a] = q_open
     # An open entry misses at e_lo, so q >= 1 and rank 0 never hits; q = len(values) never hits.
     # Row len(e) - y_m + a, column j: the rank of e(y_m - n) at n = a + j + 1; padding never hits.
     padded = np.concatenate((ranks[::-1], np.zeros(b - a, dtype=ranks.dtype)))
@@ -707,8 +711,8 @@ def _window_counts(rows: np.ndarray, threshold: float, counted: tuple) -> np.nda
 def _rank_thresholds(
     values: np.ndarray, g: np.ndarray, levels: np.ndarray, threshold: float
 ) -> np.ndarray:
-    """Per (i, j), q: how many of the sorted distinct ``values`` miss, that is, fail
-    (v * g[j]) * levels[i, j] >= threshold.
+    """Per entry j, q: how many of the sorted distinct ``values`` miss, that is, fail
+    (v * g[j]) * levels[j] >= threshold.
 
     With g[j] >= 0 the rounded products never decrease as v grows, so the values that
     hit form a suffix and e hits exactly where rank(e) >= q.  q is found by a branchless

@@ -80,7 +80,7 @@ class ModelError(ValueError):
 
 
 def _checked(triples: Sequence[Sequence[float]], description: str, m: int) -> list[Triple]:
-    """The law at index m as float triples, after the support checks."""
+    """The law at index m as float triples of positive probability, after the support checks."""
     where = f"each atom value of '{description}' at m={m}"
     real_values((v for atom in triples for v in atom), where, ModelError)
     law = [(float(a), float(b), float(p)) for a, b, p in triples]
@@ -94,7 +94,7 @@ def _checked(triples: Sequence[Sequence[float]], description: str, m: int) -> li
             raise ModelError(f"model '{description}' negative probability at m={m}")
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ModelError(f"model '{description}' non-finite value at m={m}")
-    return law
+    return [atom for atom in law if atom[2] > 0.0]
 
 
 def _limit_law(law: Sequence[Triple]) -> list[tuple[float, float]]:
@@ -118,8 +118,9 @@ def _check_limit_law(
 
 
 def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a - b| in one new array."""
-    d = np.subtract(a, b)
+    """|a - b| in one new array, inf where the difference passes the float range."""
+    with np.errstate(over="ignore"):
+        d = np.subtract(a, b)
     return np.abs(d, out=d)
 
 
@@ -139,10 +140,18 @@ def _check_point(t: float) -> None:
 
 
 def _power(x: np.ndarray, r: float) -> np.ndarray:
-    """x ** r by Python's float pow; numpy's ``**`` can differ in the last bit."""
+    """x ** r for x >= 0 by Python's float pow, inf where it overflows; numpy's ``**`` can
+    differ in the last bit."""
     if r == 1.0:
         return x
-    return np.array([v**r for v in x.tolist()], dtype=np.float64)
+    return np.array([_pow(v, r) for v in x.tolist()], dtype=np.float64)
+
+
+def _pow(v: float, r: float) -> float:
+    try:
+        return v**r
+    except OverflowError:  # the correctly rounded power is past the largest double
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,10 +7,11 @@ import math
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from dnstat import density
+from dnstat import cli, density
 from dnstat.cli import main
 
 
@@ -162,6 +163,25 @@ class TestDetect:
         assert proc.returncode == 0, proc.stderr
         assert "model=tab schedule=example weights=ones" in proc.stdout.splitlines()[1]
         assert "dnp: Converges" in proc.stdout
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "law",
+        [
+            # |Y_m - Y|^2 = 1e400 passes the float range: the moment is inf.
+            [[0.0, 0.0, 0.5], [1e200, 0.0, 0.5]],
+            # A zero-probability atom whose gap overflows adds nothing to the moment.
+            [[0.0, 0.0, 0.5], [1.0, 0.0, 0.5], [1.5e308, -1.5e308, 0.0]],
+        ],
+    )
+    @pytest.mark.parametrize("r", ["1", "2"])
+    def test_moments_past_the_float_range_diverge(self, tmp_path, capsys, law, r):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"model": {"per_m": {"1": law}}}))
+        argv = ["detect", "--config", str(cfg), "--mode", "dnm", "--r", r, "--horizon", "100"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert (out.splitlines()[-1], err) == ("dnm: Diverges (tail_max=1.0)", "")
 
     def test_model_spec_of_wrong_type_exits_2(self, tmp_path):
         cfg = tmp_path / "model.json"
@@ -333,6 +353,54 @@ class TestKorovkin:
         payload = json.loads(proc.stdout)
         assert payload["config"]["operator"] == "mkz+nullset"
         assert payload["report"]["all_conditions_converge"] is True
+
+
+class TestRepro:
+    """The report is patched, so these runs skip the worked examples."""
+
+    SNAPSHOT = (Path(cli.__file__).parent / "data" / "repro_expected.txt").read_text()
+
+    def run(self, monkeypatch, capsys, report, *args):
+        monkeypatch.setattr(cli, "_repro_report", lambda seed: list(report))
+        status = main(["repro", *args])
+        return status, *capsys.readouterr()
+
+    def test_a_matching_report_exits_0_and_the_out_file_holds_stdout(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        report = self.SNAPSHOT.splitlines()[2:]  # the snapshot less its two header lines
+        status, out, err = self.run(monkeypatch, capsys, report, "--out", str(tmp_path / "r.txt"))
+        assert (status, err) == (0, "")
+        assert out == self.SNAPSHOT + "snapshot: match\n"
+        assert (tmp_path / "r.txt").read_text() == out
+
+    def test_a_mismatched_report_exits_1(self, monkeypatch, capsys):
+        status, out, err = self.run(monkeypatch, capsys, ["a report that differs"])
+        assert (status, err) == (1, "")
+        assert out.splitlines()[1:] == [
+            "# config command=repro seed=20260808 horizon=10000 operator_horizon=200"
+            " normalizer_mode=regular",
+            "a report that differs",
+            "snapshot: MISMATCH against committed expected output",
+        ]
+
+    def test_skip_diff_exits_0(self, monkeypatch, capsys):
+        status, out, err = self.run(monkeypatch, capsys, ["line"], "--skip-diff", "--seed", "3")
+        assert (status, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "# config command=repro seed=3 horizon=10000 operator_horizon=200"
+            " normalizer_mode=regular",
+            "line",
+            "snapshot: skipped",
+        ]
+
+    def test_an_out_file_that_cannot_be_written_exits_1_with_nothing_on_stdout(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        out_file = tmp_path / "missing-dir" / "r.txt"
+        status, out, err = self.run(monkeypatch, capsys, ["line"], "--out", str(out_file))
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

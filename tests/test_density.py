@@ -1096,9 +1096,11 @@ class TestCountingPaths:
                 assert calls == []  # no rank search, so no window pass
             else:
                 assert calls
-            # Row 0 holds no open entry when e is 1 or 2, so no rank search reads it.
-            if e_kind == "two-valued":
-                assert all(len(levels) == len(part) - 1 for _, _, levels, _ in calls)
+            # Every searched entry is open: it misses at the least e and hits at the largest.
+            for values, g, levels, threshold in calls:
+                with np.errstate(invalid="ignore"):  # 0 * inf
+                    assert not ((values[0] * g) * levels >= threshold).any()
+                assert ((values[-1] * g) * levels >= threshold).all()
 
     @pytest.mark.parametrize("chunk", sorted({1, 5, 2**14, density._COUNT_CHUNK}))
     @pytest.mark.parametrize("mode", list(NormalizerMode))

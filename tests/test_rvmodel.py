@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnstat.config import ConfigError, parse_model
+from dnstat.density import DensityConfig
+from dnstat.detectors import DetectorConfig, Verdict, st_dndc, st_dnm, st_dnp
 from dnstat.rvmodel import (
     LIMIT,
     MODEL_ZOO,
@@ -483,3 +485,40 @@ class TestTabulatedLimitLaw:
     def test_index_below_one_is_rejected(self):
         with pytest.raises(ConfigError, match="indices start at 1"):
             parse_model({"per_m": {"0": [[0, 0, 1]], "1": [[0, 0, 1]]}})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFloatRange:
+    """Moments past the float range and atoms of zero probability."""
+
+    HUGE = [(0.0, 0.0, 0.5), (1e200, 0.0, 0.5)]
+    LAW = [(0.0, 0.0, 0.5), (1.0, 0.0, 0.5)]
+    # Its gap 3e308 overflows, and its moment term would be 0 * inf = nan.
+    ZERO_ATOM = (1.5e308, -1.5e308, 0.0)
+
+    @pytest.mark.parametrize("build", [tabulated_model, support_model])
+    def test_a_moment_past_the_float_range_is_inf(self, build):
+        model = build({1: self.HUGE}) if build is tabulated_model else build(lambda m: self.HUGE)
+        assert abs_moment(model, 1, 1.0) == 5e199
+        assert abs_moment(model, 1, 2.0) == math.inf
+        assert model.laws(3).moment(2.0).tolist() == [math.inf] * 3
+
+    @pytest.mark.parametrize("build", [tabulated_model, support_model])
+    def test_a_zero_probability_atom_leaves_levels_and_verdicts_as_they_are(self, build):
+        def model_of(law):
+            return build({1: law}) if build is tabulated_model else build(lambda m: law)
+
+        with_zero, without = model_of([*self.LAW, self.ZERO_ATOM]), model_of(self.LAW)
+        assert with_zero.atoms(4) == without.atoms(4) == self.LAW
+        laws = [model.laws(50) for model in (with_zero, without)]
+        for level in (lambda t: t.exceedance(0.5), lambda t: t.moment(2.0),
+                      lambda t: t.cdf(0.5), lambda t: t.cdf(-1e308)):
+            assert level(laws[0]).tobytes() == level(laws[1]).tobytes()
+        bundle = model_preset("example1")
+        cfg = DetectorConfig(r=2.0, density=DensityConfig(horizon=100))
+        for detector in (st_dnp, st_dnm, st_dndc):
+            got, want = (detector(model, bundle.schedule, bundle.weights, cfg)
+                         for model in (with_zero, without))
+            assert (got.verdict, got.tail_max) == (want.verdict, want.tail_max)
+            assert got.count.tolist() == want.count.tolist()
+        assert st_dnm(without, bundle.schedule, bundle.weights, cfg).verdict is Verdict.DIVERGES
