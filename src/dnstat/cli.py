@@ -125,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="three-condition operator check",
         epilog="trace CSV columns: n, then one sup-deviation column per function",
     )
-    p_kor.add_argument("--op", choices=("mkz",), default="mkz")
     p_kor.add_argument(
         "--perturb", choices=("none", "nullset", "cdffactor"), default="none"
     )
@@ -351,7 +350,7 @@ def cmd_korovkin(args: argparse.Namespace) -> _Record:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     schedule.validate(cfg.horizon)
-    (report,) = korovkin_check((ops,), (args.tag,), f_list, schedule, weights, cfg)
+    (report,) = korovkin_check((ops,), f_list, schedule, weights, cfg)
     echo = {
         "command": "korovkin",
         "operator": report.operator,
@@ -362,7 +361,7 @@ def cmd_korovkin(args: argparse.Namespace) -> _Record:
         "tail_tol": args.tail_tol,
         "eps": cfg.eps,
         "tolerance": cfg.tolerance,
-        "mode_tag": report.mode_tag,
+        "mode_tag": args.tag,
         "normalizer_mode": cfg.mode.value,
     }
     traces = {}
@@ -373,7 +372,7 @@ def cmd_korovkin(args: argparse.Namespace) -> _Record:
         rows += [f"{n}," + ",".join(map(repr, row)) for n, row in enumerate(zip(*columns), 1)]
         traces[Path(args.trace_out)] = "\n".join(rows) + "\n"
     if args.format == "json":
-        return _Record(echo, ("report", report.to_json_dict()), traces=traces)
+        return _Record(echo, ("report", {**report.to_json_dict(), "mode": args.tag}), traces=traces)
     lines = [report.table(), *(f"note: {note}" for note in report.notes)]
     return _Record(echo, lines=lines, traces=traces)
 
@@ -425,7 +424,6 @@ def _repro_report(seed: int) -> list[str]:
     # One check for both lifts, so that each block's base table is computed once.
     report, report_cdf = korovkin_check(
         tuple(lifted_operator(p, 1e-8) for p in (Perturbation.NULL_SET, Perturbation.CDF_FACTOR)),
-        ("dnp", "dndc"),
         [function_preset("y^3"), function_preset("e^y"), function_preset("|y-1/2|")],
         parse_schedule("stretch"),
         parse_weights("ones"),

@@ -302,12 +302,6 @@ class AlgebraSuiteReport:
     def to_json_dict(self) -> dict[str, object]:
         return {"passed": self.passed, "assertions": [r.to_json_dict() for r in self.results]}
 
-    def table(self) -> str:
-        lines = [f"{'assertion':24} {'holds':6} conclusion"]
-        for r in self.results:
-            lines.append(f"{r.name:24} {str(r.holds):6} {r.conclusion}  {r.note}".rstrip())
-        return "\n".join(lines)
-
 
 def _constant_limit(model: RVSequenceModel) -> float | None:
     atoms = model.limit_atoms()

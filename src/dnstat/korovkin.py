@@ -48,14 +48,14 @@ tabulated by ``lifted_operator(...).batch``; ``mkz_apply`` is M_m at one point.
 The condition checker forms the sup-norm deviation sequence of the
 operator on the test triple {1, z, z^2} and on caller functions, and
 runs the statistical-limit machinery on each.  On deterministic real
-sequences the three stochastic modes coincide, so the mode is carried
-as a provenance tag only.
+sequences the three stochastic modes coincide, so the checker takes no
+mode; the command line echoes its ``--tag`` as provenance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
@@ -128,10 +128,10 @@ class SampledFunction:
         return array_result(out, ys.shape, np.float64, name)
 
 
-def as_sampled(f, label: str = "") -> SampledFunction:
+def as_sampled(f) -> SampledFunction:
     if isinstance(f, SampledFunction):
         return f
-    return SampledFunction(f, label or getattr(f, "__name__", "f"))
+    return SampledFunction(f, getattr(f, "__name__", "f"))
 
 
 @lru_cache(maxsize=256)
@@ -204,8 +204,6 @@ def _required_length(m: int, y: float, log_budget: float) -> int:
 
 def _coefficients(m: int, y: float, t_end: int) -> np.ndarray:
     """Negative-binomial coefficients c_0..c_{t_end} at (m, y), log-space."""
-    if t_end == 0:
-        return np.array([(1.0 - y) ** (m + 1)])
     ts = np.arange(1, t_end + 1, dtype=np.float64)
     log_c = np.empty(t_end + 1)
     log_c[0] = (m + 1) * math.log1p(-y)
@@ -370,9 +368,6 @@ class _Nodes:
         b = ti // _BLOCK
         return np.searchsorted(self.blocks, b) * _BLOCK + (ti - b * _BLOCK)
 
-    def log_binom(self, t: np.ndarray) -> np.ndarray:
-        return self.lin[2][self.index(t)]
-
 
 def _windows(m: np.ndarray, y: np.ndarray, log_budget: float) -> tuple[np.ndarray, np.ndarray]:
     """Certified windows [t0, t1] of the rows (m_i, y_i), interior points y_i.
@@ -501,11 +496,13 @@ class OperatorSequence:
 
     ``batch(ns, fns, ys)`` tabulates the operators of the indices ns, an
     array of integers >= 1, at once: shape (len(ns), len(fns), len(ys)).
-    One point of the base operator is ``mkz_apply``.
+    One point of the base operator is ``mkz_apply``.  ``notes`` go into
+    every Korovkin report on the sequence.
     """
 
     label: str
     batch: Callable[[np.ndarray, Sequence[SampledFunction], np.ndarray], np.ndarray]
+    notes: tuple[str, ...] = ()
 
 
 # The base table of the last block that any lifted sequence tabulated, keyed
@@ -558,7 +555,12 @@ def lifted_operator(perturbation: Perturbation, tail_tol: float) -> OperatorSequ
         return tables * (1.0 + limit_cdf(example2, ys))
 
     label = "mkz" if perturbation is Perturbation.NONE else f"mkz+{perturbation.value}"
-    return OperatorSequence(label, batch)
+    if perturbation is not Perturbation.CDF_FACTOR:
+        return OperatorSequence(label, batch)
+    return OperatorSequence(label, batch, (
+        "the lift factor 1 + F(y) never falls below 1, so the unit test-function "
+        "deviation persists at every index; the verdict reported is the measured one",
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +615,9 @@ class KorovkinReport:
 
     conditions: Mapping[str, ConvergenceVerdict]
     conclusions: Mapping[str, ConvergenceVerdict]
-    mode_tag: str
     operator: str
-    grid_points: int
-    horizon: int
-    eps: float
-    normalizer_mode: NormalizerMode
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    cfg: KorovkinConfig
+    notes: tuple[str, ...]
 
     @property
     def all_conditions_converge(self) -> bool:
@@ -632,11 +630,10 @@ class KorovkinReport:
     def to_json_dict(self) -> dict[str, object]:
         return {
             "operator": self.operator,
-            "mode": self.mode_tag,
-            "grid_points": self.grid_points,
-            "horizon": self.horizon,
-            "eps": self.eps,
-            "normalizer_mode": self.normalizer_mode.value,
+            "grid_points": self.cfg.grid_points,
+            "horizon": self.cfg.horizon,
+            "eps": self.cfg.eps,
+            "normalizer_mode": self.cfg.mode.value,
             "conditions": {k: v.summary() for k, v in self.conditions.items()},
             "conclusions": {k: v.summary() for k, v in self.conclusions.items()},
             "all_conditions_converge": self.all_conditions_converge,
@@ -667,7 +664,6 @@ def _operator_tables(
 
 def korovkin_check(
     ops: tuple[OperatorSequence, ...],
-    mode_tags: tuple[str, ...],
     f_list: Sequence[SampledFunction],
     schedule: DeferredSchedule,
     weights: WeightScheme,
@@ -678,45 +674,35 @@ def korovkin_check(
     Forms s_n = sup over the grid of |M_n(f, y) - f(y)| up to the last
     index counting reads (``counting_bound``) for the test triple and each
     caller function, then applies the statistical limit detector to
-    every s sequence.  ``ops`` is a tuple of operator sequences and
-    ``mode_tags`` a tuple of one tag each; the check returns one report
-    per sequence, in the same order.  Blocks of consecutive indices with
-    at most ``_BLOCK_ROWS`` (index, grid point, side) rows each, or one
-    index when its grid alone has more, are tabulated by every sequence
-    in turn with the same functions, so lifted sequences share each
-    block's base table.  All stochastic modes agree on deterministic
-    sequences, so a mode tag is provenance only.  A nan sup deviation, which
-    would never count, is a ValueError naming the function and the first n.
+    every s sequence.  ``ops`` is a nonempty tuple of operator
+    sequences; the check returns one report per sequence, in the same
+    order.  Blocks of consecutive indices with at most ``_BLOCK_ROWS``
+    (index, grid point, side) rows each, or one index when its grid alone
+    has more, are tabulated by every sequence in turn with the same
+    functions, so lifted sequences share each block's base table.  A nan
+    sup deviation, which would never count, is a ValueError naming the
+    function and the first n.
     """
-    try:
-        if isinstance(mode_tags, str):  # it would zip letter by letter
-            raise TypeError
-        runs = list(zip(ops, mode_tags, strict=True))
-    except (TypeError, ValueError):
-        raise ValueError("korovkin_check needs one mode tag per operator sequence") from None
-    if not runs:
-        raise ValueError("korovkin_check needs at least one operator sequence")
+    if not (isinstance(ops, tuple) and ops and all(isinstance(s, OperatorSequence) for s in ops)):
+        raise ValueError("korovkin_check needs a nonempty tuple of operator sequences")
     if not f_list:
         raise ValueError("korovkin_check needs at least one conclusion function")
-    for _, tag in runs:
-        if tag not in ("dnp", "dnm", "dndc"):
-            raise ValueError(f"unknown mode tag '{tag}'")
     density_cfg = cfg.density()
     top = counting_bound(schedule, weights, density_cfg)
 
     grid = np.linspace(0.0, 1.0, cfg.grid_points)
     fns = [ONE, IDENTITY, SQUARE] + [as_sampled(f) for f in f_list]
     targets = np.stack([fn.values(grid) for fn in fns])
-    sup_dev = np.empty((len(runs), len(fns), top))
+    sup_dev = np.empty((len(ops), len(fns), top))
     per_call = max(1, _BLOCK_ROWS // (2 * len(grid)))
     for first in range(1, top + 1, per_call):
         ns = np.arange(first, min(first + per_call, top + 1))
-        for (seq, _), dev in zip(runs, sup_dev):
+        for seq, dev in zip(ops, sup_dev):
             tables = _operator_tables(seq, ns, fns, grid)
             dev[:, ns - 1] = np.max(np.abs(tables - targets), axis=2).T
 
     reports = []
-    for (seq, tag), dev in zip(runs, sup_dev):
+    for seq, dev in zip(ops, sup_dev):
         nan = np.argwhere(np.isnan(dev.T))
         if len(nan):
             n, j = nan[0].tolist()
@@ -726,25 +712,7 @@ def korovkin_check(
         verdicts = level_density_limits(dev, cfg.eps, schedule, weights, density_cfg, extras)
         conditions = {fn.label: v for fn, v in zip(fns[:3], verdicts)}
         conclusions = {fn.label: v for fn, v in zip(fns[3:], verdicts[3:])}
-        notes = []
-        if "cdffactor" in seq.label:
-            notes.append(
-                "the lift factor 1 + F(y) never falls below 1, so the unit test-function "
-                "deviation persists at every index; the verdict reported is the measured one"
-            )
-        reports.append(
-            KorovkinReport(
-                conditions,
-                conclusions,
-                tag,
-                seq.label,
-                cfg.grid_points,
-                cfg.horizon,
-                cfg.eps,
-                cfg.mode,
-                tuple(notes),
-            )
-        )
+        reports.append(KorovkinReport(conditions, conclusions, seq.label, cfg, seq.notes))
     return tuple(reports)
 
 

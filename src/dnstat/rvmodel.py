@@ -18,12 +18,13 @@ validates each distinct law of a call once.  The detectors call
 counting reads.  Exceedance, moment and distribution-function levels are
 computed once per distinct law of a table and gathered per n; a
 tabulated model's tables share their read-only atom arrays, so the
-detectors level its laws once per call.  Each level equals the plain
-``math.fsum`` over the atoms bit for bit, since a last-bit change can
-flip a threshold tie: a single IEEE add is exactly rounded, so laws of
-at most two atoms are summed by numpy and wider ones by ``math.fsum``
-per law, and |Y_n - Y|^r is Python's float pow (numpy's ``**`` differs
-in the last bit for some r), except at r = 1.
+detectors level its laws once per call.  Each level is the exactly
+rounded sum over the atoms (``math.fsum`` bit for bit, inf past the
+float range), since a last-bit change can flip a threshold tie: a
+single IEEE add is exactly rounded, so laws of at most two atoms are
+summed by numpy and wider ones by ``_fsum`` per law, and |Y_n - Y|^r is
+Python's float pow (numpy's ``**`` differs in the last bit for some r),
+except at r = 1.  Probability totals are summed the same way.
 
 ``atoms(m)`` (the atoms of positive probability), ``exceedance_prob``,
 ``abs_moment`` and ``cdf`` are one-index views of the same table;
@@ -86,7 +87,7 @@ def _checked(triples: Sequence[Sequence[float]], description: str, m: int) -> li
     law = [(float(a), float(b), float(p)) for a, b, p in triples]
     if not law:
         raise ModelError(f"model '{description}' has empty support at m={m}")
-    total = math.fsum(p for _, _, p in law)
+    total = _fsum([p for _, _, p in law])
     if not abs(total - 1.0) <= PROB_TOL:  # NaN fails too
         raise ModelError(f"model '{description}' probabilities sum to {total!r} at m={m}")
     for a, b, p in law:
@@ -95,6 +96,24 @@ def _checked(triples: Sequence[Sequence[float]], description: str, m: int) -> li
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ModelError(f"model '{description}' non-finite value at m={m}")
     return [atom for atom in law if atom[2] > 0.0]
+
+
+def _fsum(values: Sequence[float]) -> float:
+    """``math.fsum``, or where its partial sums pass the float range, the exact sum rounded
+    once: ±inf past the range, or the plain sum where a value is not finite."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        if not all(map(math.isfinite, values)):
+            return sum(values)
+    # Every float is an integer over a power of two, so one division rounds the exact sum.
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    num = sum(n * (den // d) for n, d in ratios)
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _limit_law(law: Sequence[Triple]) -> list[tuple[float, float]]:
@@ -196,17 +215,19 @@ class LawTable:
         """Exactly rounded sum of term(atom) over each law, gathered per index.
 
         Works one atom (row) at a time, so no (laws x atoms) temporary
-        is formed for laws of at most two atoms.
+        is formed for laws of at most two atoms.  A term or a sum past the
+        float range reads inf, with no warning.
         """
         terms = (term(a, b, p) for a, b, p in zip(self.a, self.b, self.p))
-        if len(self.p) <= 2:
-            # A single IEEE add is exactly rounded, as fsum is.
-            per_law = next(terms)
-            for t in terms:
-                per_law += t
-        else:
-            columns = [t.tolist() for t in terms]
-            per_law = np.array([math.fsum(law) for law in zip(*columns)], dtype=np.float64)
+        with np.errstate(over="ignore"):
+            if len(self.p) <= 2:
+                # A single IEEE add is exactly rounded, as fsum is.
+                per_law = next(terms)
+                for t in terms:
+                    per_law += t
+            else:
+                columns = [t.tolist() for t in terms]
+                per_law = np.array([_fsum(law) for law in zip(*columns)], dtype=np.float64)
         return per_law if self.index is None else per_law[self.index]
 
 
@@ -382,10 +403,11 @@ class SampleBatch:
 
     def abs_moment(self, r: float) -> EmpiricalEstimate:
         _check_order(r)
-        powers = (_gap(self.a_vals, self.b_vals) ** r)[self.atom]
-        est = float(np.mean(powers))
-        spread = float(np.std(powers, ddof=1)) if self.count > 1 else 0.0
-        return EmpiricalEstimate(est, spread / math.sqrt(self.count), self.count, self.seed)
+        n, powers = self.count, _power(_gap(self.a_vals, self.b_vals), r)[self.atom]
+        with np.errstate(over="ignore"):  # past the float range, both read inf
+            est = float(np.mean(powers))
+            spread = 0.0 if n == 1 else est if est == math.inf else float(np.std(powers, ddof=1))
+        return EmpiricalEstimate(est, spread / math.sqrt(n), n, self.seed)
 
     def cdf(self, which: int | str, t: float) -> EmpiricalEstimate:
         """P(Y_m <= t) for which = m, or P(Y <= t) for which = LIMIT."""

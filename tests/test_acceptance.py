@@ -150,7 +150,6 @@ def test_criterion_4_korovkin_positive_instance():
     cfg = KorovkinConfig(horizon=200)
     (report,) = korovkin_check(
         (lifted_operator(Perturbation.NULL_SET, 1e-8),),
-        ("dnp",),
         [CUBE, EXP, DIST_HALF],
         schedule_preset("stretch"),
         weight_preset("ones"),

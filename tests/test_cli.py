@@ -172,6 +172,12 @@ class TestDetect:
             [[0.0, 0.0, 0.5], [1e200, 0.0, 0.5]],
             # A zero-probability atom whose gap overflows adds nothing to the moment.
             [[0.0, 0.0, 0.5], [1.0, 0.0, 0.5], [1.5e308, -1.5e308, 0.0]],
+            # Finite moment terms whose sum passes the float range, by fsum and by one add.
+            [[1.7976931348623157e308, 0, 0.3], [1.7976931348623157e308, 0, 0.3],
+             [1.7976931348623157e308, 0, 0.4000000000001]],
+            [[1.7976931348623157e308, 0, 0.5], [1.7976931348623157e308, 0, 0.5000000000001]],
+            # A finite gap whose moment term passes the float range.
+            [[1.7976931348623157e308, 0, 1.0000000000001]],
         ],
     )
     @pytest.mark.parametrize("r", ["1", "2"])
@@ -182,6 +188,13 @@ class TestDetect:
         assert main(argv) == 0
         out, err = capsys.readouterr()
         assert (out.splitlines()[-1], err) == ("dnm: Diverges (tail_max=1.0)", "")
+
+    def test_probabilities_that_sum_past_the_float_range_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"model": {"per_m": {"1": [[0, 0, 1e308], [1, 0, 1e308]]}}}))
+        assert main(["detect", "--config", str(cfg), "--horizon", "100"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "config error: model 'tabulated' probabilities sum to inf at m=1\n")
 
     def test_model_spec_of_wrong_type_exits_2(self, tmp_path):
         cfg = tmp_path / "model.json"
@@ -280,12 +293,21 @@ class TestDetect:
 
 class TestKorovkin:
     def test_json_report(self):
-        proc = run_cli("korovkin", "--op", "mkz", "--perturb", "none", "--horizon", "30",
+        proc = run_cli("korovkin", "--perturb", "none", "--horizon", "30",
                        "--grid-size", "9", "--f", "identity", "--format", "json")
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["report"]["all_conditions_converge"] is True
         assert payload["report"]["conclusions"]["z"]["verdict"] == "converges"
+
+    @pytest.mark.parametrize("tag", ["dnp", "dnm", "dndc"])
+    def test_tag_goes_into_the_echo_and_the_report(self, tag, capsys):
+        argv = ["korovkin", "--horizon", "20", "--grid-size", "5", "--tag", tag]
+        assert main(argv) == 0
+        assert f" mode_tag={tag} " in capsys.readouterr().out.splitlines()[1]
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["mode_tag"] == payload["report"]["mode"] == tag
 
     def test_cdffactor_report_carries_the_note(self):
         proc = run_cli("korovkin", "--perturb", "cdffactor", "--horizon", "30",
@@ -394,6 +416,12 @@ class TestRepro:
             "snapshot: skipped",
         ]
 
+    def test_a_missing_snapshot_exits_1(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))  # no data/ beside it
+        status, out, err = self.run(monkeypatch, capsys, ["line"])
+        assert (status, err) == (1, "")
+        assert out.splitlines()[-2:] == ["line", "snapshot: missing expected file"]
+
     def test_an_out_file_that_cannot_be_written_exits_1_with_nothing_on_stdout(
         self, monkeypatch, capsys, tmp_path
     ):
@@ -469,6 +497,7 @@ def test_horizon_past_memory_exits_2(args, hint, capsys):
         ("repro", "--skip-diff", "--format", "json"),
         ("mean", "--seq", "identity", "--seed", "1"),
         ("korovkin", "--horizon", "30", "--grid-size", "9", "--seed", "1"),
+        ("korovkin", "--op", "mkz"),
     ],
 )
 def test_flag_the_subcommand_does_not_read_exits_2(args, capsys):

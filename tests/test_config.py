@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from dnstat.config import ConfigError, parse_model, parse_schedule, parse_weights
@@ -24,6 +26,10 @@ class TestScheduleSpecs:
 
     def test_preset_name(self):
         assert parse_schedule("example").label == "example"
+
+    def test_object_sides_in_text_form(self):
+        sched = parse_schedule({"x": "2m-1", "y": "4m - 1"})
+        assert (sched.x(3), sched.y(3), sched.label) == (5, 11, "2m-1,4m-1")
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError):
@@ -59,6 +65,22 @@ class TestWeightSpecs:
     def test_missing_side_rejected(self):
         with pytest.raises(ConfigError):
             parse_weights({"e": "ones"})
+
+
+@pytest.mark.parametrize("parse, spec, message", [
+    (parse_schedule, {"x": [1], "y": 1}, "schedule.x must be a string, number or {a, b} object"),
+    (parse_schedule, {"x": 1}, "schedule object needs both 'x' and 'y'"),
+    (parse_schedule, 5, "schedule must be a preset name, 'x,y' text or {x, y} object"),
+    (parse_weights, {"e": "fast", "g": "ones"}, "unknown weight sequence preset 'fast' for e"),
+    (parse_weights, {"e": "ones", "g": 3}, "weights.g must be a preset name or an array"),
+    (parse_weights, 5, "weights must be a preset name or an {e, g} object"),
+    (parse_model, {"per_m": {}}, "model.per_m must be a nonempty object of index -> atom list"),
+    (parse_model, {"per_m": [[0, 0, 1]]}, "model.per_m must be a nonempty object"),
+    (parse_model, {"per_m": {"one": [[0, 0, 1]]}}, "model.per_m key 'one' is not an index"),
+])
+def test_malformed_spec_is_rejected_by_name(parse, spec, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        parse(spec)
 
 
 class TestModelSpecs:

@@ -195,6 +195,11 @@ class TestDensityLimit:
         with pytest.raises(ValueError, match="underpowered"):
             DensityConfig(horizon=5)
 
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, math.nan])
+    def test_tail_fraction_outside_the_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match=r"^tail_fraction must be in \(0, 1\], got"):
+            DensityConfig(horizon=100, tail_fraction=fraction)
+
     def test_scalar_only_predicate_names_the_first_index(self, deferred, ones):
         # int() of a two-element index array fails: the predicate is called
         # once per window on its whole index array, never per index.

@@ -117,6 +117,10 @@ class TestDistributionDetector:
         v = run_bundle("degenerate:2", st_dndc, cfg_at(500, grid=(1.5, 2.5)))
         assert v.verdict is Verdict.CONVERGES
 
+    def test_empty_grid_is_rejected(self):
+        with pytest.raises(GridError, match="^distribution detector needs a nonempty grid$"):
+            run_bundle("example2", st_dndc, cfg_at(100, grid=()))
+
     def test_grid_on_an_atom_is_rejected(self):
         with pytest.raises(GridError, match="atom"):
             run_bundle("degenerate:2", st_dndc, cfg_at(500, grid=(2.0,)))

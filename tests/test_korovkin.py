@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -298,8 +299,25 @@ class TestKernelAgainstMpmath:
     def test_checker_names_the_index_of_a_cap_error(self):
         cfg = KorovkinConfig(horizon=30, grid_points=200_001)
         with pytest.raises(SeriesCapError, match="operator evaluation failed at n=1"):
-            korovkin_check((lifted_operator(Perturbation.NONE, 1e-8),), ("dnp",), [CUBE],
+            korovkin_check((lifted_operator(Perturbation.NONE, 1e-8),), [CUBE],
                            schedule_preset("stretch"), weight_preset("ones"), cfg)
+
+
+class TestRejectedInputs:
+    def test_a_window_past_the_cap_whose_sides_fit_it_is_a_named_error(self):
+        # Each side of the window at (3000, 0.9995) holds fewer than the cap's terms.
+        with pytest.raises(SeriesCapError, match=r"m=3000, y=0\.9995 needs 1256789 terms"):
+            korovkin._mkz_table([ONE], np.array([3000]), np.array([0.9995]), 1e-8,
+                                korovkin._Scratch())
+
+    def test_index_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="^operator index must be >= 1, got 0$"):
+            mkz_apply(ONE, 0, 0.5)
+
+    def test_a_function_unbounded_on_the_grid_is_rejected(self):
+        pole = SampledFunction(lambda y: np.where(y == 0.0, np.inf, y), "pole")
+        with pytest.raises(ValueError, match="^function 'pole' is unbounded on the check grid$"):
+            mkz_apply(pole, 5, 0.5)
 
 
 class TestWindowSearch:
@@ -320,7 +338,7 @@ class TestWindowSearch:
 
         def certified(t, y, side):
             t = t.astype(np.float64)
-            log_c = (m + 1) * np.log1p(-y) + t * np.log(y) + nodes.log_binom(t)
+            log_c = (m + 1) * np.log1p(-y) + t * np.log(y) + nodes.lin[2][nodes.index(t)]
             return korovkin._certified(m, t, y, log_c, side, log_budget)
 
         assert certified(t1, ys, 1.0).all() and certified(t0, ys, -1.0).all()
@@ -358,7 +376,7 @@ class TestIndexBlocks:
         cfg = KorovkinConfig(horizon=60, grid_points=len(self.GRID))
         ops = lifted_operator(Perturbation.NULL_SET, 1e-8)
         (report,) = korovkin_check(
-            (ops,), ("dnp",), [EXP], schedule_preset("stretch"), weight_preset("ones"), cfg
+            (ops,), [EXP], schedule_preset("stretch"), weight_preset("ones"), cfg
         )
         n_max = len(report.sup_trace("1"))
         assert n_max > 2 * (korovkin._BLOCK_ROWS // (2 * len(self.GRID)))
@@ -378,7 +396,7 @@ class TestIndexBlocks:
 
         cfg = KorovkinConfig(horizon=30, grid_points=9)
         with pytest.raises(RuntimeError, match="operator evaluation failed at n=7: no value at 7"):
-            korovkin_check((OperatorSequence("mkz", batch),), ("dnp",), [CUBE],
+            korovkin_check((OperatorSequence("mkz", batch),), [CUBE],
                            schedule_preset("stretch"), weight_preset("ones"), cfg)
 
     @pytest.mark.parametrize("ns", [5, [0, 1], [[1, 2]]])
@@ -415,7 +433,7 @@ class TestSampledValues:
         ops = lifted_operator(Perturbation.NONE, 1e-8)
         f = SampledFunction(lambda y: math.exp(y), "scalar-exp")
         with pytest.raises(ValueError, match="'scalar-exp'"):
-            korovkin_check((ops,), ("dnp",), [f], schedule_preset("stretch"),
+            korovkin_check((ops,), [f], schedule_preset("stretch"),
                            weight_preset("ones"), cfg)
 
 
@@ -449,21 +467,20 @@ class TestSeveralLifts:
         monkeypatch.setattr(korovkin, "_mkz_table", lambda *a: calls.append(a) or real(*a))
         return calls
 
-    def check(self, ops, tags, cfg=None):
-        return korovkin_check(ops, tags, self.F_LIST, schedule_preset("stretch"),
+    def check(self, ops, cfg=None):
+        return korovkin_check(ops, self.F_LIST, schedule_preset("stretch"),
                               weight_preset("ones"), cfg or self.CFG)
 
     @pytest.mark.parametrize("first, second", list(itertools.product(Perturbation, repeat=2)))
     def test_a_tuple_call_equals_one_call_per_lift(self, first, second):
         tol = self.TOL
         pair = (lifted_operator(first, tol), lifted_operator(second, tol))
-        reports = self.check(pair, ("dnp", "dndc"))
+        reports = self.check(pair)
         assert isinstance(reports, tuple) and len(reports) == 2
-        for perturbation, tag, report in zip((first, second), ("dnp", "dndc"), reports):
+        for perturbation, report in zip((first, second), reports):
             korovkin._last_base.clear()  # the single call recomputes its tables
-            (single,) = self.check((lifted_operator(perturbation, tol),), (tag,))
-            assert (report.operator, report.mode_tag, report.notes) == (
-                single.operator, single.mode_tag, single.notes)
+            (single,) = self.check((lifted_operator(perturbation, tol),))
+            assert (report.operator, report.notes) == (single.operator, single.notes)
             labels = list(report.conditions) + list(report.conclusions)
             assert labels == ["1", "z", "z^2", "y^3", "e^y", "|y-1/2|"]
             for role in ("conditions", "conclusions"):
@@ -482,7 +499,7 @@ class TestSeveralLifts:
 
     def test_one_lift_makes_one_base_table_per_block(self, monkeypatch):
         calls = self.counted(monkeypatch)
-        self.check((lifted_operator(Perturbation.NULL_SET, self.TOL),), ("dnp",))
+        self.check((lifted_operator(Perturbation.NULL_SET, self.TOL),))
         assert [a[1].tolist() for a in calls] == [list(range(1, 64)), list(range(64, 91))]
 
     def test_memo_recomputes_when_any_input_changes(self, monkeypatch):
@@ -516,22 +533,17 @@ class TestSeveralLifts:
         lifts = (Perturbation.NULL_SET, Perturbation.CDF_FACTOR)
         pair = tuple(lifted_operator(p, self.TOL) for p in lifts)
         with pytest.raises(SeriesCapError, match="operator evaluation failed at n=1"):
-            self.check(pair, ("dnp", "dndc"), cfg)
+            self.check(pair, cfg)
 
-    @pytest.mark.parametrize("ops, tags", [
-        ((Perturbation.NONE, Perturbation.NULL_SET), ("dnp",)),
-        ((Perturbation.NONE,), "dnp"),
-        ((Perturbation.NONE, Perturbation.NULL_SET, Perturbation.CDF_FACTOR), "dnp"),
-        (Perturbation.NONE, ("dnp",)),
-        ((), ()),
-    ])
-    def test_one_mode_tag_per_sequence(self, ops, tags):
-        if isinstance(ops, tuple):
-            ops = tuple(lifted_operator(p, self.TOL) for p in ops)
-        else:
-            ops = lifted_operator(ops, self.TOL)
-        with pytest.raises(ValueError, match="operator sequence"):
-            self.check(ops, tags)
+    @pytest.mark.parametrize("ops", [
+        lambda tol: lifted_operator(Perturbation.NONE, tol),
+        lambda tol: [lifted_operator(Perturbation.NONE, tol)],
+        lambda tol: (Perturbation.NONE,),
+        lambda tol: (),
+    ], ids=["one-sequence", "list", "not-a-sequence", "empty"])
+    def test_ops_must_be_a_nonempty_tuple_of_sequences(self, ops):
+        with pytest.raises(ValueError, match="^korovkin_check needs a nonempty tuple of operator"):
+            self.check(ops(self.TOL))
 
 
 class TestConditionChecker:
@@ -546,7 +558,7 @@ class TestConditionChecker:
 
         monkeypatch.setattr(korovkin, "level_density_limits", recorded)
         ops = tuple(lifted_operator(p, 1e-8) for p in (Perturbation.NONE, Perturbation.NULL_SET))
-        reports = korovkin_check(ops, ("dnp", "dnm"), [CUBE, EXP], schedule, weights, cfg)
+        reports = korovkin_check(ops, [CUBE, EXP], schedule, weights, cfg)
         assert passes == [5, 5]
         for report in reports:
             for label, v in {**report.conditions, **report.conclusions}.items():
@@ -562,12 +574,11 @@ class TestConditionChecker:
         cfg = KorovkinConfig(horizon=10, grid_points=17)
         schedule, weights = schedule_preset("stretch"), weight_preset("identity")
         ops = tuple(lifted_operator(p, 1e-8) for p in Perturbation)
-        tags = ("dnp", "dnm", "dndc")
-        reports = korovkin_check(ops, tags, [CUBE, EXP], schedule, weights, cfg)
+        reports = korovkin_check(ops, [CUBE, EXP], schedule, weights, cfg)
         # Oracle: rows sized by k_max give the same reports and the same rows up to top.
         k_max = int(floor_r(schedule, weights, cfg.density()).max())
         monkeypatch.setattr(korovkin, "counting_bound", lambda *args: k_max)
-        wide = korovkin_check(ops, tags, [CUBE, EXP], schedule, weights, cfg)
+        wide = korovkin_check(ops, [CUBE, EXP], schedule, weights, cfg)
         for report, full in zip(reports, wide):
             assert report.to_json_dict() == full.to_json_dict()
             for label in ("1", "z", "z^2", "y^3", "e^y"):
@@ -579,7 +590,6 @@ class TestConditionChecker:
         cfg = KorovkinConfig(horizon=60, grid_points=33, tolerance=0.05)
         (report,) = korovkin_check(
             (lifted_operator(Perturbation.NONE, 1e-8),),
-            ("dnp",),
             [CUBE],
             schedule_preset("stretch"),
             weight_preset("ones"),
@@ -594,7 +604,6 @@ class TestConditionChecker:
         cfg = KorovkinConfig(horizon=100, grid_points=33, tolerance=0.07)
         (report,) = korovkin_check(
             (lifted_operator(Perturbation.NULL_SET, 1e-8),),
-            ("dnp",),
             [CUBE],
             schedule_preset("stretch"),
             weight_preset("ones"),
@@ -610,7 +619,6 @@ class TestConditionChecker:
         cfg = KorovkinConfig(horizon=40, grid_points=17)
         (report,) = korovkin_check(
             (lifted_operator(Perturbation.CDF_FACTOR, 1e-8),),
-            ("dndc",),
             [CUBE],
             schedule_preset("stretch"),
             weight_preset("ones"),
@@ -622,29 +630,31 @@ class TestConditionChecker:
         assert report.conditions["1"].extras["levels"][0] == pytest.approx(1.0, abs=1e-8)
         assert report.notes
 
+    def test_notes_come_from_the_sequence_not_its_label(self):
+        cfg = KorovkinConfig(horizon=30, grid_points=9)
+        lifts = {p: lifted_operator(p, 1e-8) for p in Perturbation}
+        assert [bool(ops.notes) for ops in lifts.values()] == [False, False, True]
+        cdf = lifts[Perturbation.CDF_FACTOR]
+        relabelled = dataclasses.replace(lifts[Perturbation.NONE], label="mkz+cdffactor")
+        renoted = dataclasses.replace(cdf, batch=lifts[Perturbation.NONE].batch)
+        reports = korovkin_check((cdf, relabelled, renoted), [CUBE], schedule_preset("stretch"),
+                                 weight_preset("ones"), cfg)
+        assert [r.notes for r in reports] == [cdf.notes, (), cdf.notes]
+
     def test_report_echoes_its_configuration(self):
         cfg = KorovkinConfig(horizon=30, grid_points=9)
         (report,) = korovkin_check(
             (lifted_operator(Perturbation.NONE, 1e-6),),
-            ("dndc",),
             [EXP],
             schedule_preset("cesaro"),
             weight_preset("ones"),
             cfg,
         )
         payload = report.to_json_dict()
-        assert payload["mode"] == "dndc"
+        assert report.cfg is cfg and "mode" not in payload
         assert payload["grid_points"] == 9
         assert payload["horizon"] == 30
         assert payload["normalizer_mode"] == "regular"
-
-    def test_mode_tag_is_validated(self):
-        cfg = KorovkinConfig(horizon=30, grid_points=9)
-        with pytest.raises(ValueError, match="mode tag"):
-            korovkin_check(
-                (lifted_operator(Perturbation.NONE, 1e-8),), ("dnq",), [CUBE],
-                schedule_preset("cesaro"), weight_preset("ones"), cfg,
-            )
 
     def test_a_nan_sup_deviation_names_the_function_and_the_first_n(self):
         # nan exactly at y = 1/3, the node t/(t+n) at t = n/2 of every even n, and on neither
@@ -655,7 +665,7 @@ class TestConditionChecker:
         ops = tuple(lifted_operator(p, 1e-8) for p in (Perturbation.NONE, Perturbation.NULL_SET))
         with pytest.raises(ValueError, match=r"^mkz: sup deviation of 'step' at n=2 is nan$"):
             korovkin_check(
-                ops, ("dnp", "dnm"), [CUBE, step],
+                ops, [CUBE, step],
                 schedule_preset("stretch"), weight_preset("ones"), cfg,
             )
 
@@ -663,7 +673,7 @@ class TestConditionChecker:
         cfg = KorovkinConfig(horizon=30, grid_points=9)
         with pytest.raises(ValueError, match="conclusion"):
             korovkin_check(
-                (lifted_operator(Perturbation.NONE, 1e-8),), ("dnp",), [],
+                (lifted_operator(Perturbation.NONE, 1e-8),), [],
                 schedule_preset("cesaro"), weight_preset("ones"), cfg,
             )
 

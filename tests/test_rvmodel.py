@@ -151,6 +151,11 @@ class TestValidation:
         numpy_atom = (np.float32(0.5), 1, np.int64(1))
         assert tabulated_model({1: [numpy_atom]}).atoms(1) == [(0.5, 1.0, 1.0)]
 
+    def test_model_index_below_one_is_rejected(self, ex1):
+        for ask in (lambda: ex1.atoms(0), lambda: exceedance_prob(ex1, 0, 0.5)):
+            with pytest.raises(ModelError, match="^model index must be >= 1, got 0$"):
+                ask()
+
     def test_non_finite_value_rejected(self):
         bad = support_model(lambda m: [(math.inf, 0.0, 1.0)], "inf")
         with pytest.raises(ModelError):
@@ -487,6 +492,9 @@ class TestTabulatedLimitLaw:
             parse_model({"per_m": {"0": [[0, 0, 1]], "1": [[0, 0, 1]]}})
 
 
+MAX = 1.7976931348623157e308
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFloatRange:
     """Moments past the float range and atoms of zero probability."""
@@ -522,3 +530,36 @@ class TestFloatRange:
             assert (got.verdict, got.tail_max) == (want.verdict, want.tail_max)
             assert got.count.tolist() == want.count.tolist()
         assert st_dnm(without, bundle.schedule, bundle.weights, cfg).verdict is Verdict.DIVERGES
+
+    @pytest.mark.parametrize("build", [tabulated_model, support_model])
+    @pytest.mark.parametrize("law", [
+        [(MAX, 0.0, 1.0000000000001)],  # the term MAX * p overflows
+        [(MAX, 0.0, 0.3), (MAX, 0.0, 0.3), (MAX, 0.0, 0.4000000000001)],  # fsum overflows
+        [(MAX, 0.0, 0.5), (MAX, 0.0, 0.5000000000001)],  # one numpy add overflows
+        [(MAX, -MAX, 1e-300), (MAX, 0.0, 0.5), (MAX, 0.0, 0.5000000000001)],  # and an inf term
+    ])
+    def test_a_law_sum_past_the_float_range_is_inf(self, build, law):
+        model = build({1: law}) if build is tabulated_model else build(lambda m: law)
+        assert abs_moment(model, 1, 1.0) == math.inf
+        assert model.laws(3).moment(1.0).tolist() == [math.inf] * 3
+
+    @pytest.mark.parametrize("law", [[(0.0, 0.0, 1e308), (1.0, 0.0, 1e308)],
+                                     [(0.0, 0.0, 1e308)] * 2 + [(1.0, 0.0, -1e308)]])
+    def test_probabilities_past_the_float_range_are_a_model_error(self, law):
+        # The second total is 1e308 exactly, though its partial sums pass the range.
+        with pytest.raises(ModelError, match=r"probabilities sum to (inf|1e\+308) at m=1$"):
+            tabulated_model({1: law})
+        with pytest.raises(ModelError, match=r"probabilities sum to (inf|1e\+308) at m=1$"):
+            support_model(lambda m: law).atoms(1)
+
+    def test_a_sampled_moment_past_the_float_range_is_inf(self):
+        model = tabulated_model({1: self.HUGE})
+        batch = sample(model, 1, 1000, 1)
+        r1, r2 = batch.abs_moment(1.0), batch.abs_moment(2.0)
+        # The squared deviations from the mean pass the range, as the exact second moment does.
+        assert (r1.estimate, r1.stderr) == (float(np.mean(batch.values_m)), math.inf)
+        assert (r2.estimate, r2.stderr) == (math.inf, math.inf)
+        # One draw has no spread, of the huge atom's power too.
+        seed = next(s for s in range(100) if sample(model, 1, 1, s).atom[0] == 1)
+        one = sample(model, 1, 1, seed).abs_moment(2.0)
+        assert (one.estimate, one.stderr) == (math.inf, 0.0)
