@@ -11,12 +11,13 @@ returned, as read-only columns, so callers can tighten the run.
 
 Traced runs read m, x_m, y_m and R_m from one memoized ``WindowPlan``,
 built from one ``bounds_array`` call over the traced window indices;
-``window_means`` reads R_m at m = 1..horizon from the same code.  Every
-window sum without a closed form, R_m and the mean's numerator alike, is
-the exactly rounded sum of its products, summed in int64 limbs and
-rounded once.  ``_pair_sums`` reads it off prefix sums
+``window_means`` reads R_m at m = 1..horizon from the same code.
+``_pair_sums`` decides how every window sum, R_m and the mean's numerator
+alike, is formed.  With both weight sides constant, R_m is the closed form
+(y_m - x_m) * (e0 * g0); every other sum is the exactly rounded sum of its
+products, summed in int64 limbs and rounded once, read off prefix sums
 when a constant weight side leaves each product depending on one index,
-and otherwise forms the products in chunks of windows (``_window_sums``).
+and otherwise formed in chunks of windows (``_window_sums``).
 The weight is 0 past y_m, so window m counts n <= n_m = min(floor(R_m), y_m),
 and level rows reach ``counting_bound``, the largest n_m, below the counting cap.
 Predicates of the separable form  w(m, n) * level(n) >= threshold  go
@@ -228,12 +229,13 @@ def window_plan(
 ) -> WindowPlan:
     """Window plan of a traced run, built once per (schedule, weights, cfg).
 
-    R_m comes from ``_normalizers``.  At the first bad m it raises
+    R_m is ``_pair_sums`` of the mode's pairing.  At the first bad m it raises
     WeightError for an R_m that is not finite (a product or the sum
     overflowed) and DegenerateNormalizerError for R_m <= 0.
     """
     ms = _trace_indices(cfg)
-    x, y, r = _normalizers(schedule, weights, cfg.mode, ms)
+    x, y = schedule.bounds_array(ms)
+    r = _pair_sums(weights, cfg.mode, x, y)
     bad = np.flatnonzero(~((r > 0.0) & (r < math.inf)))
     if bad.size:
         check_normalizer(float(r[bad[0]]), int(ms[bad[0]]), weights.label)
@@ -252,22 +254,6 @@ def _capped(name: str, n: np.ndarray, ms: np.ndarray) -> np.ndarray:
     return n.astype(np.int64)
 
 
-def _normalizers(
-    schedule: DeferredSchedule, weights: WeightScheme, mode: NormalizerMode, ms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, y, R) at the window indices ms, R_m exactly rounded and unchecked.
-
-    R_m is ``width * (e0 * g0)`` when both weight sequences are constant
-    (what fsum returns for ``width`` equal terms), with e0 and g0 checked
-    by ``WeightSeq.array(0)``; otherwise ``_pair_sums`` of the mode's pairing.
-    """
-    x, y = schedule.bounds_array(ms)
-    if weights.e.constant is not None and weights.g.constant is not None:
-        weights.e.array(0), weights.g.array(0)  # WeightError for a bad e0 or g0
-        return x, y, (y - x).astype(np.float64) * (weights.e.constant * weights.g.constant)
-    return x, y, _pair_sums(weights, mode, x, y)
-
-
 def window_means(
     seq: Callable[[np.ndarray], np.ndarray],
     schedule: DeferredSchedule,
@@ -283,7 +269,8 @@ def window_means(
     At the first m where R_m or the numerator fails, ``check_normalizer`` raises for R_m, else
     WeightError.
     """
-    x, y, r = _normalizers(schedule, weights, mode, np.arange(1, horizon + 1))
+    x, y = schedule.bounds_array(np.arange(1, horizon + 1))
+    r = _pair_sums(weights, mode, x, y)
     ns = np.arange(1, int(y.max()) + 1, dtype=np.int64)
     values = array_result(seq(ns), ns.shape, np.float64, "sequence")
     num = _pair_sums(weights, NormalizerMode.REGULAR, x, y, np.concatenate(([0.0], values)))
@@ -305,9 +292,11 @@ def _pair_sums(
     """Exactly rounded window sums of the mode's pairing, each product times factor[n] if given.
 
     The one place a window sum's route is decided.  LITERAL pairs a head e(v) with a tail
-    g(y_m - v), REGULAR a head g(n) with a tail e(y_m - n), for x_m < v, n <= y_m.  Products of
-    one index (n: constant tail; y_m - n: constant head, no factor) are formed once, in order of
-    n, and each window is read off their prefix sums (``_exact_sums``); else ``_window_sums``.
+    g(y_m - v), REGULAR a head g(n) with a tail e(y_m - n), for x_m < v, n <= y_m.  With both
+    sides constant and no factor, the sum is (y_m - x_m) * (e0 * g0), what fsum returns for
+    y_m - x_m equal terms.  Products of one index (n: constant tail; y_m - n: constant head, no
+    factor) are formed once, in order of n, and each window is read off their prefix sums
+    (``_exact_sums``); else ``_window_sums``.
     """
     flip = 1 if mode is NormalizerMode.LITERAL else -1
     y_top, width = int(y.max()), int((y - x).max())
@@ -316,6 +305,8 @@ def _pair_sums(
             for s, n in zip((weights.e, weights.g), (y_top, width - 1)[::flip]))
     (head, h), (tail, t) = ((weights.e, e), (weights.g, g))[::flip]
     with np.errstate(over="ignore", invalid="ignore"):  # a bad product fails its window
+        if head.constant is not None and tail.constant is not None and factor is None:
+            return (y - x).astype(np.float64) * (e[0] * g[0])
         if tail.constant is not None:  # every index an edge: window m runs from edge x_m to y_m
             terms = h[1:] * t[0] if factor is None else (h[1:] * t[0]) * factor[1:]
             return _exact_sums(terms, np.arange(y_top + 1), x, y)

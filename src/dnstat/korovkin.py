@@ -681,17 +681,20 @@ def korovkin_check(
     has more, are tabulated by every sequence in turn with the same
     functions, so lifted sequences share each block's base table.  A nan
     sup deviation, which would never count, is a ValueError naming the
-    function and the first n.
+    function and the first n, as are two different functions under one label.
     """
     if not (isinstance(ops, tuple) and ops and all(isinstance(s, OperatorSequence) for s in ops)):
         raise ValueError("korovkin_check needs a nonempty tuple of operator sequences")
     if not f_list:
         raise ValueError("korovkin_check needs at least one conclusion function")
+    fns = [ONE, IDENTITY, SQUARE] + [as_sampled(f) for f in f_list]
+    for i, fn in enumerate(fns):  # reports and traces are keyed by label
+        if any(other.label == fn.label and other != fn for other in fns[:i]):
+            raise ValueError(f"two different functions share the label '{fn.label}'")
     density_cfg = cfg.density()
     top = counting_bound(schedule, weights, density_cfg)
 
     grid = np.linspace(0.0, 1.0, cfg.grid_points)
-    fns = [ONE, IDENTITY, SQUARE] + [as_sampled(f) for f in f_list]
     targets = np.stack([fn.values(grid) for fn in fns])
     sup_dev = np.empty((len(ops), len(fns), top))
     per_call = max(1, _BLOCK_ROWS // (2 * len(grid)))

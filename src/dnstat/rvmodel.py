@@ -18,13 +18,13 @@ validates each distinct law of a call once.  The detectors call
 counting reads.  Exceedance, moment and distribution-function levels are
 computed once per distinct law of a table and gathered per n; a
 tabulated model's tables share their read-only atom arrays, so the
-detectors level its laws once per call.  Each level is the exactly
-rounded sum over the atoms (``math.fsum`` bit for bit, inf past the
-float range), since a last-bit change can flip a threshold tie: a
-single IEEE add is exactly rounded, so laws of at most two atoms are
-summed by numpy and wider ones by ``_fsum`` per law, and |Y_n - Y|^r is
-Python's float pow (numpy's ``**`` differs in the last bit for some r),
-except at r = 1.  Probability totals are summed the same way.
+detectors level its laws once per call.  Every sum of probabilities is
+exactly rounded (``math.fsum`` bit for bit, inf past the float range),
+since a last-bit change can flip a threshold tie: ``_law_sums`` sums
+arrays of terms entry by entry (levels, the limit CDF over the atoms),
+``_fsum`` a list (law totals, limit-marginal probabilities, P(Y = h(Y))).
+|Y_n - Y|^r is Python's float pow (numpy's ``**`` differs in the last
+bit for some r), except at r = 1.
 
 ``atoms(m)`` (the atoms of positive probability), ``exceedance_prob``,
 ``abs_moment`` and ``cdf`` are one-index views of the same table;
@@ -39,6 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -116,12 +118,18 @@ def _fsum(values: Sequence[float]) -> float:
         return math.inf if num > 0 else -math.inf
 
 
+def _law_sums(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """Entry by entry, the exactly rounded sum of the term arrays (inf past the float range, where
+    the caller ignores overflow): numpy adds two in place (an add rounds once), ``_fsum`` more."""
+    if len(terms) > 2:
+        return np.array([_fsum(s) for s in zip(*(t.tolist() for t in terms))], dtype=np.float64)
+    return np.add(terms[0], terms[1], out=terms[0]) if len(terms) == 2 else terms[0]
+
+
 def _limit_law(law: Sequence[Triple]) -> list[tuple[float, float]]:
-    """Marginal law of the limit coordinate Y, merged and sorted."""
-    merged: dict[float, float] = {}
-    for _, b, p in law:
-        merged[b] = merged.get(b, 0.0) + p
-    return sorted((v, p) for v, p in merged.items() if p > 0.0)
+    """Limit marginal: each value of Y, sorted, with the ``_fsum`` of its probabilities."""
+    by_value = groupby(sorted(law, key=itemgetter(1)), key=itemgetter(1))
+    return [(v, _fsum([p for _, _, p in atoms])) for v, atoms in by_value]
 
 
 def _check_limit_law(
@@ -212,22 +220,10 @@ class LawTable:
         return self._levels(lambda a, b, p: np.where(a <= t, p, 0.0))
 
     def _levels(self, term: Callable[..., np.ndarray]) -> np.ndarray:
-        """Exactly rounded sum of term(atom) over each law, gathered per index.
-
-        Works one atom (row) at a time, so no (laws x atoms) temporary
-        is formed for laws of at most two atoms.  A term or a sum past the
-        float range reads inf, with no warning.
-        """
-        terms = (term(a, b, p) for a, b, p in zip(self.a, self.b, self.p))
+        """``_law_sums`` of term(atom) over each law's atoms (rows), gathered per index; a term
+        or a sum past the float range reads inf, with no warning."""
         with np.errstate(over="ignore"):
-            if len(self.p) <= 2:
-                # A single IEEE add is exactly rounded, as fsum is.
-                per_law = next(terms)
-                for t in terms:
-                    per_law += t
-            else:
-                columns = [t.tolist() for t in terms]
-                per_law = np.array([_fsum(law) for law in zip(*columns)], dtype=np.float64)
+            per_law = _law_sums([term(a, b, p) for a, b, p in zip(self.a, self.b, self.p)])
         return per_law if self.index is None else per_law[self.index]
 
 
@@ -336,13 +332,11 @@ def cdf(model: RVSequenceModel, which: int | str, t: float) -> float:
 
 
 def limit_cdf(model: RVSequenceModel, ts: float | np.ndarray) -> np.ndarray:
-    """Exact P(Y <= t) at each t of ts: one fsum per distinct prefix of the sorted limit atoms."""
+    """Exact P(Y <= t) at each t of ts: ``_law_sums`` over the atoms at m = 1 with y value <= t."""
     if np.isnan(ts).any():
         raise ValueError(f"cdf points must not be nan, got {ts}")
-    law = model.limit_atoms()
-    k = np.searchsorted([v for v, _ in law], ts, side="right")
-    prefix = {j: math.fsum(p for _, p in law[:j]) for j in set(np.ravel(k).tolist())}
-    return np.vectorize(prefix.__getitem__, otypes=[np.float64])(k)
+    _, b, p = np.array(model.atoms(1)).T[:, :, np.newaxis]
+    return _law_sums(np.where(b <= np.ravel(ts), p, 0.0)).reshape(np.shape(ts))
 
 
 @dataclass(frozen=True)
@@ -405,8 +399,10 @@ class SampleBatch:
         _check_order(r)
         n, powers = self.count, _power(_gap(self.a_vals, self.b_vals), r)[self.atom]
         with np.errstate(over="ignore"):  # past the float range, both read inf
-            est = float(np.mean(powers))
-            spread = 0.0 if n == 1 else est if est == math.inf else float(np.std(powers, ddof=1))
+            est, k = float(np.mean(powers)), math.frexp(float(powers.max()))[1]
+            spread = 0.0 if n == 1 else est
+            if n > 1 and est < math.inf:  # scaled by 2^-k (exact if normal), squares stay in range
+                spread = math.ldexp(float(np.std(np.ldexp(powers, -k, out=powers), ddof=1)), k)
         return EmpiricalEstimate(est, spread / math.sqrt(n), n, self.seed)
 
     def cdf(self, which: int | str, t: float) -> EmpiricalEstimate:
@@ -471,7 +467,7 @@ def with_alt_limit(
 
 def prob_limits_equal(model: RVSequenceModel, h: Callable[[float], float]) -> float:
     """Exact P(Y = h(Y)) under the model's limit coordinate."""
-    return math.fsum(p for _, b, p in model.atoms(1) if b == float(h(b)))
+    return _fsum([p for _, b, p in model.atoms(1) if b == float(h(b))])
 
 
 def combine_independent(

@@ -9,10 +9,12 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dnstat import cli, density
 from dnstat.cli import main
+from dnstat.schedules import schedule_preset
 
 
 def run_cli(*args: str, timeout: int = 240) -> subprocess.CompletedProcess:
@@ -39,14 +41,16 @@ class TestMean:
         assert all(line.split()[-1] == "7.0" for line in rows if line.strip())
 
     def test_one_normalizer_sum_per_row(self, monkeypatch, capsys):
-        # R_m of every row comes from one call over all window indices.
+        # R_m of every row comes from one call over all window indices, the numerators
+        # from a second.
         calls = []
-        real = density._normalizers
-        monkeypatch.setattr(density, "_normalizers", lambda *a: calls.append(a) or real(*a))
+        real = density._pair_sums
+        monkeypatch.setattr(density, "_pair_sums", lambda *a: calls.append(a) or real(*a))
         assert main(["mean", "--seq", "identity", "--schedule", "example", "--weights",
                      "identity", "--horizon", "30"]) == 0
-        assert len(calls) == 1
-        assert calls[0][3].tolist() == list(range(1, 31))
+        assert len(calls) == 2
+        x, y = schedule_preset("example").bounds_array(np.arange(1, 31))
+        assert [calls[0][2].tolist(), calls[0][3].tolist()] == [x.tolist(), y.tolist()]
 
     @pytest.mark.parametrize(
         "e, g, match",

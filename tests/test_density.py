@@ -534,7 +534,7 @@ class TestWindowPlan:
         const = WeightSeq(lambda n: 1.5, "c", constant=1.5)
         weights = WeightScheme(*((const, seq) if side == "e" else (seq, const)), label=table)
         with mock.patch.object(density, "_window_sums", side_effect=AssertionError("chunk route")):
-            r = density._normalizers(schedule, weights, mode, ms)[2]
+            r = density._pair_sums(weights, mode, x, y)
         e, g = (np.full(size, 1.5), values) if side == "e" else (values, np.full(size, 1.5))
         chunk = _window_sums(*((e, g) if mode is NormalizerMode.LITERAL else (g, e)), x, y)
         bad = np.flatnonzero(~np.isfinite(chunk))
@@ -542,6 +542,22 @@ class TestWindowPlan:
         assert np.isfinite(r[: stop - 1]).all()
         assert [v.hex() for v in r[:stop].tolist()] == [v.hex() for v in chunk[:stop].tolist()]
         for m in ms[:stop].tolist():
+            assert r[m - 1].hex() == fsum_normalizer(schedule, weights, m, mode).hex(), m
+
+    @pytest.mark.parametrize("preset", ["cesaro", "example", "stretch"])
+    @pytest.mark.parametrize("mode", list(NormalizerMode))
+    def test_two_constant_sides_take_the_closed_form(self, mode, preset):
+        # R_m = (y_m - x_m) * (e0 * g0), with no window summed: the fsum of the
+        # window's equal products bit for bit.
+        schedule = schedule_preset(preset)
+        ms = np.arange(1, 61)
+        x, y = schedule.bounds_array(ms)
+        e, g = (WeightSeq(lambda n, c=c: c, str(c), constant=c) for c in (0.1, 0.7))
+        weights = WeightScheme(e, g, label="constants")
+        with mock.patch.object(density, "_exact_sums", side_effect=AssertionError("prefix route")), \
+                mock.patch.object(density, "_window_sums", side_effect=AssertionError("chunk route")):
+            r = density._pair_sums(weights, mode, x, y)
+        for m in ms.tolist():
             assert r[m - 1].hex() == fsum_normalizer(schedule, weights, m, mode).hex(), m
 
     @pytest.mark.parametrize("lead", [0, 7])

@@ -182,7 +182,7 @@ def assert_points_count_brute_gap_rows(model, schedule, weights, cfg):
     k_max = int(floor_r(schedule, weights, cfg.density).max())
     atoms = [model.atoms(n) for n in range(1, k_max + 1)]
     for t, point in v.extras["points"].items():
-        limit = math.fsum(p for y, p in model.limit_atoms() if y <= t)
+        limit = math.fsum(p for _, y, p in model.atoms(1) if y <= t)
         row = np.array([abs(brute_cdf(law, t) - limit) for law in atoms])
         alone = level_density_limit(row, cfg.eps, schedule, weights, cfg.density)
         assert same_columns(point, alone)

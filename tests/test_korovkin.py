@@ -179,8 +179,8 @@ class TestLiftedOperators:
     @pytest.mark.parametrize("n", [1, 4, 17, 60])
     def test_cdf_factor_is_one_plus_the_limit_cdf_bit_for_bit(self, n):
         grid = np.linspace(0.0, 1.0, 65)
-        law = model_preset("example2").model.limit_atoms()
-        factor = np.array([1.0 + math.fsum(p for v, p in law if v <= y) for y in grid])
+        atoms = model_preset("example2").model.atoms(1)
+        factor = np.array([1.0 + math.fsum(p for _, v, p in atoms if v <= y) for y in grid])
         base = lifted_operator(Perturbation.NONE, 1e-10).batch([n], [ONE, CUBE], grid)[0]
         lifted = lifted_operator(Perturbation.CDF_FACTOR, 1e-10).batch([n], [ONE, CUBE], grid)[0]
         assert np.array_equal(lifted, base * factor)
@@ -427,6 +427,21 @@ class TestSampledValues:
         column = SampledFunction(lambda y: np.reshape(y, (-1, 1)), "column")
         with pytest.raises(ValueError, match=r"^function 'column' returned shape \(5, 1\)"):
             column.values(self.GRID)
+
+    def test_two_functions_under_one_label_are_rejected(self):
+        # Reports and traces are keyed by label: sin under "z" would read the
+        # identity condition's trace.
+        cfg = KorovkinConfig(horizon=20, grid_points=9)
+        ops = lifted_operator(Perturbation.NONE, 1e-8)
+        for f_list in ([SampledFunction(np.sin, "z")], [CUBE, SampledFunction(np.sin, "y^3")]):
+            with pytest.raises(ValueError, match=r"share the label '(z|y\^3)'"):
+                korovkin_check((ops,), f_list, schedule_preset("stretch"),
+                               weight_preset("ones"), cfg)
+        # The same function twice is one function.
+        (report,) = korovkin_check((ops,), [IDENTITY, CUBE, CUBE], schedule_preset("stretch"),
+                                   weight_preset("ones"), cfg)
+        assert list(report.conclusions) == ["z", "y^3"]
+        assert np.array_equal(report.sup_trace("z"), report.conditions["z"].extras["levels"])
 
     def test_checker_names_a_scalar_only_conclusion_function(self):
         cfg = KorovkinConfig(horizon=20, grid_points=9)

@@ -36,6 +36,23 @@ from dnstat.rvmodel import (
 from conftest import REFERENCE_SUPPORTS, brute_cdf, brute_exceedance, brute_moment
 
 
+# Three atoms share the limit value 0, whose probability 0.1 + 0.2 + 0.3 rounds
+# to 0.6000000000000001 when added in order.
+DECIMAL_LAW = {1: [(0.0, 0.0, 0.1), (0.0, 0.0, 0.2), (0.0, 0.0, 0.3), (1.0, 1.0, 0.4)]}
+
+
+@st.composite
+def decimal_laws(draw):
+    """Atoms whose limit values repeat, with probabilities c / 10^d that sum to 1 in decimal."""
+    digits = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(1, 10**digits - 1), max_size=7, unique=True)))
+    bounds = [0, *cuts, 10**digits]
+    values = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                           min_size=len(bounds) - 1, max_size=len(bounds) - 1))
+    return [(b + i, b, (hi - lo) / 10**digits)
+            for i, (b, lo, hi) in enumerate(zip(values, bounds, bounds[1:]))]
+
+
 @pytest.fixture
 def ex1() -> RVSequenceModel:
     return model_preset("example1").model
@@ -98,16 +115,44 @@ class TestExactOperations:
         with pytest.raises(ValueError, match=match):
             call(ex1)
 
-    @pytest.mark.parametrize("spec", MODEL_ZOO)
+    @pytest.mark.parametrize("spec", [*MODEL_ZOO, "decimal"])
     def test_limit_cdf_equals_an_fsum_over_the_limit_atoms(self, spec):
-        law = model_preset(spec).model.limit_atoms()
-        values = [v for v, _ in law]
+        model = tabulated_model(DECIMAL_LAW) if spec == "decimal" else model_preset(spec).model
+        atoms = model.atoms(1)
+        values = [v for v, _ in model.limit_atoms()]
         ts = values + [v + d for v in values for d in (-0.25, 0.25)] + [-math.inf, math.inf]
-        got = limit_cdf(model_preset(spec).model, np.array(ts))
-        want = [math.fsum(p for v, p in law if v <= t) for t in ts]
+        got = limit_cdf(model, np.array(ts))
+        want = [math.fsum(p for _, v, p in atoms if v <= t) for t in ts]
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-        assert [cdf(model_preset(spec).model, LIMIT, t).hex() for t in ts] == [
-            v.hex() for v in want
+        assert [cdf(model, LIMIT, t).hex() for t in ts] == [v.hex() for v in want]
+
+    def test_a_sequence_equal_to_its_limit_has_its_limit_law(self):
+        # Y_n = Y at every n, with a limit atom of probability 0.1 + 0.2 + 0.3.
+        model = tabulated_model(DECIMAL_LAW)
+        assert model.limit_atoms() == [(0.0, 0.6), (1.0, 0.4)]
+        for t in (-1.0, 0.0, 0.5, 1.0, 2.0):
+            assert cdf(model, LIMIT, t) == cdf(model, 1, t)
+        bundle = model_preset("example1")
+        cfg = DetectorConfig(eps=1e-17, density=DensityConfig(horizon=100))
+        for detector in (st_dnp, st_dnm, st_dndc):
+            v = detector(model, bundle.schedule, bundle.weights, cfg)
+            assert (v.verdict, v.tail_max) == (Verdict.CONVERGES, 0.0)
+
+    @given(law=decimal_laws())
+    @settings(max_examples=200, deadline=None)
+    def test_limit_law_sums_equal_fsums_over_the_raw_atoms(self, law):
+        model = tabulated_model({1: law})
+        atoms = model.atoms(1)
+        values = sorted({b for _, b, _ in atoms})
+        want = [(v, math.fsum(p for _, b, p in atoms if b == v)) for v in values]
+        assert [(v.hex(), p.hex()) for v, p in model.limit_atoms()] == [
+            (v.hex(), p.hex()) for v, p in want
+        ]
+        ts = [t for v in values for t in (math.nextafter(v, -math.inf), v,
+                                          math.nextafter(v, math.inf))]
+        got = limit_cdf(model, np.array(ts)).tolist()
+        assert [v.hex() for v in got] == [
+            math.fsum(p for _, b, p in atoms if b <= t).hex() for t in ts
         ]
 
     @given(
@@ -556,8 +601,12 @@ class TestFloatRange:
         model = tabulated_model({1: self.HUGE})
         batch = sample(model, 1, 1000, 1)
         r1, r2 = batch.abs_moment(1.0), batch.abs_moment(2.0)
-        # The squared deviations from the mean pass the range, as the exact second moment does.
-        assert (r1.estimate, r1.stderr) == (float(np.mean(batch.values_m)), math.inf)
+        # The exact second moment passes the range; the spread of the first powers does not,
+        # though their squared deviations from the mean do.
+        n, k = batch.count, int(np.count_nonzero(batch.atom))
+        spread = 1e200 * math.sqrt(k * (n - k) / (n * (n - 1)))
+        assert r1.estimate == float(np.mean(batch.values_m))
+        assert r1.stderr == pytest.approx(spread / math.sqrt(n), rel=1e-12)
         assert (r2.estimate, r2.stderr) == (math.inf, math.inf)
         # One draw has no spread, of the huge atom's power too.
         seed = next(s for s in range(100) if sample(model, 1, 1, s).atom[0] == 1)

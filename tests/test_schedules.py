@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnstat.density import DensityConfig, _normalizers, level_density_limit, window_means
+from dnstat.density import DensityConfig, _pair_sums, level_density_limit, window_means
 from dnstat.schedules import (
     Affine,
     DeferredSchedule,
@@ -102,7 +102,7 @@ class TestConvolution:
 
     def test_zero_weights_yield_degenerate_normalizer(self, cesaro):
         zeros = WeightScheme(tabulated([0.0] * 50), tabulated([0.0] * 50), label="zeros")
-        r = _normalizers(cesaro, zeros, NormalizerMode.REGULAR, np.array([5]))[2]
+        r = _pair_sums(zeros, NormalizerMode.REGULAR, *cesaro.bounds_array(np.array([5])))
         assert r.tolist() == [0.0]
         # R_m = g(m) on cesaro when e = (1, 0, 0, ...): m = 5 is the first zero.
         gap = WeightScheme(
