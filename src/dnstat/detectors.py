@@ -50,13 +50,13 @@ from .density import (
 from .rvmodel import (
     LawTable,
     RVSequenceModel,
+    _coupled,
     abs_moment,
     combine_independent,
     exceedance_prob,
     limit_cdf,
     map_values,
     prob_limits_equal,
-    support_model,
     with_alt_limit,
 )
 from .schedules import DeferredSchedule, WeightScheme
@@ -474,19 +474,10 @@ def cauchy_index_search(
     being exercised is existential, so a bounded search is the honest
     finite rendition.
     """
+    tail = lambda am, _bm, aa, _ba: (am, aa)  # noqa: E731
     for a in range(1, a_max + 1):
-        fixed = model.atoms(a)
-
-        def support(m: int, _fixed=fixed) -> list[tuple[float, float, float]]:
-            out = []
-            for am, _, pm in model.atoms(m):
-                for aa, _, pa in _fixed:
-                    p = pm * pa
-                    if p > 0.0:
-                        out.append((am, aa, p))
-            return out
-
-        pair = support_model(support, f"tailpair({model.description},a={a})")
+        fixed = model.law_table(np.array([a], dtype=np.int64))
+        pair = _coupled((model.law_table, lambda ns, t=fixed: t), tail, f"tailpair({model.description},a={a})")
         if st_dnp(pair, schedule, weights, cfg).verdict is Verdict.CONVERGES:
             return a
     return None

@@ -12,8 +12,10 @@ of indices to the ``LawTable`` of the laws there: each distinct law's
 atoms once, plus the law used at each index.  example1, bernoulli_shift
 and the deterministic forms are closed forms in numpy; a tabulated model
 validates its rows when built and binary-searches its keys;
-``support_model`` calls a per-index support callable once per index and
-validates each distinct law of a call once.  The detectors call
+``support_model``, for a caller's own support, calls it once per index
+and validates each distinct law of a call once; a derived model (the
+transforms, the detectors' tail pairs) couples its inputs' tables and
+maps each live atom of each distinct law once.  The detectors call
 ``law_table`` on one chunk of indices at a time, up to the last index
 counting reads.  Exceedance, moment and distribution-function levels are
 computed once per distinct law of a table and gathered per n; a
@@ -21,8 +23,9 @@ tabulated model's tables share their read-only atom arrays, so the
 detectors level its laws once per call.  Every sum of probabilities is
 exactly rounded (``math.fsum`` bit for bit, inf past the float range),
 since a last-bit change can flip a threshold tie: ``_law_sums`` sums
-arrays of terms entry by entry (levels, the limit CDF over the atoms),
-``_fsum`` a list (law totals, limit-marginal probabilities, P(Y = h(Y))).
+arrays of terms entry by entry (levels, the limit CDF over the atoms,
+coupled law totals), ``_fsum`` a list (law totals, limit-marginal
+probabilities, P(Y = h(Y)), the sampler's inverse-CDF edges).
 |Y_n - Y|^r is Python's float pow (numpy's ``**`` differs in the last
 bit for some r), except at r = 1.
 
@@ -38,9 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from itertools import groupby
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -120,10 +123,10 @@ def _fsum(values: Sequence[float]) -> float:
 
 def _law_sums(terms: Sequence[np.ndarray]) -> np.ndarray:
     """Entry by entry, the exactly rounded sum of the term arrays (inf past the float range, where
-    the caller ignores overflow): numpy adds two in place (an add rounds once), ``_fsum`` more."""
+    the caller ignores overflow): numpy adds two (an add rounds once), ``_fsum`` more."""
     if len(terms) > 2:
         return np.array([_fsum(s) for s in zip(*(t.tolist() for t in terms))], dtype=np.float64)
-    return np.add(terms[0], terms[1], out=terms[0]) if len(terms) == 2 else terms[0]
+    return np.add(terms[0], terms[1]) if len(terms) == 2 else terms[0]
 
 
 def _limit_law(law: Sequence[Triple]) -> list[tuple[float, float]]:
@@ -198,6 +201,10 @@ class LawTable:
     b: Sequence[np.ndarray]
     p: Sequence[np.ndarray]
 
+    def law(self, j: int) -> list[Triple]:
+        """Law j's (y_n value, y value, probability) atoms of positive probability."""
+        return [(float(a[j]), float(b[j]), float(p[j])) for a, b, p in zip(self.a, self.b, self.p) if p[j] > 0.0]
+
     def exceedance(self, eps: float) -> np.ndarray:
         """P(|Y_n - Y| >= eps) at each index."""
         _check_eps(eps)
@@ -267,12 +274,7 @@ class RVSequenceModel:
     def atoms(self, m: int) -> list[tuple[float, float, float]]:
         """The (y_m value, y value, probability) atoms of positive probability at index m."""
         table = _one_law(self, m)
-        j = 0 if table.index is None else int(table.index[0])
-        return [
-            (float(a[j]), float(b[j]), float(p[j]))
-            for a, b, p in zip(table.a, table.b, table.p)
-            if p[j] > 0.0
-        ]
+        return table.law(0 if table.index is None else int(table.index[0]))
 
     def laws(self, k_max: int) -> LawTable:
         """The laws at n = 1..k_max, each distinct law stored once."""
@@ -421,14 +423,13 @@ def sample(model: RVSequenceModel, m: int, count: int, seed: int) -> SampleBatch
     """
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
-    triples = model.atoms(m)
-    a_vals = np.asarray([a for a, _, _ in triples])
-    b_vals = np.asarray([b for _, b, _ in triples])
-    cum = np.cumsum(np.asarray([p for _, _, p in triples]))
-    cum[-1] = np.inf  # guard the top edge against rounding in the cumsum
+    a_vals, b_vals, probs = np.array(model.atoms(m)).T
+    # Edge i is the exactly rounded total of atoms 0..i, which a 53-bit uniform falls below
+    # with just that probability; the top edge is inf.
+    cum = np.array([*(_fsum(probs[: i + 1].tolist()) for i in range(len(probs) - 1)), np.inf])
     key = np.array([np.uint64(seed % (1 << 64)), np.uint64(m)], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    atom = np.empty(count, dtype=np.min_scalar_type(len(triples) - 1))
+    atom = np.empty(count, dtype=np.min_scalar_type(len(probs) - 1))
     for lo in range(0, count, _SAMPLE_CHUNK):
         hi = min(lo + _SAMPLE_CHUNK, count)
         atom[lo:hi] = np.searchsorted(cum, gen.random(hi - lo), side="right")
@@ -439,17 +440,54 @@ def sample(model: RVSequenceModel, m: int, count: int, seed: int) -> SampleBatch
 # Model transforms (pointwise on joint supports)
 
 
+def _coupled(
+    sources: Sequence[Callable[[np.ndarray], LawTable]], values: Callable[..., tuple], description: str
+) -> RVSequenceModel:
+    """The independent coupling of k >= 1 law sources (a one-index table holds at every index).
+
+    A coupled law's slots are the a-major outer product of its inputs', its p the product of
+    theirs in input order.  values maps a live slot's (a_1, b_1, ..., a_k, b_k) to its (y_m, y),
+    once per live slot of each distinct coupled law, laws in the order of their first indices.
+    ``_checked``'s rules hold each law, so ModelError names the first index of a bad one.
+    """
+
+    def law_table(ns: np.ndarray) -> LawTable:
+        tables = [source(ns) for source in sources]
+        keys = [np.broadcast_to(np.arange(len(t.p[0])) if t.index is None else t.index, ns.shape)
+                for t in tables]
+        code = np.ravel_multi_index(keys, [len(t.p[0]) for t in tables])
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        first, index = np.unique(first[inverse], return_inverse=True)  # laws by their first index
+        inputs = [[np.asarray(v)[:, key[first]] for v in (t.a, t.b, t.p)] for t, key in zip(tables, keys)]
+        shape = [len(q) for _, _, q in inputs]
+        at = np.unravel_index(np.arange(math.prod(shape)), shape)  # each slot's input slots, a-major
+        p = reduce(mul, [q[i] for (_, _, q), i in zip(inputs, at)])
+        law, slot = np.nonzero(p.T > 0.0)  # the live slots, law by law
+        args = [v[i[slot], law].tolist() for (a, b, _), i in zip(inputs, at) for v in (a, b)]
+        table, mapped = LawTable(index, np.zeros(p.shape), np.zeros(p.shape), p), []
+        try:
+            for v in zip(*args):
+                mapped += values(*v)
+        finally:  # index order meets a bad law before a later law whose values fail
+            done = len(mapped) // 2
+            table.a[slot[:done], law[:done]], table.b[slot[:done], law[:done]] = np.reshape(mapped, (-1, 2)).T
+            ok = (abs(_law_sums(list(p)) - 1.0) <= PROB_TOL) & np.isfinite((table.a, table.b)).all((0, 1))
+            bad = np.flatnonzero(~ok[: law[done] if done < len(law) else len(first)])
+            if len(bad):
+                _checked(table.law(bad[0]), description, int(ns[first[bad[0]]]))
+        return table
+
+    return RVSequenceModel(law_table, description)
+
+
 def map_values(
     model: RVSequenceModel,
     f: Callable[[float], float],
     description: str | None = None,
 ) -> RVSequenceModel:
     """Pushforward model (f(Y_m), f(Y)) with the same atom probabilities."""
-
-    def support(m: int) -> list[tuple[float, float, float]]:
-        return [(float(f(a)), float(f(b)), p) for a, b, p in model.atoms(m)]
-
-    return support_model(support, description or f"mapped({model.description})")
+    pair = lambda a, b: (float(f(a)), float(f(b)))  # noqa: E731
+    return _coupled((model.law_table,), pair, description or f"mapped({model.description})")
 
 
 def with_alt_limit(
@@ -458,11 +496,8 @@ def with_alt_limit(
     description: str | None = None,
 ) -> RVSequenceModel:
     """Same Y_m coordinate, limit coordinate replaced by h(Y)."""
-
-    def support(m: int) -> list[tuple[float, float, float]]:
-        return [(a, float(h(b)), p) for a, b, p in model.atoms(m)]
-
-    return support_model(support, description or f"altlimit({model.description})")
+    pair = lambda a, b: (a, float(h(b)))  # noqa: E731
+    return _coupled((model.law_table,), pair, description or f"altlimit({model.description})")
 
 
 def prob_limits_equal(model: RVSequenceModel, h: Callable[[float], float]) -> float:
@@ -482,18 +517,9 @@ def combine_independent(
     independence is the coupling adopted for the algebra-of-limits
     checks.
     """
-
-    def support(m: int) -> list[tuple[float, float, float]]:
-        out = []
-        for a1, b1, p1 in model_a.atoms(m):
-            for a2, b2, p2 in model_b.atoms(m):
-                p = p1 * p2
-                if p > 0.0:
-                    out.append((float(op(a1, a2)), float(op(b1, b2)), p))
-        return out
-
+    pair = lambda a1, b1, a2, b2: (float(op(a1, a2)), float(op(b1, b2)))  # noqa: E731
     name = description or f"combined({model_a.description},{model_b.description})"
-    return support_model(support, name)
+    return _coupled((model_a.law_table, model_b.law_table), pair, name)
 
 
 # ---------------------------------------------------------------------------

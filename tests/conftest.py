@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dnstat.density import window_plan
+from dnstat.rvmodel import support_model
 from dnstat.schedules import (
     Affine,
     DeferredSchedule,
@@ -209,6 +210,54 @@ REFERENCE_SUPPORTS = {
     "deterministic:2-1/m": lambda m: [(2.0 - 1.0 / m, 2.0, 1.0)],
     "bernoulli_shift": _bernoulli_shift_support,
 }
+
+
+# Per-index closure oracles for the derived models: each reads its inputs' atoms(m) at every
+# index, and support_model checks each distinct law.  Descriptions match the library's, so
+# error messages compare too.
+
+
+def closure_map_values(model, f):
+    def support(m):
+        return [(float(f(a)), float(f(b)), p) for a, b, p in model.atoms(m)]
+
+    return support_model(support, f"mapped({model.description})")
+
+
+def closure_alt_limit(model, h):
+    def support(m):
+        return [(a, float(h(b)), p) for a, b, p in model.atoms(m)]
+
+    return support_model(support, f"altlimit({model.description})")
+
+
+def closure_combined(model_a, model_b, op):
+    def support(m):
+        out = []
+        for a1, b1, p1 in model_a.atoms(m):
+            for a2, b2, p2 in model_b.atoms(m):
+                p = p1 * p2
+                if p > 0.0:
+                    out.append((float(op(a1, a2)), float(op(b1, b2)), p))
+        return out
+
+    return support_model(support, f"combined({model_a.description},{model_b.description})")
+
+
+def closure_tail_pair(model, a):
+    """(Y_n, Y_a) under an independent coupling, as ``cauchy_index_search`` runs it."""
+    fixed = model.atoms(a)
+
+    def support(m):
+        out = []
+        for am, _, pm in model.atoms(m):
+            for aa, _, pa in fixed:
+                p = pm * pa
+                if p > 0.0:
+                    out.append((am, aa, p))
+        return out
+
+    return support_model(support, f"tailpair({model.description},a={a})")
 
 
 def brute_exceedance(atoms, eps: float) -> float:

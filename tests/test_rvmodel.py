@@ -244,6 +244,25 @@ class TestSampler:
         assert np.array_equal(a.values_m, b.values_m)
         assert np.array_equal(a.values_y, b.values_y)
 
+    def test_edges_are_the_exactly_rounded_cumulative_probabilities(self, monkeypatch):
+        # Added in order, 0.1 + 0.2 + 0.3 is 0.6000000000000001; the exact sum rounds to 0.6,
+        # the value cdf gives.  A 53-bit uniform falls below an edge on that grid with the
+        # edge's own probability, so a uniform at cdf(model, 1, i) draws atom i + 1.
+        model = tabulated_model({1: [(float(i), 0.0, p) for i, p in enumerate((0.1, 0.2, 0.3, 0.4))]})
+        edges = [cdf(model, 1, float(i)) for i in range(3)]
+        assert edges[2] == 0.6
+        uniforms = [u for e in edges for u in (math.nextafter(e, 0.0), e)]
+
+        class Fixed:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, size):
+                return np.array(uniforms[:size])
+
+        monkeypatch.setattr(np.random, "Generator", Fixed)
+        assert sample(model, 1, len(uniforms), 0).atom.tolist() == [0, 1, 1, 2, 2, 3]
+
     def test_batches_compare_and_hash_by_identity(self, ex1):
         a, b = sample(ex1, 16, 100, 1), sample(ex1, 16, 100, 1)
         assert a == a and a != b and hash(a) == hash(a)
