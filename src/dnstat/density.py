@@ -622,8 +622,8 @@ def _counted_range(
 
 def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct x and each entry's rank in them: uint16 below 2^16 entries, else uint32."""
-    # np.sort and np.unique page in more numpy code; an argsort 128 KB, which sorted x skips.
-    order = np.argsort(x, kind="stable") if (np.diff(x) < 0).any() else np.arange(len(x))
+    # Ties get one rank in any order; sorted x skips the sort, which pages in more numpy code.
+    order = np.argsort(x) if (np.diff(x) < 0).any() else np.arange(len(x))
     first = np.concatenate(([True], np.diff(x[order]) > 0))
     ranks = np.empty(len(x), np.uint16 if len(x) < 2**16 else np.uint32)
     ranks[order] = np.cumsum(first) - 1

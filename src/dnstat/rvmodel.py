@@ -8,26 +8,26 @@ joint does not, and all three detectors need exact joint quantities.
 
 Every probabilistic operation here is an exact finite sum.  A model has
 one law source, ``RVSequenceModel.law_table``, which maps an int64 array
-of indices to the ``LawTable`` of the laws there: each distinct law's
-atoms once, plus the law used at each index.  example1, bernoulli_shift
-and the deterministic forms are closed forms in numpy; a tabulated model
-validates its rows when built and binary-searches its keys;
-``support_model``, for a caller's own support, calls it once per index
-and validates each distinct law of a call once; a derived model (the
-transforms, the detectors' tail pairs) couples its inputs' tables and
-maps each live atom of each distinct law once.  The detectors call
+of indices to the ``LawTable`` of the laws there: three (atom slot ×
+distinct law) arrays a, b and p, plus the law used at each index.
+example1, bernoulli_shift and the deterministic forms are closed forms in
+numpy; a tabulated model validates its rows when built and binary-searches
+its keys; ``support_model``, for a caller's own support, calls it once per
+index and validates each distinct law of a call once; a derived model (the
+transforms, the detectors' tail pairs) couples its inputs' tables and maps
+each live atom of each distinct law once.  The detectors call
 ``law_table`` on one chunk of indices at a time, up to the last index
-counting reads.  Exceedance, moment and distribution-function levels are
-computed once per distinct law of a table and gathered per n; a
-tabulated model's tables share their read-only atom arrays, so the
-detectors level its laws once per call.  Every sum of probabilities is
-exactly rounded (``math.fsum`` bit for bit, inf past the float range),
-since a last-bit change can flip a threshold tie: ``_law_sums`` sums
-arrays of terms entry by entry (levels, the limit CDF over the atoms,
-coupled law totals), ``_fsum`` a list (law totals, limit-marginal
-probabilities, P(Y = h(Y)), the sampler's inverse-CDF edges).
-|Y_n - Y|^r is Python's float pow (numpy's ``**`` differs in the last
-bit for some r), except at r = 1.
+counting reads.  An exceedance, moment or distribution-function level is
+one array expression over a whole table and one exact sum over its slots,
+gathered per n; a tabulated model's tables share their read-only arrays,
+so the detectors level its laws once per call.  Every sum of
+probabilities is exactly rounded (``math.fsum`` bit for bit, inf past the
+float range), since a last-bit change can flip a threshold tie:
+``_law_sums`` sums a 2-D array over its rows (levels, the limit CDF over
+the atoms, coupled law totals), ``_fsum`` a list (law totals,
+limit-marginal probabilities, P(Y = h(Y)), the sampler's inverse-CDF
+edges).  |Y_n - Y|^r is Python's float pow (numpy's ``**`` differs in the
+last bit for some r), except at r = 1.
 
 ``atoms(m)`` (the atoms of positive probability), ``exceedance_prob``,
 ``abs_moment`` and ``cdf`` are one-index views of the same table;
@@ -121,11 +121,11 @@ def _fsum(values: Sequence[float]) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _law_sums(terms: Sequence[np.ndarray]) -> np.ndarray:
-    """Entry by entry, the exactly rounded sum of the term arrays (inf past the float range, where
-    the caller ignores overflow): numpy adds two (an add rounds once), ``_fsum`` more."""
+def _law_sums(terms: np.ndarray) -> np.ndarray:
+    """Column by column, the exactly rounded sum of a 2-D array's rows (inf past the float range,
+    where the caller ignores overflow): numpy adds two (an add rounds once), ``_fsum`` more."""
     if len(terms) > 2:
-        return np.array([_fsum(s) for s in zip(*(t.tolist() for t in terms))], dtype=np.float64)
+        return np.array([_fsum(column) for column in terms.T.tolist()], dtype=np.float64)
     return np.add(terms[0], terms[1]) if len(terms) == 2 else terms[0]
 
 
@@ -174,7 +174,7 @@ def _power(x: np.ndarray, r: float) -> np.ndarray:
     differ in the last bit."""
     if r == 1.0:
         return x
-    return np.array([_pow(v, r) for v in x.tolist()], dtype=np.float64)
+    return np.array([_pow(v, r) for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
 
 
 def _pow(v: float, r: float) -> float:
@@ -188,22 +188,22 @@ def _pow(v: float, r: float) -> float:
 class LawTable:
     """The laws of a model at an array of indices, each distinct law stored once.
 
-    ``a``, ``b`` and ``p`` hold one array per atom slot j (a 2-D array's
-    rows, or separate arrays): atom j's y_n value, y value and
-    probability in every distinct law, one entry per law.  A law with
-    fewer atoms is padded with (0, 0, 0), which adds an exact 0 to every
-    level.  Law ``index[i]`` is the one used at the i-th index asked
-    for; ``index`` is None when every index has a law of its own, law i.
+    ``a``, ``b`` and ``p`` are float arrays of shape (atom slots, laws):
+    entry [j, i] is atom j's y_n value, y value and probability in law i.
+    A law with fewer atoms is padded with (0, 0, 0), which adds an exact
+    0 to every level, so a level is one expression over the table.  Law
+    ``index[i]`` is the one used at the i-th index asked for; ``index``
+    is None when every index has a law of its own, law i.
     """
 
     index: np.ndarray | None
-    a: Sequence[np.ndarray]
-    b: Sequence[np.ndarray]
-    p: Sequence[np.ndarray]
+    a: np.ndarray
+    b: np.ndarray
+    p: np.ndarray
 
     def law(self, j: int) -> list[Triple]:
         """Law j's (y_n value, y value, probability) atoms of positive probability."""
-        return [(float(a[j]), float(b[j]), float(p[j])) for a, b, p in zip(self.a, self.b, self.p) if p[j] > 0.0]
+        return [atom for atom in zip(*(v[:, j].tolist() for v in (self.a, self.b, self.p))) if atom[2] > 0.0]
 
     def exceedance(self, eps: float) -> np.ndarray:
         """P(|Y_n - Y| >= eps) at each index."""
@@ -227,10 +227,10 @@ class LawTable:
         return self._levels(lambda a, b, p: np.where(a <= t, p, 0.0))
 
     def _levels(self, term: Callable[..., np.ndarray]) -> np.ndarray:
-        """``_law_sums`` of term(atom) over each law's atoms (rows), gathered per index; a term
-        or a sum past the float range reads inf, with no warning."""
+        """``_law_sums`` of term(a, b, p) on the whole table, gathered per index; a term or a
+        sum past the float range reads inf, with no warning."""
         with np.errstate(over="ignore"):
-            per_law = _law_sums([term(a, b, p) for a, b, p in zip(self.a, self.b, self.p)])
+            per_law = _law_sums(term(self.a, self.b, self.p))
         return per_law if self.index is None else per_law[self.index]
 
 
@@ -453,12 +453,14 @@ def _coupled(
 
     def law_table(ns: np.ndarray) -> LawTable:
         tables = [source(ns) for source in sources]
-        keys = [np.broadcast_to(np.arange(len(t.p[0])) if t.index is None else t.index, ns.shape)
+        keys = [np.broadcast_to(np.arange(t.p.shape[1]) if t.index is None else t.index, ns.shape)
                 for t in tables]
-        code = np.ravel_multi_index(keys, [len(t.p[0]) for t in tables])
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        first, index = np.unique(first[inverse], return_inverse=True)  # laws by their first index
-        inputs = [[np.asarray(v)[:, key[first]] for v in (t.a, t.b, t.p)] for t, key in zip(tables, keys)]
+        code = np.ravel_multi_index(keys, [t.p.shape[1] for t in tables])
+        first, index = np.arange(len(ns)), None  # codes that strictly increase: law i at index i
+        if (np.diff(code) <= 0).any():
+            _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+            first, index = np.unique(first[inverse], return_inverse=True)  # laws by their first index
+        inputs = [[v[:, key[first]] for v in (t.a, t.b, t.p)] for t, key in zip(tables, keys)]
         shape = [len(q) for _, _, q in inputs]
         at = np.unravel_index(np.arange(math.prod(shape)), shape)  # each slot's input slots, a-major
         p = reduce(mul, [q[i] for (_, _, q), i in zip(inputs, at)])
@@ -471,7 +473,7 @@ def _coupled(
         finally:  # index order meets a bad law before a later law whose values fail
             done = len(mapped) // 2
             table.a[slot[:done], law[:done]], table.b[slot[:done], law[:done]] = np.reshape(mapped, (-1, 2)).T
-            ok = (abs(_law_sums(list(p)) - 1.0) <= PROB_TOL) & np.isfinite((table.a, table.b)).all((0, 1))
+            ok = (abs(_law_sums(p) - 1.0) <= PROB_TOL) & np.isfinite((table.a, table.b)).all((0, 1))
             bad = np.flatnonzero(~ok[: law[done] if done < len(law) else len(first)])
             if len(bad):
                 _checked(table.law(bad[0]), description, int(ns[first[bad[0]]]))
@@ -527,35 +529,24 @@ def combine_independent(
 
 
 def _example1_laws(ns: np.ndarray) -> LawTable:
-    n = ns.astype(np.float64)
-    p = 1.0 / np.sqrt(n)
-    zero = np.broadcast_to(0.0, n.shape)
-    return LawTable(None, (n, zero), (zero, zero), (p, 1.0 - p))
+    """Y = 0; Y_n = n with probability 1/sqrt(n), else 0: rows filled in place, no table-size temporary."""
+    a, p = np.empty((2, len(ns))), np.empty((2, len(ns)))
+    a[0], a[1] = ns, 0.0
+    np.subtract(1.0, np.divide(1.0, np.sqrt(a[0]), out=p[0]), out=p[1])
+    return LawTable(None, a, np.broadcast_to(0.0, a.shape), p)
 
 
-def deterministic_model(
-    f: Callable[[np.ndarray], np.ndarray], limit: float, label: str
-) -> RVSequenceModel:
-    """Point mass at f(m) with constant limit; f maps a float array of indices."""
-    lim = float(limit)
-
-    def law_table(ns: np.ndarray) -> LawTable:
-        a = np.asarray(f(ns.astype(np.float64)), dtype=np.float64)
-        b, p = (np.broadcast_to(v, a.shape) for v in (lim, 1.0))
-        return LawTable(None, (a,), (b,), (p,))
-
-    return RVSequenceModel(law_table, f"deterministic({label})")
+def _deterministic_laws(f: Callable[[np.ndarray], np.ndarray], limit: float, ns: np.ndarray) -> LawTable:
+    """Point mass at f(n) with constant limit; f maps a float array of indices."""
+    a = f(ns.astype(np.float64))[np.newaxis]
+    return LawTable(None, a, np.broadcast_to(limit, a.shape), np.broadcast_to(1.0, a.shape))
 
 
-def bernoulli_shift_model() -> RVSequenceModel:
-    """Y uniform on {0, 1}; Y_m = Y + 1/m.  A converging random-limit model."""
-
-    def law_table(ns: np.ndarray) -> LawTable:
-        shift = 1.0 / ns
-        zero, one, half = (np.broadcast_to(v, shift.shape) for v in (0.0, 1.0, 0.5))
-        return LawTable(None, (shift, 1.0 + shift), (zero, one), (half, half))
-
-    return RVSequenceModel(law_table, "bernoulli_shift")
+def _bernoulli_shift_laws(ns: np.ndarray) -> LawTable:
+    """Y uniform on {0, 1}; Y_n = Y + 1/n.  A converging random-limit model."""
+    shift = 1.0 / ns
+    a = np.stack((shift, 1.0 + shift))
+    return LawTable(None, a, np.broadcast_to([[0.0], [1.0]], a.shape), np.broadcast_to(0.5, a.shape))
 
 
 def tabulated_model(
@@ -621,11 +612,12 @@ def model_preset(spec: str) -> ModelBundle:
         model = tabulated_model({1: [(1.0, 0.0, 0.5), (0.0, 1.0, 0.5)]}, "example2")
         return ModelBundle(model, deferred, ones)
     if spec == "bernoulli_shift":
-        return ModelBundle(bernoulli_shift_model(), cesaro, ones)
+        return ModelBundle(RVSequenceModel(_bernoulli_shift_laws, "bernoulli_shift"), cesaro, ones)
     kind, colon, form = spec.partition(":")
     if kind == "deterministic" and form in _DETERMINISTIC_FORMS:
         fn, limit = _DETERMINISTIC_FORMS[form]
-        return ModelBundle(deterministic_model(fn, limit, form), cesaro, ones)
+        model = RVSequenceModel(partial(_deterministic_laws, fn, limit), f"deterministic({form})")
+        return ModelBundle(model, cesaro, ones)
     if spec == "degenerate" or (colon and kind in ("degenerate", "deterministic")):
         try:
             value = float(form) if colon else 0.0

@@ -238,6 +238,33 @@ class TestChunksAndCalls:
             assert len(asked) > 3
             assert not inputs & set(atoms)
 
+    def test_laws_of_their_own_at_each_index_are_not_deduplicated(self, monkeypatch):
+        # example1 has a law of its own at every index, and the tail pair's fixed side one
+        # law, so the coupled codes strictly increase: law i is the one at index i.
+        bundle, square = model_preset("example1"), lambda v: v * v
+        example1, pairs, run, uniques, unique = bundle.model, [], detectors.st_dnp, [], np.unique
+
+        def recorded(pair, *args):
+            pairs.append(pair)
+            return run(pair, *args)
+
+        monkeypatch.setattr(np, "unique", lambda *args, **kwargs: uniques.append(args) or unique(*args, **kwargs))
+        monkeypatch.setattr(detectors, "st_dnp", recorded)
+        cfg = DetectorConfig(eps=0.5, delta=0.8, density=DensityConfig(horizon=12))
+        cauchy_index_search(example1, bundle.schedule, bundle.weights, cfg, a_max=3)
+        assert len(pairs) == 3
+        derived = [
+            (map_values(example1, square), closure_map_values(example1, square)),
+            (with_alt_limit(example1, square), closure_alt_limit(example1, square)),
+            (combine_independent(example1, example1, operator.mul),
+             closure_combined(example1, example1, operator.mul)),
+            *((pair, closure_tail_pair(example1, a)) for a, pair in enumerate(pairs, start=1)),
+        ]
+        for got, want in derived:
+            assert got.laws(40).index is None
+            assert_same_model(got, want, [1, 2, 7, 40], 40)
+        assert uniques == []
+
     def test_the_tail_search_reads_no_atoms_of_its_input(self, monkeypatch):
         bundle, atoms, read = model_preset("example1"), [], RVSequenceModel.atoms
 

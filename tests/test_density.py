@@ -1043,6 +1043,26 @@ class TestCountingPaths:
             assert rank == sum(misses)
             assert misses == [k < rank for k in range(len(values))]
 
+    @pytest.mark.parametrize("kind", ["repeats", "sorted", "reversed", "equal", "one", "wide"])
+    def test_distinct_values_and_ranks_are_numpy_unique(self, kind):
+        # The sort need not be stable: tied entries get one rank in any order.  Past 2^16
+        # entries the ranks are uint32.
+        rng = np.random.default_rng(len(kind))
+        repeats = rng.choice(rng.uniform(0.5, 1.5, 50).round(2), 8000)
+        x = {
+            "repeats": repeats,
+            "sorted": np.sort(repeats),
+            "reversed": np.sort(repeats)[::-1],
+            "equal": np.full(8000, 1.25),
+            "one": np.array([0.75]),
+            "wide": rng.choice(rng.uniform(0.5, 1.5, 3000), 70_000),
+        }[kind]
+        values, ranks = density._distinct(x)
+        want, inverse = np.unique(x, return_inverse=True)
+        assert values.tobytes() == want.tobytes()
+        assert ranks.tolist() == inverse.tolist()
+        assert ranks.dtype == (np.uint32 if len(x) >= 2**16 else np.uint16)
+
     @given(
         inputs=counting_path_inputs(),
         threshold=st.sampled_from([0.5, 1.0, 2.0]),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 import tracemalloc
 
@@ -17,6 +18,7 @@ from dnstat.detectors import DetectorConfig, Verdict, st_dndc, st_dnm, st_dnp
 from dnstat.rvmodel import (
     LIMIT,
     MODEL_ZOO,
+    LawTable,
     ModelError,
     RVSequenceModel,
     abs_moment,
@@ -39,6 +41,7 @@ from conftest import REFERENCE_SUPPORTS, brute_cdf, brute_exceedance, brute_mome
 # Three atoms share the limit value 0, whose probability 0.1 + 0.2 + 0.3 rounds
 # to 0.6000000000000001 when added in order.
 DECIMAL_LAW = {1: [(0.0, 0.0, 0.1), (0.0, 0.0, 0.2), (0.0, 0.0, 0.3), (1.0, 1.0, 0.4)]}
+MAX = 1.7976931348623157e308
 
 
 @st.composite
@@ -470,8 +473,82 @@ def float_bits(atoms) -> list[tuple[str, ...]]:
     return [tuple(float(v).hex() for v in atom) for atom in atoms]
 
 
+# Atom values whose gaps and powers pass the float range, and probabilities whose sums do:
+# law tables are summed as they are, so levels must be exact whatever the probabilities.
+TABLE_VALUES = (0.0, 0.5, -1.0, 3.0, 1e-200, 1e200, -1e200, 1.5e308, -1.5e308)
+TABLE_PROBS = (0.1, 0.25, 1 / 3, 0.5, 1e-300, 1e300, MAX)
+
+
+@st.composite
+def law_tables(draw):
+    """(LawTable, its laws' live atoms): 1, 2 or up to 70 slots, (0, 0, 0) padding below the
+    live atoms of each law, and now and then an index that gathers the laws."""
+    slots = draw(st.sampled_from([1, 2]) | st.integers(3, 70))
+    atom = st.tuples(st.sampled_from(TABLE_VALUES), st.sampled_from(TABLE_VALUES),
+                     st.sampled_from(TABLE_PROBS))
+    laws = draw(st.lists(st.lists(atom, min_size=1, max_size=slots), min_size=1, max_size=4))
+    cube = np.zeros((slots, len(laws), 3))
+    for i, law in enumerate(laws):
+        cube[: len(law), i] = law
+    index = draw(st.none() | st.lists(st.integers(0, len(laws) - 1), min_size=1, max_size=6))
+    table = LawTable(None if index is None else np.array(index), *np.moveaxis(cube, 2, 0))
+    return table, laws if index is None else [laws[i] for i in index]
+
+
+def overflowing_fsum(terms) -> float:
+    """``math.fsum``, inf where the sum passes the float range (the terms are never negative)."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+def power_term(a: float, b: float, p: float, r: float) -> float:
+    """p * |a - b|^r by Python's float pow, inf where the power passes the float range."""
+    try:
+        return p * abs(a - b) ** r
+    except OverflowError:
+        return math.inf
+
+
 class TestLawTables:
     """Array levels against plain fsum loops over the atoms, bit for bit."""
+
+    @given(drawn=law_tables(), eps=st.sampled_from([0.25, 1.0, 1e300]), pick=st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_each_level_is_an_fsum_over_each_laws_atoms(self, drawn, eps, pick):
+        table, laws = drawn
+
+        def fsums(term):
+            return [overflowing_fsum([term(*atom) for atom in law]) for law in laws]
+
+        assert same_bits(table.exceedance(eps), fsums(lambda a, b, p: p if abs(a - b) >= eps else 0.0))
+        for r in (1.0, 1.5, 2.0, 3.7):
+            assert same_bits(table.moment(r), fsums(lambda a, b, p, r=r: power_term(a, b, p, r)))
+        atoms = [atom for law in laws for atom in law]
+        t = atoms[pick % len(atoms)][0]  # on an atom
+        assert same_bits(table.cdf(t), fsums(lambda a, b, p: p if a <= t else 0.0))
+
+    def test_a_level_runs_its_term_once_per_table(self, monkeypatch):
+        # 16 laws of 64 atoms each: one term call on the (64, 16) arrays, not one per slot.
+        rng = random.Random(0)
+        rows = {m: [(b + rng.uniform(-1, 1) / m, b, 1 / 64) for b in range(8) for _ in range(8)]
+                for m in range(1, 17)}
+        laws, shapes, levels = tabulated_model(rows).laws(20), [], LawTable._levels
+
+        def counted(table, term):
+            def spy(a, b, p):
+                shapes.append((a.shape, b.shape, p.shape))
+                return term(a, b, p)
+
+            return levels(table, spy)
+
+        monkeypatch.setattr(LawTable, "_levels", counted)
+        for level in (lambda: laws.exceedance(0.5), lambda: laws.moment(2.0), lambda: laws.cdf(3.0)):
+            shapes.clear()
+            assert level().shape == (20,)
+            assert shapes == [((64, 16),) * 3]
 
     @pytest.mark.parametrize("spec", MODEL_ZOO)
     def test_preset_atoms_equal_the_reference_supports(self, spec):
@@ -554,9 +631,6 @@ class TestTabulatedLimitLaw:
     def test_index_below_one_is_rejected(self):
         with pytest.raises(ConfigError, match="indices start at 1"):
             parse_model({"per_m": {"0": [[0, 0, 1]], "1": [[0, 0, 1]]}})
-
-
-MAX = 1.7976931348623157e308
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
